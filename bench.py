@@ -102,26 +102,23 @@ def run_benches(sf_dir: str, num_cpus: int, replicas: int) -> dict:
     # the saturated single-box pairs where broadcast sides contend for one
     # memory bus (BASELINE.md)
     small_side = os.environ.get("GRAFT_FLAGSHIP_SMALL_SIDE", "broadcast")
+    from perfbench.workloads import EXECUTIONS
+
+    EXECUTIONS.install()
+    launches0 = EXECUTIONS.count
     t0 = time.perf_counter()
     out = stop_route_spatial_join(pages, validate=False, small_side=small_side)
-    want_stats = "--stats" in sys.argv
-    # the three join outputs are independent sinks — consume them
-    # concurrently so their stages pipeline through the executor together
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        f_pip = pool.submit(out["pip"].count)
-        f_knn = pool.submit(out["knn"].count)
-        f_tiles = pool.submit(out["tiles"].count)
-        pip_rows, knn_rows, tile_rows = f_pip.result(), f_knn.result(), f_tiles.result()
+    sinks = {name: out[name].materialize() for name in ("pip", "knn", "tiles")}
+    pip_rows, knn_rows, tile_rows = (sinks[n].count() for n in ("pip", "knn", "tiles"))
     flagship_s = time.perf_counter() - t0
-    if want_stats:
+    flagship_launches = EXECUTIONS.count - launches0
+    if "--stats" in sys.argv:
         # per-stage wall/cpu/memory breakdown of the three join branches —
         # the feedback loop used to find stage bottlenecks (stderr only;
         # stdout stays a single JSON line)
-        for name in ("pip", "knn", "tiles"):
+        for name, ds in sinks.items():
             print(f"===== stats: {name} =====", file=sys.stderr)
-            print(out[name].stats(), file=sys.stderr)
+            print(ds.stats(), file=sys.stderr)
     queries["flagship_spatial_join"] = flagship_s
     join_rows = pip_rows + knn_rows + tile_rows
 
@@ -139,6 +136,7 @@ def run_benches(sf_dir: str, num_cpus: int, replicas: int) -> dict:
                 "join_rows": int(join_rows),
                 "sec": round(flagship_s, 3),
                 "join_rows_per_sec": round(join_rows / flagship_s, 1),
+                "executor_launches": flagship_launches,
             },
         }
 
@@ -280,6 +278,7 @@ def run_benches(sf_dir: str, num_cpus: int, replicas: int) -> dict:
             "tile_rows": int(tile_rows),
             "sec": round(flagship_s, 3),
             "join_rows_per_sec": round(join_rows / flagship_s, 1),
+            "executor_launches": flagship_launches,
         },
     }
 

@@ -20,13 +20,44 @@ from typing import Optional
 
 import numpy as np
 import pyarrow as pa
+import ray
 import ray.data as rd
 
 from ..kernel.filters import PTV2
-from ..spatial.cell import encode_cell
-from ..spatial.join import knn_join, pip_join
+from ..spatial.join import (
+    add_cells,
+    assign_cells,
+    build_ring_index,
+    build_target_index,
+    knn_join,
+    knn_probe,
+    pip_join,
+    pip_probe,
+    point_arrays,
+    ring_arrays,
+)
 from ..spatial.pip import convex_hull
+from ..util import block_tasks, concat_columns
 from .ptv2 import public_transports_from_pages
+
+_STOP_DTYPES = (np.int64, np.float64, np.float64)
+
+
+def _explode_block(batch: pa.Table) -> pa.Table:
+    # Arrow-offset flatten, zero per-stop Python (to_pylist of the
+    # nested stops column was the dominant cost of this stage)
+    ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    stops = batch["stops"].combine_chunks()
+    counts = np.diff(np.asarray(stops.offsets))
+    st = stops.flatten()
+    return pa.table(
+        {
+            "stop_id": st.field("id"),
+            "route_id": pa.array(np.repeat(ids, counts), pa.int64()),
+            "lat": st.field("lat"),
+            "lon": st.field("lon"),
+        }
+    )
 
 
 def explode_stops(pt: rd.Dataset) -> rd.Dataset:
@@ -35,112 +66,116 @@ def explode_stops(pt: rd.Dataset) -> rd.Dataset:
     A stop node may serve several routes → duplicates by design; dedup by
     stop for point-tables via ``unique_stops``.
     """
+    return pt.map_batches(_explode_block, batch_format="pyarrow")
 
-    def explode(batch: pa.Table) -> pa.Table:
-        # Arrow-offset flatten, zero per-stop Python (to_pylist of the
-        # nested stops column was the dominant cost of this stage)
-        ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        stops = batch["stops"].combine_chunks()
-        counts = np.diff(np.asarray(stops.offsets))
-        st = stops.flatten()
-        return pa.table(
-            {
-                "stop_id": st.field("id"),
-                "route_id": pa.array(np.repeat(ids, counts), pa.int64()),
-                "lat": st.field("lat"),
-                "lon": st.field("lon"),
-            }
-        )
 
-    return pt.map_batches(explode, batch_format="pyarrow")
+def _distinct_stops(ids: np.ndarray, lats: np.ndarray, lons: np.ndarray) -> tuple:
+    """Any-wins dedup by stop id → (ids, lats, lons) sorted by id. All
+    duplicates of a stop id carry identical coords, so this is exact."""
+    uniq, first = np.unique(ids, return_index=True)
+    return uniq, lats[first], lons[first]
+
+
+def _block_distinct_stops(batch: pa.Table) -> tuple:
+    return _distinct_stops(*point_arrays(batch, "stop_id", "lat", "lon"))
+
+
+def _stop_table(ids: np.ndarray, lats: np.ndarray, lons: np.ndarray) -> pa.Table:
+    return pa.table(
+        {
+            "stop_id": pa.array(ids, pa.int64()),
+            "lat": pa.array(lats, pa.float64()),
+            "lon": pa.array(lons, pa.float64()),
+        }
+    )
+
+
+def _stops_dataset(stops: pa.Table) -> rd.Dataset:
+    """The distinct stops as a materialized dataset of MANY blocks — a
+    single block would serialize every downstream map stage onto one
+    worker."""
+    cpus = int(ray.cluster_resources().get("CPU", 4))
+    step = max(1, -(-stops.num_rows // max(1, min(2 * cpus, stops.num_rows))))
+    return rd.from_arrow(
+        [stops.slice(i, step) for i in range(0, stops.num_rows, step)] or [stops]
+    )
 
 
 def unique_stops(stops: rd.Dataset, plan: str = "collect") -> rd.Dataset:
     """Distinct stop points. All duplicates of a stop id carry identical
     coords, so any-wins dedup is exact.
 
-    ``plan="collect"`` (default): per-block dedup runs distributed (map
-    tasks emit packed sorted-unique triples), the driver merges the
-    already-small parts and re-distributes one Arrow table — no hash
-    shuffle, so no aggregator-actor spin-up (~2 s fixed cost measured on
-    this Ray version). Right whenever unique stops fit driver memory —
-    the same contract the broadcast join plans already assume.
+    ``plan="collect"`` (default): per-block dedup runs in block tasks
+    (``util.block_tasks``), the driver merges the already-small parts and
+    re-distributes one Arrow table — no hash shuffle, so no
+    aggregator-actor spin-up (~2 s fixed cost measured on this Ray
+    version). Right whenever unique stops fit driver memory — the same
+    contract the broadcast join plans already assume.
     ``plan="groupby"``: the shuffle realization for corpora whose stop
     table itself is huge (pairs with the shuffle join plans).
     """
     if plan == "groupby":
         from ray.data.aggregate import Min
 
-        def local_dedup(batch: pa.Table) -> pa.Table:
-            ids = batch["stop_id"].to_numpy(zero_copy_only=False)
-            _, first_idx = np.unique(ids, return_index=True)
-            take = pa.array(np.sort(first_idx), pa.int64())
-            return pa.table(
-                {
-                    "stop_id": batch["stop_id"].take(take),
-                    "lat": batch["lat"].take(take),
-                    "lon": batch["lon"].take(take),
-                }
-            )
-
         return (
-            stops.map_batches(local_dedup, batch_format="pyarrow")
+            stops.map_batches(
+                lambda b: _stop_table(*_block_distinct_stops(b)), batch_format="pyarrow"
+            )
             .groupby("stop_id")
             .aggregate(Min("lat", alias_name="lat"), Min("lon", alias_name="lon"))
         )
+    parts = ray.get(block_tasks(stops, _block_distinct_stops))
+    return _stops_dataset(_stop_table(*_distinct_stops(*concat_columns(parts, _STOP_DTYPES))))
 
-    def pack(batch: pa.Table) -> pa.Table:
-        ids = batch["stop_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq, first_idx = np.unique(ids, return_index=True)
-        lats = batch["lat"].to_numpy(zero_copy_only=False)[first_idx]
-        lons = batch["lon"].to_numpy(zero_copy_only=False)[first_idx]
-        return pa.table(
-            {
-                "ids": pa.array([uniq.tobytes()], pa.binary()),
-                "lats": pa.array([lats.tobytes()], pa.binary()),
-                "lons": pa.array([lons.tobytes()], pa.binary()),
-            }
-        )
 
-    id_parts, lat_parts, lon_parts = [], [], []
-    packed = stops.map_batches(pack, batch_format="pyarrow", batch_size=1 << 17)
-    for b in packed.iter_batches(batch_size=64, batch_format="pyarrow"):
-        for i_, la_, lo_ in zip(
-            b["ids"].to_pylist(), b["lats"].to_pylist(), b["lons"].to_pylist()
-        ):
-            id_parts.append(np.frombuffer(i_, np.int64))
-            lat_parts.append(np.frombuffer(la_, np.float64))
-            lon_parts.append(np.frombuffer(lo_, np.float64))
-    if not id_parts:
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "stop_id": pa.array([], pa.int64()),
-                    "lat": pa.array([], pa.float64()),
-                    "lon": pa.array([], pa.float64()),
-                }
-            )
-        )
-    ids = np.concatenate(id_parts)
-    lats = np.concatenate(lat_parts)
-    lons = np.concatenate(lon_parts)
-    uniq, first_idx = np.unique(ids, return_index=True)
-    merged = pa.table(
+def _route_hulls_block(batch: pa.Table) -> pa.Table:
+    # Arrow-offset flattening instead of to_pylist: nested
+    # list<list<struct>> → flat lat/lon numpy + per-route boundaries
+    # (converting every geometry point to a python dict was the
+    # dominant cost of this stage). The per-route convex_hull call
+    # stays a loop, but over numpy slices only.
+    ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    geom = batch["geometry"].combine_chunks()
+    # offsets are normalized to zero-base so they index the FLATTENED
+    # child arrays even when the parent is a sliced view
+    outer_off = np.asarray(geom.offsets)  # route → segment range
+    outer_off = outer_off - outer_off[0]
+    segs = geom.flatten()
+    inner_off = np.asarray(segs.offsets)  # segment → point range
+    inner_off = inner_off - inner_off[0]
+    pts = segs.flatten()
+    g_lats = pts.field("lat").to_numpy(zero_copy_only=False)
+    g_lons = pts.field("lon").to_numpy(zero_copy_only=False)
+    route_pt_bounds = inner_off[outer_off]  # flat point idx at route starts
+
+    stops_arr = batch["stops"].combine_chunks()
+    stop_off = np.asarray(stops_arr.offsets)
+    stop_off = stop_off - stop_off[0]
+    stop_struct = stops_arr.flatten()
+    s_lats = stop_struct.field("lat").to_numpy(zero_copy_only=False)
+    s_lons = stop_struct.field("lon").to_numpy(zero_copy_only=False)
+
+    out_ids, out_la, out_lo = [], [], []
+    for i in range(len(ids)):
+        ga, gb = route_pt_bounds[i], route_pt_bounds[i + 1]
+        sa, sb = stop_off[i], stop_off[i + 1]
+        lats = np.concatenate([g_lats[ga:gb], s_lats[sa:sb]])
+        if len(lats) < 3:
+            continue
+        lons = np.concatenate([g_lons[ga:gb], s_lons[sa:sb]])
+        hy, hx = convex_hull(lats, lons)
+        if len(hy) < 3:
+            continue
+        out_ids.append(int(ids[i]))
+        out_la.append(hy)
+        out_lo.append(hx)
+    return pa.table(
         {
-            "stop_id": pa.array(uniq, pa.int64()),
-            "lat": pa.array(lats[first_idx], pa.float64()),
-            "lon": pa.array(lons[first_idx], pa.float64()),
+            "poly_id": pa.array(out_ids, pa.int64()),
+            "ring_lats": pa.array([a.tolist() for a in out_la], pa.list_(pa.float64())),
+            "ring_lons": pa.array([a.tolist() for a in out_lo], pa.list_(pa.float64())),
         }
     )
-    # re-distribute as MANY blocks — a single from_arrow block would
-    # serialize every downstream map stage onto one worker
-    import ray as _ray
-
-    cpus = int(_ray.cluster_resources().get("CPU", 4))
-    n_blocks = max(1, min(2 * cpus, merged.num_rows))
-    step = -(-merged.num_rows // n_blocks)
-    slices = [merged.slice(i, step) for i in range(0, merged.num_rows, step)]
-    return rd.from_arrow(slices)
 
 
 def route_hulls(pt: rd.Dataset) -> rd.Dataset:
@@ -151,69 +186,28 @@ def route_hulls(pt: rd.Dataset) -> rd.Dataset:
     status 501) still get a hull from their stops, and every route with ≥3
     distinct points participates in the PIP join.
     """
-
-    def hulls(batch: pa.Table) -> pa.Table:
-        # Arrow-offset flattening instead of to_pylist: nested
-        # list<list<struct>> → flat lat/lon numpy + per-route boundaries
-        # (converting every geometry point to a python dict was the
-        # dominant cost of this stage). The per-route convex_hull call
-        # stays a loop, but over numpy slices only.
-        ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        geom = batch["geometry"].combine_chunks()
-        # offsets are normalized to zero-base so they index the FLATTENED
-        # child arrays even when the parent is a sliced view
-        outer_off = np.asarray(geom.offsets)  # route → segment range
-        outer_off = outer_off - outer_off[0]
-        segs = geom.flatten()
-        inner_off = np.asarray(segs.offsets)  # segment → point range
-        inner_off = inner_off - inner_off[0]
-        pts = segs.flatten()
-        g_lats = pts.field("lat").to_numpy(zero_copy_only=False)
-        g_lons = pts.field("lon").to_numpy(zero_copy_only=False)
-        route_pt_bounds = inner_off[outer_off]  # flat point idx at route starts
-
-        stops_arr = batch["stops"].combine_chunks()
-        stop_off = np.asarray(stops_arr.offsets)
-        stop_off = stop_off - stop_off[0]
-        stop_struct = stops_arr.flatten()
-        s_lats = stop_struct.field("lat").to_numpy(zero_copy_only=False)
-        s_lons = stop_struct.field("lon").to_numpy(zero_copy_only=False)
-
-        out_ids, out_la, out_lo = [], [], []
-        for i in range(len(ids)):
-            ga, gb = route_pt_bounds[i], route_pt_bounds[i + 1]
-            sa, sb = stop_off[i], stop_off[i + 1]
-            lats = np.concatenate([g_lats[ga:gb], s_lats[sa:sb]])
-            if len(lats) < 3:
-                continue
-            lons = np.concatenate([g_lons[ga:gb], s_lons[sa:sb]])
-            hy, hx = convex_hull(lats, lons)
-            if len(hy) < 3:
-                continue
-            out_ids.append(int(ids[i]))
-            out_la.append(hy)
-            out_lo.append(hx)
-        return pa.table(
-            {
-                "poly_id": pa.array(out_ids, pa.int64()),
-                "ring_lats": pa.array([a.tolist() for a in out_la], pa.list_(pa.float64())),
-                "ring_lons": pa.array([a.tolist() for a in out_lo], pa.list_(pa.float64())),
-            }
-        )
-
-    return pt.map_batches(hulls, batch_format="pyarrow")
+    return pt.map_batches(_route_hulls_block, batch_format="pyarrow")
 
 
 def assign_tiles(stops: rd.Dataset, level: int) -> rd.Dataset:
-    def add(batch: pa.Table) -> pa.Table:
-        cells = encode_cell(
-            batch["lat"].to_numpy(zero_copy_only=False),
-            batch["lon"].to_numpy(zero_copy_only=False),
-            level,
-        )
-        return batch.append_column("cell", pa.array(cells, pa.uint64()))
+    return assign_cells(stops, level)
 
-    return stops.map_batches(add, batch_format="pyarrow")
+
+def _stops_and_hulls(pt_block: pa.Table) -> tuple:
+    """One PT block → (its distinct stops as id-sorted arrays, its route hulls)."""
+    return _block_distinct_stops(_explode_block(pt_block)), _route_hulls_block(pt_block)
+
+
+def _probe_stops(stops: pa.Table, pip_index, knn_index, knn_k: int, knn_radius_m: float,
+                 tile_level: int) -> tuple:
+    """One stop block → its (pip, knn, tiles) tables: the three broadcast
+    probes of the flagship in one task."""
+    ids, lats, lons = point_arrays(stops, "stop_id", "lat", "lon")
+    return (
+        pip_probe(ids, lats, lons, pip_index),
+        knn_probe(ids, lats, lons, knn_index, knn_k, knn_radius_m),
+        add_cells(stops, tile_level),
+    )
 
 
 def stop_route_spatial_join(
@@ -230,57 +224,79 @@ def stop_route_spatial_join(
     validate: bool = True,
     concurrency: Optional[int | tuple[int, int]] = None,
 ) -> dict[str, rd.Dataset]:
-    """The flagship: returns the component datasets (all lazy).
+    """The flagship: returns the component datasets.
 
     Keys: public_transports, stops (unique), pip (stop×route-hull pairs),
-    knn (stop k-nearest-stop rows), tiles (stop→cell assignment).
+    knn (stop k-nearest-stop rows), tiles (stop→cell assignment). The PT
+    rows are materialized, then joined by ``stop_route_joins``.
 
-    ``small_side="broadcast"`` (default): hulls / target stops are the
-    small sides of both spatial joins — broadcast plans (zero shuffle).
-    ``small_side="shuffle"``: the groupby-on-cell / hash-join plans that
-    scale to big-big joins; results identical (tested).
+    With ``small_side="broadcast"`` (default) every output is
+    materialized and the whole call starts 5 streaming executions
+    (extract, relations, ways, nodes, assembly); the index builds and
+    the probes run as plain Ray tasks.
     """
-    from ..spatial.join import knn_join_broadcast, pip_join_broadcast
-
     pt = public_transports_from_pages(
         pages_path, gap=gap, filters=filters, validate=validate, concurrency=concurrency
     ).materialize()  # consumed by 3 downstream branches; small (one row per route)
-    stops_all = explode_stops(pt)
-    stops = unique_stops(stops_all).materialize()  # reused by pip + knn + tiles
-    hulls = route_hulls(pt)
-    stops_as_targets = stops.map_batches(
-        lambda t: t.rename_columns(["target_id", "lat", "lon"]), batch_format="pyarrow"
-    )
-    if small_side == "broadcast":
-        # both builds block on driver-side collects fed by cluster
-        # streams — run them concurrently so neither idles the cluster
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=2) as ex:
-            f_pip = ex.submit(pip_join_broadcast, stops, hulls, point_id="stop_id")
-            f_knn = ex.submit(
-                knn_join_broadcast,
-                stops,
-                stops_as_targets,
-                k=knn_k,
-                radius_m=knn_radius_m,
-                query_id="stop_id",
-            )
-            pip_pairs = f_pip.result()
-            knn_pairs = f_knn.result()
-    else:
-        pip_pairs = pip_join(
-            stops, hulls, level=pip_level, salt=pip_salt, point_id="stop_id"
-        )
-        knn_pairs = knn_join(
-            stops, stops_as_targets, k=knn_k, radius_m=knn_radius_m, query_id="stop_id"
-        )
-    tiles = assign_tiles(stops, tile_level)
     return {
         "public_transports": pt,
-        "stops": stops,
-        "pip": pip_pairs,
-        "knn": knn_pairs,
-        "tiles": tiles,
+        **stop_route_joins(
+            pt, pip_level=pip_level, pip_salt=pip_salt, knn_k=knn_k,
+            knn_radius_m=knn_radius_m, tile_level=tile_level, small_side=small_side,
+        ),
     }
 
+
+def stop_route_joins(
+    pt: rd.Dataset,
+    *,
+    pip_level: int = 12,
+    pip_salt: int = 1,
+    knn_k: int = 5,
+    knn_radius_m: float = 2000.0,
+    tile_level: int = 14,
+    small_side: str = "broadcast",
+) -> dict[str, rd.Dataset]:
+    """The flagship's spatial tail over PT rows → stops, pip, knn, tiles.
+
+    One block task per PT block yields that block's distinct stops and
+    route hulls; the driver merges the stops (``stops`` is materialized).
+
+    ``small_side="broadcast"`` (default): hulls / target stops are the
+    small sides of both spatial joins. The driver builds the ring and
+    target indexes once, and one block task per stop block runs the pip,
+    knn and tiles probes together; all outputs are materialized and,
+    over a materialized ``pt``, no streaming execution starts.
+    ``small_side="shuffle"``: the groupby-on-cell / hash-join plans that
+    scale to big-big joins; pip/knn/tiles stay lazy. Results identical
+    (tested).
+    """
+    parts = block_tasks(pt, _stops_and_hulls, num_returns=2)
+    stop_ids, lats, lons = _distinct_stops(
+        *concat_columns(ray.get([p[0] for p in parts]), _STOP_DTYPES)
+    )
+    stop_table = _stop_table(stop_ids, lats, lons)
+    stops = _stops_dataset(stop_table)
+    hull_refs = [p[1] for p in parts]
+    if small_side == "broadcast":
+        pip_index = build_ring_index([ring_arrays(t) for t in ray.get(hull_refs)])
+        knn_index = build_target_index(stop_ids, lats, lons, knn_radius_m)
+        args = (knn_k, knn_radius_m, tile_level)
+        outs = block_tasks(stops, _probe_stops, ray.put(pip_index), ray.put(knn_index), *args,
+                           num_returns=3)
+        if not outs:  # no stops: schema-ful empty outputs
+            outs = [[ray.put(t) for t in _probe_stops(stop_table, pip_index, knn_index, *args)]]
+        pip_pairs, knn_pairs, tiles = (
+            rd.from_arrow_refs([o[i] for o in outs]).materialize() for i in range(3)
+        )
+    else:
+        pip_pairs = pip_join(
+            stops, rd.from_arrow_refs(hull_refs), level=pip_level, salt=pip_salt,
+            point_id="stop_id",
+        )
+        knn_pairs = knn_join(
+            stops, stops, k=knn_k, radius_m=knn_radius_m, query_id="stop_id",
+            target_id="stop_id",
+        )
+        tiles = assign_tiles(stops, tile_level)
+    return {"stops": stops, "pip": pip_pairs, "knn": knn_pairs, "tiles": tiles}

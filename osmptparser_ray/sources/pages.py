@@ -61,9 +61,12 @@ ID_STRIDE = 10**12  # replica id offset; int64-safe for < 9.2e6 replicas
 def _shift_element(el: dict, kind: str, replica: int) -> dict:
     """Deterministic replica transform: offset ids, translate on a 2D grid.
 
-    Grid: 712 longitude slots × latitude bands — every replica < 712×bands
-    gets a UNIQUE (slot, band), so replicas never stack (stacking creates
+    Grid: 712 longitude slots × latitude bands — every replica gets a
+    UNIQUE (slot, band), so replicas never stack (stacking creates
     synthetic mega-cell skew and superlinear cross-replica join output).
+    Slot s > 0 shifts by s × 0.5° − 100°; from slot 200 on one more 0.5°
+    step skips the zero shift that slot 0 holds, and the largest shift
+    (+256°) keeps the fixture's longitudes (−80°…−78.5°) inside ±180°.
     Slots are 0.5° (~55 km) apart — far beyond any gap tolerance or kNN
     radius, so replicas are spatially independent. Latitude bands shift by
     0.5° each; within ±8° of the equator the east-west meter distortion is
@@ -76,7 +79,7 @@ def _shift_element(el: dict, kind: str, replica: int) -> dict:
     off = replica * ID_STRIDE
     slot = replica % 712
     band = replica // 712
-    lon_shift = slot * 0.5 - 100.0 if slot else 0.0
+    lon_shift = (slot + (slot >= 200)) * 0.5 - 100.0 if slot else 0.0
     lat_shift = band * 0.5
     out = dict(el)
     out["id"] = el["id"] + off

@@ -29,7 +29,7 @@ is supported everywhere and zero-parse to numpy on the far side).
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -37,6 +37,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..kernel.geometry import haversine_m_vec
+from ..util import block_tasks, concat_columns
 from .cell import (
     cell_neighbors,
     choose_level_for_radius,
@@ -57,6 +58,17 @@ def _unit_vectors(lats, lons) -> np.ndarray:
     return np.stack([cl * np.cos(lo), cl * np.sin(lo), np.sin(la)], axis=1)
 
 
+def add_cells(
+    batch: pa.Table, level: int, lat_col: str = "lat", lon_col: str = "lon", out_col: str = "cell"
+) -> pa.Table:
+    cells = encode_cell(
+        batch[lat_col].to_numpy(zero_copy_only=False),
+        batch[lon_col].to_numpy(zero_copy_only=False),
+        level,
+    )
+    return batch.append_column(out_col, pa.array(cells, pa.uint64()))
+
+
 def assign_cells(
     ds: rd.Dataset,
     level: int,
@@ -65,16 +77,19 @@ def assign_cells(
     out_col: str = "cell",
 ) -> rd.Dataset:
     """Add a uint64 cell column — fully vectorized per batch."""
+    return ds.map_batches(
+        partial(add_cells, level=level, lat_col=lat_col, lon_col=lon_col, out_col=out_col),
+        batch_format="pyarrow",
+    )
 
-    def add(batch: pa.Table) -> pa.Table:
-        cells = encode_cell(
-            batch[lat_col].to_numpy(zero_copy_only=False),
-            batch[lon_col].to_numpy(zero_copy_only=False),
-            level,
-        )
-        return batch.append_column(out_col, pa.array(cells, pa.uint64()))
 
-    return ds.map_batches(add, batch_format="pyarrow")
+def point_arrays(batch: pa.Table, id_col: str, lat_col: str, lon_col: str) -> tuple:
+    """Point rows → (int64 ids, lats, lons) numpy arrays."""
+    return (
+        batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64),
+        batch[lat_col].to_numpy(zero_copy_only=False),
+        batch[lon_col].to_numpy(zero_copy_only=False),
+    )
 
 
 def _salt_of(ids: np.ndarray, salt: int) -> np.ndarray:
@@ -84,9 +99,7 @@ def _salt_of(ids: np.ndarray, salt: int) -> np.ndarray:
 def _points_rows(
     batch: pa.Table, level: int, salt: int, id_col: str, lat_col: str, lon_col: str
 ) -> pa.Table:
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    lats = batch[lat_col].to_numpy(zero_copy_only=False)
-    lons = batch[lon_col].to_numpy(zero_copy_only=False)
+    ids, lats, lons = point_arrays(batch, id_col, lat_col, lon_col)
     cells = encode_cell(lats, lons, level)
     return pa.table(
         {
@@ -109,56 +122,76 @@ _POLY_ROWS_EMPTY = pa.table(
 )
 
 
+def ring_arrays(
+    table: pa.Table, id_col: str = "poly_id", lat_col: str = "ring_lats", lon_col: str = "ring_lons"
+) -> tuple:
+    """Rings table (list<f64> vertex columns) → (int64 ids, vertex counts,
+    flat lats, flat lons) by Arrow-offset flattening; rings without
+    vertices are dropped (they take zero width in the flat arrays)."""
+    la = table[lat_col].combine_chunks()
+    lo = table[lon_col].combine_chunks()
+    counts = pc.list_value_length(la).fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64)
+    keep = counts > 0
+    ids = table[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    return (
+        ids[keep],
+        counts[keep],
+        la.flatten().to_numpy(zero_copy_only=False),
+        lo.flatten().to_numpy(zero_copy_only=False),
+    )
+
+
+def _ring_bboxes(counts: np.ndarray, lats: np.ndarray, lons: np.ndarray) -> tuple:
+    """Per-ring (min_lon, min_lat, max_lon, max_lat): ``reduceat`` over the
+    flat vertex arrays at ring starts (every ring has ≥ 1 vertex)."""
+    starts = np.cumsum(counts) - counts
+    return (
+        np.minimum.reduceat(lons, starts),
+        np.minimum.reduceat(lats, starts),
+        np.maximum.reduceat(lons, starts),
+        np.maximum.reduceat(lats, starts),
+    )
+
+
+def _bbox_cover(min_lon, min_lat, max_lon, max_lat, level: int) -> tuple:
+    """Every box's (x0..x1)×(y0..y1) cell cover in one repeat/cumsum pass
+    (same grid math as ``cover_bbox``) → (box index, cell) per covered
+    cell, grouped by box."""
+    n = 1 << level
+    x0 = np.clip(np.floor((min_lon + 180.0) / 360.0 * n), 0, n - 1).astype(np.int64)
+    x1 = np.clip(np.floor((max_lon + 180.0) / 360.0 * n), 0, n - 1).astype(np.int64)
+    y0 = np.clip(np.floor((min_lat + 90.0) / 180.0 * n), 0, n - 1).astype(np.int64)
+    y1 = np.clip(np.floor((max_lat + 90.0) / 180.0 * n), 0, n - 1).astype(np.int64)
+    wy = y1 - y0 + 1
+    cnt = (x1 - x0 + 1) * wy
+    total = int(cnt.sum())
+    box = np.repeat(np.arange(len(cnt), dtype=np.int64), cnt)
+    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    cx = x0[box] + within // wy[box]
+    cy = y0[box] + within % wy[box]
+    return box, xy_to_cell(cx.astype(np.uint64), cy.astype(np.uint64), level)
+
+
 def _poly_rows(
     batch: pa.Table, level: int, salt: int, id_col: str, ring_lat_col: str, ring_lon_col: str
 ) -> pa.Table:
     """Replicate each polygon to (cover cell × salt) rows with packed ring.
 
-    Fully vectorized (round-4; was a per-polygon Python loop): Arrow-offset
-    ring flatten, ``reduceat`` per-ring bboxes, the same repeat/cumsum
-    cover expansion used by the broadcast twin and ``_route_cover_rows``,
+    Fully vectorized: the ``ring_arrays`` flatten, ``reduceat`` per-ring
+    bboxes, the ``_bbox_cover`` expansion shared with the broadcast build,
     and the packed-ring binary column built straight from the interleaved
     flat coordinate buffer via ``Array.from_buffers`` + one ``take`` — the
     blob bytes are identical to ``pack_ring`` per ring.
     """
     if batch.num_rows == 0:
         return _POLY_ROWS_EMPTY
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    la_col = batch[ring_lat_col].combine_chunks()
-    lo_col = batch[ring_lon_col].combine_chunks()
-    off = np.asarray(la_col.offsets, np.int64)
-    off = off - off[0]
-    la_flat = la_col.flatten().to_numpy(zero_copy_only=False)
-    lo_flat = lo_col.flatten().to_numpy(zero_copy_only=False)
-    counts = off[1:] - off[:-1]
-    keep = np.flatnonzero(counts > 0)
-    if len(keep) == 0:
+    ids, counts, la_flat, lo_flat = ring_arrays(batch, id_col, ring_lat_col, ring_lon_col)
+    if len(ids) == 0:
         return _POLY_ROWS_EMPTY
-
-    # per-ring bboxes: reduceat over the flat arrays at kept-ring starts
-    # (empty rings occupy zero width, so kept segments stay contiguous)
-    starts = off[:-1][keep]
-    min_lat = np.minimum.reduceat(la_flat, starts)
-    max_lat = np.maximum.reduceat(la_flat, starts)
-    min_lon = np.minimum.reduceat(lo_flat, starts)
-    max_lon = np.maximum.reduceat(lo_flat, starts)
-
-    # vectorized cover expansion (same grid math as cover_bbox, scalar twin)
-    n = 1 << level
-    x0 = np.clip(np.floor((min_lon + 180.0) / 360.0 * n), 0, n - 1).astype(np.int64)
-    x1 = np.clip(np.floor((max_lon + 180.0) / 360.0 * n), 0, n - 1).astype(np.int64)
-    y0 = np.clip(np.floor((min_lat + 90.0) / 180.0 * n), 0, n - 1).astype(np.int64)
-    y1 = np.clip(np.floor((max_lat + 90.0) / 180.0 * n), 0, n - 1).astype(np.int64)
-    wx, wy = x1 - x0 + 1, y1 - y0 + 1
-    cnt = wx * wy
-    total = int(cnt.sum())
-    ring_i = np.repeat(np.arange(len(keep), dtype=np.int64), cnt)
-    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    cx = x0[ring_i] + within // wy[ring_i]
-    cy = y0[ring_i] + within % wy[ring_i]
-    cells = xy_to_cell(cx.astype(np.uint64), cy.astype(np.uint64), level)
+    ring_i, cells = _bbox_cover(*_ring_bboxes(counts, la_flat, lo_flat), level)
 
     # salt replication: each cover row × salt
+    total = len(cells)
     rep = np.repeat(np.arange(total, dtype=np.int64), salt)
     salts = np.tile(np.arange(salt, dtype=np.uint64), total)
 
@@ -168,7 +201,7 @@ def _poly_rows(
     pairs = np.empty((len(la_flat), 2), np.float64)
     pairs[:, 0] = la_flat
     pairs[:, 1] = lo_flat
-    if int(off[-1]) * 16 > np.iinfo(np.int32).max:
+    if len(la_flat) * 16 > np.iinfo(np.int32).max:
         # pa.binary() offsets are int32 and from_buffers does not
         # validate — past 2^27 coordinate pairs per batch the cast would
         # wrap negative and emit silently-corrupt blobs (the replaced
@@ -178,13 +211,13 @@ def _poly_rows(
             "_poly_rows: ring payload exceeds the 2 GiB binary-offset "
             "limit for one batch; reduce map_batches batch_size"
         )
-    byte_offs = (off * 16).astype(np.int32)
+    byte_offs = (np.concatenate([[0], np.cumsum(counts)]) * 16).astype(np.int32)
     blob_all = pa.Array.from_buffers(
         pa.binary(),
         len(counts),
         [None, pa.py_buffer(byte_offs.tobytes()), pa.py_buffer(pairs.tobytes())],
     )
-    take_idx = keep[ring_i[rep]]
+    take_idx = ring_i[rep]
     return pa.table(
         {
             "cell": pa.array(cells[rep], pa.uint64()),
@@ -195,17 +228,24 @@ def _poly_rows(
     )
 
 
+def _pip_pairs(out_p: list, out_g: list) -> pa.Table:
+    """Per-ring hit arrays → the (point_id, poly_id) output table."""
+    def cat(parts):
+        return np.concatenate(parts) if parts else np.empty(0, np.int64)
+
+    return pa.table(
+        {"point_id": pa.array(cat(out_p), pa.int64()), "poly_id": pa.array(cat(out_g), pa.int64())}
+    )
+
+
 def _pip_refine_batch(batch: pa.Table) -> pa.Table:
     """Join-output batch of (point, ring-blob) candidate pairs → exact PIP.
 
     Fully vectorized per distinct ring in the batch (rings repeat across
     many candidate rows; dedup by poly id and ray-cast all of that ring's
     candidate points at once)."""
-    empty = pa.table(
-        {"point_id": pa.array([], pa.int64()), "poly_id": pa.array([], pa.int64())}
-    )
     if batch.num_rows == 0:
-        return empty
+        return _pip_pairs([], [])
     pids = batch["pid"].to_numpy(zero_copy_only=False).astype(np.int64)
     gids = batch["gid"].to_numpy(zero_copy_only=False).astype(np.int64)
     lats = batch["lat"].to_numpy(zero_copy_only=False)
@@ -221,14 +261,7 @@ def _pip_refine_batch(batch: pa.Table) -> pa.Table:
         if hit.any():
             out_p.append(pids[grp][hit])
             out_g.append(np.full(int(hit.sum()), gid, dtype=np.int64))
-    if not out_p:
-        return empty
-    return pa.table(
-        {
-            "point_id": pa.array(np.concatenate(out_p), pa.int64()),
-            "poly_id": pa.array(np.concatenate(out_g), pa.int64()),
-        }
-    )
+    return _pip_pairs(out_p, out_g)
 
 
 def pip_join(
@@ -284,6 +317,83 @@ def pip_join(
     return pairs.map_batches(_pip_refine_batch, batch_format="pyarrow")
 
 
+# ---------------------------------------------------------------------------
+# broadcast plans: a driver-side build + a module-level probe kernel
+# ---------------------------------------------------------------------------
+
+
+class RingIndex(NamedTuple):
+    """Broadcast PIP build side: rings as flat vertex arrays (ring i spans
+    ``offs[i]:offs[i + 1]``) plus a coarse bbox-cover cell index in
+    sorted-cell CSR form (cell ``keys[j]`` → ring positions
+    ``rings[key_offs[j]:key_offs[j + 1]]``)."""
+
+    gids: np.ndarray
+    offs: np.ndarray
+    lats: np.ndarray
+    lons: np.ndarray
+    bbox: np.ndarray  # (R, 4): min_lon, min_lat, max_lon, max_lat
+    keys: np.ndarray
+    key_offs: np.ndarray
+    rings: np.ndarray
+    level: int
+
+
+def build_ring_index(parts: list) -> RingIndex:
+    """``ring_arrays`` tuples (one per block) → RingIndex, on the driver.
+
+    The index level is chosen so a typical ring's bbox spans O(1) cells
+    (median bbox extent ≈ cell size), clamped to [4, 14]: a probe batch
+    then tests only the rings registered in its points' cells instead of
+    every ring (with R rings and B batches a scan is O(R·B) bbox tests).
+    """
+    gids, counts, lats, lons = concat_columns(parts, (np.int64, np.int64, np.float64, np.float64))
+    offs = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    bbox = np.stack(_ring_bboxes(counts, lats, lons), axis=1)
+    extents = np.maximum(np.maximum(bbox[:, 2] - bbox[:, 0], bbox[:, 3] - bbox[:, 1]), 1e-9)
+    level = int(np.clip(np.floor(np.log2(180.0 / float(np.median(extents)))), 4, 14)) if len(gids) else 8
+    ring_i, cells = _bbox_cover(*bbox.T, level)
+    order = np.argsort(cells, kind="stable")
+    cells_s = cells[order]
+    first = np.ones(len(cells_s), bool)
+    first[1:] = cells_s[1:] != cells_s[:-1]
+    key_offs = np.append(np.flatnonzero(first), len(cells_s)).astype(np.int64)
+    return RingIndex(gids, offs, lats, lons, bbox, cells_s[first], key_offs, ring_i[order], level)
+
+
+def pip_probe(pids: np.ndarray, lats: np.ndarray, lons: np.ndarray, index: RingIndex) -> pa.Table:
+    """Points → (point_id, poly_id) pairs against a RingIndex: the points'
+    cells select candidate rings, each is bbox-prefiltered and ray-cast
+    exactly."""
+    cand = np.empty(0, np.int64)
+    if len(lats) and len(index.keys):
+        pcells = np.unique(encode_cell(lats, lons, index.level))
+        ki = np.minimum(np.searchsorted(index.keys, pcells), len(index.keys) - 1)
+        hit_k = ki[index.keys[ki] == pcells]
+        if len(hit_k):
+            cand = np.unique(np.concatenate(
+                [index.rings[index.key_offs[k] : index.key_offs[k + 1]] for k in hit_k]
+            ))
+    out_p, out_g = [], []
+    for pi in cand.tolist():
+        min_lon, min_lat, max_lon, max_lat = index.bbox[pi]
+        m = (lats >= min_lat) & (lats <= max_lat) & (lons >= min_lon) & (lons <= max_lon)
+        if not m.any():
+            continue
+        a, z = index.offs[pi], index.offs[pi + 1]
+        hit = points_in_ring(lats[m], lons[m], index.lats[a:z], index.lons[a:z])
+        if hit.any():
+            out_p.append(pids[m][hit])
+            out_g.append(np.full(int(hit.sum()), index.gids[pi], dtype=np.int64))
+    return _pip_pairs(out_p, out_g)
+
+
+def _pip_probe_batch(batch: pa.Table, *, index_ref, id_col: str, lat_col: str, lon_col: str) -> pa.Table:
+    from ..util import cached_get
+
+    return pip_probe(*point_arrays(batch, id_col, lat_col, lon_col), cached_get(index_ref))
+
+
 def pip_join_broadcast(
     points: rd.Dataset,
     polygons: rd.Dataset,
@@ -297,163 +407,123 @@ def pip_join_broadcast(
 ) -> rd.Dataset:
     """PIP join with the POLYGON side broadcast (classic small-side plan).
 
-    Collects all rings to the driver once (``ray.put``) along with a
-    coarse CELL INDEX over their bboxes; each point batch looks up only
-    the polygons registered in its points' cells instead of scanning
-    every polygon per batch (with R polygons and B batches the naive scan
-    is O(R·B) bbox tests — the index makes a batch's work proportional to
-    its actual candidates). Exact ray-cast refine per candidate; zero
+    Build: block tasks flatten the polygon blocks (``ring_arrays``), the
+    driver builds one ``RingIndex`` and ``ray.put``s it. Probe: every point
+    batch runs ``pip_probe``. Exact ray-cast refine per candidate; zero
     shuffle. Use when polygons fit comfortably in memory (≲10^5 rings);
     ``pip_join`` is the big-big shuffle plan. Results identical to
     ``pip_join`` (same kernel).
     """
     import ray
 
-    # Per-ring prep (pack, bbox) runs DISTRIBUTED; the driver only drains
-    # scalar rows and builds the cell index. (Collecting the rings via
-    # to_pylist + per-ring packing on the driver was this plan's dominant
-    # serial cost at high CPU counts.)
-    def _ring_rows(b: pa.Table) -> pa.Table:
-        gids = b[poly_id].to_numpy(zero_copy_only=False).astype(np.int64)
-        la_col = b[ring_lat_col].combine_chunks()
-        lo_col = b[ring_lon_col].combine_chunks()
-        off = np.asarray(la_col.offsets)
-        off = off - off[0]
-        la_flat = la_col.flatten().to_numpy(zero_copy_only=False)
-        lo_flat = lo_col.flatten().to_numpy(zero_copy_only=False)
-        out = {"gid": [], "blob": [], "min_lon": [], "min_lat": [], "max_lon": [], "max_lat": []}
-        for i in range(len(gids)):
-            a, z = off[i], off[i + 1]
-            if z <= a:
-                continue
-            ry, rx = la_flat[a:z], lo_flat[a:z]
-            out["gid"].append(int(gids[i]))
-            out["blob"].append(np.stack([ry, rx], axis=1).tobytes())
-            out["min_lon"].append(float(rx.min()))
-            out["min_lat"].append(float(ry.min()))
-            out["max_lon"].append(float(rx.max()))
-            out["max_lat"].append(float(ry.max()))
-        return pa.table(
-            {
-                "gid": pa.array(out["gid"], pa.int64()),
-                "blob": pa.array(out["blob"], pa.binary()),
-                "min_lon": pa.array(out["min_lon"], pa.float64()),
-                "min_lat": pa.array(out["min_lat"], pa.float64()),
-                "max_lon": pa.array(out["max_lon"], pa.float64()),
-                "max_lat": pa.array(out["max_lat"], pa.float64()),
-            }
-        )
-
-    # COLUMNAR driver collect (round-3: the per-row zip/to_pylist rows and
-    # the per-ring python cover loop were the plan's residual serial cost
-    # at high CPU counts — everything below is numpy over whole arrays)
-    gid_p, blob_p, bb_p = [], [], []
-    for b in polygons.map_batches(_ring_rows, batch_format="pyarrow").iter_batches(
-        batch_size=1 << 14, batch_format="pyarrow"
-    ):
-        gid_p.append(b["gid"].to_numpy(zero_copy_only=False).astype(np.int64))
-        blob_p.extend(b["blob"].to_pylist())
-        bb_p.append(
-            np.stack(
-                [
-                    b["min_lon"].to_numpy(zero_copy_only=False),
-                    b["min_lat"].to_numpy(zero_copy_only=False),
-                    b["max_lon"].to_numpy(zero_copy_only=False),
-                    b["max_lat"].to_numpy(zero_copy_only=False),
-                ],
-                axis=1,
-            )
-        )
-    gids = np.concatenate(gid_p) if gid_p else np.empty(0, np.int64)
-    bbox = np.concatenate(bb_p) if bb_p else np.empty((0, 4))
-    n_rings = len(gids)
-
-    # coarse bbox-cover index: level chosen so a typical ring's bbox spans
-    # O(1) cells (median bbox extent ≈ cell size), clamped to [4, 14]
-    if n_rings:
-        extents = np.maximum(
-            np.maximum(bbox[:, 2] - bbox[:, 0], bbox[:, 3] - bbox[:, 1]), 1e-9
-        )
-        med = float(np.median(extents))
-        index_level = int(np.clip(np.floor(np.log2(180.0 / med)), 4, 14))
-    else:
-        index_level = 8
-    # vectorized cover expansion (same repeat/cumsum shape as
-    # _route_cover_rows) → sorted-cell CSR index: keys / offsets / ring ids
-    ncell = 1 << index_level
-    if n_rings:
-        x0 = np.clip(np.floor((bbox[:, 0] + 180.0) / 360.0 * ncell), 0, ncell - 1).astype(np.int64)
-        x1 = np.clip(np.floor((bbox[:, 2] + 180.0) / 360.0 * ncell), 0, ncell - 1).astype(np.int64)
-        y0 = np.clip(np.floor((bbox[:, 1] + 90.0) / 180.0 * ncell), 0, ncell - 1).astype(np.int64)
-        y1 = np.clip(np.floor((bbox[:, 3] + 90.0) / 180.0 * ncell), 0, ncell - 1).astype(np.int64)
-        wx, wy = x1 - x0 + 1, y1 - y0 + 1
-        cnt = wx * wy
-        total = int(cnt.sum())
-        ring_idx = np.repeat(np.arange(n_rings, dtype=np.int64), cnt)
-        within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        cx = x0[ring_idx] + within // wy[ring_idx]
-        cy = y0[ring_idx] + within % wy[ring_idx]
-        cells = xy_to_cell(cx.astype(np.uint64), cy.astype(np.uint64), index_level)
-        order = np.argsort(cells, kind="stable")
-        cells_s, rings_s = cells[order], ring_idx[order]
-        key_mask = np.ones(total, bool)
-        key_mask[1:] = cells_s[1:] != cells_s[:-1]
-        cell_keys = cells_s[key_mask]
-        cell_offs = np.concatenate(
-            [np.flatnonzero(key_mask), [total]]
-        ).astype(np.int64)
-    else:
-        cell_keys = np.empty(0, np.uint64)
-        cell_offs = np.zeros(1, np.int64)
-        rings_s = np.empty(0, np.int64)
-    rings_ref = ray.put(
-        (gids, blob_p, bbox, cell_keys, cell_offs, rings_s, index_level)
+    parts = ray.get(block_tasks(polygons, ring_arrays, poly_id, ring_lat_col, ring_lon_col))
+    index_ref = ray.put(build_ring_index(parts))
+    return points.map_batches(
+        partial(_pip_probe_batch, index_ref=index_ref, id_col=point_id,
+                lat_col=lat_col, lon_col=lon_col),
+        batch_format="pyarrow",
     )
 
-    def refine(batch: pa.Table) -> pa.Table:
-        from ..util import cached_get
 
-        r_gids, r_blobs, r_bbox, keys, offs, vals, lvl = cached_get(rings_ref)
-        pids = batch[point_id].to_numpy(zero_copy_only=False).astype(np.int64)
-        lats = batch[lat_col].to_numpy(zero_copy_only=False)
-        lons = batch[lon_col].to_numpy(zero_copy_only=False)
-        out_p, out_g = [], []
-        if len(lats) and len(keys):
-            pcells = np.unique(encode_cell(lats, lons, lvl))
-            ki = np.searchsorted(keys, pcells)
-            ki = np.minimum(ki, len(keys) - 1)
-            hit_k = ki[keys[ki] == pcells]
-            if len(hit_k):
-                cand_list = [vals[offs[k] : offs[k + 1]] for k in hit_k]
-                cand_polys = np.unique(np.concatenate(cand_list))
-            else:
-                cand_polys = np.empty(0, np.int64)
-        else:
-            cand_polys = np.empty(0, np.int64)
-        for pi in cand_polys.tolist():
-            min_lon, min_lat, max_lon, max_lat = r_bbox[pi]
-            cand = (
-                (lats >= min_lat) & (lats <= max_lat) & (lons >= min_lon) & (lons <= max_lon)
-            )
-            if not cand.any():
-                continue
-            ry, rx = unpack_ring(r_blobs[pi])
-            hit = points_in_ring(lats[cand], lons[cand], ry, rx)
-            if hit.any():
-                out_p.append(pids[cand][hit])
-                out_g.append(np.full(int(hit.sum()), r_gids[pi], dtype=np.int64))
-        if not out_p:
-            return pa.table(
-                {"point_id": pa.array([], pa.int64()), "poly_id": pa.array([], pa.int64())}
-            )
-        return pa.table(
-            {
-                "point_id": pa.array(np.concatenate(out_p), pa.int64()),
-                "poly_id": pa.array(np.concatenate(out_g), pa.int64()),
-            }
-        )
+class TargetIndex(NamedTuple):
+    """Broadcast kNN build side: target points sorted by their cell at the
+    finest radius-valid ``level``."""
 
-    return points.map_batches(refine, batch_format="pyarrow")
+    cells: np.ndarray
+    ids: np.ndarray
+    lats: np.ndarray
+    lons: np.ndarray
+    level: int
+
+
+def build_target_index(
+    ids: np.ndarray, lats: np.ndarray, lons: np.ndarray, radius_m: float
+) -> TargetIndex:
+    level = max(0, choose_level_for_radius(radius_m))
+    cells = encode_cell(lats, lons, level)
+    order = np.argsort(cells, kind="stable")
+    return TargetIndex(cells[order], ids[order], lats[order], lons[order], level)
+
+
+_KNN_EMPTY = pa.table(
+    {
+        "point_id": pa.array([], pa.int64()),
+        "neighbor_id": pa.array([], pa.int64()),
+        "dist_m": pa.array([], pa.float64()),
+        "rank": pa.array([], pa.int64()),
+    }
+)
+_KNN_CHUNK = 4096  # queries per probe pass: bounds the candidate-pair arrays
+
+
+def knn_probe(
+    qids: np.ndarray, qlats: np.ndarray, qlons: np.ndarray,
+    index: TargetIndex, k: int, radius_m: float,
+) -> pa.Table:
+    """Queries → (point_id, neighbor_id, dist_m, rank): the k nearest
+    targets of a TargetIndex within ``radius_m``, exact (haversine),
+    ties broken by neighbor id."""
+    if len(qids) > _KNN_CHUNK:
+        return pa.concat_tables([
+            knn_probe(qids[i : i + _KNN_CHUNK], qlats[i : i + _KNN_CHUNK],
+                      qlons[i : i + _KNN_CHUNK], index, k, radius_m)
+            for i in range(0, len(qids), _KNN_CHUNK)
+        ])
+    if len(index.ids) == 0 or len(qids) == 0:
+        return _KNN_EMPTY
+    # Whole-batch vectorization, no per-cell-group Python loop (most
+    # groups hold O(1) queries, so a group loop is Python-bound):
+    # every query's deduped 3×3 neighborhood expands to candidate
+    # RANGES of the cell-sorted target arrays via two searchsorted
+    # calls; the ragged ranges flatten with the cumsum/repeat trick;
+    # one haversine over all (query, candidate) pairs; top-k per query
+    # via a single lexsort + within-group cumcount.
+    qcells = encode_cell(qlats, qlons, index.level)
+    neigh = np.sort(cell_neighbors(qcells), axis=1)  # (B, 9)
+    nkeep = np.ones(neigh.shape, dtype=bool)
+    nkeep[:, 1:] = neigh[:, 1:] != neigh[:, :-1]
+    flat_cells = neigh[nkeep]
+    flat_q = np.repeat(np.arange(len(qids)), nkeep.sum(axis=1))
+    lo = np.searchsorted(index.cells, flat_cells, side="left")
+    hi = np.searchsorted(index.cells, flat_cells, side="right")
+    counts = hi - lo
+    total = int(counts.sum())
+    if total == 0:
+        return _KNN_EMPTY
+    run_ends = np.cumsum(counts)
+    offs = np.arange(total, dtype=np.int64) - np.repeat(run_ends - counts, counts)
+    tcand = np.repeat(lo, counts) + offs
+    qcand = np.repeat(flat_q, counts)
+    d = haversine_m_vec(qlats[qcand], qlons[qcand], index.lats[tcand], index.lons[tcand])
+    m = d <= radius_m
+    if not m.any():
+        return _KNN_EMPTY
+    qc, tc, dc = qcand[m], tcand[m], d[m]
+    tid_c = index.ids[tc]
+    order = np.lexsort((tid_c, dc, qc))  # (query, dist, neighbor-id ties)
+    qc, tid_c, dc = qc[order], tid_c[order], dc[order]
+    first = np.ones(len(qc), dtype=bool)
+    first[1:] = qc[1:] != qc[:-1]
+    group_start = np.nonzero(first)[0]
+    counts_g = np.diff(np.append(group_start, len(qc)))
+    ranks = np.arange(len(qc), dtype=np.int64) - np.repeat(group_start, counts_g) + 1
+    keep_k = ranks <= k
+    return pa.table(
+        {
+            "point_id": pa.array(qids[qc[keep_k]], pa.int64()),
+            "neighbor_id": pa.array(tid_c[keep_k], pa.int64()),
+            "dist_m": pa.array(dc[keep_k], pa.float64()),
+            "rank": pa.array(ranks[keep_k], pa.int64()),
+        }
+    )
+
+
+def _knn_probe_batch(
+    batch: pa.Table, *, index_ref, k: int, radius_m: float, id_col: str, lat_col: str, lon_col: str
+) -> pa.Table:
+    from ..util import cached_get
+
+    return knn_probe(*point_arrays(batch, id_col, lat_col, lon_col), cached_get(index_ref), k, radius_m)
 
 
 def knn_join_broadcast(
@@ -469,98 +539,22 @@ def knn_join_broadcast(
 ) -> rd.Dataset:
     """Fixed-radius kNN with the TARGET side broadcast (small-side plan).
 
-    Target coords are collected once (three numpy arrays via ``ray.put``);
-    each query batch computes a chunked vectorized haversine matrix against
-    them. Exact (no cell approximation). Use when targets fit in memory
-    (≲10^6 points); ``knn_join`` is the shuffle plan.
+    Build: block tasks collect the target coords, the driver cell-sorts
+    them into one ``TargetIndex`` and ``ray.put``s it. Probe: every query
+    batch runs ``knn_probe``. Exact (no cell approximation). Use when
+    targets fit in memory (≲10^6 points); ``knn_join`` is the shuffle plan.
     """
     import ray
 
-    tid_parts, tlat_parts, tlon_parts = [], [], []
-    for b in targets.iter_batches(batch_size=1 << 17, batch_format="pyarrow"):
-        tid_parts.append(b[target_id].to_numpy(zero_copy_only=False).astype(np.int64))
-        tlat_parts.append(b[lat_col].to_numpy(zero_copy_only=False))
-        tlon_parts.append(b[lon_col].to_numpy(zero_copy_only=False))
-    tids = np.concatenate(tid_parts) if tid_parts else np.empty(0, np.int64)
-    tlats = np.concatenate(tlat_parts) if tlat_parts else np.empty(0)
-    tlons = np.concatenate(tlon_parts) if tlon_parts else np.empty(0)
-    # bucket targets by cell at the finest radius-valid level: per-query
-    # candidates are the 3×3 neighborhood ranges of the cell-sorted arrays
-    lvl = max(0, choose_level_for_radius(radius_m))
-    tcells = encode_cell(tlats, tlons, lvl)
-    t_order = np.argsort(tcells, kind="stable")
-    t_ref = ray.put(
-        (tcells[t_order], tids[t_order], tlats[t_order], tlons[t_order], lvl)
+    parts = ray.get(block_tasks(targets, point_arrays, target_id, lat_col, lon_col))
+    ids, lats, lons = concat_columns(parts, (np.int64, np.float64, np.float64))
+    index_ref = ray.put(build_target_index(ids, lats, lons, radius_m))
+    return queries.map_batches(
+        partial(_knn_probe_batch, index_ref=index_ref, k=k, radius_m=radius_m,
+                id_col=query_id, lat_col=lat_col, lon_col=lon_col),
+        batch_format="pyarrow",
+        batch_size=_KNN_CHUNK,
     )
-
-    def refine(batch: pa.Table) -> pa.Table:
-        from ..util import cached_get
-
-        tcells_s, tids_s, tlats_s, tlons_s, lvl = cached_get(t_ref)
-        empty = pa.table(
-            {
-                "point_id": pa.array([], pa.int64()),
-                "neighbor_id": pa.array([], pa.int64()),
-                "dist_m": pa.array([], pa.float64()),
-                "rank": pa.array([], pa.int64()),
-            }
-        )
-        if len(tids_s) == 0 or batch.num_rows == 0:
-            return empty
-        qids = batch[query_id].to_numpy(zero_copy_only=False).astype(np.int64)
-        qlats = batch[lat_col].to_numpy(zero_copy_only=False)
-        qlons = batch[lon_col].to_numpy(zero_copy_only=False)
-        # Whole-batch vectorization, no per-cell-group Python loop (most
-        # groups hold O(1) queries, so a group loop is Python-bound):
-        # every query's deduped 3×3 neighborhood expands to candidate
-        # RANGES of the cell-sorted target arrays via two searchsorted
-        # calls; the ragged ranges flatten with the cumsum/repeat trick;
-        # one haversine over all (query, candidate) pairs; top-k per query
-        # via a single lexsort + within-group cumcount.
-        qcells = encode_cell(qlats, qlons, lvl)
-        neigh = np.sort(cell_neighbors(qcells), axis=1)  # (B, 9)
-        nkeep = np.ones(neigh.shape, dtype=bool)
-        nkeep[:, 1:] = neigh[:, 1:] != neigh[:, :-1]
-        flat_cells = neigh[nkeep]
-        flat_q = np.repeat(np.arange(len(qids)), nkeep.sum(axis=1))
-        lo = np.searchsorted(tcells_s, flat_cells, side="left")
-        hi = np.searchsorted(tcells_s, flat_cells, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return empty
-        run_ends = np.cumsum(counts)
-        offs = np.arange(total, dtype=np.int64) - np.repeat(run_ends - counts, counts)
-        tcand = np.repeat(lo, counts) + offs
-        qcand = np.repeat(flat_q, counts)
-        d = haversine_m_vec(qlats[qcand], qlons[qcand], tlats_s[tcand], tlons_s[tcand])
-        m = d <= radius_m
-        if not m.any():
-            return empty
-        qc, tc, dc = qcand[m], tcand[m], d[m]
-        tid_c = tids_s[tc]
-        order = np.lexsort((tid_c, dc, qc))  # (query, dist, neighbor-id ties)
-        qc, tid_c, dc = qc[order], tid_c[order], dc[order]
-        first = np.ones(len(qc), dtype=bool)
-        first[1:] = qc[1:] != qc[:-1]
-        group_start = np.nonzero(first)[0]
-        counts_g = np.diff(np.append(group_start, len(qc)))
-        ranks = (
-            np.arange(len(qc), dtype=np.int64)
-            - np.repeat(group_start, counts_g)
-            + 1
-        )
-        keep_k = ranks <= k
-        return pa.table(
-            {
-                "point_id": pa.array(qids[qc[keep_k]], pa.int64()),
-                "neighbor_id": pa.array(tid_c[keep_k], pa.int64()),
-                "dist_m": pa.array(dc[keep_k], pa.float64()),
-                "rank": pa.array(ranks[keep_k], pa.int64()),
-            }
-        )
-
-    return queries.map_batches(refine, batch_format="pyarrow", batch_size=4096)
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +573,7 @@ def _target_rows(
     candidate pair that can occupy two top-k slots downstream (the
     broadcast plan dedups with np.unique — this keeps the plans identical).
     """
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    lats = batch[lat_col].to_numpy(zero_copy_only=False)
-    lons = batch[lon_col].to_numpy(zero_copy_only=False)
+    ids, lats, lons = point_arrays(batch, id_col, lat_col, lon_col)
     cells = encode_cell(lats, lons, level)
     neigh = np.sort(cell_neighbors(cells), axis=1)  # (n, 9)
     keep = np.ones(neigh.shape, dtype=bool)
@@ -598,9 +590,7 @@ def _target_rows(
 
 
 def _query_rows(batch: pa.Table, level: int, id_col: str, lat_col: str, lon_col: str) -> pa.Table:
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    lats = batch[lat_col].to_numpy(zero_copy_only=False)
-    lons = batch[lon_col].to_numpy(zero_copy_only=False)
+    ids, lats, lons = point_arrays(batch, id_col, lat_col, lon_col)
     return pa.table(
         {
             "cell": pa.array(encode_cell(lats, lons, level), pa.uint64()),
@@ -738,16 +728,8 @@ def knn_join(
     agg = near.groupby("point_id").aggregate(_topk_aggregate(k))
 
     def explode(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "point_id": pa.array([], pa.int64()),
-                "neighbor_id": pa.array([], pa.int64()),
-                "dist_m": pa.array([], pa.float64()),
-                "rank": pa.array([], pa.int64()),
-            }
-        )
         if batch.num_rows == 0:
-            return empty
+            return _KNN_EMPTY
         # Arrow-offset flatten of the per-query top-k lists (no per-row
         # Python); ranks restart 1..count per list via the cumsum trick
         pids = batch["point_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -756,7 +738,7 @@ def knn_join(
         st = topk.flatten()
         total = int(counts.sum())
         if total == 0:
-            return empty
+            return _KNN_EMPTY
         run_ends = np.cumsum(counts)
         ranks = (
             np.arange(total, dtype=np.int64)
@@ -792,8 +774,6 @@ def _route_cover_rows(batch: pa.Table, level: int, id_col: str) -> pa.Table:
     lexsort-unique for the per-route dedup. Per-edge bbox cover is tight
     for polylines, unlike a whole-route bbox.
     """
-    from .cell import xy_to_cell
-
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     geom = batch["geometry"].combine_chunks()
     outer_off = np.asarray(geom.offsets, dtype=np.int64)
@@ -829,28 +809,16 @@ def _route_cover_rows(batch: pa.Table, level: int, id_col: str) -> pa.Table:
 
     lon_a, lon_b = lons[:-1][edge_ok], lons[1:][edge_ok]
     lat_a, lat_b = lats[:-1][edge_ok], lats[1:][edge_ok]
-    n = 1 << level
-    x0 = np.clip(np.floor((np.minimum(lon_a, lon_b) + 180.0) / 360.0 * n), 0, n - 1).astype(np.int64)
-    x1 = np.clip(np.floor((np.maximum(lon_a, lon_b) + 180.0) / 360.0 * n), 0, n - 1).astype(np.int64)
-    y0 = np.clip(np.floor((np.minimum(lat_a, lat_b) + 90.0) / 180.0 * n), 0, n - 1).astype(np.int64)
-    y1 = np.clip(np.floor((np.maximum(lat_a, lat_b) + 90.0) / 180.0 * n), 0, n - 1).astype(np.int64)
-
-    # expand every edge's (x0..x1)×(y0..y1) cover in one repeat/cumsum pass
-    wx = x1 - x0 + 1
-    wy = y1 - y0 + 1
-    cnt = wx * wy
-    total = int(cnt.sum())
-    edge_idx = np.repeat(np.arange(len(cnt), dtype=np.int64), cnt)
-    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    cell_x = x0[edge_idx] + within // wy[edge_idx]
-    cell_y = y0[edge_idx] + within % wy[edge_idx]
-    cells = xy_to_cell(cell_x.astype(np.uint64), cell_y.astype(np.uint64), level)
+    edge_idx, cells = _bbox_cover(
+        np.minimum(lon_a, lon_b), np.minimum(lat_a, lat_b),
+        np.maximum(lon_a, lon_b), np.maximum(lat_a, lat_b), level,
+    )
     routes = route_of_edge[edge_idx]
 
     # dedup (route, cell) pairs — lexsort + boundary mask
     order = np.lexsort((cells, routes))
     cells, routes = cells[order], routes[order]
-    first = np.ones(total, bool)
+    first = np.ones(len(cells), bool)
     first[1:] = (cells[1:] != cells[:-1]) | (routes[1:] != routes[:-1])
     return pa.table(
         {

@@ -37,8 +37,8 @@ import ray
 import ray.data as rd
 
 from ..kernel.geometry import NodeSeq, flatten_relation, flatten_single_way
-from ..util import default_actor_concurrency
-from .elements import ParserTables
+from ..util import block_tasks, concat_columns, default_actor_concurrency
+from .elements import ParserTables, _flatten_unique_list_columns
 
 TAGS_T = pa.map_(pa.string(), pa.string())
 STOP_T = pa.struct(
@@ -221,47 +221,28 @@ class NodeIndex(NamedTuple):
         return ok, lats, lons, tags_list
 
 
+def _member_way_arrays(b: pa.Table) -> tuple:
+    """One ways block → (ids, ref-list lengths, flat refs) of its member ways."""
+    b = b.filter(b["is_member"])
+    refs = b["node_refs"].combine_chunks()
+    return (
+        b["id"].to_numpy(zero_copy_only=False).astype(np.int64),
+        pc.list_value_length(refs).to_numpy(zero_copy_only=False).astype(np.int64),
+        refs.flatten().to_numpy(zero_copy_only=False).astype(np.int64),
+    )
+
+
 def build_way_index(ways: rd.Dataset) -> WayIndex:
     """Member ways → WayIndex.
 
-    The per-block work (member filter, list flatten, int64 casts) runs
-    DISTRIBUTED — map tasks emit one packed binary blob triple per block,
-    and the driver only ``frombuffer``s + concatenates + does the single
+    The per-block work (member filter, list flatten, int64 casts) runs in
+    block tasks (``util.block_tasks``: no streaming execution over a
+    materialized table); the driver only concatenates + does the single
     final argsort. At high CPU counts the driver-side share of the index
     build is the serial floor of the broadcast assembly plan; this keeps
     it at memcpy + one sort."""
-
-    def pack(b: pa.Table) -> pa.Table:
-        b = b.filter(b["is_member"])
-        refs = b["node_refs"].combine_chunks()
-        ids = b["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lens = pc.list_value_length(refs).to_numpy(zero_copy_only=False).astype(np.int64)
-        flat = refs.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "ids": pa.array([ids.tobytes()], pa.binary()),
-                "lens": pa.array([lens.tobytes()], pa.binary()),
-                "refs": pa.array([flat.tobytes()], pa.binary()),
-            }
-        )
-
-    ids_parts, len_parts, ref_parts = [], [], []
-    packed = ways.select_columns(["id", "node_refs", "is_member"]).map_batches(
-        pack, batch_format="pyarrow", batch_size=1 << 17
-    )
-    for b in packed.iter_batches(batch_size=64, batch_format="pyarrow"):
-        for i_, l_, r_ in zip(
-            b["ids"].to_pylist(), b["lens"].to_pylist(), b["refs"].to_pylist()
-        ):
-            ids_parts.append(np.frombuffer(i_, np.int64))
-            len_parts.append(np.frombuffer(l_, np.int64))
-            ref_parts.append(np.frombuffer(r_, np.int64))
-    if not ids_parts:
-        z = np.empty(0, np.int64)
-        return WayIndex(z, z, np.zeros(1, np.int64), z)
-    ids = np.concatenate(ids_parts)
-    lens = np.concatenate(len_parts)
-    refs = np.concatenate(ref_parts)
+    parts = ray.get(block_tasks(ways, _member_way_arrays))
+    ids, lens, refs = concat_columns(parts, (np.int64, np.int64, np.int64))
     offs = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(lens, out=offs[1:])
     # sorted-id permutation; duplicate ids keep the LAST occurrence,
@@ -279,68 +260,15 @@ def build_node_index(nodes: rd.Dataset, stop_ids: Optional[np.ndarray] = None) -
     nodes when ``stop_ids`` is None).
 
     Like ``build_way_index``, the per-block conversion (casts, stop-id
-    membership filter, tag sub-array slicing) runs distributed; blobs come
-    back packed (numpy buffers + one Arrow-IPC stream for the tag arrays)
-    and the driver's share is memcpy + the two final argsorts."""
-    stop_sorted = (
-        np.sort(np.asarray(stop_ids, dtype=np.int64)) if stop_ids is not None else None
-    )
-    stop_ref = ray.put(stop_sorted)
+    membership filter, tag sub-array slicing) runs in block tasks; the
+    driver's share is concatenation + the two final argsorts."""
+    stop_ref = ray.put(_sorted_ids(stop_ids))
+    pieces = ray.get(block_tasks(nodes, _split_node_block, 1, stop_ref))
+    return _merge_node_shard(*(p[0] for p in pieces))
 
-    def pack(b: pa.Table) -> pa.Table:
-        from ..util import cached_get
 
-        stops_s = cached_get(stop_ref)
-        ids = b["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lats = b["lat"].to_numpy(zero_copy_only=False).astype(np.float64)
-        lons = b["lon"].to_numpy(zero_copy_only=False).astype(np.float64)
-        if stops_s is not None:
-            if len(stops_s):
-                pos = np.searchsorted(stops_s, ids)
-                pos_c = np.minimum(pos, len(stops_s) - 1)
-                hit = stops_s[pos_c] == ids
-            else:
-                hit = np.zeros(len(ids), dtype=bool)
-            sids = ids[hit]
-            stags = b["tags"].combine_chunks().filter(pa.array(hit))
-        else:
-            sids = ids
-            stags = b["tags"].combine_chunks()
-        sink = pa.BufferOutputStream()
-        with pa.ipc.new_stream(sink, pa.schema([pa.field("tags", TAGS_T)])) as w:
-            w.write_table(pa.table({"tags": stags}))
-        return pa.table(
-            {
-                "ids": pa.array([ids.tobytes()], pa.binary()),
-                "lats": pa.array([lats.tobytes()], pa.binary()),
-                "lons": pa.array([lons.tobytes()], pa.binary()),
-                "sids": pa.array([sids.tobytes()], pa.binary()),
-                "stags_ipc": pa.array([sink.getvalue().to_pybytes()], pa.binary()),
-            }
-        )
-
-    id_parts, lat_parts, lon_parts = [], [], []
-    stop_id_parts: list = []
-    stop_tag_tables: list = []
-    packed = nodes.map_batches(pack, batch_format="pyarrow", batch_size=1 << 17)
-    for b in packed.iter_batches(batch_size=64, batch_format="pyarrow"):
-        for i_, la_, lo_, s_, tg_ in zip(
-            b["ids"].to_pylist(),
-            b["lats"].to_pylist(),
-            b["lons"].to_pylist(),
-            b["sids"].to_pylist(),
-            b["stags_ipc"].to_pylist(),
-        ):
-            id_parts.append(np.frombuffer(i_, np.int64))
-            lat_parts.append(np.frombuffer(la_, np.float64))
-            lon_parts.append(np.frombuffer(lo_, np.float64))
-            sids = np.frombuffer(s_, np.int64)
-            if len(sids):
-                stop_id_parts.append(sids)
-                stop_tag_tables.append(
-                    pa.ipc.open_stream(tg_).read_all()["tags"].combine_chunks()
-                )
-    return _merge_node_parts(id_parts, lat_parts, lon_parts, stop_id_parts, stop_tag_tables)
+def _sorted_ids(ids: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    return np.sort(np.asarray(ids, dtype=np.int64)) if ids is not None else None
 
 
 def _merge_node_parts(
@@ -460,20 +388,8 @@ class ShardedNodeIndex:
         return ok, lats[found], lons[found], [tags_all[int(j)] for j in found]
 
 
-def _split_node_block(block, num_shards: int, stop_sorted):
-    """One node block → per-shard pieces (ran as a Ray task, P returns).
-
-    Ray's map operator emits a COLUMNLESS ``()`` empty block when a pyarrow
-    UDF returns zero rows (kind-narrow PBF sources hit this, round-5) — an
-    empty/columnless block contributes empty pieces to every shard."""
-    b = block
-    if b.num_rows == 0 or "id" not in b.schema.names:
-        empty_tags = pa.chunked_array([], pa.map_(pa.string(), pa.string()))
-        piece = (
-            np.empty(0, np.int64), np.empty(0, np.float64),
-            np.empty(0, np.float64), np.empty(0, np.int64), empty_tags,
-        )
-        return tuple(piece for _ in range(num_shards))
+def _split_node_block(b: pa.Table, num_shards: int, stop_sorted):
+    """One non-empty node block → per-shard pieces (a block task, P returns)."""
     ids = b["id"].to_numpy(zero_copy_only=False).astype(np.int64)
     lats = b["lat"].to_numpy(zero_copy_only=False).astype(np.float64)
     lons = b["lon"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -527,40 +443,15 @@ def build_node_index_sharded(
         cpus = int(ray.cluster_resources().get("CPU", 4))
         num_shards = int(max(2, min(16, cpus // 2)))
     P = num_shards
-    stop_sorted = (
-        np.sort(np.asarray(stop_ids, dtype=np.int64)) if stop_ids is not None else None
-    )
-    stop_ref = ray.put(stop_sorted)
-
-    split = ray.remote(_split_node_block)
+    stop_ref = ray.put(_sorted_ids(stop_ids))
     merge = ray.remote(_merge_node_shard)
-    block_refs = []
-    for bundle in nodes.iter_internal_ref_bundles():
-        block_refs.extend(bundle.block_refs)
-    if not block_refs:
-        z = np.empty(0, np.int64)
-        empty = NodeIndex(
-            z, z.astype(np.float64), z.astype(np.float64), z, pa.array([], TAGS_T)
-        )
-        return ShardedNodeIndex([ray.put(empty) for _ in range(P)], P)
-    piece_refs = [
-        split.options(num_returns=P).remote(bref, P, stop_ref) for bref in block_refs
-    ]
-    shard_refs = [
-        merge.remote(*[piece_refs[i][p] for i in range(len(piece_refs))])
-        for p in range(P)
-    ]
+    piece_refs = block_tasks(nodes, _split_node_block, P, stop_ref, num_returns=P)
+    shard_refs = [merge.remote(*[pieces[p] for pieces in piece_refs]) for p in range(P)]
     return ShardedNodeIndex(shard_refs, P)
 
 
 def collect_stop_ids(relations: rd.Dataset) -> np.ndarray:
-    parts = []
-    for b in relations.select_columns(["stop_ids"]).iter_batches(
-        batch_size=1 << 16, batch_format="pyarrow"
-    ):
-        col = b["stop_ids"].combine_chunks()
-        parts.append(col.flatten().to_numpy(zero_copy_only=False).astype(np.int64))
-    return np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
+    return _flatten_unique_list_columns(relations, ["stop_ids"])[0]
 
 
 from ..util import cached_get as _cached_get
@@ -794,19 +685,11 @@ def get_public_transports(
     if mode == "shuffle":
         return _assemble_shuffle(tables, gap, closed=False, as_area=False,
                                  num_partitions=num_partitions)
-    # the node index builds SHARDED in Ray tasks (driver holds refs only);
-    # the (much smaller) way index collects concurrently on a driver thread
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        f_ways = pool.submit(lambda: ray.put(build_way_index(tables.ways)))
-        f_nodes = pool.submit(
-            lambda: build_node_index_sharded(
-                tables.nodes, collect_stop_ids(tables.relations)
-            )
-        )
-        ways_ref = f_ways.result()
-        nodes_ref = f_nodes.result()
+    # both indexes build in block tasks over the materialized tables (no
+    # streaming execution); the node index stays SHARDED in the object
+    # store, the driver holds refs only
+    ways_ref = ray.put(build_way_index(tables.ways))
+    nodes_ref = build_node_index_sharded(tables.nodes, collect_stop_ids(tables.relations))
     return tables.relations.map_batches(
         partial(
             _assemble_task,

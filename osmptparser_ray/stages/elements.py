@@ -38,6 +38,7 @@ import ray.data as rd
 
 from ..kernel.filters import TagFilter
 from ..sources.extract import OsmPayloadExtractor, extract_batch
+from ..util import block_tasks
 
 
 def read_pages(
@@ -276,22 +277,8 @@ def _idset_bucket(ids: np.ndarray, P: int) -> np.ndarray:
 
 
 def _split_idset_block(block: pa.Table, columns: list, P: int):
-    """One materialized block → P sorted-unique id piece arrays.
-
-    Missing columns contribute nothing: Ray's map operator emits a
-    COLUMNLESS ``()`` empty block when a pyarrow UDF returns zero rows
-    (observed on kind-narrow PBF sources, round-5 fix — the r4 driver's
-    ``ptv2_from_pbf``/``pbf_roundtrip`` crash), so ``block[col]`` must not
-    be assumed present on empty blocks."""
-    parts = []
-    for col in columns:
-        if col not in block.schema.names:
-            continue  # columnless/narrow empty block (see docstring)
-        c = block[col].combine_chunks()
-        parts.append(c.flatten().to_numpy(zero_copy_only=False).astype(np.int64))
-    vals = (
-        np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-    )
+    """One non-empty block → P sorted-unique id piece arrays."""
+    vals = np.unique(np.concatenate(_unique_list_values(block, columns)))
     b = _idset_bucket(vals, P)
     # selecting from a sorted array by mask preserves order — no re-sort
     return tuple(vals[b == p] for p in range(P))
@@ -318,14 +305,8 @@ def build_sharded_id_set(
         cpus = int(ray.cluster_resources().get("CPU", 4))
         num_shards = int(max(2, min(16, cpus)))
     P = num_shards
-    split = ray.remote(_split_idset_block)
     merge = ray.remote(_merge_idset_shard)
-    block_refs = []
-    for bundle in ds.iter_internal_ref_bundles():
-        block_refs.extend(bundle.block_refs)
-    piece_refs = [
-        split.options(num_returns=P).remote(bref, columns, P) for bref in block_refs
-    ]
+    piece_refs = block_tasks(ds, _split_idset_block, columns, P, num_returns=P)
     extra_pieces = []
     if extra_ids is not None and len(extra_ids):
         ex = np.unique(np.asarray(extra_ids, dtype=np.int64))
@@ -461,56 +442,38 @@ _SPLIT_COLS = {
 }
 
 
+def _split_kinds(block: pa.Table) -> tuple:
+    """One elements block → its relation / way / node rows, column-pruned;
+    a column the block does not carry (kind-narrow sources) is null-filled
+    at its canonical ELEMENT_SCHEMA type, never silently dropped."""
+    from ..sources.osmxml import ELEMENT_SCHEMA
+
+    out = []
+    for kind, cols in _SPLIT_COLS.items():
+        part = block.filter(pc.equal(block["kind"], kind))
+        out.append(pa.table({
+            c: part[c]
+            if c in part.schema.names
+            else pa.nulls(part.num_rows, ELEMENT_SCHEMA.field(c).type)
+            for c in cols
+        }))
+    return tuple(out)
+
+
 def _split_elements_by_kind(
     elements: rd.Dataset,
 ) -> tuple[rd.Dataset, rd.Dataset, rd.Dataset]:
     """ONE streaming pass over the elements blocks → three kind-split,
     column-pruned datasets (relations / ways / nodes raw rows).
 
-    Raw Ray tasks (the Dataset API has no multi-output map — the
-    documented last-resort case): ``iter_internal_ref_bundles`` yields
-    block refs AS EXTRACTION PRODUCES THEM, so the split overlaps the
+    Block tasks (the Dataset API has no multi-output map): block refs
+    arrive AS EXTRACTION PRODUCES THEM, so the split overlaps the
     extraction stage, and the full elements table is never pinned — only
     the three narrower kind projections are (round-4; replaces the
     materialize-elements-then-scan-3× plan, VERDICT r3 #8).
     """
-
-    @ray.remote(num_returns=3)
-    def split(block):
-        from ..sources.osmxml import ELEMENT_SCHEMA
-
-        t = (
-            block
-            if isinstance(block, pa.Table)
-            else pa.Table.from_pandas(block, preserve_index=False)
-        )
-        out = []
-        for kind, cols in _SPLIT_COLS.items():
-            part = t.filter(pc.equal(t["kind"], kind))
-            # schema-ful output even when the source block is kind-narrow
-            # (round-5: a column the block doesn't carry is null-filled at
-            # its canonical ELEMENT_SCHEMA type, never silently dropped)
-            data = {
-                c: part[c]
-                if c in part.schema.names
-                else pa.nulls(part.num_rows, ELEMENT_SCHEMA.field(c).type)
-                for c in cols
-            }
-            out.append(pa.table(data))
-        return tuple(out)
-
-    rel_refs, way_refs, node_refs = [], [], []
-    for bundle in elements.iter_internal_ref_bundles():
-        for ref, _md in bundle.blocks:
-            a, b, c = split.remote(ref)
-            rel_refs.append(a)
-            way_refs.append(b)
-            node_refs.append(c)
-    return (
-        rd.from_arrow_refs(rel_refs),
-        rd.from_arrow_refs(way_refs),
-        rd.from_arrow_refs(node_refs),
-    )
+    parts = block_tasks(elements, _split_kinds, num_returns=3)
+    return tuple(rd.from_arrow_refs([p[k] for p in parts]) for k in range(3))
 
 
 def build_parser_tables(
@@ -948,33 +911,26 @@ def _build_parser_tables_bloom(
     return ParserTables(relations=relations, ways=ways, nodes=nodes.materialize())
 
 
-def _flatten_unique_list_columns(ds: rd.Dataset, columns: list) -> list:
-    """SORTED-UNIQUE flat values of SEVERAL list<int64> columns in ONE
-    dataset execution (each execution pays ~0.1-0.3 s of streaming-
-    executor startup at any CPU count — pure serial floor; round-3 fused
-    the way_ids/stop_ids passes). The flatten + per-block dedup runs
-    DISTRIBUTED (map tasks emit packed blobs of each block's sorted-
-    unique values); the driver only concatenates deduped parts."""
-
-    def blob(batch: pa.Table) -> pa.Table:
-        out = {}
-        for col in columns:
-            c = batch[col].combine_chunks()
-            a = np.unique(c.flatten().to_numpy(zero_copy_only=False).astype(np.int64))
-            out[col] = pa.array([a.tobytes()], pa.binary())
-        return pa.table(out)
-
-    parts: dict = {c: [] for c in columns}
-    for b in ds.select_columns(columns).map_batches(
-        blob, batch_format="pyarrow", batch_size=1 << 18
-    ).iter_batches(batch_size=64, batch_format="pyarrow"):
-        for col in columns:
-            for raw in b[col].to_pylist():
-                if raw:
-                    parts[col].append(np.frombuffer(raw, np.int64))
+def _unique_list_values(block: pa.Table, columns: list) -> list:
+    """Per column: the sorted-unique flat values of a list<int64> column."""
     return [
-        np.unique(np.concatenate(parts[c])) if parts[c] else np.empty(0, np.int64)
+        np.unique(
+            block[c].combine_chunks().flatten().to_numpy(zero_copy_only=False).astype(np.int64)
+        )
         for c in columns
+    ]
+
+
+def _flatten_unique_list_columns(ds: rd.Dataset, columns: list) -> list:
+    """SORTED-UNIQUE flat values of SEVERAL list<int64> columns of a
+    materialized dataset. The flatten + per-block dedup run as block
+    tasks (``util.block_tasks``), so no streaming execution starts — each
+    costs a fixed executor launch, a pure serial floor at any CPU count;
+    the driver only merges the deduped parts."""
+    parts = ray.get(block_tasks(ds, _unique_list_values, columns))
+    return [
+        np.unique(np.concatenate([p[i] for p in parts])) if parts else np.empty(0, np.int64)
+        for i in range(len(columns))
     ]
 
 

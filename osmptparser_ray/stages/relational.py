@@ -32,6 +32,12 @@ def _as_arrow_block(block) -> "pa.Table":
     return block
 
 
+def _select_as(t: pa.Table, keep: list, **renamed: str) -> pa.Table:
+    """``keep`` columns plus each ``renamed[new] = old`` column, selected
+    BY NAME (pyarrow's group_by output column order is not a contract)."""
+    return pa.table({**{c: t[c] for c in keep}, **{new: t[old] for new, old in renamed.items()}})
+
+
 def _nonempty_block_refs(sorted_ds) -> list:
     """Block refs of a materialized dataset, empty blocks dropped —
     the sort-scan scaffolding shared by topk_per_group / running_agg /
@@ -1660,7 +1666,7 @@ def rollup_agg(
         g = t.group_by(group_cols).aggregate(
             [("__one", "sum"), (value_col, "sum")]
         )
-        return g.rename_columns(group_cols + ["n", "sum_v"])
+        return _select_as(g, group_cols, n="__one_sum", sum_v=f"{value_col}_sum")
 
     finest = (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -2596,7 +2602,7 @@ def cube_agg(
         )
         t = t.append_column("__one", pa.array(np.ones(len(t), np.int64), pa.int64()))
         g = t.group_by(group_cols).aggregate([("__one", "sum"), (value_col, "sum")])
-        return g.rename_columns(group_cols + ["n", "sum_v"])
+        return _select_as(g, group_cols, n="__one_sum", sum_v=f"{value_col}_sum")
 
     finest = (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -2678,7 +2684,7 @@ def unique_violations(ds: rd.Dataset, cols) -> rd.Dataset:
             "__one", pa.array(np.ones(t.num_rows, np.int64), pa.int64())
         )
         g = t.group_by(key_cols).aggregate([("__one", "sum")])
-        return g.rename_columns(key_cols + ["n_part"])
+        return _select_as(g, key_cols, n_part="__one_sum")
 
     agg = (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -3045,7 +3051,7 @@ def mode_per_group(
             .group_by([key_col, val_col])
             .aggregate([([], "count_all")])
         )
-        return g.rename_columns([key_col, val_col, "n_part"])
+        return _select_as(g, [key_col, val_col], n_part="count_all")
 
     counts = (
         ds.map_batches(partial, batch_format="pyarrow")

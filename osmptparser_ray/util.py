@@ -44,6 +44,45 @@ def join_partitions(cap: int = 16, rows: int | None = None) -> int:
 JOIN_AGG_ARGS = {"num_cpus": 0.25}
 
 
+@ray.remote
+def _block_task(fn, block, *args):
+    import pyarrow as pa
+
+    if not isinstance(block, pa.Table):
+        block = pa.Table.from_pandas(block, preserve_index=False)
+    return fn(block, *args)
+
+
+def block_tasks(ds, fn, *args, num_returns: int = 1) -> list:
+    """``fn(block, *args)`` as one plain Ray task per non-empty block of
+    ``ds``, in block order → the task refs (a list of ``num_returns`` refs
+    per block when ``num_returns > 1``).
+
+    Over a materialized dataset this starts no streaming execution (each
+    costs a fixed executor launch); over a lazy one it starts exactly one
+    and launches tasks as blocks arrive. Zero-row blocks are skipped, so
+    ``fn`` never sees Ray's columnless empty blocks and an empty dataset
+    gives ``[]``."""
+    task = _block_task.options(num_returns=num_returns)
+    return [
+        task.remote(fn, ref, *args)
+        for bundle in ds.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows != 0
+    ]
+
+
+def concat_columns(parts: list, dtypes: tuple) -> list:
+    """Per-block tuples of numpy arrays (block-task results) → one
+    concatenated array per position; empty arrays of ``dtypes`` when
+    there are no parts."""
+    import numpy as np
+
+    if not parts:
+        return [np.empty(0, d) for d in dtypes]
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
 _BROADCAST_CACHE: dict = {}
 
 

@@ -1,0 +1,171 @@
+"""Flagship spatial tail: block tasks, executor-launch budget, plan parity,
+block-layout invariance, and the replica grid of the synthetic corpus."""
+
+import contextlib
+import logging
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+LAUNCH_BUDGET = 5  # extract, relations, ways, nodes, assembly
+
+
+@contextlib.contextmanager
+def counting_launches():
+    """Counts Ray Data streaming-executor launches inside the block."""
+    from ray.data import DataContext
+
+    from perfbench.workloads import ExecutionCounter
+
+    log = logging.getLogger("ray.data._internal.execution.streaming_executor")
+    ctx = DataContext.get_current()
+    saved = (ctx.print_on_execution_start, log.level)
+    counter = ExecutionCounter()
+    counter.install()
+    try:
+        yield counter
+    finally:
+        log.removeHandler(counter)
+        ctx.print_on_execution_start = saved[0]
+        log.setLevel(saved[1])
+
+
+# lambdas: workers cannot import this test module, so kernels travel by value
+_col_sum = lambda block, col: int(np.asarray(block[col]).sum())  # noqa: E731
+_first_last = lambda block: (block["x"][0].as_py(), block["x"][-1].as_py())  # noqa: E731
+
+
+def _digest(out: dict) -> tuple:
+    """Order-free content of the pip, knn and tiles outputs."""
+    rows = {k: out[k].take_all() for k in ("pip", "knn", "tiles")}
+    return (
+        sorted((r["point_id"], r["poly_id"]) for r in rows["pip"]),
+        sorted(
+            (r["point_id"], r["rank"], r["neighbor_id"], round(r["dist_m"], 9))
+            for r in rows["knn"]
+        ),
+        sorted((r["stop_id"], r["cell"]) for r in rows["tiles"]),
+    )
+
+
+@pytest.fixture(scope="module")
+def pages(tmp_path_factory):
+    from osmptparser_ray.sources import synthesize_pages_parquet
+
+    path = str(tmp_path_factory.mktemp("flagship") / "pages")
+    synthesize_pages_parquet(path, replicas=3, files=4)
+    return path
+
+
+@pytest.fixture(scope="module")
+def broadcast(ray_session, pages):
+    from osmptparser_ray.pipelines.spatial_join import stop_route_spatial_join
+
+    with counting_launches() as counter:
+        out = stop_route_spatial_join(pages, validate=False)
+        for k in ("pip", "knn", "tiles"):
+            out[k] = out[k].materialize()
+    return out, counter.count
+
+
+class TestBlockTasks:
+    def test_block_order_and_empty_blocks(self, ray_session):
+        import ray
+        import ray.data as rd
+
+        from osmptparser_ray.util import block_tasks
+
+        blocks = [
+            pa.table({"x": [1, 2]}),
+            pa.table({"x": pa.array([], pa.int64())}),
+            pa.table({"x": [3]}),
+            pa.table({"x": [4, 5, 6]}),
+        ]
+        ds = rd.from_arrow(blocks)
+        assert ray.get(block_tasks(ds, _col_sum, "x")) == [3, 3, 15]
+        pairs = block_tasks(ds, _first_last, num_returns=2)
+        assert [tuple(ray.get(list(p))) for p in pairs] == [(1, 2), (3, 3), (4, 6)]
+
+    def test_columnless_empty_blocks_are_skipped(self, ray_session):
+        import ray
+        import ray.data as rd
+
+        from osmptparser_ray.util import block_tasks
+
+        # a filter that drops every row of a block leaves Ray's columnless
+        # empty block behind
+        ds = (
+            rd.range(12, override_num_blocks=4)
+            .filter(lambda r: r["id"] < 3 or r["id"] >= 9)
+            .materialize()
+        )
+        assert ray.get(block_tasks(ds, _col_sum, "id")) == [3, 30]
+        assert block_tasks(rd.range(6).filter(lambda r: False).materialize(), _col_sum, "id") == []
+
+
+class TestFlagshipTail:
+    def test_launch_budget(self, broadcast):
+        out, launches = broadcast
+        assert all(out[k].count() > 0 for k in ("pip", "knn", "tiles"))
+        assert launches <= LAUNCH_BUDGET
+
+    def test_broadcast_equals_shuffle(self, broadcast, pages):
+        from osmptparser_ray.pipelines.spatial_join import stop_route_spatial_join
+
+        shuffle = stop_route_spatial_join(pages, validate=False, small_side="shuffle")
+        assert _digest(shuffle) == _digest(broadcast[0])
+
+    @pytest.mark.parametrize("layout", ["one_block", "one_row_blocks", "empty_block"])
+    def test_layout_invariance(self, broadcast, layout):
+        import ray
+        import ray.data as rd
+
+        from osmptparser_ray.pipelines.spatial_join import stop_route_joins
+
+        out = broadcast[0]
+        parts = ray.get(out["public_transports"].to_arrow_refs())
+        pt = pa.concat_tables([t for t in parts if t.num_rows])
+        blocks = {
+            "one_block": [pt],
+            "one_row_blocks": [pt.slice(i, 1) for i in range(pt.num_rows)],
+            # a columnless zero-row table, the shape of Ray's empty blocks
+            "empty_block": [pt.slice(0, 2), pa.table({}), pt.slice(2)],
+        }[layout]
+        got = stop_route_joins(rd.from_arrow(blocks))
+        assert _digest(got) == _digest(out)
+
+    def test_no_stops(self, ray_session, broadcast):
+        import ray.data as rd
+
+        from osmptparser_ray.pipelines.spatial_join import stop_route_joins
+
+        pt = broadcast[0]["public_transports"]
+        got = stop_route_joins(rd.from_arrow(pt.schema().base_schema.empty_table()))
+        for k, cols in (("pip", "poly_id"), ("knn", "rank"), ("tiles", "cell")):
+            assert got[k].count() == 0 and cols in got[k].schema().names
+
+
+class TestReplicaGrid:
+    def test_replicas_never_stack(self):
+        from osmptparser_ray.fixtures import load_osm_fixture
+        from osmptparser_ray.sources.pages import _shift_element
+
+        nodes = load_osm_fixture()["nodes"]
+        ref = nodes[0]
+        # the nodes at the fixture's coordinate extremes bound every shift
+        extremes = [
+            min(nodes, key=lambda n: n["lon"]), max(nodes, key=lambda n: n["lon"]),
+            min(nodes, key=lambda n: n["lat"]), max(nodes, key=lambda n: n["lat"]),
+        ]
+        positions = set()
+        for r in range(1500):
+            moved = _shift_element(ref, "node", r)
+            positions.add((moved["lon"], moved["lat"]))
+            if 0 < r < 200:  # the benchmark corpus: coordinates unchanged
+                assert moved["lon"] == ref["lon"] + r * 0.5 - 100.0
+                assert moved["lat"] == ref["lat"]
+            for n in extremes:
+                m = _shift_element(n, "node", r)
+                assert -180.0 <= m["lon"] <= 180.0 and -90.0 <= m["lat"] <= 90.0
+        assert len(positions) == 1500
