@@ -233,7 +233,8 @@ def stop_route_spatial_join(
     With ``small_side="broadcast"`` (default) every output is
     materialized and the whole call starts 5 streaming executions
     (extract, relations, ways, nodes, assembly); the index builds and
-    the probes run as plain Ray tasks.
+    the probes run as plain Ray tasks. ``small_side="shuffle"`` adds one
+    sort execution per spatial join (pip, knn): 7 in all.
     """
     pt = public_transports_from_pages(
         pages_path, gap=gap, filters=filters, validate=validate, concurrency=concurrency
@@ -267,9 +268,11 @@ def stop_route_joins(
     target indexes once, and one block task per stop block runs the pip,
     knn and tiles probes together; all outputs are materialized and,
     over a materialized ``pt``, no streaming execution starts.
-    ``small_side="shuffle"``: the groupby-on-cell / hash-join plans that
-    scale to big-big joins; pip/knn/tiles stay lazy. Results identical
-    (tested).
+    ``small_side="shuffle"``: the sort plans of ``pip_join`` and
+    ``knn_join`` that scale to big-big joins (one sort of both sides per
+    join, then one probe task per sorted block); tiles come from one
+    block task per stop block. Outputs are materialized and keep their
+    schemas when empty in both plans. Results identical (tested).
     """
     parts = block_tasks(pt, _stops_and_hulls, num_returns=2)
     stop_ids, lats, lons = _distinct_stops(
@@ -298,5 +301,7 @@ def stop_route_joins(
             stops, stops, k=knn_k, radius_m=knn_radius_m, query_id="stop_id",
             target_id="stop_id",
         )
-        tiles = assign_tiles(stops, tile_level)
+        tiles = rd.from_arrow_refs(
+            block_tasks(stops, add_cells, tile_level) or [ray.put(add_cells(stop_table, tile_level))]
+        )
     return {"stops": stops, "pip": pip_pairs, "knn": knn_pairs, "tiles": tiles}

@@ -1,16 +1,24 @@
-"""Spatial joins over the cell grid — groupby-on-cell shuffle + per-cell
-exact refine, with explicit salting for skewed mega-cells.
+"""Spatial joins over the cell grid — cell-keyed candidates + exact
+vectorized refine, with explicit salting for skewed mega-cells.
 
-Brand-new engine surface (north_rule): all joins are expressed as
-``groupby(cell[, salt])`` shuffles whose groups are refined with exact
-vectorized kernels (spatial.pip / kernel.geometry.haversine_m_vec).
+Every join has two plans over the same probe kernels (spatial.pip /
+kernel.geometry.haversine_m_vec):
+
+* broadcast (``*_broadcast``) — the small side becomes a driver-built
+  index (``RingIndex`` / ``TargetIndex``) that every batch of the other
+  side probes; no shuffle.
+* shuffle (``pip_join``, ``knn_join``, ``distance_join``) — both sides
+  map to ONE tagged row schema keyed by cell, the union is sorted once,
+  and one task probes each sorted block whole (``_cell_cosort``): the
+  block's build rows form the index that its probe rows look up. These
+  run on call and return materialized datasets.
 
 Partitioning assumptions (documented per operator):
 
 * ``pip_join``      — polygons are replicated to every cell their bbox
   covers at ``level``; a point meets every candidate polygon in its own
   cell. Exactness does not depend on ``level`` (only candidate-set size
-  does). ``salt > 1`` splits each cell's POINTS into ``salt`` sub-groups
+  does). ``salt > 1`` splits each cell's POINTS into ``salt`` sub-keys
   and replicates the cell's polygons to each — handles dense urban
   mega-cells without changing results.
 * ``knn_join``      — targets are replicated to their 3×3 cell
@@ -21,9 +29,9 @@ Partitioning assumptions (documented per operator):
 * ``raster_vector_join`` — a route is replicated to every cell covered by
   its segments' bboxes; tiles join on exact cell id equality.
 
-Ring payloads cross the shuffle as packed float64 binary blobs
-(pyarrow group shuffles cannot carry list columns through joins; binary
-is supported everywhere and zero-parse to numpy on the far side).
+In the PIP sort, a ring rides as one packed float64 binary value per
+cover row (``pack_ring``'s byte layout), which each sorted block decodes
+straight from the Arrow buffers (``_blob_rings``).
 """
 
 from __future__ import annotations
@@ -38,14 +46,8 @@ import ray.data as rd
 
 from ..kernel.geometry import haversine_m_vec
 from ..util import block_tasks, concat_columns
-from .cell import (
-    cell_neighbors,
-    choose_level_for_radius,
-    cover_bbox,
-    encode_cell,
-    xy_to_cell,
-)
-from .pip import pack_ring, points_in_ring, ring_bbox, unpack_ring
+from .cell import cell_neighbors, choose_level_for_radius, encode_cell, xy_to_cell
+from .pip import points_in_ring
 
 _SALT_MULT = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing constant
 
@@ -96,30 +98,57 @@ def _salt_of(ids: np.ndarray, salt: int) -> np.ndarray:
     return ((ids.astype(np.uint64) * _SALT_MULT) >> np.uint64(32)) % np.uint64(salt)
 
 
-def _points_rows(
-    batch: pa.Table, level: int, salt: int, id_col: str, lat_col: str, lon_col: str
-) -> pa.Table:
-    ids, lats, lons = point_arrays(batch, id_col, lat_col, lon_col)
-    cells = encode_cell(lats, lons, level)
-    return pa.table(
-        {
-            "cell": pa.array(cells, pa.uint64()),
-            "salt": pa.array(_salt_of(ids, salt), pa.uint64()),
-            "pid": pa.array(ids, pa.int64()),
-            "lat": pa.array(lats, pa.float64()),
-            "lon": pa.array(lons, pa.float64()),
-        }
+def _cell_cosort(
+    left_rows: rd.Dataset, right_rows: rd.Dataset, keys: list, probe, schema: pa.Schema
+) -> rd.Dataset:
+    """The shuffle plan of every cell join: both sides as rows of ONE
+    ``schema``, sorted together on ``keys``, ``probe`` run on each sorted
+    block → a materialized dataset of the probe outputs.
+
+    Exactness rests on an invariant the code does not show: Ray's sort
+    range-partitions on sampled key boundaries and each reducer emits one
+    block, so a run of equal keys is never split across output blocks
+    (``GroupedData.map_groups`` is built on the same contract), and
+    ``block_tasks`` hands ``probe`` each block whole. Every row of one
+    key, from both sides, thus reaches a single ``probe`` call.
+
+    The probes are block tasks, not a ``map_batches``: a sort leaves a
+    columnless empty block for every empty key range, and ``map_batches``
+    forwards those without calling the UDF, so the output would carry
+    schema-less blocks. Here every output block comes from ``probe``, and
+    an input without rows yields ``probe`` of an empty ``schema`` table.
+    """
+    import ray
+
+    blocks = left_rows.union(right_rows).sort(keys).materialize()
+    return rd.from_arrow_refs(
+        block_tasks(blocks, probe) or [ray.put(probe(schema.empty_table()))]
     )
 
 
-_POLY_ROWS_EMPTY = pa.table(
-    {
-        "cell": pa.array([], pa.uint64()),
-        "salt": pa.array([], pa.uint64()),
-        "gid": pa.array([], pa.int64()),
-        "blob": pa.array([], pa.binary()),
-    }
+_PIP_ROW_SCHEMA = pa.schema(
+    [("cell", pa.uint64()), ("salt", pa.uint64()), ("id", pa.int64()),
+     ("lat", pa.float64()), ("lon", pa.float64()), ("blob", pa.binary())]
 )
+_POLY_ROWS_EMPTY = _PIP_ROW_SCHEMA.empty_table()
+
+
+def _points_rows(
+    batch: pa.Table, level: int, salt: int, id_col: str, lat_col: str, lon_col: str
+) -> pa.Table:
+    """Point rows of the PIP sort: one per point at its (cell, salt), no blob."""
+    ids, lats, lons = point_arrays(batch, id_col, lat_col, lon_col)
+    return pa.Table.from_arrays(
+        [
+            pa.array(encode_cell(lats, lons, level), pa.uint64()),
+            pa.array(_salt_of(ids, salt), pa.uint64()),
+            pa.array(ids, pa.int64()),
+            pa.array(lats, pa.float64()),
+            pa.array(lons, pa.float64()),
+            pa.nulls(len(ids), pa.binary()),
+        ],
+        schema=_PIP_ROW_SCHEMA,
+    )
 
 
 def ring_arrays(
@@ -175,7 +204,8 @@ def _bbox_cover(min_lon, min_lat, max_lon, max_lat, level: int) -> tuple:
 def _poly_rows(
     batch: pa.Table, level: int, salt: int, id_col: str, ring_lat_col: str, ring_lon_col: str
 ) -> pa.Table:
-    """Replicate each polygon to (cover cell × salt) rows with packed ring.
+    """Polygon rows of the PIP sort: one per (cover cell × salt) with the
+    packed ring, no coordinates.
 
     Fully vectorized: the ``ring_arrays`` flatten, ``reduceat`` per-ring
     bboxes, the ``_bbox_cover`` expansion shared with the broadcast build,
@@ -218,14 +248,29 @@ def _poly_rows(
         [None, pa.py_buffer(byte_offs.tobytes()), pa.py_buffer(pairs.tobytes())],
     )
     take_idx = ring_i[rep]
-    return pa.table(
-        {
-            "cell": pa.array(cells[rep], pa.uint64()),
-            "salt": pa.array(salts, pa.uint64()),
-            "gid": pa.array(ids[take_idx], pa.int64()),
-            "blob": blob_all.take(pa.array(take_idx, pa.int64())),
-        }
+    return pa.Table.from_arrays(
+        [
+            pa.array(cells[rep], pa.uint64()),
+            pa.array(salts, pa.uint64()),
+            pa.array(ids[take_idx], pa.int64()),
+            pa.nulls(len(take_idx), pa.float64()),
+            pa.nulls(len(take_idx), pa.float64()),
+            blob_all.take(pa.array(take_idx, pa.int64())),
+        ],
+        schema=_PIP_ROW_SCHEMA,
     )
+
+
+def _blob_rings(rings: pa.Table) -> tuple:
+    """Polygon rows of one sorted block → the ``ring_arrays`` tuple of its
+    distinct rings (by id), read straight from the blob buffers."""
+    gids, first = np.unique(rings["id"].to_numpy(zero_copy_only=False), return_index=True)
+    blobs = pc.cast(rings["blob"].combine_chunks().take(pa.array(first)), pa.large_binary())
+    offs = np.frombuffer(blobs.buffers()[1], np.int64)[blobs.offset : blobs.offset + len(blobs) + 1]
+    pairs = np.frombuffer(
+        blobs.buffers()[2], np.float64, count=int(offs[-1] - offs[0]) // 8, offset=int(offs[0])
+    )
+    return gids.astype(np.int64), np.diff(offs) // 16, pairs[0::2], pairs[1::2]
 
 
 def _pip_pairs(out_p: list, out_g: list) -> pa.Table:
@@ -238,30 +283,15 @@ def _pip_pairs(out_p: list, out_g: list) -> pa.Table:
     )
 
 
-def _pip_refine_batch(batch: pa.Table) -> pa.Table:
-    """Join-output batch of (point, ring-blob) candidate pairs → exact PIP.
-
-    Fully vectorized per distinct ring in the batch (rings repeat across
-    many candidate rows; dedup by poly id and ray-cast all of that ring's
-    candidate points at once)."""
-    if batch.num_rows == 0:
+def _pip_cosort_probe(block: pa.Table) -> pa.Table:
+    """One sorted block of PIP rows → its exact (point_id, poly_id) pairs:
+    the block's distinct rings become a ``RingIndex`` that its points probe."""
+    is_ring = pc.is_valid(block["blob"])
+    rings, points = block.filter(is_ring), block.filter(pc.invert(is_ring))
+    if not (rings.num_rows and points.num_rows):
         return _pip_pairs([], [])
-    pids = batch["pid"].to_numpy(zero_copy_only=False).astype(np.int64)
-    gids = batch["gid"].to_numpy(zero_copy_only=False).astype(np.int64)
-    lats = batch["lat"].to_numpy(zero_copy_only=False)
-    lons = batch["lon"].to_numpy(zero_copy_only=False)
-    blobs = batch["blob"].to_pylist()
-    out_p, out_g = [], []
-    order = np.argsort(gids, kind="stable")
-    bounds = np.nonzero(np.diff(gids[order]))[0] + 1
-    for grp in np.split(order, bounds):
-        gid = gids[grp[0]]
-        ry, rx = unpack_ring(blobs[grp[0]])
-        hit = points_in_ring(lats[grp], lons[grp], ry, rx)
-        if hit.any():
-            out_p.append(pids[grp][hit])
-            out_g.append(np.full(int(hit.sum()), gid, dtype=np.int64))
-    return _pip_pairs(out_p, out_g)
+    index = build_ring_index([_blob_rings(rings)])
+    return pip_probe(*point_arrays(points, "id", "lat", "lon"), index)
 
 
 def pip_join(
@@ -276,24 +306,22 @@ def pip_join(
     poly_id: str = "poly_id",
     ring_lat_col: str = "ring_lats",
     ring_lon_col: str = "ring_lons",
-    num_partitions: Optional[int] = None,
 ) -> rd.Dataset:
     """point-in-polygon join → (point_id, poly_id) pairs.
 
     points:   (point_id:int64, lat:f64, lon:f64, …)
     polygons: (poly_id:int64, ring_lats:list<f64>, ring_lons:list<f64>, …)
 
-    Physical plan: candidate generation is a HASH JOIN on (cell, salt)
-    between the point table and the polygon cover table (rings travel as
-    packed binary blobs — a supported join payload); refinement is a
-    vectorized per-batch ray-cast. A join vectorizes per shuffle partition,
-    unlike a per-cell map_groups that pays a pandas UDF call per tiny cell
-    group. ``salt > 1`` splits a hot cell's points across ``salt``
-    sub-keys (polygons replicated per sub-key) — same results, bounded
-    partition skew.
+    Physical plan (``_cell_cosort``): one row per point at its
+    (cell, salt) and one per polygon cover cell × salt (ring as a packed
+    blob) are SORTED together on (cell, salt); each sorted block decodes
+    its distinct rings into a ``RingIndex`` and runs ``pip_probe`` over
+    its points. A true pair shares the point's key and each point has one
+    row, so the result is exact and each pair appears once. ``salt > 1``
+    splits a hot cell's points across ``salt`` sort keys (polygons
+    replicated per key): same results, bounded block skew. Polygon ids
+    are unique keys.
     """
-    import ray
-
     prows = points.map_batches(
         partial(_points_rows, level=level, salt=salt, id_col=point_id,
                 lat_col=lat_col, lon_col=lon_col),
@@ -304,17 +332,7 @@ def pip_join(
                 ring_lat_col=ring_lat_col, ring_lon_col=ring_lon_col),
         batch_format="pyarrow",
     )
-    from ..util import join_partitions
-
-    npart = num_partitions or join_partitions()
-    pairs = prows.join(
-        grows,
-        join_type="inner",
-        num_partitions=npart,
-        on=("cell", "salt"),
-        aggregator_ray_remote_args={"num_cpus": 0.25},
-    )
-    return pairs.map_batches(_pip_refine_batch, batch_format="pyarrow")
+    return _cell_cosort(prows, grows, ["cell", "salt"], _pip_cosort_probe, _PIP_ROW_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -456,66 +474,79 @@ _KNN_EMPTY = pa.table(
 _KNN_CHUNK = 4096  # queries per probe pass: bounds the candidate-pair arrays
 
 
+def _neighborhoods(cells: np.ndarray) -> tuple:
+    """Each cell's 3×3 neighbourhood, deduplicated per cell → (owner
+    index, neighbour cell), grouped by owner. ``cell_neighbors`` clamps at
+    the latitude boundary by repeating the centre cell; a repeated cell
+    would turn into a duplicate candidate pair that fills two top-k slots."""
+    neigh = np.sort(cell_neighbors(cells), axis=1)  # (n, 9)
+    keep = np.ones(neigh.shape, dtype=bool)
+    keep[:, 1:] = neigh[:, 1:] != neigh[:, :-1]
+    return np.repeat(np.arange(len(cells)), keep.sum(axis=1)), neigh[keep]
+
+
+def _cell_ranges(sorted_cells: np.ndarray, cells: np.ndarray) -> tuple:
+    """Every probe cell's run in a cell-sorted array → (probe index, sorted
+    index) per match, grouped by probe: two ``searchsorted`` calls and the
+    cumsum/repeat flatten of the ragged runs (no per-cell Python)."""
+    lo = np.searchsorted(sorted_cells, cells, side="left")
+    counts = np.searchsorted(sorted_cells, cells, side="right") - lo
+    total = int(counts.sum())
+    offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(np.arange(len(cells)), counts), np.repeat(lo, counts) + offs
+
+
+def _knn_topk(
+    qids: np.ndarray, qlats: np.ndarray, qlons: np.ndarray, flat_q: np.ndarray,
+    flat_cells: np.ndarray, index: TargetIndex, k: int, radius_m: float,
+) -> pa.Table:
+    """The kNN refine of both plans: query ``flat_q[j]`` searches the
+    targets of ``index`` in cell ``flat_cells[j]`` (``flat_q``
+    non-decreasing) → one haversine over all candidate pairs, the radius
+    filter, and the k nearest per query by (dist, neighbor id) via one
+    lexsort + within-group cumcount. ``_KNN_CHUNK`` queries per pass
+    bound the candidate-pair arrays."""
+    if not (len(qids) and len(index.ids)):
+        return _KNN_EMPTY
+    cuts = np.searchsorted(flat_q, np.arange(_KNN_CHUNK, len(qids), _KNN_CHUNK))
+    parts = []
+    for fq, fc in zip(np.split(flat_q, cuts), np.split(flat_cells, cuts)):
+        pi, tc = _cell_ranges(index.cells, fc)
+        qc = fq[pi]
+        d = haversine_m_vec(qlats[qc], qlons[qc], index.lats[tc], index.lons[tc])
+        m = d <= radius_m
+        if not m.any():
+            continue
+        qc, tid_c, dc = qc[m], index.ids[tc[m]], d[m]
+        order = np.lexsort((tid_c, dc, qc))  # (query, dist, neighbor-id ties)
+        qc, tid_c, dc = qc[order], tid_c[order], dc[order]
+        first = np.ones(len(qc), dtype=bool)
+        first[1:] = qc[1:] != qc[:-1]
+        group_start = np.nonzero(first)[0]
+        counts_g = np.diff(np.append(group_start, len(qc)))
+        ranks = np.arange(len(qc), dtype=np.int64) - np.repeat(group_start, counts_g) + 1
+        keep_k = ranks <= k
+        parts.append(pa.table(
+            {
+                "point_id": pa.array(qids[qc[keep_k]], pa.int64()),
+                "neighbor_id": pa.array(tid_c[keep_k], pa.int64()),
+                "dist_m": pa.array(dc[keep_k], pa.float64()),
+                "rank": pa.array(ranks[keep_k], pa.int64()),
+            }
+        ))
+    return pa.concat_tables(parts) if parts else _KNN_EMPTY
+
+
 def knn_probe(
     qids: np.ndarray, qlats: np.ndarray, qlons: np.ndarray,
     index: TargetIndex, k: int, radius_m: float,
 ) -> pa.Table:
     """Queries → (point_id, neighbor_id, dist_m, rank): the k nearest
     targets of a TargetIndex within ``radius_m``, exact (haversine),
-    ties broken by neighbor id."""
-    if len(qids) > _KNN_CHUNK:
-        return pa.concat_tables([
-            knn_probe(qids[i : i + _KNN_CHUNK], qlats[i : i + _KNN_CHUNK],
-                      qlons[i : i + _KNN_CHUNK], index, k, radius_m)
-            for i in range(0, len(qids), _KNN_CHUNK)
-        ])
-    if len(index.ids) == 0 or len(qids) == 0:
-        return _KNN_EMPTY
-    # Whole-batch vectorization, no per-cell-group Python loop (most
-    # groups hold O(1) queries, so a group loop is Python-bound):
-    # every query's deduped 3×3 neighborhood expands to candidate
-    # RANGES of the cell-sorted target arrays via two searchsorted
-    # calls; the ragged ranges flatten with the cumsum/repeat trick;
-    # one haversine over all (query, candidate) pairs; top-k per query
-    # via a single lexsort + within-group cumcount.
-    qcells = encode_cell(qlats, qlons, index.level)
-    neigh = np.sort(cell_neighbors(qcells), axis=1)  # (B, 9)
-    nkeep = np.ones(neigh.shape, dtype=bool)
-    nkeep[:, 1:] = neigh[:, 1:] != neigh[:, :-1]
-    flat_cells = neigh[nkeep]
-    flat_q = np.repeat(np.arange(len(qids)), nkeep.sum(axis=1))
-    lo = np.searchsorted(index.cells, flat_cells, side="left")
-    hi = np.searchsorted(index.cells, flat_cells, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return _KNN_EMPTY
-    run_ends = np.cumsum(counts)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(run_ends - counts, counts)
-    tcand = np.repeat(lo, counts) + offs
-    qcand = np.repeat(flat_q, counts)
-    d = haversine_m_vec(qlats[qcand], qlons[qcand], index.lats[tcand], index.lons[tcand])
-    m = d <= radius_m
-    if not m.any():
-        return _KNN_EMPTY
-    qc, tc, dc = qcand[m], tcand[m], d[m]
-    tid_c = index.ids[tc]
-    order = np.lexsort((tid_c, dc, qc))  # (query, dist, neighbor-id ties)
-    qc, tid_c, dc = qc[order], tid_c[order], dc[order]
-    first = np.ones(len(qc), dtype=bool)
-    first[1:] = qc[1:] != qc[:-1]
-    group_start = np.nonzero(first)[0]
-    counts_g = np.diff(np.append(group_start, len(qc)))
-    ranks = np.arange(len(qc), dtype=np.int64) - np.repeat(group_start, counts_g) + 1
-    keep_k = ranks <= k
-    return pa.table(
-        {
-            "point_id": pa.array(qids[qc[keep_k]], pa.int64()),
-            "neighbor_id": pa.array(tid_c[keep_k], pa.int64()),
-            "dist_m": pa.array(dc[keep_k], pa.float64()),
-            "rank": pa.array(ranks[keep_k], pa.int64()),
-        }
-    )
+    ties broken by neighbor id. Each query searches its deduplicated 3×3
+    neighbourhood at the index level."""
+    flat_q, flat_cells = _neighborhoods(encode_cell(qlats, qlons, index.level))
+    return _knn_topk(qids, qlats, qlons, flat_q, flat_cells, index, k, radius_m)
 
 
 def _knn_probe_batch(
@@ -562,120 +593,76 @@ def knn_join_broadcast(
 # ---------------------------------------------------------------------------
 
 
-def _target_rows(
-    batch: pa.Table, level: int, id_col: str, lat_col: str, lon_col: str
-) -> pa.Table:
-    """Replicate each target point to its 3×3 cell neighborhood.
+_KNN_ROW_SCHEMA = pa.schema(
+    [("cell", pa.uint64()), ("is_query", pa.bool_()), ("id", pa.int64()),
+     ("lat", pa.float64()), ("lon", pa.float64())]
+)
 
-    The neighborhood is deduped PER TARGET (vectorized row-sort + run mask):
-    cell_neighbors clamps at the latitude boundary by repeating the center
-    cell, and a duplicated (cell, tid) row would join into a duplicate
-    candidate pair that can occupy two top-k slots downstream (the
-    broadcast plan dedups with np.unique — this keeps the plans identical).
-    """
-    ids, lats, lons = point_arrays(batch, id_col, lat_col, lon_col)
-    cells = encode_cell(lats, lons, level)
-    neigh = np.sort(cell_neighbors(cells), axis=1)  # (n, 9)
-    keep = np.ones(neigh.shape, dtype=bool)
-    keep[:, 1:] = neigh[:, 1:] != neigh[:, :-1]
-    counts = keep.sum(axis=1)
-    return pa.table(
-        {
-            "cell": pa.array(neigh[keep], pa.uint64()),
-            "tid": pa.array(np.repeat(ids, counts), pa.int64()),
-            "tlat": pa.array(np.repeat(lats, counts), pa.float64()),
-            "tlon": pa.array(np.repeat(lons, counts), pa.float64()),
-        }
+
+def _knn_rows(cells, is_query: bool, ids, lats, lons) -> pa.Table:
+    return pa.Table.from_arrays(
+        [
+            pa.array(cells, pa.uint64()),
+            pa.array(np.full(len(ids), is_query)),
+            pa.array(ids, pa.int64()),
+            pa.array(lats, pa.float64()),
+            pa.array(lons, pa.float64()),
+        ],
+        schema=_KNN_ROW_SCHEMA,
     )
 
 
 def _query_rows(batch: pa.Table, level: int, id_col: str, lat_col: str, lon_col: str) -> pa.Table:
+    """Query rows of the kNN / distance sort: one per query, at its own cell."""
     ids, lats, lons = point_arrays(batch, id_col, lat_col, lon_col)
-    return pa.table(
-        {
-            "cell": pa.array(encode_cell(lats, lons, level), pa.uint64()),
-            "qid": pa.array(ids, pa.int64()),
-            "qlat": pa.array(lats, pa.float64()),
-            "qlon": pa.array(lons, pa.float64()),
-        }
+    return _knn_rows(encode_cell(lats, lons, level), True, ids, lats, lons)
+
+
+def _target_rows(
+    batch: pa.Table, level: int, id_col: str, lat_col: str, lon_col: str
+) -> pa.Table:
+    """Target copies of the kNN / distance sort: each target replicated to
+    its 3×3 cell neighbourhood, deduplicated per target (``_neighborhoods``,
+    the expansion the broadcast probe uses)."""
+    ids, lats, lons = point_arrays(batch, id_col, lat_col, lon_col)
+    owner, cells = _neighborhoods(encode_cell(lats, lons, level))
+    return _knn_rows(cells, False, ids[owner], lats[owner], lons[owner])
+
+
+def _query_target_cosort(
+    queries: rd.Dataset, targets: rd.Dataset, level: int, query_id: str, target_id: str,
+    lat_col: str, lon_col: str, probe,
+) -> rd.Dataset:
+    """Query rows and target copies sorted together on cell; ``probe``
+    runs per sorted block. A query's own cell holds one copy of every
+    target in its neighbourhood, so it needs no other block."""
+    q = queries.map_batches(
+        partial(_query_rows, level=level, id_col=query_id, lat_col=lat_col, lon_col=lon_col),
+        batch_format="pyarrow",
+    )
+    t = targets.map_batches(
+        partial(_target_rows, level=level, id_col=target_id, lat_col=lat_col, lon_col=lon_col),
+        batch_format="pyarrow",
+    )
+    return _cell_cosort(q, t, ["cell"], probe, _KNN_ROW_SCHEMA)
+
+
+def _cosort_sides(block: pa.Table, level: int) -> tuple:
+    """One sorted block of ``_knn_rows`` → ((query ids, lats, lons, cells),
+    TargetIndex of its target copies, cell-sorted because the block is)."""
+    is_q = block["is_query"].to_numpy(zero_copy_only=False)
+    cells = block["cell"].to_numpy(zero_copy_only=False)
+    ids, lats, lons = point_arrays(block, "id", "lat", "lon")
+    t = ~is_q
+    return (
+        (ids[is_q], lats[is_q], lons[is_q], cells[is_q]),
+        TargetIndex(cells[t], ids[t], lats[t], lons[t], level),
     )
 
 
-def _pair_distances(batch: pa.Table, radius_m: float) -> pa.Table:
-    """Join-output (query, target) pair rows → radius-filtered distances."""
-    if batch.num_rows == 0:
-        return pa.table(
-            {
-                "point_id": pa.array([], pa.int64()),
-                "neighbor_id": pa.array([], pa.int64()),
-                "dist_m": pa.array([], pa.float64()),
-            }
-        )
-    d = haversine_m_vec(
-        batch["qlat"].to_numpy(zero_copy_only=False),
-        batch["qlon"].to_numpy(zero_copy_only=False),
-        batch["tlat"].to_numpy(zero_copy_only=False),
-        batch["tlon"].to_numpy(zero_copy_only=False),
-    )
-    keep = d <= radius_m
-    mask = pa.array(keep)
-    return pa.table(
-        {
-            "point_id": batch["qid"].combine_chunks().filter(mask),
-            "neighbor_id": batch["tid"].combine_chunks().filter(mask),
-            "dist_m": pa.array(d[keep], pa.float64()),
-        }
-    )
-
-
-def _topk_aggregate(k: int):
-    """Custom AggregateFn keeping the k smallest (dist, neighbor_id) pairs.
-
-    ~10x faster than map_groups over many tiny per-query groups (measured:
-    2.7 s vs 25 s for 100k groups) — the aggregate machinery batches the
-    per-group work instead of building a pandas frame per group. Ties
-    broken by neighbor id (lexsort), matching the brute-force oracle.
-    """
-    from ray.data.aggregate import AggregateFn
-
-    def _select(ds_, ts_):
-        if len(ds_) > k:
-            idx = np.lexsort((ts_, ds_))[:k]
-            return ds_[idx], ts_[idx]
-        return ds_, ts_
-
-    def init(_key):
-        return ([], [])
-
-    def acc_block(a, block):
-        if hasattr(block, "column_names"):  # pyarrow
-            d = block["dist_m"].to_numpy(zero_copy_only=False)
-            t = block["neighbor_id"].to_numpy(zero_copy_only=False)
-        else:  # pandas
-            d = block["dist_m"].to_numpy()
-            t = block["neighbor_id"].to_numpy()
-        ds_ = np.concatenate([np.asarray(a[0], dtype=np.float64), d])
-        ts_ = np.concatenate([np.asarray(a[1], dtype=np.int64), t.astype(np.int64)])
-        ds_, ts_ = _select(ds_, ts_)
-        return (ds_.tolist(), ts_.tolist())
-
-    def merge(a, b):
-        ds_ = np.asarray(a[0] + b[0], dtype=np.float64)
-        ts_ = np.asarray(a[1] + b[1], dtype=np.int64)
-        ds_, ts_ = _select(ds_, ts_)
-        return (ds_.tolist(), ts_.tolist())
-
-    def finalize(a):
-        ds_ = np.asarray(a[0], dtype=np.float64)
-        ts_ = np.asarray(a[1], dtype=np.int64)
-        order = np.lexsort((ts_, ds_))
-        return [
-            {"neighbor_id": int(ts_[i]), "dist_m": float(ds_[i])} for i in order
-        ]
-
-    return AggregateFn(
-        init=init, merge=merge, name="topk", accumulate_block=acc_block, finalize=finalize
-    )
+def _knn_cosort_probe(block: pa.Table, level: int, k: int, radius_m: float) -> pa.Table:
+    (qids, qlats, qlons, qcells), index = _cosort_sides(block, level)
+    return _knn_topk(qids, qlats, qlons, np.arange(len(qids)), qcells, index, k, radius_m)
 
 
 def knn_join(
@@ -689,74 +676,26 @@ def knn_join(
     target_id: str = "target_id",
     lat_col: str = "lat",
     lon_col: str = "lon",
-    num_partitions: Optional[int] = None,
 ) -> rd.Dataset:
     """k nearest targets within ``radius_m`` per query point — the
     fully distributed plan.
 
-    Physical plan: targets replicated to their 3×3 neighborhood → HASH
-    JOIN with queries on cell (every candidate pair becomes a row; a pair
-    appears exactly once because only the target copies land in the
-    query's own cell) → vectorized per-batch haversine + radius filter →
-    ``groupby(point_id)`` with a custom top-k AGGREGATE (numpy state — no
-    per-group pandas UDF). Exact within radius_m when cell height at
+    Physical plan (``_cell_cosort``): one row per query at its own cell
+    and one copy of each target per cell of its 3×3 neighbourhood are
+    SORTED together on cell; in each sorted block the target copies form
+    a ``TargetIndex`` and every query searches only its own cell with the
+    refine ``knn_probe`` uses (haversine, radius filter, lexsort top-k).
+    Each query row sees each nearby target once, in one block, so no
+    second shuffle is needed. Exact within radius_m when cell height at
     ``level`` ≥ radius_m (default: the finest such level).
 
     Output: (point_id, neighbor_id, dist_m, rank).
     """
-    import ray
-
-    from ..util import JOIN_AGG_ARGS, join_partitions
-
     lvl = level if level is not None else choose_level_for_radius(radius_m)
-    q = queries.map_batches(
-        partial(_query_rows, level=lvl, id_col=query_id, lat_col=lat_col, lon_col=lon_col),
-        batch_format="pyarrow",
+    return _query_target_cosort(
+        queries, targets, lvl, query_id, target_id, lat_col, lon_col,
+        partial(_knn_cosort_probe, level=lvl, k=k, radius_m=radius_m),
     )
-    t = targets.map_batches(
-        partial(_target_rows, level=lvl, id_col=target_id, lat_col=lat_col, lon_col=lon_col),
-        batch_format="pyarrow",
-    )
-    pairs = q.join(
-        t,
-        join_type="inner",
-        num_partitions=num_partitions or join_partitions(),
-        on=("cell",),
-        aggregator_ray_remote_args=JOIN_AGG_ARGS,
-    )
-    near = pairs.map_batches(partial(_pair_distances, radius_m=radius_m), batch_format="pyarrow")
-    agg = near.groupby("point_id").aggregate(_topk_aggregate(k))
-
-    def explode(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _KNN_EMPTY
-        # Arrow-offset flatten of the per-query top-k lists (no per-row
-        # Python); ranks restart 1..count per list via the cumsum trick
-        pids = batch["point_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        topk = batch["topk"].combine_chunks()
-        counts = np.diff(np.asarray(topk.offsets))
-        st = topk.flatten()
-        total = int(counts.sum())
-        if total == 0:
-            return _KNN_EMPTY
-        run_ends = np.cumsum(counts)
-        ranks = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(run_ends - counts, counts)
-            + 1
-        )
-        import pyarrow.compute as _pc
-
-        return pa.table(
-            {
-                "point_id": pa.array(np.repeat(pids, counts), pa.int64()),
-                "neighbor_id": _pc.cast(st.field("neighbor_id"), pa.int64()),
-                "dist_m": _pc.cast(st.field("dist_m"), pa.float64()),
-                "rank": pa.array(ranks, pa.int64()),
-            }
-        )
-
-    return agg.map_batches(explode, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -882,23 +821,11 @@ def raster_vector_join(
     def match(batch: pa.Table) -> pa.Table:
         ccells_s, crids_s = cached_get(cover_ref)
         tcells = batch["cell"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        lo = np.searchsorted(ccells_s, tcells, side="left")
-        hi = np.searchsorted(ccells_s, tcells, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if not total:
-            return pa.table(
-                {"cell": pa.array([], pa.uint64()), "route_id": pa.array([], pa.int64())}
-            )
-        # flat indexes into the sorted cover for every (tile, match) pair:
-        # start-of-run repeated per match + offset within the run
-        run_ends = np.cumsum(counts)
-        offs = np.arange(total, dtype=np.int64) - np.repeat(run_ends - counts, counts)
-        idx = np.repeat(lo, counts) + offs
+        ti, ci = _cell_ranges(ccells_s, tcells)
         return pa.table(
             {
-                "cell": pa.array(np.repeat(tcells, counts), pa.uint64()),
-                "route_id": pa.array(crids_s[idx], pa.int64()),
+                "cell": pa.array(tcells[ti], pa.uint64()),
+                "route_id": pa.array(crids_s[ci], pa.int64()),
             }
         )
 
@@ -1033,19 +960,10 @@ def cell_density_smoothed(
     return smoothed.map_batches(attach, batch_format="pyarrow")
 
 
-def _dist_refine(batch: pa.Table, radius: float, metric: str, exclude_same_id: bool) -> pa.Table:
-    if batch.num_rows == 0:
-        return pa.table(
-            {
-                "point_id": pa.array([], pa.int64()),
-                "neighbor_id": pa.array([], pa.int64()),
-                "dist": pa.array([], pa.float64()),
-            }
-        )
-    qlat = batch["qlat"].to_numpy(zero_copy_only=False)
-    qlon = batch["qlon"].to_numpy(zero_copy_only=False)
-    tlat = batch["tlat"].to_numpy(zero_copy_only=False)
-    tlon = batch["tlon"].to_numpy(zero_copy_only=False)
+def _dist_refine(
+    qid, qlat, qlon, tid, tlat, tlon, radius: float, metric: str, exclude_same_id: bool
+) -> pa.Table:
+    """Candidate (query, target) pairs → the pairs within ``radius``."""
     if metric == "haversine":
         d = haversine_m_vec(qlat, qlon, tlat, tlon)
         keep = d <= radius
@@ -1055,17 +973,24 @@ def _dist_refine(batch: pa.Table, radius: float, metric: str, exclude_same_id: b
         d = dlat * dlat + dlon * dlon
         keep = d <= radius * radius
     if exclude_same_id:
-        keep &= (
-            batch["qid"].to_numpy(zero_copy_only=False)
-            != batch["tid"].to_numpy(zero_copy_only=False)
-        )
-    mask = pa.array(keep)
+        keep &= qid != tid
     return pa.table(
         {
-            "point_id": batch["qid"].combine_chunks().filter(mask),
-            "neighbor_id": batch["tid"].combine_chunks().filter(mask),
+            "point_id": pa.array(qid[keep], pa.int64()),
+            "neighbor_id": pa.array(tid[keep], pa.int64()),
             "dist": pa.array(d[keep], pa.float64()),
         }
+    )
+
+
+def _dist_cosort_probe(
+    block: pa.Table, level: int, radius: float, metric: str, exclude_same_id: bool
+) -> pa.Table:
+    (qids, qlats, qlons, qcells), t = _cosort_sides(block, level)
+    qi, ti = _cell_ranges(t.cells, qcells)
+    return _dist_refine(
+        qids[qi], qlats[qi], qlons[qi], t.ids[ti], t.lats[ti], t.lons[ti],
+        radius, metric, exclude_same_id,
     )
 
 
@@ -1081,25 +1006,21 @@ def distance_join(
     lat_col: str = "lat",
     lon_col: str = "lon",
     exclude_same_id: bool = False,
-    num_partitions: Optional[int] = None,
 ) -> rd.Dataset:
     """ALL (query, target) pairs within ``radius`` — ST_DWithin as a
     distributed join (the uncapped sibling of ``knn_join``; "every stop
     pair closer than 100 m", "points near any sensor").
 
-    Same physical plan as ``knn_join`` minus the top-k aggregate: targets
-    replicate to their 3×3 cell neighborhood, hash-join with queries on
-    cell (each true pair materializes exactly once — only target copies
-    land in the query's own cell), vectorized per-batch refine. No
-    groupby at all — the output streams straight out of the refine.
+    Same physical plan as ``knn_join`` minus the top-k: query rows and the
+    targets' 3×3 neighbourhood copies sorted together on cell, and each
+    sorted block matches its queries against the target copies in their
+    own cell (each true pair exactly once) and refines them.
 
     ``metric``: "haversine" (radius in meters; dist = meters) or
     "planar_deg" (radius in degrees; dist = SQUARED degree distance —
     pure arithmetic, bit-identical to a SQL oracle, used by the driver
     gate). ``exclude_same_id`` drops self-pairs for self-joins.
     """
-    from ..util import JOIN_AGG_ARGS, join_partitions
-
     if metric not in ("haversine", "planar_deg"):
         raise ValueError(f"metric must be 'haversine' or 'planar_deg', got {metric!r}")
     if level is None:
@@ -1110,29 +1031,10 @@ def distance_join(
             lvl = max(0, min(28, int(np.floor(np.log2(180.0 / radius)))))
     else:
         lvl = level
-    q = queries.map_batches(
-        partial(_query_rows, level=lvl, id_col=query_id, lat_col=lat_col, lon_col=lon_col),
-        batch_format="pyarrow",
-    )
-    t = targets.map_batches(
-        partial(_target_rows, level=lvl, id_col=target_id, lat_col=lat_col, lon_col=lon_col),
-        batch_format="pyarrow",
-    )
-    pairs = q.join(
-        t,
-        join_type="inner",
-        num_partitions=num_partitions or join_partitions(),
-        on=("cell",),
-        aggregator_ray_remote_args=JOIN_AGG_ARGS,
-    )
-    return pairs.map_batches(
-        partial(
-            _dist_refine,
-            radius=radius,
-            metric=metric,
-            exclude_same_id=exclude_same_id,
-        ),
-        batch_format="pyarrow",
+    return _query_target_cosort(
+        queries, targets, lvl, query_id, target_id, lat_col, lon_col,
+        partial(_dist_cosort_probe, level=lvl, radius=radius, metric=metric,
+                exclude_same_id=exclude_same_id),
     )
 
 

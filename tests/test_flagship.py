@@ -9,6 +9,8 @@ import pyarrow as pa
 import pytest
 
 LAUNCH_BUDGET = 5  # extract, relations, ways, nodes, assembly
+SHUFFLE_LAUNCH_BUDGET = 7  # the same five, then one sort per spatial join (pip, knn)
+LAYOUTS = ("one_block", "one_row_blocks", "empty_block")
 
 
 @contextlib.contextmanager
@@ -58,15 +60,26 @@ def pages(tmp_path_factory):
     return path
 
 
-@pytest.fixture(scope="module")
-def broadcast(ray_session, pages):
+def _fused_run(pages: str, small_side: str) -> tuple:
+    """The flagship with its pip/knn/tiles sinks materialized → (outputs,
+    executor launches)."""
     from osmptparser_ray.pipelines.spatial_join import stop_route_spatial_join
 
     with counting_launches() as counter:
-        out = stop_route_spatial_join(pages, validate=False)
+        out = stop_route_spatial_join(pages, validate=False, small_side=small_side)
         for k in ("pip", "knn", "tiles"):
             out[k] = out[k].materialize()
     return out, counter.count
+
+
+@pytest.fixture(scope="module")
+def broadcast(ray_session, pages):
+    return _fused_run(pages, "broadcast")
+
+
+@pytest.fixture(scope="module")
+def shuffle(ray_session, pages):
+    return _fused_run(pages, "shuffle")
 
 
 class TestBlockTasks:
@@ -110,14 +123,21 @@ class TestFlagshipTail:
         assert all(out[k].count() > 0 for k in ("pip", "knn", "tiles"))
         assert launches <= LAUNCH_BUDGET
 
-    def test_broadcast_equals_shuffle(self, broadcast, pages):
-        from osmptparser_ray.pipelines.spatial_join import stop_route_spatial_join
+    def test_shuffle_launch_budget(self, shuffle):
+        out, launches = shuffle
+        assert all(out[k].count() > 0 for k in ("pip", "knn", "tiles"))
+        assert launches <= SHUFFLE_LAUNCH_BUDGET
 
-        shuffle = stop_route_spatial_join(pages, validate=False, small_side="shuffle")
-        assert _digest(shuffle) == _digest(broadcast[0])
+    def test_broadcast_equals_shuffle(self, broadcast, shuffle):
+        assert _digest(shuffle[0]) == _digest(broadcast[0])
 
-    @pytest.mark.parametrize("layout", ["one_block", "one_row_blocks", "empty_block"])
-    def test_layout_invariance(self, broadcast, layout):
+    @pytest.mark.parametrize(
+        "small_side, layout",
+        [(side, layout) for side in ("broadcast", "shuffle") for layout in LAYOUTS],
+        # the broadcast cases keep their bare layout ids
+        ids=[*LAYOUTS, *(f"shuffle-{layout}" for layout in LAYOUTS)],
+    )
+    def test_layout_invariance(self, broadcast, small_side, layout):
         import ray
         import ray.data as rd
 
@@ -132,16 +152,19 @@ class TestFlagshipTail:
             # a columnless zero-row table, the shape of Ray's empty blocks
             "empty_block": [pt.slice(0, 2), pa.table({}), pt.slice(2)],
         }[layout]
-        got = stop_route_joins(rd.from_arrow(blocks))
+        got = stop_route_joins(rd.from_arrow(blocks), small_side=small_side)
         assert _digest(got) == _digest(out)
 
-    def test_no_stops(self, ray_session, broadcast):
+    @pytest.mark.parametrize("small_side", ["broadcast", "shuffle"])
+    def test_no_stops(self, ray_session, broadcast, small_side):
         import ray.data as rd
 
         from osmptparser_ray.pipelines.spatial_join import stop_route_joins
 
         pt = broadcast[0]["public_transports"]
-        got = stop_route_joins(rd.from_arrow(pt.schema().base_schema.empty_table()))
+        got = stop_route_joins(
+            rd.from_arrow(pt.schema().base_schema.empty_table()), small_side=small_side
+        )
         for k, cols in (("pip", "poly_id"), ("knn", "rank"), ("tiles", "cell")):
             assert got[k].count() == 0 and cols in got[k].schema().names
 

@@ -289,6 +289,53 @@ class TestBroadcastParity:
         b = {(r["point_id"], r["poly_id"]) for r in pip_join_broadcast(points, polys_ds).take_all()}
         assert a == b and len(a) > 0
 
+    @pytest.mark.parametrize("layout", ["one_block", "one_row_blocks", "empty_block", "hot_cell"])
+    def test_sort_plans_layout_invariant(self, ray_session, stops_polys, layout):
+        """pip_join(salt=4) and knn_join equal the broadcast plans whatever
+        the block layout of the points: one block, 1-row blocks, an
+        injected columnless empty block, or every point in one hot cell."""
+        import pyarrow as pa
+        import ray
+        import ray.data as rd
+        from osmptparser_ray.spatial import (
+            choose_level_for_radius, encode_cell, knn_join, knn_join_broadcast, pip_join,
+            pip_join_broadcast,
+        )
+
+        ids, lats, lons, polys = stops_polys
+        sel = np.r_[0:60, 400:460]  # spread points and mega-cell cluster points
+        ids, lats, lons = ids[sel], lats[sel], lons[sel]
+        if layout == "hot_cell":
+            r = np.random.default_rng(23)
+            lats = -2.15 + r.uniform(0.0, 0.002, len(sel))
+            lons = -79.93 + r.uniform(0.0, 0.002, len(sel))
+            for level in (10, choose_level_for_radius(2000.0)):
+                assert len(np.unique(encode_cell(lats, lons, level))) == 1
+        pts = pa.table({"point_id": ids, "lat": lats, "lon": lons})
+        blocks = {
+            "one_row_blocks": [pts.slice(i, 1) for i in range(pts.num_rows)],
+            # a columnless zero-row table, the shape of Ray's empty blocks
+            "empty_block": [pts.slice(0, 2), pa.table({}), pts.slice(2)],
+        }.get(layout, [pts])
+        polys_ds = rd.from_items(polys)
+        targets = rd.from_arrow(pts.rename_columns(["target_id", "lat", "lon"]))
+
+        def rows(ds):
+            # block-wise concat: fails if any output block lacks the schema
+            return pa.concat_tables(ray.get(ds.to_arrow_refs())).to_pylist()
+
+        def pip_set(ds):
+            return {(r["point_id"], r["poly_id"]) for r in rows(ds)}
+
+        def knn_set(ds):
+            return {(r["point_id"], r["rank"], r["neighbor_id"], r["dist_m"]) for r in rows(ds)}
+
+        pip_b = pip_set(pip_join_broadcast(rd.from_arrow(pts), polys_ds))
+        knn_b = knn_set(knn_join_broadcast(rd.from_arrow(pts), targets, k=4))
+        assert pip_set(pip_join(rd.from_arrow(blocks), polys_ds, level=10, salt=4)) == pip_b
+        assert knn_set(knn_join(rd.from_arrow(blocks), targets, k=4)) == knn_b
+        assert pip_b and knn_b
+
 
 class TestCellDensitySmoothed:
     def test_edge_row_aliasing(self, ray_session):
@@ -350,7 +397,7 @@ class TestPolyRowsVectorized:
             (int(c), int(s), g, b)
             for c, s, g, b in zip(
                 out["cell"].to_pylist(), out["salt"].to_pylist(),
-                out["gid"].to_pylist(), out["blob"].to_pylist(),
+                out["id"].to_pylist(), out["blob"].to_pylist(),
             )
         }
 
