@@ -64,7 +64,7 @@ def _resolved_batches(tables: ParserTables) -> rd.Dataset:
             stops_out.append(
                 [
                     {"id": int(nid), "lat": float(la), "lon": float(lo), "tags": tg}
-                    for nid, la, lo, tg in zip(found, lats, lons, tags)
+                    for nid, la, lo, tg in zip(found, lats, lons, tags.to_pylist())
                 ]
             )
         way_t = pa.array(

@@ -10,14 +10,17 @@ integration-test gap 1500.0 m (tests/integration_test.rs:6).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Literal, Optional
 
 import ray.data as rd
 
 from ..kernel.filters import AA, PTV2
+from ..sources.extract import extract_batch
 from ..stages.assemble import cli_area_filter, get_areas, get_public_transports
 from ..stages.elements import (
     ParserTables,
+    _parser_tables_from_blocks,
     build_parser_tables,
     extract_elements,
     read_pages,
@@ -37,10 +40,21 @@ def parser_tables_from_pages(
 ) -> ParserTables:
     """pages parquet → ParserTables (the reference Parser::new equivalent).
 
+    By default each page block is extracted inside the first task of the
+    ``build_parser_tables`` plan, so the read is the only streaming
+    execution and no element row goes through the object store before
+    its kind split. ``concurrency`` (an extractor actor pool) and
+    ``id_set_mode="bloom"`` feed the streaming ``extract_elements``
+    output to ``build_parser_tables`` instead.
+
     ``id_set_mode="bloom"`` switches the J1/J2 semi-join sides from exact
     sorted-array broadcasts to Bloom prefilter + exact post-join (same
     tables; for id sets too big to ``ray.put``)."""
     pages = read_pages(pages_path, validate=validate)
+    if concurrency is None and id_set_mode == "exact":
+        return _parser_tables_from_blocks(
+            pages, filters, dedup=dedup, prepare=partial(extract_batch, validate=validate)
+        )
     elements = extract_elements(pages, validate=validate, concurrency=concurrency)
     return build_parser_tables(elements, filters, dedup=dedup, id_set_mode=id_set_mode)
 

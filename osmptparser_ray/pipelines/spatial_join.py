@@ -231,10 +231,10 @@ def stop_route_spatial_join(
     rows are materialized, then joined by ``stop_route_joins``.
 
     With ``small_side="broadcast"`` (default) every output is
-    materialized and the whole call starts 5 streaming executions
-    (extract, relations, ways, nodes, assembly); the index builds and
-    the probes run as plain Ray tasks. ``small_side="shuffle"`` adds one
-    sort execution per spatial join (pip, knn): 7 in all.
+    materialized and the whole call starts 1 streaming execution, the
+    page read; extraction, the element tables, assembly, the index builds
+    and the probes run as plain Ray tasks. ``small_side="shuffle"`` adds
+    one sort execution per spatial join (pip, knn): 3 in all.
     """
     pt = public_transports_from_pages(
         pages_path, gap=gap, filters=filters, validate=validate, concurrency=concurrency

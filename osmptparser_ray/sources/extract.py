@@ -21,23 +21,13 @@ import re
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .osmxml import (
-    columns_to_table,
-    empty_columns,
-    parse_osm_payload,
-    parse_osm_payload_fast,
-)
+from .osmxml import columns_to_table, empty_columns, parse_osm_payload
 from .vecparse import extract_payloads, parse_payload_batch
 
 _PAYLOAD_RE = re.compile(
     rb'<script type="application/osm\+xml" id="osm-payload">(.*?)</script>',
     re.DOTALL,
 )
-
-# constructs outside the fast parser's contract (see parse_osm_payload_fast)
-# — any hit routes the payload to the ET parser. Substring scans are ~free
-# next to parsing itself.
-_FAST_UNSAFE = ("<!--", "<![", "<?", "='")
 
 
 def extract_text(html: bytes) -> str:
@@ -75,6 +65,9 @@ class OsmPayloadExtractor:
     the page; at web scale a corrupt page must not kill a 10^12-row job).
     Skipped-page counts are exposed per batch via the ``n_skipped``
     attribute (cumulative per worker).
+
+    ``parser``: "vec" (default — the whole-batch vectorized parser, with
+    the scalar ET loop as its fallback) or "et" (the scalar loop only).
     """
 
     def __init__(
@@ -89,19 +82,10 @@ class OsmPayloadExtractor:
         self.include_url = include_url
         self.validate = validate
         self.on_error = on_error
-        self.parser = parser  # 'auto' | 'fast' | 'et'
+        if parser not in ("vec", "et"):
+            raise ValueError(f"parser must be 'vec' or 'et', got {parser!r}")
+        self.parser = parser
         self.n_skipped = 0
-
-    def _parse(self, payload: str, cols: dict) -> int:
-        # scalar parsers: C-accelerated ET (default fallback — MEASURED 2x
-        # faster than the pure-python regex variant on this corpus; the
-        # regex parser remains as a differential cross-check of extraction
-        # correctness, tests/test_fast_parser.py)
-        if self.parser in ("et", "vec"):
-            return parse_osm_payload(payload, cols)
-        if self.parser == "auto" and any(u in payload for u in _FAST_UNSAFE):
-            return parse_osm_payload(payload, cols)
-        return parse_osm_payload_fast(payload, cols)
 
     def _call_vectorized(self, batch: pa.Table) -> pa.Table:
         """Whole-batch Arrow/RE2/numpy path (sources.vecparse) — measured
@@ -159,7 +143,10 @@ class OsmPayloadExtractor:
                         f"extraction invariant violated for url={urls[i]!r}: "
                         f"extracted text differs from the text column"
                     )
-                n = self._parse(payload, cols)
+                # C-accelerated ET: measured 2x faster than the pure-python
+                # regex parser, which remains only as the differential
+                # oracle of tests/test_fast_parser.py
+                n = parse_osm_payload(payload, cols)
             except Exception:
                 if self.on_error == "raise":
                     raise

@@ -5,10 +5,11 @@
 Two physical strategies, identical results (tested against each other):
 
 * ``mode="broadcast"`` (default): the member-way and node lookup tables are
-  ``ray.put`` once and read by every assembly actor (they are the SMALL
+  ``ray.put`` once and read by every assembly task (they are the SMALL
   side — ids/coords only, pruned by the semi-joins). Per-relation
-  resolution is then a local dict lookup inside ``map_batches`` — no
-  shuffle at all. This mirrors the reference's shared read-only cache and
+  resolution is then a local array lookup inside one block task per
+  relation block (``util.block_tasks``) — no shuffle and no streaming
+  execution at all. This mirrors the reference's shared read-only cache and
   is the right plan while ways+nodes-of-interest fit a worker's heap
   (country-scale OSM ≈ a few GB).
 
@@ -38,7 +39,7 @@ import ray.data as rd
 
 from ..kernel.geometry import NodeSeq, flatten_relation, flatten_single_way
 from ..util import block_tasks, concat_columns, default_actor_concurrency
-from .elements import ParserTables, _flatten_unique_list_columns
+from .elements import ParserTables, _flatten_unique_list_columns, _tables_dataset
 
 TAGS_T = pa.map_(pa.string(), pa.string())
 STOP_T = pa.struct(
@@ -190,35 +191,27 @@ class NodeIndex(NamedTuple):
         return ok, lats, lons
 
     def stops_bulk(self, stop_ids_flat: np.ndarray):
-        """Bulk stop resolution for MANY stop ids at once (C-path arrow
-        take + one to_pylist). → (found_mask, lats, lons, tags_list);
+        """Bulk stop resolution for MANY stop ids at once. → (found_mask,
+        lats, lons, tags) with ``tags`` a map array aligned with the found
+        stops (one Arrow take; a stop without tags gets an empty map);
         missing stops yield found_mask False (mod.rs:693)."""
         refs = np.asarray(stop_ids_flat, dtype=np.int64)
         n = len(refs)
         if len(self.ids) == 0 or n == 0:
-            return np.zeros(n, bool), np.empty(0), np.empty(0), []
+            return np.zeros(n, bool), np.empty(0), np.empty(0), pa.array([], TAGS_T)
         idx = np.searchsorted(self.ids, refs)
         idx_c = np.minimum(idx, len(self.ids) - 1)
         ok = self.ids[idx_c] == refs
         sel = idx_c[ok]
         lats, lons = self.lats[sel], self.lons[sel]
-        # tags: align through the sorted stop-id subset
+        # tags: align through the sorted stop-id subset; a miss takes the
+        # empty map appended after the last stop
         found = refs[ok]
-        tpos = np.searchsorted(self.stop_ids, found)
-        tpos_c = np.minimum(tpos, max(len(self.stop_ids) - 1, 0))
-        thit = (
-            self.stop_ids[tpos_c] == found
-            if len(self.stop_ids)
-            else np.zeros(len(found), bool)
-        )
-        tags_list: list = [[]] * len(found)
-        if thit.any():
-            taken = self.stop_tags.take(pa.array(tpos_c[thit], pa.int64())).to_pylist()
-            k = 0
-            for i in np.nonzero(thit)[0]:
-                tags_list[int(i)] = taken[k]
-                k += 1
-        return ok, lats, lons, tags_list
+        ns = len(self.stop_ids)
+        tpos = np.minimum(np.searchsorted(self.stop_ids, found), max(ns - 1, 0))
+        thit = self.stop_ids[tpos] == found if ns else np.zeros(len(found), bool)
+        tags = pa.concat_arrays([self.stop_tags, pa.array([[]], self.stop_tags.type)])
+        return ok, lats, lons, tags.take(pa.array(np.where(thit, tpos, ns), pa.int64()))
 
 
 def _member_way_arrays(b: pa.Table) -> tuple:
@@ -364,28 +357,34 @@ class ShardedNodeIndex:
         return ok, lats, lons
 
     def stops_bulk(self, stop_ids_flat: np.ndarray):
+        """Per-shard ``NodeIndex.stops_bulk``; the shards' tag arrays are
+        concatenated and put back in input order with one take."""
         refs = np.asarray(stop_ids_flat, dtype=np.int64)
         n = len(refs)
         if n == 0:
-            return np.zeros(0, bool), np.empty(0), np.empty(0), []
+            return np.zeros(0, bool), np.empty(0), np.empty(0), pa.array([], TAGS_T)
         shards = self._resolve()
         sh = refs % self.num_shards
         ok = np.zeros(n, dtype=bool)
         lats = np.empty(n, np.float64)
         lons = np.empty(n, np.float64)
-        tags_all: list = [None] * n
+        hit_parts, tag_parts = [], []
         for p in np.unique(sh):
             pos = np.nonzero(sh == p)[0]
-            s = shards[int(p)]
-            sub_ok, sub_lats, sub_lons, sub_tags = s.stops_bulk(refs[pos])
+            sub_ok, sub_lats, sub_lons, sub_tags = shards[int(p)].stops_bulk(refs[pos])
             hitpos = pos[sub_ok]
             ok[pos] = sub_ok
             lats[hitpos] = sub_lats
             lons[hitpos] = sub_lons
-            for j, t in zip(hitpos, sub_tags):
-                tags_all[int(j)] = t
+            if len(hitpos):
+                hit_parts.append(hitpos)
+                tag_parts.append(sub_tags)
         found = np.nonzero(ok)[0]
-        return ok, lats[found], lons[found], [tags_all[int(j)] for j in found]
+        if not hit_parts:
+            return ok, lats[found], lons[found], pa.array([], TAGS_T)
+        order = np.argsort(np.concatenate(hit_parts), kind="stable")
+        tags = pa.concat_arrays(tag_parts).take(pa.array(order, pa.int64()))
+        return ok, lats[found], lons[found], tags
 
 
 def _split_node_block(b: pa.Table, num_shards: int, stop_sorted):
@@ -457,54 +456,63 @@ def collect_stop_ids(relations: rd.Dataset) -> np.ndarray:
 from ..util import cached_get as _cached_get
 
 
-def _resolve_index(ref_or_index):
-    """A broadcast side arrives either as an ObjectRef (un-sharded index,
-    ``ray.put`` once) or as a ShardedNodeIndex whose refs resolve lazily
-    per worker — accept both."""
-    if isinstance(ref_or_index, (WayIndex, NodeIndex, ShardedNodeIndex)):
-        return ref_or_index
-    return _cached_get(ref_or_index)
+def _stops_column(nodes, stop_ids_arr: "pa.Array") -> "pa.ListArray":
+    """Bulk stop resolution for a whole batch, assembled DIRECTLY as the
+    arrow list<struct> column (round-3: the per-stop python dict building
+    + python→arrow conversion was ~25% of assembly CPU; the tags stay an
+    Arrow map array throughout). Missing stops silently filtered
+    (mod.rs:693)."""
+    scol = (
+        stop_ids_arr.combine_chunks()
+        if isinstance(stop_ids_arr, pa.ChunkedArray)
+        else stop_ids_arr
+    )
+    seg = np.asarray(scol.offsets, np.int64)
+    seg = seg - seg[0]
+    flat = scol.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
+    ok, lats, lons, tags = nodes.stops_bulk(flat)
+    # per-relation FOUND counts via prefix sums (reduceat mishandles
+    # empty segments)
+    c = np.zeros(len(flat) + 1, np.int64)
+    np.cumsum(ok.astype(np.int64), out=c[1:])
+    found_counts = c[seg[1:]] - c[seg[:-1]]
+    offs = np.zeros(len(found_counts) + 1, np.int32)
+    np.cumsum(found_counts, out=offs[1:])
+    struct = pa.StructArray.from_arrays(
+        [
+            pa.array(flat[ok], pa.int64()),
+            pa.array(lats, pa.float64()),
+            pa.array(lons, pa.float64()),
+            tags,
+        ],
+        ["id", "lat", "lon", "tags"],
+    )
+    return pa.ListArray.from_arrays(pa.array(offs, pa.int32()), struct)
 
 
 class _BroadcastAssembler:
     """relations batch → flattened PublicTransport / relation-Area rows.
 
-    Runs as stateless TASKS (elastic, low dispatch latency); the broadcast
-    indexes are fetched through a per-worker-process cache, giving
-    actor-style state amortization without actor-pool dispatch overhead.
+    Runs in one block task per relation block: the way index arrives as
+    a resolved ``ray.put`` argument (zero-copy numpy reads) and the
+    sharded node index fetches its shards through a per-worker-process
+    cache.
     """
 
-    def __init__(self, ways_ref, nodes_ref, gap: float, closed: bool, as_area: bool):
-        self.ways: WayIndex = _resolve_index(ways_ref)
-        self.nodes = _resolve_index(nodes_ref)
+    def __init__(self, ways: WayIndex, nodes, gap: float, closed: bool, as_area: bool):
+        self.ways = ways
+        self.nodes = nodes
         self.gap = gap
         self.closed = closed
         self.as_area = as_area
-
-    def _resolve_seqs(self, way_ids: list[int]) -> list[NodeSeq]:
-        seqs = []
-        for wid in way_ids:
-            refs = self.ways.lookup(wid)
-            if refs is None:
-                continue  # missing way silently filtered (mod.rs:672)
-            ids, lats, lons = self.nodes.gather(refs)
-            if len(ids) == 0:
-                # a way with zero RESOLVABLE nodes behaves like a missing
-                # way (both modes drop it): the reference would push an
-                # empty node vec and later index [0] out of it — we model
-                # the silent-filter semantics instead, identically in the
-                # broadcast and shuffle paths
-                continue
-            seqs.append(NodeSeq(ids, lats, lons))
-        return seqs
 
     def _resolve_seqs_batch(self, way_ids_arr: "pa.Array") -> list[list[NodeSeq]]:
         """Way/node resolution for a WHOLE relations batch in three bulk
         array operations (round-3: the per-way ``gather`` calls — 63 per
         relation on the bench corpus — were half the assembly stage's CPU;
-        numpy fixed overhead × 10^5 tiny calls). Semantics identical to
-        looping ``_resolve_seqs``: missing ways and ways with zero
-        resolvable nodes are silently dropped, order preserved."""
+        numpy fixed overhead × 10^5 tiny calls). Missing ways
+        (mod.rs:672) and ways with zero resolvable nodes are silently
+        dropped, as in the shuffle path; order is preserved."""
         wcol = way_ids_arr.combine_chunks() if isinstance(way_ids_arr, pa.ChunkedArray) else way_ids_arr
         woffs = np.asarray(wcol.offsets, np.int64)
         woffs = woffs - woffs[0]
@@ -551,38 +559,6 @@ class _BroadcastAssembler:
             )
         return seqs_col
 
-    def _resolve_stops_col(self, stop_ids_arr: "pa.Array") -> "pa.ListArray":
-        """Bulk stop resolution for a whole batch, assembled DIRECTLY as
-        the arrow list<struct> column (round-3: the per-stop python dict
-        building + python→arrow conversion was ~25% of assembly CPU).
-        Missing stops silently filtered (mod.rs:693)."""
-        scol = (
-            stop_ids_arr.combine_chunks()
-            if isinstance(stop_ids_arr, pa.ChunkedArray)
-            else stop_ids_arr
-        )
-        seg = np.asarray(scol.offsets, np.int64)
-        seg = seg - seg[0]
-        flat = scol.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-        ok, lats, lons, tags_list = self.nodes.stops_bulk(flat)
-        # per-relation FOUND counts via prefix sums (reduceat mishandles
-        # empty segments)
-        c = np.zeros(len(flat) + 1, np.int64)
-        np.cumsum(ok.astype(np.int64), out=c[1:])
-        found_counts = c[seg[1:]] - c[seg[:-1]]
-        offs = np.zeros(len(found_counts) + 1, np.int32)
-        np.cumsum(found_counts, out=offs[1:])
-        struct = pa.StructArray.from_arrays(
-            [
-                pa.array(flat[ok], pa.int64()),
-                pa.array(lats, pa.float64()),
-                pa.array(lons, pa.float64()),
-                pa.array(tags_list, TAGS_T),
-            ],
-            ["id", "lat", "lon", "tags"],
-        )
-        return pa.ListArray.from_arrays(pa.array(offs, pa.int32()), struct)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["id"].to_pylist()
         seqs_col = self._resolve_seqs_batch(batch["way_ids"])
@@ -592,7 +568,7 @@ class _BroadcastAssembler:
             geoms.append(_geometry_value(segments))
             codes.append(status.code)
             details.append(status.detail)
-        stops_col = None if self.as_area else self._resolve_stops_col(batch["stop_ids"])
+        stops_col = None if self.as_area else _stops_column(self.nodes, batch["stop_ids"])
         cols = {
             "id": batch["id"],
             "tags": batch["tags"],
@@ -624,8 +600,8 @@ class _WayAreaFlattener:
     Needs only node coords for the way's own refs → broadcast node lookup.
     """
 
-    def __init__(self, nodes_ref, gap: float):
-        self.nodes = _resolve_index(nodes_ref)
+    def __init__(self, nodes, gap: float):
+        self.nodes = nodes
         self.gap = gap
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -660,13 +636,20 @@ class _WayAreaFlattener:
         )
 
 
-def _assemble_task(batch: pa.Table, *, ways_ref, nodes_ref, gap, closed, as_area) -> pa.Table:
-    """Task-form wrapper: construction is cheap given _cached_get."""
-    return _BroadcastAssembler(ways_ref, nodes_ref, gap, closed, as_area)(batch)
+def _assemble_task(batch: pa.Table, ways, nodes, gap, closed, as_area) -> pa.Table:
+    """Block-task form; construction only stores its arguments."""
+    return _BroadcastAssembler(ways, nodes, gap, closed, as_area)(batch)
 
 
-def _way_area_task(batch: pa.Table, *, nodes_ref, gap) -> pa.Table:
-    return _WayAreaFlattener(nodes_ref, gap)(batch)
+def _way_area_task(batch: pa.Table, nodes, gap) -> pa.Table:
+    return _WayAreaFlattener(nodes, gap)(batch)
+
+
+def _assemble_relations(tables: ParserTables, nodes, gap: float, closed: bool,
+                        as_area: bool) -> list:
+    """The broadcast assembly: one ``_assemble_task`` per relation block."""
+    ways = ray.put(build_way_index(tables.ways))
+    return block_tasks(tables.relations, _assemble_task, ways, nodes, gap, closed, as_area)
 
 
 def get_public_transports(
@@ -685,22 +668,12 @@ def get_public_transports(
     if mode == "shuffle":
         return _assemble_shuffle(tables, gap, closed=False, as_area=False,
                                  num_partitions=num_partitions)
-    # both indexes build in block tasks over the materialized tables (no
-    # streaming execution); the node index stays SHARDED in the object
-    # store, the driver holds refs only
-    ways_ref = ray.put(build_way_index(tables.ways))
-    nodes_ref = build_node_index_sharded(tables.nodes, collect_stop_ids(tables.relations))
-    return tables.relations.map_batches(
-        partial(
-            _assemble_task,
-            ways_ref=ways_ref,
-            nodes_ref=nodes_ref,
-            gap=gap,
-            closed=False,
-            as_area=False,
-        ),
-        batch_format="pyarrow",
-    )
+    # both indexes and the assembly run in block tasks over the
+    # materialized tables (no streaming execution); the node index stays
+    # SHARDED in the object store, the driver holds refs only
+    nodes = build_node_index_sharded(tables.nodes, collect_stop_ids(tables.relations))
+    refs = _assemble_relations(tables, nodes, gap, closed=False, as_area=False)
+    return _tables_dataset(refs, PT_SCHEMA.empty_table())
 
 
 def get_areas(
@@ -717,28 +690,14 @@ def get_areas(
     including Broken; CLI-parity filtering (drop status!=0 / empty
     geometry, bin.rs:68-73) is `cli_area_filter`.
     """
-    nodes_ref = build_node_index_sharded(tables.nodes)
+    nodes = build_node_index_sharded(tables.nodes)
+    way_areas = block_tasks(tables.ways, _way_area_task, nodes, gap)
     if mode == "shuffle":
         rel_areas = _assemble_shuffle(tables, gap, closed=True, as_area=True,
                                       num_partitions=num_partitions)
-    else:
-        ways_ref = ray.put(build_way_index(tables.ways))
-        rel_areas = tables.relations.map_batches(
-            partial(
-                _assemble_task,
-                ways_ref=ways_ref,
-                nodes_ref=nodes_ref,
-                gap=gap,
-                closed=True,
-                as_area=True,
-            ),
-            batch_format="pyarrow",
-        )
-    way_areas = tables.ways.map_batches(
-        partial(_way_area_task, nodes_ref=nodes_ref, gap=gap),
-        batch_format="pyarrow",
-    )
-    return rel_areas.union(way_areas)
+        return rel_areas.union(_tables_dataset(way_areas, AREA_SCHEMA.empty_table()))
+    rel_areas = _assemble_relations(tables, nodes, gap, closed=True, as_area=True)
+    return _tables_dataset(rel_areas + way_areas, AREA_SCHEMA.empty_table())
 
 
 def cli_area_filter(areas: rd.Dataset) -> rd.Dataset:
@@ -949,9 +908,6 @@ def _assemble_shuffle(
     class FinishMeta:
         """Decode joined meta/geometry blobs (+ resolve stops for PT rows)."""
 
-        def __init__(self):
-            self.nodes = _resolve_index(nodes_ref) if nodes_ref is not None else None
-
         def __call__(self, batch: pa.Table) -> pa.Table:
             ids = batch["id"].to_pylist()
             metas = [pickle.loads(b) for b in batch["meta_blob"].to_pylist()]
@@ -964,37 +920,9 @@ def _assemble_shuffle(
             cols["tags"] = pa.array([m[0] for m in metas], TAGS_T)
             cols["info"] = pa.array([m[1] for m in metas], TAGS_T)
             if not as_area:
-                stop_lists = [m[2] for m in metas]
-                counts = np.array([len(s) for s in stop_lists], dtype=np.int64)
-                flat_ids = (
-                    np.concatenate([np.asarray(s, dtype=np.int64) for s in stop_lists])
-                    if counts.sum()
-                    else np.empty(0, np.int64)
+                cols["stops"] = _stops_column(
+                    nodes_ref, pa.array([m[2] for m in metas], pa.list_(pa.int64()))
                 )
-                ok, lats, lons, tags_list = self.nodes.stops_bulk(flat_ids)
-                stops_col = []
-                pos = 0
-                fi = 0
-                for c in counts:
-                    stops = []
-                    for j in range(pos, pos + int(c)):
-                        if ok[j]:
-                            stops.append(
-                                {
-                                    "id": int(flat_ids[j]),
-                                    "lat": float(lats[fi]),
-                                    "lon": float(lons[fi]),
-                                    "tags": tags_list[fi],
-                                }
-                            )
-                            fi += 1
-                    stops_col.append(stops)
-                    pos += int(c)
-                # Typed conversion is load-bearing: raw python lists make
-                # pyarrow infer list<struct<..., tags: list<list<string>>>>
-                # (and list<null> for an all-empty batch), diverging from
-                # PT_SCHEMA and risking cross-block unification failures.
-                cols["stops"] = pa.array(stops_col, pa.list_(STOP_T))
             cols["geometry"] = geom
             cols["status_code"] = batch["status_code"]
             cols["status_detail"] = batch["status_detail"]

@@ -3,12 +3,16 @@
 
 The reference scans the same PBF file three times (relations → ways →
 nodes), sharing ``Arc<RwLock<HashSet>>`` id-sets between passes. Here the
-page corpus is scanned ONCE into a unified element Dataset; the id-sets
-become small broadcast side-inputs (``ray.put`` of sorted int64 arrays,
-``np.isin``/searchsorted filters inside ``map_batches``) — the
-semi-joins J1/J2 of SURVEY.md §2.4. At 10^12-page scale the extracted
-element table is checkpointed to partitioned Parquet instead of being
-re-derived per consumer (``ingest_elements``).
+whole build is one plan of plain Ray tasks, one per block
+(``util.block_tasks``): each input block is split by kind once and its
+relations projected; the way and stop id sets come from those relation
+parts; the way and node projections then run per block against them —
+the semi-joins J1/J2 of SURVEY.md §2.4, as sorted broadcast id arrays.
+Over materialized elements none of this starts a streaming execution.
+At 10^12-page scale the extracted element table is checkpointed to
+partitioned Parquet instead of being re-derived per consumer
+(``ingest_elements``), and ``id_set_mode="bloom"`` keeps the id sets
+distributed.
 
 Fidelity notes vs the reference:
 * relations with zero way members are dropped (F8, mod.rs:253-257)
@@ -38,6 +42,7 @@ import ray.data as rd
 
 from ..kernel.filters import TagFilter
 from ..sources.extract import OsmPayloadExtractor, extract_batch
+from ..sources.osmxml import ELEMENT_SCHEMA
 from ..util import block_tasks
 
 
@@ -50,10 +55,10 @@ def read_pages(
     corpus bytes) — the byte-identical invariant is enforced by the test
     suite and the correctness-gate queries, not by every production run.
 
-    ``override_num_blocks`` defaults to 4× the CPU count: downstream
-    map_batches parallelism equals the BLOCK count, and a small single-file
-    corpus would otherwise read as one block and serialize the whole
-    extraction stage onto one worker. (At 100 TB the input is many files and
+    ``override_num_blocks`` defaults to 2× the CPU count: downstream
+    parallelism (one ingest task per page block) equals the BLOCK count,
+    and a small single-file corpus would otherwise read as one block and
+    serialize the whole extraction stage onto one worker. (At 100 TB the input is many files and
     the default block sizing is already right — pass
     ``override_num_blocks=None`` through ``read_kwargs`` to disable.)
     """
@@ -186,16 +191,14 @@ def _empty_relations_table() -> pa.Table:
     )
 
 
-def _project_ways(batch: pa.Table, way_ids_ref, filters: str) -> pa.Table:
+def _project_ways(batch: pa.Table, way_ids: np.ndarray, filters: str) -> pa.Table:
     """kind=way rows → way projection with is_member / is_standalone flags.
 
-    ``way_ids_ref`` is a ray.put of the SORTED member-way id array
-    (broadcast semi-join J1): ray.get inside the task hits the local
-    plasma copy after the first fetch per node. Standalone selection
-    applies the DSL filter (F2) and drops zero-node ways (F10).
+    ``way_ids`` is the SORTED member-way id array (broadcast semi-join J1;
+    passed to the block task as one ``ray.put`` ref, which Ray resolves
+    from the local plasma copy). Standalone selection applies the DSL
+    filter (F2) and drops zero-node ways (F10).
     """
-    batch = batch.filter(pc.equal(batch["kind"], "way"))
-    way_ids = ray.get(way_ids_ref) if way_ids_ref is not None else np.empty(0, np.int64)
     ids = batch["id"].to_numpy(zero_copy_only=False)
     is_member = _isin_sorted(ids, way_ids)
     matches = TagFilter(filters).mask_table(batch, "tags")
@@ -215,20 +218,12 @@ def _project_ways(batch: pa.Table, way_ids_ref, filters: str) -> pa.Table:
     return out.combine_chunks().filter(pa.array(keep))
 
 
-def _project_nodes(batch: pa.Table, node_ids_ref) -> pa.Table:
+def _project_nodes(batch: pa.Table, node_ids) -> pa.Table:
     """kind=node rows ⋉ referenced-node-ids (broadcast semi-join J2).
 
-    ``node_ids_ref``: a ray.put ref of a sorted int64 array, or a
-    ShardedIdSet (round-3 default — the set is built and merged entirely
-    in Ray tasks, never serialized through the driver)."""
-    batch = batch.filter(pc.equal(batch["kind"], "node"))
-    ids = batch["id"].to_numpy(zero_copy_only=False)
-    if node_ids_ref is None:
-        keep = np.zeros(len(ids), dtype=bool)
-    elif isinstance(node_ids_ref, ShardedIdSet):
-        keep = _isin_idset(ids, node_ids_ref)
-    else:
-        keep = _isin_sorted(ids, ray.get(node_ids_ref))
+    ``node_ids``: a ShardedIdSet (built and merged entirely in Ray tasks,
+    never serialized through the driver) or a sorted int64 array."""
+    keep = _isin_idset(batch["id"].to_numpy(zero_copy_only=False), node_ids)
     out = pa.table(
         {
             "id": batch["id"],
@@ -446,8 +441,6 @@ def _split_kinds(block: pa.Table) -> tuple:
     """One elements block → its relation / way / node rows, column-pruned;
     a column the block does not carry (kind-narrow sources) is null-filled
     at its canonical ELEMENT_SCHEMA type, never silently dropped."""
-    from ..sources.osmxml import ELEMENT_SCHEMA
-
     out = []
     for kind, cols in _SPLIT_COLS.items():
         part = block.filter(pc.equal(block["kind"], kind))
@@ -460,20 +453,24 @@ def _split_kinds(block: pa.Table) -> tuple:
     return tuple(out)
 
 
-def _split_elements_by_kind(
-    elements: rd.Dataset,
-) -> tuple[rd.Dataset, rd.Dataset, rd.Dataset]:
-    """ONE streaming pass over the elements blocks → three kind-split,
-    column-pruned datasets (relations / ways / nodes raw rows).
+def _kind_parts(block: pa.Table, filters: str, prepare=None) -> tuple:
+    """Step 1 of the plan, one task per input block: (``prepare`` the
+    block into element rows, then) split it by kind → (projected
+    relations, raw way rows, raw node rows)."""
+    if prepare is not None:
+        block = prepare(block)
+    relations, ways, nodes = _split_kinds(block)
+    return _project_relations(relations, filters), ways, nodes
 
-    Block tasks (the Dataset API has no multi-output map): block refs
-    arrive AS EXTRACTION PRODUCES THEM, so the split overlaps the
-    extraction stage, and the full elements table is never pinned — only
-    the three narrower kind projections are (round-4; replaces the
-    materialize-elements-then-scan-3× plan, VERDICT r3 #8).
-    """
-    parts = block_tasks(elements, _split_kinds, num_returns=3)
-    return tuple(rd.from_arrow_refs([p[k] for p in parts]) for k in range(3))
+
+def _kind_empty(kind: str) -> pa.Table:
+    return ELEMENT_SCHEMA.empty_table().select(_SPLIT_COLS[kind])
+
+
+def _tables_dataset(refs: list, empty: pa.Table) -> rd.Dataset:
+    """Block-task output tables → one materialized dataset; ``empty``
+    keeps the schema when there are none."""
+    return rd.from_arrow_refs(refs) if refs else rd.from_arrow(empty)
 
 
 def build_parser_tables(
@@ -481,26 +478,25 @@ def build_parser_tables(
     filters: str,
     *,
     dedup: bool = False,
-    materialize: bool = True,
     id_set_mode: str = "exact",
     bloom_fpr: float = 0.01,
-    plan: str = "auto",
 ) -> ParserTables:
-    """elements Dataset → ParserTables (one upstream scan, broadcast semi-joins).
+    """elements Dataset → ParserTables, as one plan of block tasks.
 
-    ``plan="split"`` (round-4): one streaming kind-split pass over the
-    extraction blocks (overlapped with extraction itself) feeds three
-    column-pruned datasets; each projection then scans ONLY its own kind's
-    rows, and the full elements table is never pinned. ``plan="scan3"``
-    keeps the round-3 shape — materialize elements once, scan it three
-    times (relations/ways/nodes) — and remains the shape ``ingest_elements``
-    parquet corpora use with ``materialize=False`` (re-reading parquet
-    three times instead of pinning). ``plan="auto"`` (default) picks by
-    cluster size — measured at 2000 replicas: split wins ~8% at 32 cpus
-    (overlap + narrower later scans), ties at 8, loses ~10% at 2 (the
-    split pass is pure extra CPU when nothing can overlap), so auto uses
-    split at ≥16 CPUs. On a multi-node cluster split additionally avoids
-    pinning the full elements table in the object store.
+    1. one task per elements block splits it by kind and projects its
+       relations (three returns: relations, raw ways, raw nodes) — one
+       relation block per input block, so no repartition is needed;
+    2. the member-way and stop id sets are the sorted-unique ids of the
+       relation parts;
+    3. one ``_project_ways`` task per way block (semi-join J1);
+    4. the referenced node ids (way refs ∪ stop ids) become a
+       ShardedIdSet, built and merged in Ray tasks;
+    5. one ``_project_nodes`` task per node block (semi-join J2).
+
+    The three tables are materialized datasets over the task outputs.
+    The plan starts no streaming execution over materialized elements and
+    exactly one (the elements' own) over lazy ones. ``dedup=True`` dedups
+    ways and nodes by id (``dedup_by_id``).
 
     ``id_set_mode``:
     * ``"exact"`` (default) — the member-way / referenced-node id sets are
@@ -513,126 +509,66 @@ def build_parser_tables(
       the (bloom-shrunk) survivors against the distinct-id table — same
       ParserTables as "exact" (forced-parity tested), with the big
       broadcast replaced by a small filter + a join whose left side is
-      ~matches + fpr·corpus instead of the whole corpus.
+      ~matches + fpr·corpus instead of the whole corpus. It scans the
+      materialized elements once per table.
     """
     if id_set_mode not in ("exact", "bloom"):
         raise ValueError(f"id_set_mode must be 'exact' or 'bloom', got {id_set_mode!r}")
-    if plan not in ("auto", "split", "scan3"):
-        raise ValueError(f"plan must be 'auto', 'split' or 'scan3', got {plan!r}")
-    if plan == "split" and id_set_mode == "bloom":
-        # an EXPLICIT split request must not silently materialize the
-        # full elements table (the split plan exists precisely to avoid
-        # pinning it); the bloom ingest path is scan3-shaped only
-        raise ValueError(
-            "plan='split' does not support id_set_mode='bloom' — use "
-            "plan='scan3' (or 'auto', which resolves to scan3 for bloom)"
-        )
-    if plan == "auto":
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        plan = "split" if cpus >= 16 and id_set_mode == "exact" else "scan3"
-    if plan == "split":
-        return _build_parser_tables_split(elements, filters, dedup=dedup)
-    if materialize:
-        elements = elements.materialize()
     if id_set_mode == "bloom":
         return _build_parser_tables_bloom(
-            elements, filters, dedup=dedup, fpr=bloom_fpr
+            elements.materialize(), filters, dedup=dedup, fpr=bloom_fpr
         )
-
-    relations = elements.map_batches(
-        partial(_project_relations, filters=filters), batch_format="pyarrow"
-    )
-    # NOTE: relations are NOT deduped even when dedup=True — the reference
-    # extends a Vec (duplicate relation ids appear twice, mod.rs:293)
-    # Coalesce: the filtered head table inherits the extraction stage's
-    # many near-empty blocks; per-task overhead on hundreds of tiny blocks
-    # dominates otherwise. 2 blocks per CPU (not 1): the assembly stage's
-    # per-relation flatten cost is skewed, and a barrier over one-per-CPU
-    # blocks waits on the slowest straggler.
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    relations = relations.repartition(max(4, 2 * cpus)).materialize()
-
-    # broadcast side 1: member way ids (+ stop ids for the node pass)
-    way_id_arr, stop_id_arr = _flatten_unique_list_columns(
-        relations, ["way_ids", "stop_ids"]
-    )
-    way_ids_ref = ray.put(way_id_arr)
-
-    ways = elements.map_batches(
-        partial(_project_ways, way_ids_ref=way_ids_ref, filters=filters),
-        batch_format="pyarrow",
-    )
-    if dedup:
-        ways = dedup_by_id(ways)
-    ways = ways.materialize()  # ids + refs of matched ways: small vs corpus
-
-    # broadcast side 2: referenced node ids = way refs ∪ stop ids.
-    # Built as a ShardedIdSet entirely in Ray tasks (round-3): the driver
-    # concat+np.unique over ~10^7 ids was a ~2 s serial critical-path gap.
-    node_id_set = build_sharded_id_set(ways, ["node_refs"], extra_ids=stop_id_arr)
-
-    nodes = elements.map_batches(
-        partial(_project_nodes, node_ids_ref=node_id_set), batch_format="pyarrow"
-    )
-    if dedup:
-        nodes = dedup_by_id(nodes)
-
-    return ParserTables(relations=relations, ways=ways, nodes=nodes.materialize())
+    return _parser_tables_from_blocks(elements, filters, dedup=dedup)
 
 
-def _build_parser_tables_split(
-    elements: rd.Dataset, filters: str, *, dedup: bool = False
+def _parser_tables_from_blocks(
+    blocks: rd.Dataset, filters: str, *, dedup: bool = False, prepare=None
 ) -> ParserTables:
-    """The fused physical plan (round-4): kind-split once (overlapping
-    extraction), then each projection scans only its own kind's
-    column-pruned rows. Output tables are identical to the scan3 plan
-    (forced-parity tested) — the projections re-apply their kind filter,
-    which is a no-op on the pre-split input."""
-    rel_raw, way_raw, node_raw = _split_elements_by_kind(elements)
-    return _parser_tables_from_split(rel_raw, way_raw, node_raw, filters, dedup=dedup)
+    """The exact plan over element blocks — or over page blocks, with
+    ``prepare`` (the extractor) run inside each step-1 task."""
+    parts = block_tasks(blocks, _kind_parts, filters, prepare, num_returns=3)
+    return _parser_tables_from_kinds(
+        [p[0] for p in parts],
+        _tables_dataset([p[1] for p in parts], _kind_empty("way")),
+        _tables_dataset([p[2] for p in parts], _kind_empty("node")),
+        filters,
+        dedup=dedup,
+    )
 
 
-def _parser_tables_from_split(
-    rel_raw: rd.Dataset,
+def _parser_tables_from_kinds(
+    relation_refs: list,
     way_raw: rd.Dataset,
     node_raw: rd.Dataset,
     filters: str,
     *,
     dedup: bool = False,
 ) -> ParserTables:
-    """Shared tail of the split plans: three kind-pre-filtered raw
-    datasets → ParserTables (projections re-apply their kind filter — a
-    no-op on pre-split input)."""
-    relations = rel_raw.map_batches(
-        partial(_project_relations, filters=filters), batch_format="pyarrow"
-    )
-    # Coalesce as in scan3: the filtered head table inherits many
-    # near-empty blocks; 2 blocks per CPU (see scan3 NOTE on stragglers).
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    relations = relations.repartition(max(4, 2 * cpus)).materialize()
-
+    """Steps 2-5 of the plan: projected relation tables plus the raw way
+    and node rows (kind-split, ``_SPLIT_COLS``) → ParserTables."""
+    # NOTE: relations are NOT deduped even when dedup=True — the reference
+    # extends a Vec (duplicate relation ids appear twice, mod.rs:293)
+    relations = _tables_dataset(relation_refs, _empty_relations_table())
     way_id_arr, stop_id_arr = _flatten_unique_list_columns(
         relations, ["way_ids", "stop_ids"]
     )
-    way_ids_ref = ray.put(way_id_arr)
-
-    ways = way_raw.map_batches(
-        partial(_project_ways, way_ids_ref=way_ids_ref, filters=filters),
-        batch_format="pyarrow",
+    ways = _tables_dataset(
+        block_tasks(way_raw, _project_ways, ray.put(way_id_arr), filters),
+        _project_ways(_kind_empty("way"), way_id_arr, filters),
     )
     if dedup:
-        ways = dedup_by_id(ways)
-    ways = ways.materialize()
-
+        ways = dedup_by_id(ways).materialize()
+    # referenced node ids = way refs ∪ stop ids, as a ShardedIdSet built
+    # entirely in Ray tasks (round-3): a driver-side concat + np.unique
+    # over ~10^7 ids was a ~2 s serial critical-path gap
     node_id_set = build_sharded_id_set(ways, ["node_refs"], extra_ids=stop_id_arr)
-
-    nodes = node_raw.map_batches(
-        partial(_project_nodes, node_ids_ref=node_id_set), batch_format="pyarrow"
+    nodes = _tables_dataset(
+        block_tasks(node_raw, _project_nodes, node_id_set),
+        _project_nodes(_kind_empty("node"), np.empty(0, np.int64)),
     )
     if dedup:
-        nodes = dedup_by_id(nodes)
-
-    return ParserTables(relations=relations, ways=ways, nodes=nodes.materialize())
+        nodes = dedup_by_id(nodes).materialize()
+    return ParserTables(relations=relations, ways=ways, nodes=nodes)
 
 
 def _distinct_list_ids(ds: rd.Dataset, column: str) -> rd.Dataset:
@@ -967,15 +903,16 @@ def parser_tables_from_elements_parquet(
 ) -> ParserTables:
     """ParserTables straight from an ``ingest_elements`` /
     ``resumable_ingest`` parquet checkpoint — the at-scale path for
-    corpora too large to pin in the object store (round-4 twin of
-    ``plan="split"`` for disk-resident elements).
+    corpora too large to pin in the object store. The three kind reads
+    feed the same plan as ``build_parser_tables``, in place of its
+    step-1 kind split.
 
-    Each of the three passes is its OWN ``read_parquet`` with the kind
-    predicate pushed into the scan and ``columns=`` pruned to that kind's
-    projection needs — relations read member columns only, ways read
-    node_refs, nodes read lat/lon; nothing reads the full row. (Predicate
-    pushdown prunes row groups only as far as the writer clustered
-    ``kind``; the column pruning applies regardless.)
+    Each kind is its OWN ``read_parquet`` with the kind predicate pushed
+    into the scan and ``columns=`` pruned to that kind's projection
+    needs — relations read member columns only, ways read node_refs,
+    nodes read lat/lon; nothing reads the full row. (Predicate pushdown
+    prunes row groups only as far as the writer clustered ``kind``; the
+    column pruning applies regardless.)
     """
     import pyarrow.dataset as pds
 
@@ -986,8 +923,8 @@ def parser_tables_from_elements_parquet(
             filter=pds.field("kind") == kind,
         )
 
-    return _parser_tables_from_split(
-        kind_read("relation"),
+    return _parser_tables_from_kinds(
+        block_tasks(kind_read("relation"), _project_relations, filters),
         kind_read("way"),
         kind_read("node"),
         filters,

@@ -53,7 +53,8 @@ class TestRelationAreas:
 class TestElementsParquetPath:
     def test_pipeline_from_ingested_elements(self, ray_session, tmp_path):
         """ingest to parquet → read back → same integration goldens
-        (the at-scale checkpoint path, build_parser_tables(materialize=False))."""
+        (the at-scale checkpoint path: build_parser_tables over a lazy
+        parquet read)."""
         import ray.data as rd
 
         from osmptparser_ray.kernel.filters import PTV2
@@ -68,7 +69,7 @@ class TestElementsParquetPath:
         resumable_ingest(pages, elements_dir, shards_per_partition=2)
 
         elements = rd.read_parquet(elements_dir)
-        tables = build_parser_tables(elements, PTV2, materialize=True)
+        tables = build_parser_tables(elements, PTV2)
         rows = sorted(
             get_public_transports(tables, 1500.0).take_all(), key=lambda r: r["id"]
         )
@@ -167,39 +168,12 @@ class TestEngineIndependentGolden:
         assert got == want and len(got) == 3
 
 
-class TestSplitPlanParity:
-    def test_split_equals_scan3(self, ray_session, tmp_path):
-        """plan="split" (round-4 fused kind-split) must produce tables
-        IDENTICAL to plan="scan3" — relations/ways/nodes compared row-set
-        exact (sorted by id) including flags and list columns."""
-        from osmptparser_ray.kernel.filters import PTV2
-        from osmptparser_ray.sources import synthesize_pages_parquet
-        from osmptparser_ray.stages.elements import (
-            build_parser_tables,
-            extract_elements,
-            read_pages,
-        )
-
-        pages = str(tmp_path / "pages")
-        synthesize_pages_parquet(pages, replicas=3, files=4)
-
-        def tables_for(plan):
-            elements = extract_elements(read_pages(pages, validate=False), validate=False)
-            return build_parser_tables(elements, PTV2, plan=plan)
-
-        a, b = tables_for("split"), tables_for("scan3")
-        for name in ("relations", "ways", "nodes"):
-            ra = sorted(getattr(a, name).take_all(), key=lambda r: (r["id"],))
-            rb = sorted(getattr(b, name).take_all(), key=lambda r: (r["id"],))
-            assert ra == rb, name
-            assert len(ra) > 0, name
-
-
-class TestParquetSplitPath:
-    def test_parquet_split_equals_scan3(self, ray_session, tmp_path):
+class TestParquetKindReads:
+    def test_kind_reads_equal_one_read(self, ray_session, tmp_path):
         """parser_tables_from_elements_parquet (per-kind filtered+pruned
-        reads) must equal build_parser_tables(read_parquet(...)) and still
-        pass the integration goldens."""
+        reads fed into the ingest plan) must equal
+        build_parser_tables(read_parquet(...)) and still pass the
+        integration goldens."""
         import ray.data as rd
 
         from osmptparser_ray.kernel.filters import PTV2
@@ -217,9 +191,7 @@ class TestParquetSplitPath:
         resumable_ingest(pages, elements_dir, shards_per_partition=2)
 
         a = parser_tables_from_elements_parquet(elements_dir, PTV2)
-        b = build_parser_tables(
-            rd.read_parquet(elements_dir), PTV2, materialize=False, plan="scan3"
-        )
+        b = build_parser_tables(rd.read_parquet(elements_dir), PTV2)
         for name in ("relations", "ways", "nodes"):
             ra = sorted(getattr(a, name).take_all(), key=lambda r: (r["id"],))
             rb = sorted(getattr(b, name).take_all(), key=lambda r: (r["id"],))

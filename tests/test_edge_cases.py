@@ -28,14 +28,21 @@ class TestEmptyInputs:
     def test_no_payload_pages(self, ray_session, tmp_path):
         from osmptparser_ray.pipelines.ptv2 import public_transports_from_pages
 
+        from osmptparser_ray.stages.assemble import PT_SCHEMA
+
         p = _empty_pages(str(tmp_path / "p.parquet"), with_rows=True)
-        assert public_transports_from_pages(p, gap=150.0).count() == 0
+        pt = public_transports_from_pages(p, gap=150.0)
+        # no relations: an empty PT table that keeps its schema
+        assert pt.count() == 0 and pt.schema().names == PT_SCHEMA.names
 
     def test_zero_row_corpus(self, ray_session, tmp_path):
         from osmptparser_ray.pipelines.ptv2 import areas_from_pages
 
+        from osmptparser_ray.stages.assemble import AREA_SCHEMA
+
         p = _empty_pages(str(tmp_path / "p0.parquet"), with_rows=False)
-        assert areas_from_pages(p, gap=150.0, filters="highway").count() == 0
+        areas = areas_from_pages(p, gap=150.0, filters="highway")
+        assert areas.count() == 0 and areas.schema().names == AREA_SCHEMA.names
 
     def test_filter_matches_nothing(self, ray_session, tmp_path):
         from osmptparser_ray.pipelines.ptv2 import public_transports_from_pages

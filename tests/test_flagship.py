@@ -1,5 +1,6 @@
-"""Flagship spatial tail: block tasks, executor-launch budget, plan parity,
-block-layout invariance, and the replica grid of the synthetic corpus."""
+"""Flagship: block tasks, executor-launch budget, plan parity, block-layout
+invariance of the ingest plan and the spatial tail, and the replica grid of
+the synthetic corpus."""
 
 import contextlib
 import logging
@@ -8,8 +9,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-LAUNCH_BUDGET = 5  # extract, relations, ways, nodes, assembly
-SHUFFLE_LAUNCH_BUDGET = 7  # the same five, then one sort per spatial join (pip, knn)
+LAUNCH_BUDGET = 1  # the page read; ingest, assembly and the tail are block tasks
+SHUFFLE_LAUNCH_BUDGET = 3  # the read, then one sort per spatial join (pip, knn)
 LAYOUTS = ("one_block", "one_row_blocks", "empty_block")
 
 
@@ -146,13 +147,7 @@ class TestFlagshipTail:
         out = broadcast[0]
         parts = ray.get(out["public_transports"].to_arrow_refs())
         pt = pa.concat_tables([t for t in parts if t.num_rows])
-        blocks = {
-            "one_block": [pt],
-            "one_row_blocks": [pt.slice(i, 1) for i in range(pt.num_rows)],
-            # a columnless zero-row table, the shape of Ray's empty blocks
-            "empty_block": [pt.slice(0, 2), pa.table({}), pt.slice(2)],
-        }[layout]
-        got = stop_route_joins(rd.from_arrow(blocks), small_side=small_side)
+        got = stop_route_joins(rd.from_arrow(_layout_blocks(pt, layout)), small_side=small_side)
         assert _digest(got) == _digest(out)
 
     @pytest.mark.parametrize("small_side", ["broadcast", "shuffle"])
@@ -167,6 +162,56 @@ class TestFlagshipTail:
         )
         for k, cols in (("pip", "poly_id"), ("knn", "rank"), ("tiles", "cell")):
             assert got[k].count() == 0 and cols in got[k].schema().names
+
+
+def _layout_blocks(t: pa.Table, layout: str) -> list:
+    return {
+        "one_block": [t],
+        "one_row_blocks": [t.slice(i, 1) for i in range(t.num_rows)],
+        # a columnless zero-row table, the shape of Ray's empty blocks
+        "empty_block": [t.slice(0, 2), pa.table({}), t.slice(2)],
+    }[layout]
+
+
+def _rows(ds) -> list:
+    """All rows, in an order that does not depend on the block layout."""
+    return sorted(ds.take_all(), key=lambda r: (r["id"], repr(r)))
+
+
+class TestIngestLayout:
+    @pytest.fixture(scope="class")
+    def reference(self, ray_session, pages):
+        """The pages path of the ingest plan (extraction inside its first
+        tasks), its PT table, and the extracted elements as one table."""
+        import ray
+
+        from osmptparser_ray.kernel.filters import PTV2
+        from osmptparser_ray.pipelines.ptv2 import parser_tables_from_pages
+        from osmptparser_ray.stages.assemble import get_public_transports
+        from osmptparser_ray.stages.elements import extract_elements, read_pages
+
+        tables = parser_tables_from_pages(pages, PTV2, validate=False)
+        elements = extract_elements(read_pages(pages, validate=False), validate=False)
+        parts = ray.get(elements.materialize().to_arrow_refs())
+        elements = pa.concat_tables([t for t in parts if t.num_rows])
+        return tables, get_public_transports(tables, 1500.0), elements
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_layout_invariance(self, reference, layout):
+        """build_parser_tables gives row-identical relations, ways and nodes,
+        and the same PT table, whatever the element block layout."""
+        import ray.data as rd
+
+        from osmptparser_ray.kernel.filters import PTV2
+        from osmptparser_ray.stages.assemble import get_public_transports
+        from osmptparser_ray.stages.elements import build_parser_tables
+
+        want, want_pt, elements = reference
+        got = build_parser_tables(rd.from_arrow(_layout_blocks(elements, layout)), PTV2)
+        for name in ("relations", "ways", "nodes"):
+            rows = _rows(getattr(got, name))
+            assert rows == _rows(getattr(want, name)) and rows, name
+        assert _rows(get_public_transports(got, 1500.0)) == _rows(want_pt)
 
 
 class TestReplicaGrid:

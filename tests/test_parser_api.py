@@ -146,4 +146,64 @@ class TestShardedNodeIndex:
         sb = b.stops_bulk(probe)
         assert np.array_equal(sa[0], sb[0])
         assert np.allclose(sa[1], sb[1]) and np.allclose(sa[2], sb[2])
-        assert [dict(t) for t in sa[3]] == [dict(t) for t in sb[3]]
+        assert [dict(t) for t in sa[3].to_pylist()] == [dict(t) for t in sb[3].to_pylist()]
+        assert sa[3].to_pylist() == sb[3].to_pylist()
+
+    def test_stop_tags_edge_cases(self, ray_session):
+        """stops_bulk tags, element by element: stops whose node has no
+        tags and probed nodes that are not stops give an empty map, missing
+        ids are dropped, duplicates and input order are kept — equally in
+        the driver-built and the sharded index."""
+        import numpy as np
+        import pyarrow as pa
+        import ray.data as rd
+
+        from osmptparser_ray.kernel.filters import dicts_to_map_array
+        from osmptparser_ray.stages.assemble import (
+            build_node_index,
+            build_node_index_sharded,
+        )
+
+        ids = np.arange(1, 41, dtype=np.int64)
+        # every 4th node carries no tags at all
+        node_tags = {int(i): ({} if i % 4 == 0 else {"name": f"s{i}"}) for i in ids}
+        tbl = pa.table(
+            {
+                "id": pa.array(ids, pa.int64()),
+                "lat": pa.array(ids * 0.01, pa.float64()),
+                "lon": pa.array(ids * -0.01, pa.float64()),
+                "tags": dicts_to_map_array([node_tags[int(i)] for i in ids]),
+            }
+        )
+        nodes = rd.from_arrow([tbl.slice(i, 7) for i in range(0, 40, 7)])
+        # odd ids and multiples of 4 are stops; 1000 and 1001 are stops
+        # without a node
+        stop_ids = np.array(
+            sorted({int(i) for i in ids if i % 2 or i % 4 == 0} | {1000, 1001}), np.int64
+        )
+        a = build_node_index(nodes, stop_ids)
+        b = build_node_index_sharded(nodes, stop_ids, num_shards=3)
+
+        rng = np.random.default_rng(11)
+        probe = np.concatenate([stop_ids, [2, 6, 10, -1, 5000, 3, 3, 8]]).astype(np.int64)
+        probe = probe[rng.permutation(len(probe))]
+        want_ok = np.isin(probe, ids)
+        stops = set(stop_ids.tolist())
+        want_tags = [
+            list(node_tags[int(i)].items()) if int(i) in stops else []
+            for i in probe[want_ok]
+        ]
+        for index in (a, b):
+            ok, lats, lons, tags = index.stops_bulk(probe)
+            assert np.array_equal(ok, want_ok)
+            assert np.array_equal(lats, probe[want_ok] * 0.01)
+            assert np.array_equal(lons, probe[want_ok] * -0.01)
+            assert len(tags) == int(want_ok.sum())
+            for got, want in zip(tags.to_pylist(), want_tags):
+                assert got == want
+            # an untagged stop is an empty map, never a null
+            assert tags.null_count == 0
+        for probe in (np.array([-1, 5000], np.int64), np.empty(0, np.int64)):
+            for index in (a, b):
+                ok, _, _, tags = index.stops_bulk(probe)
+                assert not ok.any() and len(tags) == 0

@@ -771,9 +771,3 @@ class TestReviewRegressionsBatch2:
         ]
         got = list(zip(out["pt_id"], out["iv_id"]))
         assert sorted(got) == sorted(want)
-
-    def test_split_plus_bloom_rejected(self, ray_session):
-        from osmptparser_ray.stages.elements import build_parser_tables
-
-        with pytest.raises(ValueError):
-            build_parser_tables(None, "", plan="split", id_set_mode="bloom")
