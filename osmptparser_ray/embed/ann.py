@@ -17,11 +17,11 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..util import cosort, key_runs
 
 
 def _rank_topk(partials: rd.Dataset, k: int) -> rd.Dataset:
@@ -216,8 +216,8 @@ def cosine_near_dup(
 
     ``bucket_cap`` (round-3, VERDICT r2 #5): auto-bits keeps the EXPECTED
     bucket small, but a direction-degenerate corpus (many near-identical
-    embeddings) still collapses into one bucket whose map_groups refine is
-    O(m²) in a single task. Buckets whose population exceeds the cap are
+    embeddings) still collapses into one bucket whose refine is O(m²) in
+    a single task. Buckets whose population exceeds the cap are
     BLOCK-DECOMPOSED: rows get block β = h(id) mod ``cap_blocks`` and are
     replicated into every block-pair group (bucket, lo, hi) their block
     touches; each group refines only lo×hi cross pairs (or the lo==hi
@@ -326,51 +326,56 @@ def cosine_near_dup(
             )
         return pa.concat_tables(tables)
 
-    def refine(g: pd.DataFrame) -> pd.DataFrame:
-        ids = g[id_col].to_numpy(dtype=np.int64)
-        blk = g["blk"].to_numpy(dtype=np.int8)
-        lo = int(g["lo"].iloc[0])
-        hi = int(g["hi"].iloc[0])
-        m = _normalize(_to_matrix(pa.array(g[vec_col])))
-        order = np.argsort(ids)
-        ids, m, blk = ids[order], m[order], blk[order]
-        if lo == hi:
-            # triangle within one block (covers the cold lo==hi==0 case)
-            sel = blk == lo
-            ids_s, m_s = ids[sel], m[sel]
-            sim = m_s @ m_s.T
-            ia, ib = np.triu_indices(len(ids_s), k=1)
-            keep = sim[ia, ib] >= threshold
-            return pd.DataFrame(
-                {
-                    "doc_a": ids_s[ia][keep],
-                    "doc_b": ids_s[ib][keep],
-                    "score": sim[ia, ib][keep],
-                }
-            )
-        # cross pairs between the two blocks only — each unordered pair
-        # appears in exactly one (lo, hi) group
-        a_sel, b_sel = blk == lo, blk == hi
-        ids_a, m_a = ids[a_sel], m[a_sel]
-        ids_b, m_b = ids[b_sel], m[b_sel]
-        sim = m_a @ m_b.T
-        ia, ib = np.nonzero(sim >= threshold)
-        da, db = ids_a[ia], ids_b[ib]
-        swap = da > db
-        return pd.DataFrame(
-            {
-                "doc_a": np.where(swap, db, da),
-                "doc_b": np.where(swap, da, db),
-                "score": sim[ia, ib],
-            }
-        )
+    def refine(block: pa.Table) -> pa.Table:
+        """One sorted block → the pairs of each of its (bucket, lo, hi)
+        groups, one run each."""
+        ids_all = block[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        blk_all = block["blk"].to_numpy(zero_copy_only=False)
+        lo_all = block["lo"].to_numpy(zero_copy_only=False)
+        hi_all = block["hi"].to_numpy(zero_copy_only=False)
+        vecs = _to_matrix(block[vec_col])
+        bounds = key_runs(block["bucket"].to_numpy(zero_copy_only=False), lo_all, hi_all)
+        out = []
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            lo, hi = lo_all[s], hi_all[s]
+            m = _normalize(vecs[s:e])
+            order = np.argsort(ids_all[s:e])
+            ids, m, blk = ids_all[s:e][order], m[order], blk_all[s:e][order]
+            if lo == hi:
+                # triangle within one block (covers the cold lo==hi==0 case)
+                sel = blk == lo
+                ids_s, m_s = ids[sel], m[sel]
+                sim = m_s @ m_s.T
+                ia, ib = np.triu_indices(len(ids_s), k=1)
+                keep = sim[ia, ib] >= threshold
+                out.append((ids_s[ia][keep], ids_s[ib][keep], sim[ia, ib][keep]))
+                continue
+            # cross pairs between the two blocks only — each unordered pair
+            # appears in exactly one (lo, hi) group
+            a_sel, b_sel = blk == lo, blk == hi
+            sim = m[a_sel] @ m[b_sel].T
+            ia, ib = np.nonzero(sim >= threshold)
+            da, db = ids[a_sel][ia], ids[b_sel][ib]
+            out.append((np.minimum(da, db), np.maximum(da, db), sim[ia, ib]))
+        return _pairs_table(("doc_a", "doc_b", "score"), out)
 
-    return (
-        bucketized.map_batches(explode_blocks, batch_format="pyarrow")
-        .groupby(["bucket", "lo", "hi"])
-        .map_groups(refine, batch_format="pandas")
+    schema = pa.schema(
+        [("bucket", pa.uint64()), (id_col, pa.int64()), (vec_col, pa.list_(pa.float64())),
+         ("blk", pa.int8()), ("lo", pa.int8()), ("hi", pa.int8())]
     )
+    rows = bucketized.map_batches(explode_blocks, batch_format="pyarrow")
+    return cosort([rows], ["bucket", "lo", "hi"], refine, schema)
 
+
+def _pairs_table(names: tuple, parts: list) -> pa.Table:
+    """Per-group (int64, int64, float64) array triples → one table."""
+    types = (pa.int64(), pa.int64(), pa.float64())
+    return pa.table(
+        {
+            n: pa.array(np.concatenate([p[i] for p in parts]) if parts else np.empty(0), t)
+            for i, (n, t) in enumerate(zip(names, types))
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +523,10 @@ def ivf_ann_join(
        salt ``h(id) mod vec_chunks`` bounding per-group population,
     3. replicate every query onto its ``n_probe`` nearest lists × all
        chunks (repeat/take, vectorized),
-    4. union both sides (side tag) and ``groupby(list, chunk)`` —
-       FEW, LARGE groups (``n_lists × vec_chunks``), the regime where a
-       per-group UDF is the right tool (one matmul per group; contrast
-       ``topk_per_group``'s many-tiny-groups regime) — each group emits
-       vectorized per-query partial top-k rows,
+    4. sort both sides (side tag) together on (list, chunk) with
+       ``util.cosort`` — FEW, LARGE groups (``n_lists × vec_chunks``),
+       one matmul per group, each group one run of a sorted block — and
+       emit vectorized per-query partial top-k rows per group,
     5. global per-query merge via the sort-scan ``topk_per_group`` (zero
        per-query Python).
 
@@ -545,8 +549,8 @@ def ivf_ann_join(
 
     sample_rows = vectors.limit(train_sample).take_all()
     if not sample_rows:
-        # empty vector side: nothing can match (and an all-empty union
-        # side breaks the groupby) — short-circuit
+        # empty vector side: nothing can match, and there is nothing to
+        # train the quantizer on — short-circuit
         return rd.from_arrow(
             pa.table(
                 {
@@ -622,50 +626,50 @@ def ivf_ann_join(
             }
         )
 
-    tagged = vectors.map_batches(assign_vectors, batch_format="pyarrow").union(
-        queries.map_batches(assign_queries, batch_format="pyarrow")
-    )
-
-    def refine(g: pd.DataFrame) -> pd.DataFrame:
-        side = g["side"].to_numpy(dtype=np.int8)
-        rid = g["rid"].to_numpy(dtype=np.int64)
-        m = _normalize(_to_matrix(pa.array(g["vec"])))
-        v_sel = side == 0
-        q_sel = ~v_sel
-        if not v_sel.any() or not q_sel.any():
-            return pd.DataFrame(
-                {
-                    "query_id": pd.Series([], dtype=np.int64),
-                    "vec_id": pd.Series([], dtype=np.int64),
-                    "score": pd.Series([], dtype=np.float64),
-                }
-            )
-        vid, vm = rid[v_sel], m[v_sel]
-        qid, qm = rid[q_sel], m[q_sel]
-        sim = qm @ vm.T  # (q_g, v_g)
-        kk = min(k, sim.shape[1])
-        # vectorized per-query partial top-k within the group. Keep ALL
-        # candidates tied with the k-th score (>=, not argpartition
-        # truncation): an arbitrary tie cut here could drop the candidate
-        # the global (score desc, vec_id asc) tiebreak would keep; the
-        # sort-scan merge applies the exact tiebreak to the survivors.
-        if kk < sim.shape[1]:
-            kth = np.partition(sim, sim.shape[1] - kk, axis=1)[
-                :, sim.shape[1] - kk
-            ]
-            rows, cols = np.nonzero(sim >= kth[:, None])
-        else:
-            rows, cols = np.nonzero(np.ones_like(sim, dtype=bool))
-        return pd.DataFrame(
-            {
-                "query_id": qid[rows],
-                "vec_id": vid[cols],
-                "score": sim[rows, cols],
-            }
+    def refine(block: pa.Table) -> pa.Table:
+        """One sorted block → per-query partial top-k of each of its
+        (list_id, chunk) groups, one run each."""
+        side_all = block["side"].to_numpy(zero_copy_only=False)
+        rid_all = block["rid"].to_numpy(zero_copy_only=False).astype(np.int64)
+        vecs = _to_matrix(block["vec"])
+        bounds = key_runs(
+            block["list_id"].to_numpy(zero_copy_only=False),
+            block["chunk"].to_numpy(zero_copy_only=False),
         )
+        out = []
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            side, rid, m = side_all[s:e], rid_all[s:e], _normalize(vecs[s:e])
+            v_sel = side == 0
+            q_sel = ~v_sel
+            if not v_sel.any() or not q_sel.any():
+                continue
+            vid, vm = rid[v_sel], m[v_sel]
+            qid, qm = rid[q_sel], m[q_sel]
+            sim = qm @ vm.T  # (q_g, v_g)
+            kk = min(k, sim.shape[1])
+            # vectorized per-query partial top-k within the group. Keep ALL
+            # candidates tied with the k-th score (>=, not argpartition
+            # truncation): an arbitrary tie cut here could drop the candidate
+            # the global (score desc, vec_id asc) tiebreak would keep; the
+            # sort-scan merge applies the exact tiebreak to the survivors.
+            if kk < sim.shape[1]:
+                kth = np.partition(sim, sim.shape[1] - kk, axis=1)[
+                    :, sim.shape[1] - kk
+                ]
+                rows, cols = np.nonzero(sim >= kth[:, None])
+            else:
+                rows, cols = np.nonzero(np.ones_like(sim, dtype=bool))
+            out.append((qid[rows], vid[cols], sim[rows, cols]))
+        return _pairs_table(("query_id", "vec_id", "score"), out)
 
-    partials = tagged.groupby(["list_id", "chunk"]).map_groups(
-        refine, batch_format="pandas"
+    schema = pa.schema(
+        [("list_id", pa.int32()), ("chunk", pa.int32()), ("side", pa.int8()),
+         ("rid", pa.int64()), ("vec", pa.list_(pa.float64()))]
+    )
+    partials = cosort(
+        [vectors.map_batches(assign_vectors, batch_format="pyarrow"),
+         queries.map_batches(assign_queries, batch_format="pyarrow")],
+        ["list_id", "chunk"], refine, schema,
     )
     ranked = topk_per_group(
         partials, "query_id", "score", k, tiebreak_col="vec_id", descending=True

@@ -74,7 +74,7 @@ def public_transports_from_pages(
         pages_path, filters, validate=validate, concurrency=concurrency,
         id_set_mode=id_set_mode,
     )
-    return get_public_transports(tables, gap, mode=mode, concurrency=concurrency)
+    return get_public_transports(tables, gap, mode=mode)
 
 
 def areas_from_pages(
@@ -92,7 +92,7 @@ def areas_from_pages(
     tables = parser_tables_from_pages(
         pages_path, filters, validate=validate, concurrency=concurrency
     )
-    areas = get_areas(tables, gap, mode=mode, concurrency=concurrency)
+    areas = get_areas(tables, gap, mode=mode)
     return cli_area_filter(areas) if cli_parity else areas
 
 

@@ -101,29 +101,17 @@ def _stops_dataset(stops: pa.Table) -> rd.Dataset:
     )
 
 
-def unique_stops(stops: rd.Dataset, plan: str = "collect") -> rd.Dataset:
+def unique_stops(stops: rd.Dataset) -> rd.Dataset:
     """Distinct stop points. All duplicates of a stop id carry identical
     coords, so any-wins dedup is exact.
 
-    ``plan="collect"`` (default): per-block dedup runs in block tasks
-    (``util.block_tasks``), the driver merges the already-small parts and
-    re-distributes one Arrow table — no hash shuffle, so no
-    aggregator-actor spin-up (~2 s fixed cost measured on this Ray
-    version). Right whenever unique stops fit driver memory — the same
-    contract the broadcast join plans already assume.
-    ``plan="groupby"``: the shuffle realization for corpora whose stop
-    table itself is huge (pairs with the shuffle join plans).
+    Per-block dedup runs in block tasks (``util.block_tasks``), the
+    driver merges the already-small parts and re-distributes one Arrow
+    table — no hash shuffle, so no aggregator-actor spin-up (~2 s fixed
+    cost measured on this Ray version). Right whenever unique stops fit
+    driver memory — the same contract the broadcast join plans already
+    assume.
     """
-    if plan == "groupby":
-        from ray.data.aggregate import Min
-
-        return (
-            stops.map_batches(
-                lambda b: _stop_table(*_block_distinct_stops(b)), batch_format="pyarrow"
-            )
-            .groupby("stop_id")
-            .aggregate(Min("lat", alias_name="lat"), Min("lon", alias_name="lon"))
-        )
     parts = ray.get(block_tasks(stops, _block_distinct_stops))
     return _stops_dataset(_stop_table(*_distinct_stops(*concat_columns(parts, _STOP_DTYPES))))
 

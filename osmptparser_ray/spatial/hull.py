@@ -28,10 +28,10 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from ..util import cosort, key_runs
 from .pip import convex_hull as _chain
 
 
@@ -79,6 +79,24 @@ def _hull_rows(
     return np.arange(len(hlat), dtype=np.int64), hlon, hlat
 
 
+def _hull_table(key: Optional[str], keys, firsts: np.ndarray, hulls: list,
+                ordinal: bool) -> pa.Table:
+    """Per-group ``_hull_rows`` results → one table: the ``key`` column
+    (omitted when None) taken from ``keys`` at each group's first row,
+    the ordinal column when ``ordinal``, then lon and lat."""
+    cols = {}
+    if key is not None:
+        rep = np.repeat(np.asarray(firsts, np.int64), [len(h[0]) for h in hulls])
+        cols[key] = keys.take(pa.array(rep, pa.int64()))
+    for i, (name, typ) in enumerate(
+        (("ordinal", pa.int64()), ("lon", pa.float64()), ("lat", pa.float64()))
+    ):
+        if i or ordinal:
+            parts = [h[i] for h in hulls]
+            cols[name] = pa.array(np.concatenate(parts) if parts else np.empty(0), typ)
+    return pa.table(cols)
+
+
 def convex_hull_agg(
     points: rd.Dataset,
     lat_col: str = "lat",
@@ -91,72 +109,39 @@ def convex_hull_agg(
     Grouped: (group_col, ordinal, lon, lat), one hull per group value.
 
     The partial pass shrinks every (batch, group) to its own hull
-    vertices, so the final ``groupby`` moves O(hull) rows per
-    (group, block) — the merge never sees raw points. Works at any
-    group cardinality: partials are computed inside ``map_batches``
-    with a vectorized per-batch group split (lexsort + reduceat
-    boundaries), not one task per group.
+    vertices, so the merge moves O(hull) rows per (group, block) — it
+    never sees raw points. Works at any group cardinality: partials are
+    computed inside ``map_batches`` with a vectorized per-batch group
+    split, and the merge is one ``util.cosort`` on the group whose probe
+    chains each group's run of its sorted block — not one task per group.
+    An input without rows gives an empty table (its group column typed
+    null: no row gave it a type).
     """
+    key = group_col or "__hull_k"
 
     def partial(batch: pa.Table) -> pa.Table:
         y = batch[lat_col].to_numpy(zero_copy_only=False).astype(np.float64)
         x = batch[lon_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        if group_col is None:
-            keep = _prune_candidates(x, y)
-            xs, ys = x[keep], y[keep]
-            _, hlon, hlat = _hull_rows(xs, ys)
-            return pa.table(
-                {
-                    "lon": pa.array(hlon, pa.float64()),
-                    "lat": pa.array(hlat, pa.float64()),
-                }
-            )
-        g = batch[group_col].to_numpy(zero_copy_only=False)
+        gcol = batch[group_col] if group_col is not None else pa.array(np.zeros(len(x), np.int8))
+        g = gcol.to_numpy(zero_copy_only=False)
         order = np.argsort(g, kind="stable")
         g, x, y = g[order], x[order], y[order]
-        bounds = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-        out_g, out_x, out_y = [], [], []
-        for i, s in enumerate(bounds):
-            e = bounds[i + 1] if i + 1 < len(bounds) else len(g)
-            xs, ys = x[s:e], y[s:e]
-            keep = _prune_candidates(xs, ys)
-            _, hlon, hlat = _hull_rows(xs[keep], ys[keep])
-            out_g.append(np.full(len(hlon), g[s]))
-            out_x.append(hlon)
-            out_y.append(hlat)
-        gv = np.concatenate(out_g) if out_g else np.empty(0, g.dtype)
-        return pa.table(
-            {
-                group_col: pa.array(gv),
-                "lon": pa.array(
-                    np.concatenate(out_x) if out_x else np.empty(0), pa.float64()
-                ),
-                "lat": pa.array(
-                    np.concatenate(out_y) if out_y else np.empty(0), pa.float64()
-                ),
-            }
-        )
+        bounds = key_runs(g)
+        hulls = []
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            keep = _prune_candidates(x[s:e], y[s:e])
+            hulls.append(_hull_rows(x[s:e][keep], y[s:e][keep]))
+        return _hull_table(key, gcol, order[bounds[:-1]], hulls, ordinal=False)
 
-    partials = points.map_batches(partial, batch_format="pyarrow")
+    def merge(block: pa.Table) -> pa.Table:
+        x = block["lon"].to_numpy(zero_copy_only=False)
+        y = block["lat"].to_numpy(zero_copy_only=False)
+        bounds = key_runs(block[key].to_numpy(zero_copy_only=False))
+        hulls = [_hull_rows(x[s:e], y[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
+        return _hull_table(group_col, block[key], bounds[:-1], hulls, ordinal=True)
 
-    if group_col is None:
-        key = "__hull_k"
-        partials = partials.map_batches(
-            lambda t: t.append_column(key, pa.array(np.zeros(t.num_rows, np.int8))),
-            batch_format="pyarrow",
-        )
-    else:
-        key = group_col
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        x = g["lon"].to_numpy(dtype=np.float64)
-        y = g["lat"].to_numpy(dtype=np.float64)
-        ordinal, hlon, hlat = _hull_rows(x, y)
-        out = {"ordinal": ordinal, "lon": hlon, "lat": hlat}
-        if group_col is not None:
-            out = {group_col: np.full(len(ordinal), g[group_col].iloc[0]), **out}
-        return pd.DataFrame(out)
-
-    merged = partials.groupby(key).map_groups(merge, batch_format="pandas")
-    cols = ([group_col] if group_col else []) + ["ordinal", "lon", "lat"]
-    return merged.select_columns(cols)
+    schema = pa.schema(
+        [(key, pa.int8() if group_col is None else pa.null()),
+         ("lon", pa.float64()), ("lat", pa.float64())]
+    )
+    return cosort([points.map_batches(partial, batch_format="pyarrow")], [key], merge, schema)

@@ -9,7 +9,7 @@ kernel.geometry.haversine_m_vec):
   side probes; no shuffle.
 * shuffle (``pip_join``, ``knn_join``, ``distance_join``) — both sides
   map to ONE tagged row schema keyed by cell, the union is sorted once,
-  and one task probes each sorted block whole (``_cell_cosort``): the
+  and one task probes each sorted block whole (``util.cosort``): the
   block's build rows form the index that its probe rows look up. These
   run on call and return materialized datasets.
 
@@ -45,7 +45,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..kernel.geometry import haversine_m_vec
-from ..util import block_tasks, concat_columns
+from ..util import block_tasks, concat_columns, cosort
 from .cell import cell_neighbors, choose_level_for_radius, encode_cell, xy_to_cell
 from .pip import points_in_ring
 
@@ -96,34 +96,6 @@ def point_arrays(batch: pa.Table, id_col: str, lat_col: str, lon_col: str) -> tu
 
 def _salt_of(ids: np.ndarray, salt: int) -> np.ndarray:
     return ((ids.astype(np.uint64) * _SALT_MULT) >> np.uint64(32)) % np.uint64(salt)
-
-
-def _cell_cosort(
-    left_rows: rd.Dataset, right_rows: rd.Dataset, keys: list, probe, schema: pa.Schema
-) -> rd.Dataset:
-    """The shuffle plan of every cell join: both sides as rows of ONE
-    ``schema``, sorted together on ``keys``, ``probe`` run on each sorted
-    block → a materialized dataset of the probe outputs.
-
-    Exactness rests on an invariant the code does not show: Ray's sort
-    range-partitions on sampled key boundaries and each reducer emits one
-    block, so a run of equal keys is never split across output blocks
-    (``GroupedData.map_groups`` is built on the same contract), and
-    ``block_tasks`` hands ``probe`` each block whole. Every row of one
-    key, from both sides, thus reaches a single ``probe`` call.
-
-    The probes are block tasks, not a ``map_batches``: a sort leaves a
-    columnless empty block for every empty key range, and ``map_batches``
-    forwards those without calling the UDF, so the output would carry
-    schema-less blocks. Here every output block comes from ``probe``, and
-    an input without rows yields ``probe`` of an empty ``schema`` table.
-    """
-    import ray
-
-    blocks = left_rows.union(right_rows).sort(keys).materialize()
-    return rd.from_arrow_refs(
-        block_tasks(blocks, probe) or [ray.put(probe(schema.empty_table()))]
-    )
 
 
 _PIP_ROW_SCHEMA = pa.schema(
@@ -312,7 +284,7 @@ def pip_join(
     points:   (point_id:int64, lat:f64, lon:f64, …)
     polygons: (poly_id:int64, ring_lats:list<f64>, ring_lons:list<f64>, …)
 
-    Physical plan (``_cell_cosort``): one row per point at its
+    Physical plan (``util.cosort``): one row per point at its
     (cell, salt) and one per polygon cover cell × salt (ring as a packed
     blob) are SORTED together on (cell, salt); each sorted block decodes
     its distinct rings into a ``RingIndex`` and runs ``pip_probe`` over
@@ -332,7 +304,7 @@ def pip_join(
                 ring_lat_col=ring_lat_col, ring_lon_col=ring_lon_col),
         batch_format="pyarrow",
     )
-    return _cell_cosort(prows, grows, ["cell", "salt"], _pip_cosort_probe, _PIP_ROW_SCHEMA)
+    return cosort([prows, grows], ["cell", "salt"], _pip_cosort_probe, _PIP_ROW_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +616,7 @@ def _query_target_cosort(
         partial(_target_rows, level=level, id_col=target_id, lat_col=lat_col, lon_col=lon_col),
         batch_format="pyarrow",
     )
-    return _cell_cosort(q, t, ["cell"], probe, _KNN_ROW_SCHEMA)
+    return cosort([q, t], ["cell"], probe, _KNN_ROW_SCHEMA)
 
 
 def _cosort_sides(block: pa.Table, level: int) -> tuple:
@@ -680,7 +652,7 @@ def knn_join(
     """k nearest targets within ``radius_m`` per query point — the
     fully distributed plan.
 
-    Physical plan (``_cell_cosort``): one row per query at its own cell
+    Physical plan (``util.cosort``): one row per query at its own cell
     and one copy of each target per cell of its 3×3 neighbourhood are
     SORTED together on cell; in each sorted block the target copies form
     a ``TargetIndex`` and every query searches only its own cell with the

@@ -13,12 +13,15 @@ Two physical strategies, identical results (tested against each other):
   is the right plan while ways+nodes-of-interest fit a worker's heap
   (country-scale OSM ≈ a few GB).
 
-* ``mode="shuffle"``: fully distributed — explode relation members, hash
-  join (`Dataset.join`) against ways on way_id, explode node refs, hash
-  join against nodes on node_id, then ``groupby(relation_id)`` reassembly
-  ordered by (member_pos, node_pos). Inner joins realize the reference's
-  silent missing-way/node filtering (mod.rs:672/680/693). This is the
-  10^12-scale path; partitioning key is the relation id end-to-end.
+* ``mode="shuffle"``: fully distributed — three ``util.cosort`` passes
+  over scalar rows, each a sort plus one probe task per sorted block:
+  member rows ⋈ way-ref rows on way_id, those ⋈ node coordinates on
+  node_id, then those regrouped with the relation rows (tags, info and
+  stop ids as native Arrow columns) on relation_id, where the block is
+  flattened by the same ``_flatten_rows`` the broadcast tasks use. No
+  hash join, actor or driver-side collect; only the stop lookup (the
+  sharded node index pruned to stop ids) is shared. Inner joins realize the
+  reference's silent missing-way/node filtering (mod.rs:672/680/693).
 
 Missing ways/nodes are silently dropped in both modes; member order and
 per-way node order are preserved (explicit member_pos/node_pos columns in
@@ -31,14 +34,13 @@ from functools import partial
 from typing import Literal, NamedTuple, Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
 from ..kernel.geometry import NodeSeq, flatten_relation, flatten_single_way
-from ..util import block_tasks, concat_columns, default_actor_concurrency
+from ..util import block_tasks, concat_columns, cosort, key_runs
 from .elements import ParserTables, _flatten_unique_list_columns, _tables_dataset
 
 TAGS_T = pa.map_(pa.string(), pa.string())
@@ -83,53 +85,6 @@ def _geometry_value(segments) -> list:
         [{"lon": float(lon), "lat": float(lat)} for lon, lat in zip(seg.lons, seg.lats)]
         for seg in segments
     ]
-
-
-def _pack_geometry(segments) -> bytes:
-    """Flattened segments → one binary blob (join-safe payload).
-
-    Layout: [n_segs:i64][seg lengths:i64×n][all lons:f64][all lats:f64].
-    Acero hash joins cannot carry nested columns as non-key fields, so
-    geometry crosses the shuffle-mode metadata join packed (same trick as
-    the ring blobs in spatial.join)."""
-    lens = np.array([len(s.lons) for s in segments], dtype=np.int64)
-    lons = (
-        np.concatenate([np.asarray(s.lons, np.float64) for s in segments])
-        if segments
-        else np.empty(0, np.float64)
-    )
-    lats = (
-        np.concatenate([np.asarray(s.lats, np.float64) for s in segments])
-        if segments
-        else np.empty(0, np.float64)
-    )
-    return (
-        np.array([len(lens)], dtype=np.int64).tobytes()
-        + lens.tobytes()
-        + lons.tobytes()
-        + lats.tobytes()
-    )
-
-
-def _unpack_geometry(blob: bytes) -> list:
-    """Inverse of ``_pack_geometry`` → the GEOM_T python value."""
-    nseg = int(np.frombuffer(blob, np.int64, 1)[0])
-    lens = np.frombuffer(blob, np.int64, nseg, offset=8)
-    total = int(lens.sum())
-    off = 8 + 8 * nseg
-    lons = np.frombuffer(blob, np.float64, total, offset=off)
-    lats = np.frombuffer(blob, np.float64, total, offset=off + 8 * total)
-    out, pos = [], 0
-    for n in lens:
-        n = int(n)
-        out.append(
-            [
-                {"lon": float(lons[pos + i]), "lat": float(lats[pos + i])}
-                for i in range(n)
-            ]
-        )
-        pos += n
-    return out
 
 
 class WayIndex(NamedTuple):
@@ -456,20 +411,20 @@ def collect_stop_ids(relations: rd.Dataset) -> np.ndarray:
 from ..util import cached_get as _cached_get
 
 
+def _list_parts(col) -> tuple:
+    """list<int64> column → (zero-based offsets, flat int64 values)."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    offs = np.asarray(arr.offsets, np.int64)
+    return offs - offs[0], arr.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
+
+
 def _stops_column(nodes, stop_ids_arr: "pa.Array") -> "pa.ListArray":
     """Bulk stop resolution for a whole batch, assembled DIRECTLY as the
     arrow list<struct> column (round-3: the per-stop python dict building
     + python→arrow conversion was ~25% of assembly CPU; the tags stay an
     Arrow map array throughout). Missing stops silently filtered
     (mod.rs:693)."""
-    scol = (
-        stop_ids_arr.combine_chunks()
-        if isinstance(stop_ids_arr, pa.ChunkedArray)
-        else stop_ids_arr
-    )
-    seg = np.asarray(scol.offsets, np.int64)
-    seg = seg - seg[0]
-    flat = scol.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
+    seg, flat = _list_parts(stop_ids_arr)
     ok, lats, lons, tags = nodes.stops_bulk(flat)
     # per-relation FOUND counts via prefix sums (reduceat mishandles
     # empty segments)
@@ -490,159 +445,115 @@ def _stops_column(nodes, stop_ids_arr: "pa.Array") -> "pa.ListArray":
     return pa.ListArray.from_arrays(pa.array(offs, pa.int32()), struct)
 
 
-class _BroadcastAssembler:
-    """relations batch → flattened PublicTransport / relation-Area rows.
+def _flatten_rows(batch: pa.Table, seqs_col: list, nodes, gap: float, closed: bool,
+                  as_area: bool) -> pa.Table:
+    """Relation rows (id, tags, info, stop_ids) and each one's resolved
+    member ``NodeSeq``s → PublicTransport rows, or relation-Area rows when
+    ``as_area``: the one flatten + stops tail of both assembly modes."""
+    geoms, codes, details = [], [], []
+    for seqs in seqs_col:
+        segments, status = flatten_relation(seqs, gap, closed)
+        geoms.append(_geometry_value(segments))
+        codes.append(status.code)
+        details.append(status.detail)
+    cols = {"id": batch["id"]}
+    if as_area:
+        cols["id_type"] = pa.array(["r"] * batch.num_rows, pa.string())
+    cols["tags"] = batch["tags"]
+    cols["info"] = batch["info"]
+    if not as_area:
+        cols["stops"] = _stops_column(nodes, batch["stop_ids"])
+    cols["geometry"] = pa.array(geoms, GEOM_T)
+    cols["status_code"] = pa.array(codes, pa.int64())
+    cols["status_detail"] = pa.array(details, pa.string())
+    return pa.table(cols)
 
-    Runs in one block task per relation block: the way index arrives as
-    a resolved ``ray.put`` argument (zero-copy numpy reads) and the
-    sharded node index fetches its shards through a per-worker-process
-    cache.
-    """
 
-    def __init__(self, ways: WayIndex, nodes, gap: float, closed: bool, as_area: bool):
-        self.ways = ways
-        self.nodes = nodes
-        self.gap = gap
-        self.closed = closed
-        self.as_area = as_area
-
-    def _resolve_seqs_batch(self, way_ids_arr: "pa.Array") -> list[list[NodeSeq]]:
-        """Way/node resolution for a WHOLE relations batch in three bulk
-        array operations (round-3: the per-way ``gather`` calls — 63 per
-        relation on the bench corpus — were half the assembly stage's CPU;
-        numpy fixed overhead × 10^5 tiny calls). Missing ways
-        (mod.rs:672) and ways with zero resolvable nodes are silently
-        dropped, as in the shuffle path; order is preserved."""
-        wcol = way_ids_arr.combine_chunks() if isinstance(way_ids_arr, pa.ChunkedArray) else way_ids_arr
-        woffs = np.asarray(wcol.offsets, np.int64)
-        woffs = woffs - woffs[0]
-        flat_wids = wcol.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-        nrel = len(wcol)
-        seqs_col: list[list[NodeSeq]] = [[] for _ in range(nrel)]
-        if not len(flat_wids) or not len(self.ways.ids):
-            return seqs_col
-        # bulk way lookup: one searchsorted over every member way id
-        wi = self.ways
-        pos = np.minimum(np.searchsorted(wi.ids, flat_wids), len(wi.ids) - 1)
-        found = wi.ids[pos] == flat_wids
-        rows = wi.rows[pos[found]]
-        starts = wi.ref_offsets[rows]
-        lens = wi.ref_offsets[rows + 1] - starts
-        total = int(lens.sum())
-        # range-gather every found way's refs in one pass
-        if total:
-            cum = np.cumsum(lens)
-            nz = lens > 0
-            rs, rl = starts[nz], lens[nz]
-            cumnz = np.cumsum(rl)
-            idx = np.ones(total, np.int64)
-            idx[0] = rs[0]
-            idx[cumnz[:-1]] = rs[1:] - (rs[:-1] + rl[:-1]) + 1
-            idx = np.cumsum(idx)
-            all_refs = wi.refs[idx]
-        else:
-            all_refs = np.empty(0, np.int64)
-        # ONE node gather for the whole batch
-        ok, lats, lons = self.nodes.gather_mask(all_refs)
-        way_start = np.zeros(len(lens) + 1, np.int64)
-        np.cumsum(lens, out=way_start[1:])
-        rel_of_flat = np.repeat(np.arange(nrel, dtype=np.int64), np.diff(woffs))
-        rel_of_found = rel_of_flat[found]
-        for k in range(len(lens)):
-            s, e = way_start[k], way_start[k + 1]
-            o = ok[s:e]
-            ids_k = all_refs[s:e][o]
-            if not len(ids_k):
-                continue  # zero resolvable nodes == missing way
-            seqs_col[rel_of_found[k]].append(
-                NodeSeq(ids_k, lats[s:e][o], lons[s:e][o])
-            )
+def _resolve_seqs_batch(way_ids_arr: "pa.Array", wi: WayIndex, nodes) -> list[list[NodeSeq]]:
+    """Way/node resolution for a WHOLE relations batch in three bulk
+    array operations (round-3: the per-way ``gather`` calls — 63 per
+    relation on the bench corpus — were half the assembly stage's CPU;
+    numpy fixed overhead × 10^5 tiny calls). Missing ways (mod.rs:672)
+    and ways with zero resolvable nodes are silently dropped, as in the
+    shuffle path; order is preserved."""
+    woffs, flat_wids = _list_parts(way_ids_arr)
+    nrel = len(woffs) - 1
+    seqs_col: list[list[NodeSeq]] = [[] for _ in range(nrel)]
+    if not len(flat_wids) or not len(wi.ids):
         return seqs_col
+    # bulk way lookup: one searchsorted over every member way id
+    pos = np.minimum(np.searchsorted(wi.ids, flat_wids), len(wi.ids) - 1)
+    found = wi.ids[pos] == flat_wids
+    rows = wi.rows[pos[found]]
+    starts = wi.ref_offsets[rows]
+    lens = wi.ref_offsets[rows + 1] - starts
+    total = int(lens.sum())
+    # range-gather every found way's refs in one pass
+    if total:
+        nz = lens > 0
+        rs, rl = starts[nz], lens[nz]
+        cumnz = np.cumsum(rl)
+        idx = np.ones(total, np.int64)
+        idx[0] = rs[0]
+        idx[cumnz[:-1]] = rs[1:] - (rs[:-1] + rl[:-1]) + 1
+        idx = np.cumsum(idx)
+        all_refs = wi.refs[idx]
+    else:
+        all_refs = np.empty(0, np.int64)
+    # ONE node gather for the whole batch
+    ok, lats, lons = nodes.gather_mask(all_refs)
+    way_start = np.zeros(len(lens) + 1, np.int64)
+    np.cumsum(lens, out=way_start[1:])
+    rel_of_flat = np.repeat(np.arange(nrel, dtype=np.int64), np.diff(woffs))
+    rel_of_found = rel_of_flat[found]
+    for k in range(len(lens)):
+        s, e = way_start[k], way_start[k + 1]
+        o = ok[s:e]
+        ids_k = all_refs[s:e][o]
+        if not len(ids_k):
+            continue  # zero resolvable nodes == missing way
+        seqs_col[rel_of_found[k]].append(
+            NodeSeq(ids_k, lats[s:e][o], lons[s:e][o])
+        )
+    return seqs_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["id"].to_pylist()
-        seqs_col = self._resolve_seqs_batch(batch["way_ids"])
-        geoms, codes, details = [], [], []
-        for seqs in seqs_col:
-            segments, status = flatten_relation(seqs, self.gap, self.closed)
-            geoms.append(_geometry_value(segments))
-            codes.append(status.code)
-            details.append(status.detail)
-        stops_col = None if self.as_area else _stops_column(self.nodes, batch["stop_ids"])
-        cols = {
+
+def _assemble_task(batch: pa.Table, ways: WayIndex, nodes, gap, closed, as_area) -> pa.Table:
+    """One relation block → its flattened rows (broadcast mode). The way
+    index arrives as a resolved ``ray.put`` argument (zero-copy numpy
+    reads); the sharded node index fetches its shards through a
+    per-worker-process cache."""
+    seqs_col = _resolve_seqs_batch(batch["way_ids"], ways, nodes)
+    return _flatten_rows(batch, seqs_col, nodes, gap, closed, as_area)
+
+
+def _way_area_task(batch: pa.Table, nodes, gap: float) -> pa.Table:
+    """Standalone ways → 'w'-type Area rows (reference mod.rs:596-647).
+    Needs only node coords for the way's own refs: one bulk
+    ``gather_mask`` for the whole batch, not one gather per way."""
+    batch = batch.filter(batch["is_standalone"])
+    offs, flat = _list_parts(batch["node_refs"])
+    ok, lats_f, lons_f = nodes.gather_mask(flat)
+    geoms, codes, details = [], [], []
+    for i in range(batch.num_rows):
+        s, e = offs[i], offs[i + 1]
+        o = ok[s:e]
+        seq = NodeSeq(flat[s:e][o], lats_f[s:e][o], lons_f[s:e][o])
+        segments, status = flatten_single_way(seq, gap, True)
+        geoms.append(_geometry_value(segments))
+        codes.append(status.code)
+        details.append(status.detail)
+    return pa.table(
+        {
             "id": batch["id"],
+            "id_type": pa.array(["w"] * batch.num_rows, pa.string()),
             "tags": batch["tags"],
             "info": batch["info"],
+            "geometry": pa.array(geoms, GEOM_T),
+            "status_code": pa.array(codes, pa.int64()),
+            "status_detail": pa.array(details, pa.string()),
         }
-        if self.as_area:
-            out = pa.table(
-                {
-                    "id": batch["id"],
-                    "id_type": pa.array(["r"] * len(ids), pa.string()),
-                    "tags": batch["tags"],
-                    "info": batch["info"],
-                    "geometry": pa.array(geoms, GEOM_T),
-                    "status_code": pa.array(codes, pa.int64()),
-                    "status_detail": pa.array(details, pa.string()),
-                }
-            )
-            return out
-        cols["stops"] = stops_col
-        cols["geometry"] = pa.array(geoms, GEOM_T)
-        cols["status_code"] = pa.array(codes, pa.int64())
-        cols["status_detail"] = pa.array(details, pa.string())
-        return pa.table(cols)
-
-
-class _WayAreaFlattener:
-    """standalone ways → 'w'-type Area rows (reference mod.rs:596-647).
-
-    Needs only node coords for the way's own refs → broadcast node lookup.
-    """
-
-    def __init__(self, nodes, gap: float):
-        self.nodes = nodes
-        self.gap = gap
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        batch = batch.filter(batch["is_standalone"])
-        ids = batch["id"].to_pylist()
-        # bulk node resolution for the whole batch (one gather_mask, not
-        # one gather per way — same round-3 rewrite as _BroadcastAssembler)
-        refs_arr = batch["node_refs"].combine_chunks()
-        offs = np.asarray(refs_arr.offsets, np.int64)
-        offs = offs - offs[0]
-        flat = refs_arr.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-        ok, lats_f, lons_f = self.nodes.gather_mask(flat)
-        geoms, codes, details = [], [], []
-        for i in range(len(ids)):
-            s, e = offs[i], offs[i + 1]
-            o = ok[s:e]
-            seq = NodeSeq(flat[s:e][o], lats_f[s:e][o], lons_f[s:e][o])
-            segments, status = flatten_single_way(seq, self.gap, True)
-            geoms.append(_geometry_value(segments))
-            codes.append(status.code)
-            details.append(status.detail)
-        return pa.table(
-            {
-                "id": batch["id"],
-                "id_type": pa.array(["w"] * len(ids), pa.string()),
-                "tags": batch["tags"],
-                "info": batch["info"],
-                "geometry": pa.array(geoms, GEOM_T),
-                "status_code": pa.array(codes, pa.int64()),
-                "status_detail": pa.array(details, pa.string()),
-            }
-        )
-
-
-def _assemble_task(batch: pa.Table, ways, nodes, gap, closed, as_area) -> pa.Table:
-    """Block-task form; construction only stores its arguments."""
-    return _BroadcastAssembler(ways, nodes, gap, closed, as_area)(batch)
-
-
-def _way_area_task(batch: pa.Table, nodes, gap) -> pa.Table:
-    return _WayAreaFlattener(nodes, gap)(batch)
+    )
 
 
 def _assemble_relations(tables: ParserTables, nodes, gap: float, closed: bool,
@@ -657,21 +568,19 @@ def get_public_transports(
     gap: float,
     *,
     mode: Literal["broadcast", "shuffle"] = "broadcast",
-    num_partitions: Optional[int] = None,
-    concurrency: Optional[int | tuple[int, int]] = None,
 ) -> rd.Dataset:
     """All filtered relations flattened (open) → PublicTransport rows.
 
     Reference: get_public_transports (mod.rs:511-527). Output order is
     nondeterministic, matching the reference's channel-drain order.
     """
-    if mode == "shuffle":
-        return _assemble_shuffle(tables, gap, closed=False, as_area=False,
-                                 num_partitions=num_partitions)
-    # both indexes and the assembly run in block tasks over the
-    # materialized tables (no streaming execution); the node index stays
+    # the stop lookup is the node index pruned to stop ids; it stays
     # SHARDED in the object store, the driver holds refs only
     nodes = build_node_index_sharded(tables.nodes, collect_stop_ids(tables.relations))
+    if mode == "shuffle":
+        return _assemble_shuffle(tables, nodes, gap, closed=False, as_area=False)
+    # both indexes and the assembly run in block tasks over the
+    # materialized tables (no streaming execution)
     refs = _assemble_relations(tables, nodes, gap, closed=False, as_area=False)
     return _tables_dataset(refs, PT_SCHEMA.empty_table())
 
@@ -681,8 +590,6 @@ def get_areas(
     gap: float,
     *,
     mode: Literal["broadcast", "shuffle"] = "broadcast",
-    num_partitions: Optional[int] = None,
-    concurrency: Optional[int | tuple[int, int]] = None,
 ) -> rd.Dataset:
     """Relation areas ('r', closed) ∪ standalone way areas ('w', closed).
 
@@ -693,8 +600,7 @@ def get_areas(
     nodes = build_node_index_sharded(tables.nodes)
     way_areas = block_tasks(tables.ways, _way_area_task, nodes, gap)
     if mode == "shuffle":
-        rel_areas = _assemble_shuffle(tables, gap, closed=True, as_area=True,
-                                      num_partitions=num_partitions)
+        rel_areas = _assemble_shuffle(tables, None, gap, closed=True, as_area=True)
         return rel_areas.union(_tables_dataset(way_areas, AREA_SCHEMA.empty_table()))
     rel_areas = _assemble_relations(tables, nodes, gap, closed=True, as_area=True)
     return _tables_dataset(rel_areas + way_areas, AREA_SCHEMA.empty_table())
@@ -715,222 +621,159 @@ def cli_area_filter(areas: rd.Dataset) -> rd.Dataset:
 
 
 # ---------------------------------------------------------------------------
-# shuffle-mode assembly (the 10^12-scale path)
+# shuffle-mode assembly: three cosorts over scalar rows
 # ---------------------------------------------------------------------------
 
+_I64, _F64 = pa.int64(), pa.float64()
+# the rows of each cosort; a way-ref or node row has a null relation_id,
+# a relation row a null member_pos
+_WAY_ROWS = pa.schema(
+    [("way_id", _I64), ("relation_id", _I64), ("member_pos", _I64),
+     ("node_pos", _I64), ("node_id", _I64)]
+)
+_NODE_ROWS = pa.schema(
+    [("node_id", _I64), ("relation_id", _I64), ("member_pos", _I64),
+     ("node_pos", _I64), ("lat", _F64), ("lon", _F64)]
+)
+_RELATION_ROWS = pa.schema(
+    [("relation_id", _I64), ("member_pos", _I64), ("node_pos", _I64),
+     ("node_id", _I64), ("lat", _F64), ("lon", _F64), ("tags", TAGS_T),
+     ("info", TAGS_T), ("stop_ids", pa.list_(_I64))]
+)
 
-def _explode_members(batch: pa.Table) -> pa.Table:
-    """relations → one row per (relation_id, member_pos, way_id)."""
-    ids = batch["id"].to_numpy(zero_copy_only=False)
-    way_lists = batch["way_ids"].to_pylist()
-    counts = np.array([len(w) for w in way_lists], dtype=np.int64)
-    rel_ids = np.repeat(ids, counts)
-    member_pos = np.concatenate([np.arange(c) for c in counts]) if len(counts) else np.empty(0, np.int64)
-    way_ids = np.concatenate([np.asarray(w, dtype=np.int64) for w in way_lists]) if way_lists else np.empty(0, np.int64)
-    return pa.table(
-        {
-            "relation_id": pa.array(rel_ids, pa.int64()),
-            "member_pos": pa.array(member_pos.astype(np.int64), pa.int64()),
-            "way_id": pa.array(way_ids, pa.int64()),
-        }
-    )
+
+def _rows(schema: pa.Schema, n: int, **cols) -> pa.Table:
+    """``n`` rows of ``schema`` from ``cols`` (numpy or Arrow), nulls in
+    every other column."""
+    arrays = []
+    for f in schema:
+        v = cols.get(f.name)
+        if v is None:
+            v = pa.nulls(n, f.type)
+        elif isinstance(v, np.ndarray):
+            v = pa.array(v, f.type)
+        arrays.append(v)
+    return pa.Table.from_arrays(arrays, schema=schema)
 
 
-def _explode_way_refs(batch: pa.Table) -> pa.Table:
-    """member ways → one row per (way_id, node_pos, node_id).
+def _col(t: pa.Table, name: str) -> np.ndarray:
+    return t[name].to_numpy(zero_copy_only=False)
 
-    Refs are exploded BEFORE the hash join so every join payload is scalar
-    (pyarrow's hash join cannot carry list columns as non-key fields).
-    """
+
+def _explode(col) -> tuple:
+    """list column → (row of each value, position in its list, values)."""
+    offs, flat = _list_parts(col)
+    counts = np.diff(offs)
+    row = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    return row, np.arange(len(flat), dtype=np.int64) - offs[:-1][row], flat
+
+
+def _member_rows(batch: pa.Table) -> pa.Table:
+    """relations → one (way_id, relation_id, member_pos) row per member."""
+    row, pos, wids = _explode(batch["way_ids"])
+    rids = _col(batch, "id").astype(np.int64)[row]
+    return _rows(_WAY_ROWS, len(wids), way_id=wids, relation_id=rids, member_pos=pos)
+
+
+def _way_ref_rows(batch: pa.Table) -> pa.Table:
+    """member ways → one (way_id, node_pos, node_id) row per node ref."""
     batch = batch.filter(batch["is_member"])
-    refs = batch["node_refs"].combine_chunks()
-    counts = pc.list_value_length(refs).to_numpy(zero_copy_only=False).astype(np.int64)
-    wids = np.repeat(batch["id"].to_numpy(zero_copy_only=False), counts)
-    node_pos = (
-        np.concatenate([np.arange(c) for c in counts]) if len(counts) else np.empty(0, np.int64)
-    )
-    node_ids = refs.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-    return pa.table(
-        {
-            "way_id": pa.array(wids, pa.int64()),
-            "node_pos": pa.array(node_pos.astype(np.int64), pa.int64()),
-            "node_id": pa.array(node_ids, pa.int64()),
-        }
-    )
+    row, pos, refs = _explode(batch["node_refs"])
+    wids = _col(batch, "id").astype(np.int64)[row]
+    return _rows(_WAY_ROWS, len(refs), way_id=wids, node_pos=pos, node_id=refs)
 
 
-def _group_flatten(g: pd.DataFrame, gap: float, closed: bool) -> pd.DataFrame:
-    """Per-relation reassembly + flatten for the shuffle path (map_groups).
+def _node_rows(batch: pa.Table) -> pa.Table:
+    return _rows(_NODE_ROWS, batch.num_rows, node_id=batch["id"], lat=batch["lat"],
+                 lon=batch["lon"])
 
-    Null ``lat`` rows are unmatched left-outer join probes: a missing way
-    (no node rows at all) or a missing node — both silently dropped, the
-    reference's resolution semantics (mod.rs:672/680/693). The relation's
-    metadata sentinel row (member_pos == -1, non-null ``meta_blob``) is
-    split out and its blob carried through to the finishing stage; it has a
-    null ``lat`` so the dropna also removes it from the geometry rows. A
-    relation whose every member is missing still yields a group (its
-    sentinel/unmatched rows), giving seqs=[] → 501 Broken + empty geometry,
-    exactly like the reference.
-    """
-    rid = int(g["relation_id"].iloc[0])
-    mb = g["meta_blob"].dropna()
-    meta_blob = mb.iloc[0] if len(mb) else b""
-    g = g.dropna(subset=["lat"])
-    g = g.sort_values(["member_pos", "node_pos"], kind="stable")
-    seqs: list[NodeSeq] = []
-    for _pos, way in g.groupby("member_pos", sort=True):
-        seqs.append(
-            NodeSeq.build(
-                way["node_id"].to_numpy(dtype=np.int64),
-                way["lat"].to_numpy(),
-                way["lon"].to_numpy(),
-            )
-        )
-    segments, status = flatten_relation(seqs, gap, closed)
-    return pd.DataFrame(
-        {
-            "id": [rid],
-            "geom_blob": [_pack_geometry(segments)],
-            "meta_blob": [meta_blob],
-            "status_code": [status.code],
-            "status_detail": [status.detail],
-        }
+
+def _relation_rows(batch: pa.Table) -> pa.Table:
+    return _rows(_RELATION_ROWS, batch.num_rows, relation_id=batch["id"],
+                 tags=batch["tags"], info=batch["info"], stop_ids=batch["stop_ids"])
+
+
+def _equi_join(left: np.ndarray, right: np.ndarray) -> tuple:
+    """(left index, right index) of every pair of equal keys; ``right``
+    must be sorted. Each left key takes its ``searchsorted`` range."""
+    lo = np.searchsorted(right, left, "left")
+    n = np.searchsorted(right, left, "right") - lo
+    li = np.repeat(np.arange(len(left), dtype=np.int64), n)
+    return li, np.arange(len(li), dtype=np.int64) - np.repeat(np.cumsum(n) - n - lo, n)
+
+
+def _split(block: pa.Table, col: str) -> tuple:
+    """Rows with ``col`` valid, rows with it null."""
+    valid = pc.is_valid(block[col])
+    return block.filter(valid), block.filter(pc.invert(valid))
+
+
+def _member_node_probe(block: pa.Table) -> pa.Table:
+    """Members ⋈ way refs on way_id → one row per (member, node ref).
+    A member way absent from ``ways`` has no ref rows and drops out
+    (mod.rs:672)."""
+    members, refs = _split(block, "relation_id")
+    li, ri = _equi_join(_col(members, "way_id"), _col(refs, "way_id"))
+    return _rows(
+        _NODE_ROWS, len(li),
+        node_id=_col(refs, "node_id")[ri], relation_id=_col(members, "relation_id")[li],
+        member_pos=_col(members, "member_pos")[li], node_pos=_col(refs, "node_pos")[ri],
     )
 
 
-def _assemble_shuffle(
-    tables: ParserTables,
-    gap: float,
-    *,
-    closed: bool,
-    as_area: bool,
-    num_partitions: Optional[int] = None,
-) -> rd.Dataset:
-    """Distributed explode→join→regroup assembly (see module docstring).
-
-    All join payloads are scalar int64/float64/binary columns (refs exploded
-    before joining; nested metadata/geometry cross joins as per-relation
-    binary blobs); nothing relation-scale is ever collected on the driver —
-    the only broadcast side is the stop-member node lookup, pruned to stop
-    ids. LEFT OUTER joins preserve relations/ways whose refs are missing so
-    the silent-filter semantics match the reference exactly.
-    """
-    # Size the shuffle to the cluster: each hash-join partition pins an
-    # aggregator ACTOR; two joins run concurrently in one streaming plan, so
-    # unbounded partitions × 1 CPU each can deadlock a small session (all
-    # CPUs held by idle aggregators, none left for the map tasks feeding
-    # them). Fractional aggregator CPUs keep map tasks schedulable.
-    from ..util import JOIN_AGG_ARGS, join_partitions
-
-    npart = num_partitions or join_partitions()
-    agg_args = JOIN_AGG_ARGS
-    members = tables.relations.map_batches(_explode_members, batch_format="pyarrow")
-    way_nodes = tables.ways.map_batches(_explode_way_refs, batch_format="pyarrow")
-    joined_ways = members.join(
-        way_nodes,
-        join_type="left_outer",
-        num_partitions=npart,
-        on=("way_id",),
-        aggregator_ray_remote_args=agg_args,
-    )
-    node_coords = tables.nodes.select_columns(["id", "lat", "lon"])
-    joined_nodes = joined_ways.join(
-        node_coords,
-        join_type="left_outer",
-        num_partitions=npart,
-        on=("node_id",),
-        right_on=("id",),
-        aggregator_ray_remote_args=agg_args,
-    )
-    # relation metadata (nested tags/info/stop_ids) crosses the reassembly
-    # shuffle as per-relation SENTINEL ROWS (member_pos = -1, one pickled
-    # binary blob each) unioned into the joined node stream — NO driver-side
-    # dict, NO extra join. The sentinel rides the same relation_id-keyed
-    # groupby the geometry rows take; `_group_flatten` splits it back out.
-    # (A third hash join was tried and rejected: empty groupby partitions
-    # emit zero-column blocks that bypass map_batches, and Acero hard-fails
-    # resolving a key on a schema-less side.) Bonus: a relation whose every
-    # member is missing still reaches the output via its sentinel row.
-    import pickle
-
-    row_cols = [
-        "relation_id",
-        "member_pos",
-        "way_id",
-        "node_pos",
-        "node_id",
-        "lat",
-        "lon",
-        "meta_blob",
-    ]
-
-    def _with_meta_null(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column(
-            "meta_blob", pa.nulls(batch.num_rows, pa.binary())
-        )
-        return batch.select(row_cols)
-
-    node_rows = joined_nodes.map_batches(_with_meta_null, batch_format="pyarrow")
-
-    def _meta_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        blobs = [
-            pickle.dumps((t, i, s), protocol=pickle.HIGHEST_PROTOCOL)
-            for t, i, s in zip(
-                batch["tags"].to_pylist(),
-                batch["info"].to_pylist(),
-                batch["stop_ids"].to_pylist(),
-            )
-        ]
-        return pa.table(
-            {
-                "relation_id": batch["id"],
-                "member_pos": pa.array(np.full(n, -1, np.int64), pa.int64()),
-                "way_id": pa.nulls(n, pa.int64()),
-                "node_pos": pa.nulls(n, pa.int64()),
-                "node_id": pa.nulls(n, pa.int64()),
-                "lat": pa.nulls(n, pa.float64()),
-                "lon": pa.nulls(n, pa.float64()),
-                "meta_blob": pa.array(blobs, pa.binary()),
-            }
-        )
-
-    meta_rows = tables.relations.map_batches(_meta_rows, batch_format="pyarrow")
-    with_meta = node_rows.union(meta_rows).groupby("relation_id").map_groups(
-        partial(_group_flatten, gap=gap, closed=closed), batch_format="pandas"
-    )
-    nodes_ref = (
-        build_node_index_sharded(tables.nodes, collect_stop_ids(tables.relations))
-        if not as_area
-        else None
+def _coord_probe(block: pa.Table) -> pa.Table:
+    """(member, node ref) rows ⋈ nodes on node_id, an inner join: a
+    missing node drops out (mod.rs:680). One node row per id is used."""
+    pairs, nodes = _split(block, "relation_id")
+    nid = _col(nodes, "node_id")
+    first = key_runs(nid)[:-1]
+    li, ri = _equi_join(_col(pairs, "node_id"), nid[first])
+    ri = first[ri]
+    return _rows(
+        _RELATION_ROWS, len(li),
+        relation_id=_col(pairs, "relation_id")[li], member_pos=_col(pairs, "member_pos")[li],
+        node_pos=_col(pairs, "node_pos")[li], node_id=nid[ri],
+        lat=_col(nodes, "lat")[ri], lon=_col(nodes, "lon")[ri],
     )
 
-    class FinishMeta:
-        """Decode joined meta/geometry blobs (+ resolve stops for PT rows)."""
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch["id"].to_pylist()
-            metas = [pickle.loads(b) for b in batch["meta_blob"].to_pylist()]
-            geom = pa.array(
-                [_unpack_geometry(b) for b in batch["geom_blob"].to_pylist()], GEOM_T
-            )
-            cols: dict = {"id": batch["id"]}
-            if as_area:
-                cols["id_type"] = pa.array(["r"] * len(ids), pa.string())
-            cols["tags"] = pa.array([m[0] for m in metas], TAGS_T)
-            cols["info"] = pa.array([m[1] for m in metas], TAGS_T)
-            if not as_area:
-                cols["stops"] = _stops_column(
-                    nodes_ref, pa.array([m[2] for m in metas], pa.list_(pa.int64()))
-                )
-            cols["geometry"] = geom
-            cols["status_code"] = batch["status_code"]
-            cols["status_detail"] = batch["status_detail"]
-            order = (AREA_SCHEMA if as_area else PT_SCHEMA).names
-            return pa.table({k: cols[k] for k in order})
+def _relation_probe(block: pa.Table, nodes, gap: float, closed: bool, as_area: bool) -> pa.Table:
+    """Relation rows with their resolved node rows → flattened rows: the
+    node rows, ordered by (relation_id, member_pos, node_pos), split into
+    one ``NodeSeq`` per member run. A relation without node rows gets
+    no seqs → 501 Broken, like the reference."""
+    points, rels = _split(block, "member_pos")
+    rid, mpos = _col(points, "relation_id"), _col(points, "member_pos")
+    order = np.lexsort((_col(points, "node_pos"), mpos, rid))
+    rid, mpos = rid[order], mpos[order]
+    ids, lats, lons = (_col(points, c)[order] for c in ("node_id", "lat", "lon"))
+    bounds = key_runs(rid, mpos)
+    seqs_col: list[list[NodeSeq]] = [[] for _ in range(rels.num_rows)]
+    slots = np.searchsorted(_col(rels, "relation_id"), rid[bounds[:-1]])
+    for k, s, e in zip(slots, bounds[:-1], bounds[1:]):
+        seqs_col[k].append(NodeSeq(ids[s:e], lats[s:e], lons[s:e]))
+    batch = pa.table({"id": rels["relation_id"], "tags": rels["tags"],
+                      "info": rels["info"], "stop_ids": rels["stop_ids"]})
+    return _flatten_rows(batch, seqs_col, nodes, gap, closed, as_area)
 
-    return with_meta.map_batches(
-        FinishMeta,
-        batch_format="pyarrow",
-        concurrency=default_actor_concurrency(),
+
+def _assemble_shuffle(tables: ParserTables, nodes, gap: float, *, closed: bool,
+                      as_area: bool) -> rd.Dataset:
+    """Shuffle-mode assembly (see the module docstring): three cosorts,
+    on way_id, node_id and relation_id."""
+
+    def rows(ds: rd.Dataset, fn) -> rd.Dataset:
+        return ds.map_batches(fn, batch_format="pyarrow")
+
+    pairs = cosort(
+        [rows(tables.relations, _member_rows), rows(tables.ways, _way_ref_rows)],
+        ["way_id"], _member_node_probe, _WAY_ROWS,
+    )
+    points = cosort(
+        [pairs, rows(tables.nodes, _node_rows)], ["node_id"], _coord_probe, _NODE_ROWS
+    )
+    return cosort(
+        [points, rows(tables.relations, _relation_rows)], ["relation_id"],
+        partial(_relation_probe, nodes=nodes, gap=gap, closed=closed, as_area=as_area),
+        _RELATION_ROWS,
     )

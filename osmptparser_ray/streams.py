@@ -1,16 +1,15 @@
 """Stream-shaped operators over event logs (guide §streaming-shaped).
 
-Ray Data has no event-time watermarks; stream semantics are realized as
-key-partitioned, time-sorted group transforms: ``groupby(key)`` co-locates
-a key's full history, the group fn sorts by timestamp and applies the
-windowing. Ordering assumption: per-key history fits a group (bound the
-key space or pre-bucket time ranges at larger scales).
+Ray Data has no event-time watermarks; stream semantics are realized
+over key-and-time sorted data: sessions and as-of joins by a distributed
+prefix scan over one global (key, ts) sort, windows by assigning each event its window ids
+and a pure groupby-aggregate — no per-key UDF, so a key's history never
+has to fit one task.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
@@ -20,7 +19,6 @@ def sessionize(
     gap_seconds: float = 1800.0,
     user_col: str = "user_id",
     ts_col: str = "ts",
-    plan: str = "scan",
 ) -> rd.Dataset:
     """Session windows: a new session starts when the gap since the
     previous event of the same user exceeds ``gap_seconds``.
@@ -29,9 +27,8 @@ def sessionize(
     start_us, end_us). Deterministic: events ordered by (ts, event_id)
     within user.
 
-    ``plan="scan"`` (default, round-3 rewrite of VERDICT r2 #4) is a
-    distributed prefix scan — the sort-based shape that survives 10^8
-    users and hot keys:
+    The plan (round-3 rewrite of VERDICT r2 #4) is a distributed prefix
+    scan — the sort-based shape that survives 10^8 users and hot keys:
 
     1. global sort by (user, ts, event_id); only the three needed columns
        travel,
@@ -49,40 +46,7 @@ def sessionize(
 
     A hot user's history never needs to fit one task (its blocks chain
     through step 3), and UDF count is O(blocks), not O(users).
-
-    ``plan="grouped"`` keeps the original groupby(user).map_groups
-    realization (one pandas UDF per user; parity-tested against "scan").
     """
-    if plan == "grouped":
-        return _sessionize_grouped(events, gap_seconds, user_col, ts_col)
-    if plan != "scan":
-        raise ValueError(f"plan must be 'scan' or 'grouped', got {plan!r}")
-    return _sessionize_scan(events, gap_seconds, user_col, ts_col)
-
-
-def _sessionize_grouped(
-    events: rd.Dataset, gap_seconds: float, user_col: str, ts_col: str
-) -> rd.Dataset:
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([ts_col, "event_id"], kind="stable")
-        micros = g[ts_col].astype("int64").to_numpy()
-        is_new = np.ones(len(micros), dtype=np.int64)
-        is_new[1:] = (np.diff(micros) > gap_seconds * 1_000_000).astype(np.int64)
-        session = np.cumsum(is_new)
-        df = pd.DataFrame({"session_id": session, "us": micros})
-        out = df.groupby("session_id").agg(
-            n_events=("us", "size"), start_us=("us", "min"), end_us=("us", "max")
-        )
-        out = out.reset_index()
-        out.insert(0, user_col, g[user_col].iloc[0])
-        return out
-
-    return events.groupby(user_col).map_groups(per_user, batch_format="pandas")
-
-
-def _sessionize_scan(
-    events: rd.Dataset, gap_seconds: float, user_col: str, ts_col: str
-) -> rd.Dataset:
     import ray
     from ray.data.aggregate import Max, Min, Sum
 
@@ -250,7 +214,7 @@ def asof_join(
     right-side dedup). Left-outer: unmatched left rows keep nulls.
 
     Ray Data has no as-of join; this is the custom operator realized with
-    the SAME distributed-prefix-scan shape as ``sessionize(plan="scan")``:
+    the SAME distributed-prefix-scan shape as ``sessionize``:
 
     1. both sides tagged and globally sorted by (key, ts, side, order) —
        side 0 = right BEFORE side 1 = left at equal ts, so "<=" is

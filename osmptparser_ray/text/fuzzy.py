@@ -37,9 +37,10 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
+
+from ..util import cosort, key_runs
 
 
 def _codepoints(s) -> np.ndarray:
@@ -181,8 +182,15 @@ def edit_distance_pairs(
 
     exploded = ds.map_batches(explode, batch_format="pyarrow")
 
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
-        m = len(g)
+    def verify(block: pa.Table) -> pa.Table:
+        """One sorted block → the pairs its buckets own (each bucket is
+        one run of the block)."""
+        ids = block[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        cps = [_codepoints(b) for b in block["blob"].to_pylist()]
+        lens = np.array([len(c) for c in cps], np.int64)
+        bkts = block["bucket"].to_numpy(zero_copy_only=False)
+        bounds = key_runs(bkts)
+        m = int(np.diff(bounds).max(initial=0))
         if m > bucket_cap:
             raise ValueError(
                 f"edit_distance_pairs: bucket of {m} strings exceeds "
@@ -190,28 +198,20 @@ def edit_distance_pairs(
                 "first (a degenerate corpus of same-length strings lands in "
                 "one bucket)"
             )
-        bkt = int(g["bucket"].iloc[0])
-        ids = g[id_col].to_numpy(dtype=np.int64)
-        cps = [_codepoints(b) for b in g["blob"]]
-        lens = np.array([len(c) for c in cps], np.int64)
-        ia, ib = np.triu_indices(m, k=1)
-        if len(ia) == 0:
-            return pd.DataFrame(
-                {"id_a": [], "id_b": [], "dist": []}
-            ).astype({"id_a": np.int64, "id_b": np.int64, "dist": np.int64})
+        # every in-bucket pair (i < j) of every run, as block row indices
+        tri = [np.triu_indices(e - s, k=1) for s, e in zip(bounds[:-1], bounds[1:])]
+        none = [np.empty(0, np.int64)]
+        ia = np.concatenate([t[0] + s for t, s in zip(tri, bounds)] or none)
+        ib = np.concatenate([t[1] + s for t, s in zip(tri, bounds)] or none)
         # prune: length gap, duplicate ids (a string replicated into two
         # buckets never meets itself — same id), and pair OWNERSHIP
         # (min-length bucket == this bucket)
         keep = (
             (np.abs(lens[ia] - lens[ib]) <= k)
             & (ids[ia] != ids[ib])
-            & (np.minimum(lens[ia], lens[ib]) // w == bkt)
+            & (np.minimum(lens[ia], lens[ib]) // w == bkts[ia])
         )
         ia, ib = ia[keep], ib[keep]
-        if len(ia) == 0:
-            return pd.DataFrame(
-                {"id_a": [], "id_b": [], "dist": []}
-            ).astype({"id_a": np.int64, "id_b": np.int64, "dist": np.int64})
         # chunked DP (see module docstring) over pre-built codepoint arrays
         dist = np.empty(len(ia), np.int64)
         step = 65536
@@ -222,13 +222,13 @@ def edit_distance_pairs(
             )
         ok = dist <= k
         a, b = ids[ia][ok], ids[ib][ok]
-        swap = a > b
-        return pd.DataFrame(
+        return pa.table(
             {
-                "id_a": np.where(swap, b, a),
-                "id_b": np.where(swap, a, b),
-                "dist": dist[ok].astype(np.int64),
+                "id_a": pa.array(np.minimum(a, b), pa.int64()),
+                "id_b": pa.array(np.maximum(a, b), pa.int64()),
+                "dist": pa.array(dist[ok], pa.int64()),
             }
         )
 
-    return exploded.groupby("bucket").map_groups(verify, batch_format="pandas")
+    schema = pa.schema([("bucket", pa.int64()), (id_col, pa.int64()), ("blob", pa.binary())])
+    return cosort([exploded], ["bucket"], verify, schema)

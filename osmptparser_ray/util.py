@@ -72,6 +72,46 @@ def block_tasks(ds, fn, *args, num_returns: int = 1) -> list:
     ]
 
 
+def cosort(sides: list, keys: list, probe, schema):
+    """The one keyed regroup: every side in ``sides`` (datasets of rows of
+    one ``schema``) sorted together on ``keys``, then ``probe`` run on
+    each sorted block → a materialized dataset of the probe outputs.
+
+    Exactness rests on an invariant the code does not show: Ray's sort
+    range-partitions on sampled key boundaries and each reducer emits one
+    block, so a sort never splits a run of equal keys across blocks, and
+    ``block_tasks`` hands ``probe`` each block whole. Every row of one
+    key, from every side, thus reaches a single ``probe`` call, in a
+    block sorted on ``keys``.
+
+    The probes are block tasks, not a ``map_batches``: a sort leaves a
+    columnless empty block for every empty key range, and ``map_batches``
+    forwards those without calling the UDF, so the output would carry
+    schema-less blocks. Here every output block comes from ``probe``, and
+    an input without rows yields ``probe(schema.empty_table())``.
+    """
+    import ray.data as rd
+
+    rows = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
+    blocks = rows.sort(keys).materialize()
+    return rd.from_arrow_refs(
+        block_tasks(blocks, probe) or [ray.put(probe(schema.empty_table()))]
+    )
+
+
+def key_runs(*keys):
+    """Boundaries of the runs of equal keys in rows sorted on ``keys``
+    (numpy arrays of one length): run ``i`` is rows
+    ``bounds[i]:bounds[i + 1]``; no rows give ``[0]``."""
+    import numpy as np
+
+    n = len(keys[0])
+    change = np.zeros(max(n - 1, 0), bool)
+    for k in keys:
+        change |= k[1:] != k[:-1]
+    return np.concatenate([[0], np.flatnonzero(change) + 1, [n]]) if n else np.zeros(1, np.int64)
+
+
 def concat_columns(parts: list, dtypes: tuple) -> list:
     """Per-block tuples of numpy arrays (block-task results) → one
     concatenated array per position; empty arrays of ``dtypes`` when

@@ -175,50 +175,128 @@ class TestDeterminism:
         assert all(len(x) > 0 for x in a)
 
 
+def _edge_tables():
+    """ParserTables whose relations hit every member/stop edge case:
+
+    * 1: way 10 has zero refs, way 11 resolves; stops 100 (tagged),
+      101 (untagged) and 999 (no such node);
+    * 2: way 12, whose refs all miss;
+    * 3: way 11 twice, with way 13 (absent from ``ways``) between;
+    * 4: empty ``way_ids`` and ``stop_ids``;
+    * 5: ways 14 and 15, a closed ring.
+    """
+    import ray.data as rd
+
+    from osmptparser_ray.kernel.filters import dicts_to_map_array
+    from osmptparser_ray.stages.elements import ParserTables
+
+    relations = rd.from_arrow(pa.table({
+        "id": pa.array([1, 2, 3, 4, 5], pa.int64()),
+        "tags": dicts_to_map_array([{"name": f"r{i}", "type": "route"} for i in range(1, 6)]),
+        "info": dicts_to_map_array([{"version": str(i)} for i in range(1, 6)]),
+        "way_ids": pa.array([[10, 11], [12], [11, 13, 11], [], [14, 15]], pa.list_(pa.int64())),
+        "stop_ids": pa.array([[100, 999, 101], [], [102], [], [103, 100]], pa.list_(pa.int64())),
+    }))
+    ways = rd.from_arrow(pa.table({
+        "id": pa.array([10, 11, 12, 14, 15, 16], pa.int64()),
+        "tags": dicts_to_map_array([{}, {}, {}, {}, {}, {"highway": "x"}]),
+        "info": dicts_to_map_array([{}, {}, {}, {}, {}, {"version": "1"}]),
+        "node_refs": pa.array(
+            [[], [100, 101], [900, 901], [100, 101, 102], [102, 103, 100], [101, 103, 102, 101]],
+            pa.list_(pa.int64()),
+        ),
+        "is_member": pa.array([True] * 5 + [False]),
+        "is_standalone": pa.array([False] * 5 + [True]),
+    }))
+    nodes = rd.from_arrow(pa.table({
+        "id": pa.array([100, 101, 102, 103], pa.int64()),
+        "lat": pa.array([-2.0, -2.001, -2.002, -2.0015], pa.float64()),
+        "lon": pa.array([-79.0, -79.001, -79.0, -78.999], pa.float64()),
+        "tags": dicts_to_map_array([{"name": "s100"}, {}, {"name": "s102"}, {}]),
+    }))
+    return ParserTables(relations=relations, ways=ways, nodes=nodes)
+
+
+def _whole_rows(ds):
+    """Every column of every row, maps as sorted items, ordered by id."""
+
+    def canon(v):
+        if isinstance(v, dict):
+            return {k: canon(x) for k, x in v.items()}
+        if isinstance(v, list) and v and isinstance(v[0], tuple):
+            return sorted(v)  # a map column
+        if isinstance(v, list):
+            return [canon(x) for x in v]
+        return v
+
+    return sorted((canon(r) for r in ds.take_all()), key=lambda r: (r["id"], r.get("id_type")))
+
+
 class TestAssemblyEmptyWayParity:
     def test_empty_or_unresolvable_member_ways(self, ray_session):
         """A member way with ZERO node refs, or whose refs all fail to
         resolve, behaves like a missing way — dropped, identically in the
         broadcast and shuffle assembly modes (they used to diverge: the
-        broadcast path appended an empty NodeSeq)."""
-        import ray.data as rd
-
-        from osmptparser_ray.kernel.filters import dicts_to_map_array
+        broadcast path appended an empty NodeSeq). Whole rows are
+        compared: tags, info and stops too."""
         from osmptparser_ray.stages.assemble import get_public_transports
+
+        tables = _edge_tables()
+        a = _whole_rows(get_public_transports(tables, gap=1500.0, mode="broadcast"))
+        b = _whole_rows(get_public_transports(tables, gap=1500.0, mode="shuffle"))
+        assert a == b
+        by_id = {r["id"]: r for r in a}
+        assert by_id[1]["status_code"] == 0      # the resolvable member flattens OK
+        assert by_id[2]["status_code"] == 501    # every member unresolvable -> Broken
+
+    def test_edge_members_and_stops(self, ray_session):
+        """The other member/stop edge cases of ``_edge_tables``, checked
+        on the (shared) broadcast/shuffle rows: a missing stop node drops
+        out of ``stops``, an untagged stop keeps an empty map, a way
+        listed twice resolves twice, empty ``way_ids`` is Broken."""
+        from osmptparser_ray.stages.assemble import get_public_transports
+
+        rows = {r["id"]: r for r in _whole_rows(
+            get_public_transports(_edge_tables(), gap=1500.0, mode="shuffle"))}
+        assert [(s["id"], s["tags"]) for s in rows[1]["stops"]] == [
+            (100, [("name", "s100")]), (101, [])]
+        assert rows[1]["tags"] == [("name", "r1"), ("type", "route")]
+        assert rows[1]["info"] == [("version", "1")]
+        assert rows[4]["status_code"] == 501 and rows[4]["geometry"] == []
+        assert rows[4]["stops"] == []
+        assert rows[5]["status_code"] == 0
+        assert [s["id"] for s in rows[5]["stops"]] == [103, 100]
+        # way 11 (nodes 100, 101) twice, 13 absent: both copies reach the
+        # flatten, which joins them into 100, 101, 100
+        assert [len(seg) for seg in rows[3]["geometry"]] == [3]
+
+    def test_shuffle_without_relations(self, ray_session):
+        """No relation rows: shuffle PT rows are an empty table that keeps
+        its schema, and the areas are the way areas alone."""
+        from osmptparser_ray.stages.assemble import (
+            AREA_SCHEMA, PT_SCHEMA, get_areas, get_public_transports,
+        )
         from osmptparser_ray.stages.elements import ParserTables
 
-        relations = rd.from_arrow(pa.table({
-            "id": pa.array([1, 2], pa.int64()),
-            "tags": dicts_to_map_array([{"name": "r1"}, {"name": "r2"}]),
-            "info": dicts_to_map_array([{}, {}]),
-            "way_ids": pa.array([[10, 11], [12]], pa.list_(pa.int64())),
-            "stop_ids": pa.array([[], []], pa.list_(pa.int64())),
-        }))
-        ways = rd.from_arrow(pa.table({
-            "id": pa.array([10, 11, 12], pa.int64()),
-            "tags": dicts_to_map_array([{}, {}, {}]),
-            "info": dicts_to_map_array([{}, {}, {}]),
-            # way 10: zero refs; way 11: resolvable; way 12: all refs missing
-            "node_refs": pa.array([[], [100, 101], [900, 901]], pa.list_(pa.int64())),
-            "is_member": pa.array([True, True, True]),
-            "is_standalone": pa.array([False, False, False]),
-        }))
-        nodes = rd.from_arrow(pa.table({
-            "id": pa.array([100, 101], pa.int64()),
-            "lat": pa.array([-2.0, -2.001], pa.float64()),
-            "lon": pa.array([-79.0, -79.001], pa.float64()),
-            "tags": dicts_to_map_array([{}, {}]),
-        }))
-        tables = ParserTables(relations=relations, ways=ways, nodes=nodes)
+        t = _edge_tables()
+        none = ParserTables(
+            relations=t.relations.filter(expr="id < 0").materialize(), ways=t.ways, nodes=t.nodes
+        )
+        pt = get_public_transports(none, gap=1500.0, mode="shuffle")
+        assert pt.count() == 0 and pt.schema().names == PT_SCHEMA.names
+        areas = get_areas(none, gap=1500.0, mode="shuffle")
+        assert [r["id"] for r in areas.take_all()] == [16]
+        assert areas.schema().names == AREA_SCHEMA.names
 
-        def canon(ds):
-            return sorted(
-                (r["id"], r["status_code"], r["geometry"]) for r in ds.take_all()
-            )
+    def test_areas_shuffle_whole_rows(self, ray_session):
+        """``get_areas`` over the same edge cases: shuffle == broadcast,
+        whole rows, relation ('r') and way ('w') areas."""
+        from osmptparser_ray.stages.assemble import get_areas
 
-        a = canon(get_public_transports(tables, gap=1500.0, mode="broadcast"))
-        b = canon(get_public_transports(tables, gap=1500.0, mode="shuffle"))
+        tables = _edge_tables()
+        a = _whole_rows(get_areas(tables, gap=1500.0, mode="broadcast"))
+        b = _whole_rows(get_areas(tables, gap=1500.0, mode="shuffle"))
         assert a == b
-        by_id = {x[0]: x for x in a}
-        assert by_id[1][1] == 0      # the resolvable member flattens OK
-        assert by_id[2][1] == 501    # every member unresolvable -> Broken
+        assert sorted((r["id_type"], r["id"]) for r in a) == [
+            ("r", 1), ("r", 2), ("r", 3), ("r", 4), ("r", 5), ("w", 16)]
+        assert {r["id"]: r["status_code"] for r in a if r["id_type"] == "r"}[5] == 0

@@ -103,6 +103,60 @@ class TestShuffleModeParity:
             assert sa == sb
 
 
+_SHUFFLE_AT_SMALL_CPUS = r"""
+import sys
+
+import ray
+from ray.data import DataContext
+
+ray.init(address="local", num_cpus=int(sys.argv[1]), include_dashboard=False,
+         logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+from osmptparser_ray.pipelines.ptv2 import public_transports_from_pages
+
+rows = {
+    mode: sorted(public_transports_from_pages(sys.argv[2], gap=1500.0, mode=mode).take_all(),
+                 key=lambda r: r["id"])
+    for mode in ("shuffle", "broadcast")
+}
+assert len(rows["shuffle"]) == 40, len(rows["shuffle"])
+assert rows["shuffle"] == rows["broadcast"], "shuffle rows differ from broadcast"
+ray.shutdown()
+print("IDENTICAL", len(rows["shuffle"]))
+"""
+
+
+class TestShuffleModeSmallCluster:
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_shuffle_finishes_and_equals_broadcast(self, tmp_path, cpus):
+        """Shuffle assembly on a 20-replica corpus in a Ray session of
+        ``cpus`` CPUs finishes within 120 s and gives rows identical to
+        broadcast. It runs in a subprocess: the test session's own Ray
+        has 4 CPUs, and a plan that pins CPUs in actors can deadlock only
+        in a smaller one."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        pages = synthesize_pages_parquet(str(tmp_path / "pages"), replicas=20, files=4)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "PYTHONPATH": root}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SHUFFLE_AT_SMALL_CPUS, str(cpus), pages],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the driver and its Ray processes
+            proc.communicate()
+            pytest.fail(f"shuffle assembly did not finish in 120 s at num_cpus={cpus}")
+        assert proc.returncode == 0, err[-3000:]
+        assert "IDENTICAL 40" in out
+
+
 class TestReplicaScaling:
     def test_two_replicas(self, ray_session, tmp_path):
         from osmptparser_ray.pipelines.ptv2 import public_transports_from_pages

@@ -1,8 +1,9 @@
-"""sessionize plan="scan" (round-3 distributed prefix scan, VERDICT r2 #4)
-must equal plan="grouped" exactly — including hot users whose history spans
-many blocks and sessions that straddle block boundaries."""
+"""sessionize (the round-3 distributed prefix scan, VERDICT r2 #4) must
+equal a plain pandas per-user oracle exactly — including hot users whose
+history spans many blocks and sessions that straddle block boundaries."""
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
@@ -28,19 +29,38 @@ def _events(spec, seed=3, shuffle=True, max_gap_s=4000):
     )
 
 
-def _canon(ds):
-    df = ds.to_pandas().sort_values(["user_id", "session_id"]).reset_index(drop=True)
+def _canon(df):
+    df = df.sort_values(["user_id", "session_id"]).reset_index(drop=True)
     return df[sorted(df.columns)]
+
+
+def _oracle(t: pa.Table, gap_seconds: float) -> pd.DataFrame:
+    """Sessions by plain pandas over all events at once: sort by
+    (user, ts, event_id), start a session where the user changes or the
+    gap exceeds ``gap_seconds``, then aggregate per (user, session)."""
+    df = t.to_pandas()
+    df["us"] = df["ts"].astype("int64")
+    df = df.sort_values(["user_id", "us", "event_id"], kind="stable").reset_index(drop=True)
+    new_user = df["user_id"].ne(df["user_id"].shift())
+    new = new_user | (df["us"].diff() > gap_seconds * 1_000_000)
+    df["session_id"] = new.astype(np.int64).groupby(df["user_id"]).cumsum()
+    out = (
+        df.groupby(["user_id", "session_id"])
+        .agg(n_events=("us", "size"), start_us=("us", "min"), end_us=("us", "max"))
+        .reset_index()
+    )
+    return _canon(out)
 
 
 class TestSessionizeScan:
     def test_skewed_hot_user_parity(self, ray_session):
         """One user with 5000 events (history spans many of the 16 blocks)
-        + 79 cold users: scan == grouped row for row."""
+        + 79 cold users: scan == the pandas oracle row for row."""
         spec = [(0, 5000)] + [(i, 3 + i % 25) for i in range(1, 80)]
-        ev = rd.from_arrow(_events(spec)).repartition(16)
-        a = _canon(sessionize(ev, gap_seconds=1800, plan="grouped"))
-        b = _canon(sessionize(ev, gap_seconds=1800, plan="scan"))
+        t = _events(spec)
+        ev = rd.from_arrow(t).repartition(16)
+        a = _oracle(t, 1800)
+        b = _canon(sessionize(ev, gap_seconds=1800).to_pandas())
         assert a.equals(b)
         assert len(a) > 100
 
@@ -59,16 +79,9 @@ class TestSessionizeScan:
             }
         )
         ev = rd.from_arrow(t).repartition(12)
-        out = sessionize(ev, gap_seconds=1800, plan="scan").take_all()
+        out = sessionize(ev, gap_seconds=1800).take_all()
         assert len(out) == 1
         assert out[0]["session_id"] == 1 and out[0]["n_events"] == n
-
-    def test_unknown_plan_rejected(self, ray_session):
-        import pytest
-
-        ev = rd.from_arrow(_events([(1, 5)]))
-        with pytest.raises(ValueError):
-            sessionize(ev, plan="nope")
 
 
 class TestDuplicateEventsAcrossBlocks:
@@ -76,7 +89,7 @@ class TestDuplicateEventsAcrossBlocks:
         """Thousands of IDENTICAL (user, ts, event_id) rows straddling many
         blocks give several blocks the same first row; the boundary chain
         must key by block ordinal, not first-row contents (ADVICE r3 #5).
-        Ground truth: the grouped plan."""
+        Ground truth: the pandas oracle."""
         dup = 6000
         rows = []
         # user 1: a real earlier session, then a mountain of duplicates
@@ -92,8 +105,8 @@ class TestDuplicateEventsAcrossBlocks:
             }
         )
         ev = rd.from_arrow(t).repartition(16)
-        a = _canon(sessionize(ev, gap_seconds=1800, plan="grouped"))
-        b = _canon(sessionize(ev, gap_seconds=1800, plan="scan"))
+        a = _oracle(t, 1800)
+        b = _canon(sessionize(ev, gap_seconds=1800).to_pandas())
         assert a.equals(b)
         # user 1: session 1 (the lone early event) + session 2 (the dups)
         u1 = a[a.user_id == 1].sort_values("session_id")
