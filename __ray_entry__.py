@@ -365,7 +365,7 @@ def _q_interval_join(sf_dir: str):
 
 def _q_interval_join_shuffle(sf_dir: str):
     """Big-big range join (round-4): the same 15 overlapping bands as a
-    DATASET side — both sides band onto value cells and hash-join (the
+    DATASET side — both sides band onto value cells and sort-join (the
     1-D pip_join shuffle pattern; salt=2 exercises the hot-cell path).
     Same theta-join oracle as the broadcast plan."""
     import pandas as _pd
@@ -592,7 +592,8 @@ def _q_semi_join(sf_dir: str):
 
 
 def _q_hash_join(sf_dir: str):
-    """Distributed hash join lineitem ⨝ orders + grouped revenue."""
+    """Distributed equi-join lineitem ⨝ orders (one sort,
+    ``util.equi_join``) + grouped revenue."""
     import ray
     from ray.data.aggregate import Sum
 
@@ -604,16 +605,9 @@ def _q_hash_join(sf_dir: str):
 
     li = li.map_batches(rev, batch_format="pyarrow")
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    from osmptparser_ray.util import join_partitions
+    from osmptparser_ray.util import equi_join
 
-    joined = li.join(
-        orders,
-        join_type="inner",
-        num_partitions=join_partitions(),
-        on=("l_orderkey",),
-        right_on=("o_orderkey",),
-        aggregator_ray_remote_args={"num_cpus": 0.25},
-    )
+    joined = equi_join(li, orders, "l_orderkey", right_on="o_orderkey")
     out = joined.groupby("o_orderpriority").aggregate(Sum("revenue", alias_name="rev_sum"))
 
     def int_rev(batch: pa.Table) -> pa.Table:
@@ -900,7 +894,7 @@ def _q_zscore_outliers(sf_dir: str):
 
 
 def _q_salted_join(sf_dir: str):
-    """Skew-salted hash join: orders ⋈ customer on custkey with a LOW hot
+    """Skew-salted join: orders ⋈ customer on custkey with a LOW hot
     threshold so real keys actually take the salted path (each custkey
     repeats ~10× in orders; threshold 8 salts the busier half) — output
     must equal the plain SQL inner join exactly."""
@@ -2180,7 +2174,7 @@ def _q_polyline_length(sf_dir: str):
 
 def _q_distance_join(sf_dir: str):
     """ST_DWithin self-join (round-4): all customer-point pairs within
-    0.0625° — cell-banded hash join + vectorized refine, no groupby. The
+    0.0625° — cell-banded sort join + vectorized refine, no groupby. The
     planar_deg metric is pure arithmetic over the SAME synthesis formula
     the SQL oracle evaluates, so pair membership is bit-identical (the
     haversine twin is pytest-gated vs knn_join parity)."""
@@ -2636,15 +2630,15 @@ def _q_webtext_e2e(sf_dir: str):
     """End-to-end training-data prep chain (round-5 flagship
     composition): Gopher repetition gate (keep docs whose duplicate
     bigram fraction ≤ 5% — integer predicate, exact) → C4-style global
-    span dedup with reassembly → doc_id⨝lang hash join (the honest
+    span dedup with reassembly → doc_id⨝lang sort join (the honest
     scale shape: the metadata side is corpus-sized, so no broadcast) →
     per-language doc/word accounting. Three exchanges total (span
-    groupby, reassembly sort, metadata join) — each stage streams."""
+    groupby, reassembly sort, metadata join sort)."""
     from ray.data.aggregate import Count, Sum
 
     from osmptparser_ray.text.analysis import add_repetition_ratio
     from osmptparser_ray.text.dedup import span_dedup
-    from osmptparser_ray.util import join_partitions
+    from osmptparser_ray.util import equi_join
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
     rep = add_repetition_ratio(docs, "text", n=2)
@@ -2656,7 +2650,8 @@ def _q_webtext_e2e(sf_dir: str):
             ["doc_id", "text", "lang"]
         )
 
-    kept = rep.map_batches(keep, batch_format="pyarrow")
+    # materialized once: the dedup and the metadata join both read it
+    kept = rep.map_batches(keep, batch_format="pyarrow").materialize()
     deduped = span_dedup(
         kept.drop_columns(["lang"]), span_words=3
     )
@@ -2671,13 +2666,7 @@ def _q_webtext_e2e(sf_dir: str):
 
     counted = deduped.map_batches(words, batch_format="pyarrow")
     meta = kept.drop_columns(["text"])
-    joined = counted.join(
-        meta,
-        join_type="inner",
-        num_partitions=join_partitions(rows=10_000),
-        on=("doc_id",),
-        aggregator_ray_remote_args={"num_cpus": 0.25},
-    )
+    joined = equi_join(counted, meta, "doc_id")
     return (
         joined.groupby("lang")
         .aggregate(Count(alias_name="n_docs"), Sum("n_words", alias_name="sum_words"))
@@ -2733,7 +2722,7 @@ def _q_first_last_value(sf_dir: str):
     from the unique event_id), zipped by an in-Arrow join. Zero
     per-group UDFs."""
     from osmptparser_ray.stages.relational import topk_per_group
-    from osmptparser_ray.util import join_partitions
+    from osmptparser_ray.util import equi_join
 
     ev = _read(sf_dir, "events", ["user_id", "event_id", "event_type"])
     first = topk_per_group(
@@ -2752,13 +2741,7 @@ def _q_first_last_value(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    return first.join(
-        last,
-        join_type="inner",
-        num_partitions=join_partitions(rows=1_000),
-        on=("user_id",),
-        aggregator_ray_remote_args={"num_cpus": 0.25},
-    )
+    return equi_join(first, last, "user_id")
 
 
 def _q_full_outer_join(sf_dir: str):
@@ -2770,7 +2753,7 @@ def _q_full_outer_join(sf_dir: str):
     trip), exactly the oracle's COALESCE."""
     from ray.data.aggregate import Count
 
-    from osmptparser_ray.util import join_partitions
+    from osmptparser_ray.util import equi_join
 
     ev = (
         _read(sf_dir, "events", ["user_id"])
@@ -2782,14 +2765,7 @@ def _q_full_outer_join(sf_dir: str):
         .groupby("o_custkey")
         .aggregate(Count(alias_name="n_orders"))
     )
-    joined = ev.join(
-        orders,
-        join_type="full_outer",
-        num_partitions=join_partitions(rows=200_000),
-        on=("user_id",),
-        right_on=("o_custkey",),
-        aggregator_ray_remote_args={"num_cpus": 0.25},
-    )
+    joined = equi_join(ev, orders, "user_id", right_on="o_custkey", how="full_outer")
 
     def fill(t: pa.Table) -> pa.Table:
         z = pa.scalar(0, pa.int64())

@@ -1,10 +1,10 @@
 """Distributed graph operators over edge-list Datasets.
 
 ``pagerank`` is the engine's ITERATIVE-computation shape: each iteration
-is one hash join (ranks ⋈ out-weighted edges on src) plus one
-groupby-Sum (contributions per dst), materialized per round so lineage
-stays flat. Nothing is ever collected to the driver except two scalars
-per iteration (total node count once; dangling mass per round).
+is one sort join (ranks ⋈ out-weighted edges on src, ``util.equi_join``)
+plus one groupby-Sum (contributions per dst), materialized per round so
+lineage stays flat. Nothing is ever collected to the driver except two
+scalars per iteration (total node count once; dangling mass per round).
 
 Companion to ``text/dedup.py:duplicate_groups`` (min-label propagation)
 — together they cover the propagate-until-stable and fixed-iteration
@@ -14,14 +14,12 @@ authority for crawl prioritization).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from .util import JOIN_AGG_ARGS, join_partitions
+from .util import equi_join
 
 
 def _distinct_nodes(edges: rd.Dataset, src_col: str, dst_col: str) -> rd.Dataset:
@@ -43,19 +41,6 @@ def _distinct_nodes(edges: rd.Dataset, src_col: str, dst_col: str) -> rd.Dataset
 
 
 
-def _healed(ds: rd.Dataset, cap: int) -> rd.Dataset:
-    """Materialize + repartition a join side to ≤ row-count blocks.
-
-    A hash-shuffle groupby can emit zero-COLUMN empty blocks for empty
-    partitions; Acero's per-partition join then dies with "No match for
-    key field" (the NOTES_ROUND2/3 empty-partition rule). Rebuilding the
-    blocks schema-ful via repartition heals it.
-    """
-    ds = ds.materialize()
-    n = ds.count()
-    return ds.repartition(max(1, min(cap, n))).materialize()
-
-
 def pagerank(
     edges: rd.Dataset,
     n_iter: int = 10,
@@ -63,7 +48,6 @@ def pagerank(
     *,
     src_col: str = "src",
     dst_col: str = "dst",
-    num_partitions: Optional[int] = None,
     plan: str = "auto",
     broadcast_cap: int = 2_000_000,
 ) -> rd.Dataset:
@@ -75,8 +59,8 @@ def pagerank(
 
     Physical plan per iteration — everything distributed:
 
-    1. ranks ⋈ weighted edges on src (hash join, cluster-sized
-       partitions), contribution = rank·(1/outdeg) per edge,
+    1. ranks ⋈ weighted edges on src (one sort, ``util.equi_join``),
+       contribution = rank·(1/outdeg) per edge,
     2. groupby(dst).Sum — in-flow per node,
     3. left join back onto the node table (nodes without in-edges keep
        the base term) + the vectorized update.
@@ -95,15 +79,13 @@ def pagerank(
     arrays, ~16 MB at 2M nodes), contributions are a per-batch
     searchsorted lookup over the STATIC edge dataset + one groupby-Sum,
     and the update is node-table-sized driver numpy — the classic
-    "broadcast the model, shuffle the gradients" iteration. Measured at
-    15k nodes / 3 iterations: the join plan pays ~2 aggregator-pool
-    spin-ups per round and runs ~20 s where broadcast runs ~2 s.
-    ``plan="shuffle"`` keeps the join realization for node sets beyond
-    worker memory; the two are parity-tested.
+    "broadcast the model, shuffle the gradients" iteration; the join plan
+    pays two sorts and a groupby per round. ``plan="shuffle"`` keeps the
+    join realization for node sets beyond worker memory; the two are
+    parity-tested.
     """
     from ray.data.aggregate import Count, Sum
 
-    npart = num_partitions or join_partitions()
     d = float(damping)
 
     nodes = _distinct_nodes(edges, src_col, dst_col).materialize()
@@ -132,22 +114,15 @@ def pagerank(
             )
         return _pagerank_broadcast(edges, n_iter, d, src_col, dst_col, nodes, n)
 
-    outdeg = _healed(
+    outdeg = (
         edges.map_batches(
             lambda t: pa.table({"node": t[src_col]}), batch_format="pyarrow"
         )
         .groupby("node")
-        .aggregate(Count(alias_name="outdeg")),
-        npart,
+        .aggregate(Count(alias_name="outdeg"))
     )
     # node table with out-degree (0 for sinks) — the per-iteration spine
-    spine = nodes.join(
-        outdeg,
-        "left_outer",
-        npart,
-        on=("node",),
-        aggregator_ray_remote_args=JOIN_AGG_ARGS,
-    ).map_batches(
+    spine = equi_join(nodes, outdeg, "node", how="left_outer").map_batches(
         lambda t: pa.table(
             {
                 "node": t["node"],
@@ -159,16 +134,13 @@ def pagerank(
 
     # out-weighted edges: (src, dst, w=1/outdeg(src)); built once
     wedges = (
-        edges.map_batches(
-            lambda t: pa.table({"node": t[src_col], "dst": t[dst_col]}),
-            batch_format="pyarrow",
-        )
-        .join(
+        equi_join(
+            edges.map_batches(
+                lambda t: pa.table({"node": t[src_col], "dst": t[dst_col]}),
+                batch_format="pyarrow",
+            ),
             spine,
-            "inner",
-            npart,
-            on=("node",),
-            aggregator_ray_remote_args=JOIN_AGG_ARGS,
+            "node",
         )
         .map_batches(
             lambda t: pa.table(
@@ -216,13 +188,7 @@ def pagerank(
             )
         )
         contribs = (
-            wedges.join(
-                ranks.select_columns(["node", "rank"]),
-                "inner",
-                npart,
-                on=("node",),
-                aggregator_ray_remote_args=JOIN_AGG_ARGS,
-            )
+            equi_join(wedges, ranks.select_columns(["node", "rank"]), "node")
             .map_batches(
                 lambda t: pa.table(
                     {
@@ -235,7 +201,6 @@ def pagerank(
             .groupby("node")
             .aggregate(Sum("inflow_part", alias_name="inflow"))
         )
-        contribs = _healed(contribs, npart)
         dshare = dangling / n
 
         def update(batch: pa.Table) -> pa.Table:
@@ -252,13 +217,7 @@ def pagerank(
             )
 
         ranks = (
-            spine.join(
-                contribs,
-                "left_outer",
-                npart,
-                on=("node",),
-                aggregator_ray_remote_args=JOIN_AGG_ARGS,
-            )
+            equi_join(spine, contribs, "node", how="left_outer")
             .map_batches(update, batch_format="pyarrow")
             .materialize()
         )
@@ -474,7 +433,7 @@ def triangle_count(
     rows (≤ 2·√(2m) rows per block).
 
     ``plan="shuffle"``: no driver-sized state — degrees stay a Dataset,
-    orientation is by raw (deg, id) pairs via two hash joins, wedges are
+    orientation is by raw (deg, id) pairs via two sort joins, wedges are
     emitted as a Dataset and closed by a distributed inner join against
     the oriented edges. The beyond-memory twin (node/edge sets too big
     to ray.put); same output, parity-tested.
@@ -644,23 +603,16 @@ def _triangles_broadcast(canon: rd.Dataset, deg: rd.Dataset, node_cap: int) -> r
 
 
 def _triangles_shuffle(canon: rd.Dataset, deg: rd.Dataset) -> rd.Dataset:
-    """The beyond-memory twin: orientation via two hash joins against the
+    """The beyond-memory twin: orientation via two sort joins against the
     degree Dataset; wedges emitted as a Dataset and closed by a
     distributed inner join (no driver-sized arrays anywhere)."""
     import ray
 
     from .stages.relational import _as_arrow_block, _nonempty_block_refs
 
-    nparts = join_partitions()
-    # Dataset.join drops the right key column itself — only rename needed
-    withu = canon.join(
-        deg, join_type="inner", num_partitions=nparts,
-        on=("u",), right_on=("node",), aggregator_ray_remote_args=JOIN_AGG_ARGS,
-    ).rename_columns({"deg": "deg_u"})
-    both = withu.join(
-        deg, join_type="inner", num_partitions=nparts,
-        on=("v",), right_on=("node",), aggregator_ray_remote_args=JOIN_AGG_ARGS,
-    ).rename_columns({"deg": "deg_v"})
+    # the join drops the right key column itself — only rename needed
+    withu = equi_join(canon, deg, "u", right_on="node").rename_columns({"deg": "deg_u"})
+    both = equi_join(withu, deg, "v", right_on="node").rename_columns({"deg": "deg_v"})
 
     def orient(batch: pa.Table) -> pa.Table:
         u = batch["u"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -779,21 +731,5 @@ def _triangles_shuffle(canon: rd.Dataset, deg: rd.Dataset) -> rd.Dataset:
         if w.num_rows:
             wedge_refs.append(ray.put(w))
     wedges = rd.from_arrow_refs(wedge_refs)
-    # EMPTY blocks on a join side crash Acero ("No match for key field",
-    # the NOTES_ROUND2/3 rule) — probe lazily, then heal block structure
-    if wedges.limit(1).count() == 0:
-        return rd.from_arrow(pa.table({"triangles": pa.array([0], pa.int64())}))
-    wedges = _healed(wedges, 64)
-    edge_side = _healed(
-        oriented.select_columns(["src", "dst"]).map_batches(
-            lambda t: t.append_column("_e", pa.array(np.ones(t.num_rows, np.int8))),
-            batch_format="pyarrow",
-        ),
-        64,
-    )
-    joined = wedges.join(
-        edge_side, join_type="inner", num_partitions=nparts,
-        on=("src", "dst"), aggregator_ray_remote_args=JOIN_AGG_ARGS,
-    )
-    total = joined.count()
+    total = equi_join(wedges, oriented, ["src", "dst"]).count()
     return rd.from_arrow(pa.table({"triangles": pa.array([int(total)], pa.int64())}))

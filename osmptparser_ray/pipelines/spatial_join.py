@@ -107,8 +107,7 @@ def unique_stops(stops: rd.Dataset) -> rd.Dataset:
 
     Per-block dedup runs in block tasks (``util.block_tasks``), the
     driver merges the already-small parts and re-distributes one Arrow
-    table — no hash shuffle, so no aggregator-actor spin-up (~2 s fixed
-    cost measured on this Ray version). Right whenever unique stops fit
+    table — no shuffle and no streaming execution. Right whenever unique stops fit
     driver memory — the same contract the broadcast join plans already
     assume.
     """

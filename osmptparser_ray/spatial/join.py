@@ -745,7 +745,6 @@ def raster_vector_join(
     level: int,
     *,
     route_id: str = "id",
-    num_partitions: Optional[int] = None,
     plan: str = "broadcast",
 ) -> rd.Dataset:
     """tiles (cell:uint64, …) ⨝ route cover cells → (cell, route_id) rows.
@@ -757,29 +756,18 @@ def raster_vector_join(
     the scale-right shape: tiles is the huge raster side, the cover is
     bounded by routes × cells-per-route.
 
-    ``plan="shuffle"`` keeps the hash-join variant for covers too large to
-    broadcast. Caveat (why it is not the default): with a sparse cover and
-    a partition count sized to the cluster, right-side hash partitions can
-    be left without any cover block, and the aggregator's Acero join then
-    fails to resolve the key on an empty schema-less block (observed as
-    ``ArrowInvalid: No match … FieldRef.Name(cell) on right side``).
+    ``plan="shuffle"`` joins tiles and cover in one sort
+    (``util.equi_join``) for covers too large to broadcast.
     """
     import ray
 
-    from ..util import cached_get, join_partitions
+    from ..util import cached_get, equi_join
 
     cover = routes.map_batches(
         partial(_route_cover_rows, level=level, id_col=route_id), batch_format="pyarrow"
     )
     if plan == "shuffle":
-        npart = num_partitions or join_partitions()
-        return tiles.select_columns(["cell"]).join(
-            cover,
-            join_type="inner",
-            num_partitions=npart,
-            on=("cell",),
-            aggregator_ray_remote_args={"num_cpus": 0.25},
-        )
+        return equi_join(tiles.select_columns(["cell"]), cover, "cell")
 
     c_parts, r_parts = [], []
     for b in cover.iter_batches(batch_size=1 << 17, batch_format="pyarrow"):

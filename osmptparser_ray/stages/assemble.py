@@ -40,7 +40,7 @@ import ray
 import ray.data as rd
 
 from ..kernel.geometry import NodeSeq, flatten_relation, flatten_single_way
-from ..util import block_tasks, concat_columns, cosort, key_runs
+from ..util import block_tasks, concat_columns, cosort, key_pairs, key_runs
 from .elements import ParserTables, _flatten_unique_list_columns, _tables_dataset
 
 TAGS_T = pa.map_(pa.string(), pa.string())
@@ -693,15 +693,6 @@ def _relation_rows(batch: pa.Table) -> pa.Table:
                  tags=batch["tags"], info=batch["info"], stop_ids=batch["stop_ids"])
 
 
-def _equi_join(left: np.ndarray, right: np.ndarray) -> tuple:
-    """(left index, right index) of every pair of equal keys; ``right``
-    must be sorted. Each left key takes its ``searchsorted`` range."""
-    lo = np.searchsorted(right, left, "left")
-    n = np.searchsorted(right, left, "right") - lo
-    li = np.repeat(np.arange(len(left), dtype=np.int64), n)
-    return li, np.arange(len(li), dtype=np.int64) - np.repeat(np.cumsum(n) - n - lo, n)
-
-
 def _split(block: pa.Table, col: str) -> tuple:
     """Rows with ``col`` valid, rows with it null."""
     valid = pc.is_valid(block[col])
@@ -713,7 +704,7 @@ def _member_node_probe(block: pa.Table) -> pa.Table:
     A member way absent from ``ways`` has no ref rows and drops out
     (mod.rs:672)."""
     members, refs = _split(block, "relation_id")
-    li, ri = _equi_join(_col(members, "way_id"), _col(refs, "way_id"))
+    li, ri = key_pairs(_col(members, "way_id"), _col(refs, "way_id"))
     return _rows(
         _NODE_ROWS, len(li),
         node_id=_col(refs, "node_id")[ri], relation_id=_col(members, "relation_id")[li],
@@ -727,7 +718,7 @@ def _coord_probe(block: pa.Table) -> pa.Table:
     pairs, nodes = _split(block, "relation_id")
     nid = _col(nodes, "node_id")
     first = key_runs(nid)[:-1]
-    li, ri = _equi_join(_col(pairs, "node_id"), nid[first])
+    li, ri = key_pairs(_col(pairs, "node_id"), nid[first])
     ri = first[ri]
     return _rows(
         _RELATION_ROWS, len(li),

@@ -630,49 +630,15 @@ def _bloom_from_id_dataset(ids: rd.Dataset, n: int, fpr: float):
     return BloomFilter(merged, n_bits, k)
 
 
-def _heal_blocks(ds: rd.Dataset, rows: int, max_blocks: int) -> rd.Dataset:
-    """Repartition a (materialized, possibly sparse) dataset so every block
-    is schema-ful — groupby aggregators emit zero-COLUMN empty blocks that
-    bypass map_batches and crash Acero joins (NOTES_ROUND2 rule)."""
-    return ds.repartition(max(1, min(max_blocks, rows)))
-
-
-def _bloom_false_positive_ids(
-    candidate_ids: rd.Dataset, true_ids: rd.Dataset, n_true: int
-) -> np.ndarray:
+def _bloom_false_positive_ids(candidate_ids: rd.Dataset, true_ids: rd.Dataset) -> np.ndarray:
     """SORTED array of candidate ids that are NOT true ids — the Bloom
-    false-positive set, resolved by an ID-ONLY anti-join (left-outer +
-    null-marker filter; Acero forbids nested payload columns in joins, so
-    payload rows never cross a shuffle here). Expected size is
-    fpr × |distinct corpus ids| — small enough to broadcast by design;
-    the payload filter then subtracts it exactly."""
-    from ..util import JOIN_AGG_ARGS, join_partitions
+    false-positive set, resolved by an ID-ONLY anti-join, so payload rows
+    never cross a sort here. Expected size is fpr × |distinct corpus ids|
+    — small enough to broadcast by design; the payload filter then
+    subtracts it exactly."""
+    from ..util import equi_join
 
-    # both join sides descend from groupby aggregators — heal both;
-    # partition count sized to the bigger side (round-5: a fixture-sized
-    # join needs 2 aggregator actors, not 8 — spin-up dominated the gate)
-    candidate_ids = candidate_ids.materialize()
-    n_cand = candidate_ids.count()
-    npart = join_partitions(rows=max(n_cand, n_true))
-    candidate_ids = _heal_blocks(candidate_ids, n_cand, npart)
-    marker = true_ids.map_batches(
-        lambda t: t.append_column(
-            "__m", pa.array(np.ones(t.num_rows, np.int8), pa.int8())
-        ),
-        batch_format="pyarrow",
-    )
-    marker = _heal_blocks(marker, n_true, npart)
-    joined = candidate_ids.join(
-        marker,
-        join_type="left_outer",
-        num_partitions=npart,
-        on=("id",),
-        aggregator_ray_remote_args=JOIN_AGG_ARGS,
-    )
-    fp = joined.map_batches(
-        lambda t: t.filter(pc.is_null(t["__m"])).select(["id"]),
-        batch_format="pyarrow",
-    )
+    fp = equi_join(candidate_ids, true_ids, "id", how="left_anti")
     parts = [
         b["id"].to_numpy(zero_copy_only=False).astype(np.int64)
         for b in fp.iter_batches(batch_size=1 << 18, batch_format="pyarrow")
@@ -759,7 +725,7 @@ def _build_parser_tables_bloom(
         .aggregate(Count(alias_name="__n"))
         .map_batches(lambda t: t.select(["id"]), batch_format="pyarrow")
     )
-    way_fp_ref = ray.put(_bloom_false_positive_ids(cand_ids, way_ids, n_way_ids))
+    way_fp_ref = ray.put(_bloom_false_positive_ids(cand_ids, way_ids))
 
     def finalize_ways(batch: pa.Table) -> pa.Table:
         fp = cached_get(way_fp_ref)
@@ -830,9 +796,7 @@ def _build_parser_tables_bloom(
         .aggregate(Count(alias_name="__n"))
         .map_batches(lambda t: t.select(["id"]), batch_format="pyarrow")
     )
-    node_fp_ref = ray.put(
-        _bloom_false_positive_ids(node_cand_ids, node_ids, n_node_ids)
-    )
+    node_fp_ref = ray.put(_bloom_false_positive_ids(node_cand_ids, node_ids))
 
     def finalize_nodes(batch: pa.Table) -> pa.Table:
         fp = cached_get(node_fp_ref)

@@ -274,7 +274,7 @@ def interval_join(
     via ``ray.put``; each point batch resolves candidates with one
     searchsorted and applies the exact lo/hi filter vectorized per
     candidate interval. For a big-big variant, band BOTH sides by cell and
-    hash-join on the cell key (the pip_join pattern).
+    sort-join on the cell key (``interval_join_shuffle``).
 
     ``intervals``: [(interval_id, lo, hi)] — the small side (broadcast
     contract like ``broadcast_join``).
@@ -681,8 +681,9 @@ def interval_join_shuffle(
 
     Physical plan (the 1-D ``pip_join`` shuffle pattern): intervals are
     replicated to every value cell they span (vectorized repeat/cumsum
-    per batch), points band to their cell, and an inner hash-join on the
-    cell key co-locates candidates; the exact half-open filter runs
+    per batch), points band to their cell, and an inner sort join
+    (``util.equi_join``) on the cell key co-locates candidates; an empty
+    side gives an empty result. The exact half-open filter runs
     vectorized per joined batch. Each matching pair is produced exactly
     once (a point lives in exactly one cell per scale, and an interval is
     banded at exactly one scale) — no dedup pass.
@@ -704,7 +705,7 @@ def interval_join_shuffle(
     and replicates that cell's interval rows to each — the hot-cell
     treatment shared with ``pip_join``.
     """
-    from ..util import JOIN_AGG_ARGS, join_partitions
+    from ..util import equi_join
 
     if banding not in ("auto", "single", "multiscale"):
         raise ValueError(f"banding must be auto|single|multiscale, got {banding!r}")
@@ -838,27 +839,10 @@ def interval_join_shuffle(
         interval_rows_multiscale if banding == "multiscale" else interval_rows_single
     )
 
-    # an all-empty side crashes the Acero join ("No match for key field…"
-    # — the empty-block hazard from NOTES_ROUND3, and a schema-ful empty
-    # block does NOT heal it) — short-circuit. The banded interval side is
-    # small enough to materialize for its count; the big points side stays
-    # LAZY for the join and is only probed with limit(1).
-    empty = pa.table(
-        {
-            point_id: pa.array([], pa.int64()),
-            interval_id: pa.array([], pa.int64()),
-        }
-    )
-    left = points.map_batches(point_rows, batch_format="pyarrow")
-    right = intervals.map_batches(interval_rows, batch_format="pyarrow").materialize()
-    if right.count() == 0 or left.limit(1).count() == 0:
-        return rd.from_arrow(empty)
-    joined = left.join(
-        right,
-        join_type="inner",
-        num_partitions=join_partitions(),
-        on=("scale", "cell", "jsalt"),
-        aggregator_ray_remote_args=JOIN_AGG_ARGS,
+    joined = equi_join(
+        points.map_batches(point_rows, batch_format="pyarrow"),
+        intervals.map_batches(interval_rows, batch_format="pyarrow"),
+        ["scale", "cell", "jsalt"],
     )
 
     def exact(batch: pa.Table) -> pa.Table:
@@ -1367,7 +1351,8 @@ def anti_join(
     bloom-NEGATIVE rows are DEFINITE anti-matches (Bloom filters have no
     false negatives) and stream straight to the output; only the
     bloom-positive sliver (true matches + ~fpr of the rest) pays the
-    exact hash ``left_anti`` join against the distinct-key dataset. The
+    exact ``left_anti`` sort join (``util.equi_join``) against the
+    distinct-key dataset. The
     probe side is scanned twice (column-pruned) — materialize upstream
     if the scan is expensive. Both plans return identical rows
     (parity-tested).
@@ -1379,7 +1364,7 @@ def anti_join(
     """
     from ray.data.aggregate import Count
 
-    from ..util import JOIN_AGG_ARGS, join_partitions
+    from ..util import equi_join
 
     kcol = keys_on or on
 
@@ -1442,22 +1427,8 @@ def anti_join(
     )
     positives = ds.map_batches(
         lambda b: bloom_side(b, True), batch_format="pyarrow"
-    ).materialize()
-    # all-empty side crashes the hash join (NOTES_ROUND3 rule) — and with
-    # zero bloom-positives there is nothing left to check exactly anyway
-    n_pos = positives.count()
-    if n_pos == 0:
-        return negatives
-    survivors = positives.join(
-        distinct,
-        join_type="left_anti",
-        # both sides' sizes are known here — size the aggregator-actor
-        # count to the data (round-5 rows hint)
-        num_partitions=join_partitions(rows=max(n_pos, n_keys)),
-        on=(on,),
-        right_on=("id",),
-        aggregator_ray_remote_args=JOIN_AGG_ARGS,
     )
+    survivors = equi_join(positives, distinct, on, right_on="id", how="left_anti")
     cols = [f.name for f in _schema_fields(ds)]
     return negatives.select_columns(cols).union(survivors.select_columns(cols))
 
@@ -1978,7 +1949,7 @@ def _set_op(
     3. a vectorized filter keeps keys matching the op's truth table.
 
     One all-to-all over deduplicated keys total — strictly cheaper than
-    the hash-join realization, and hot keys collapse in step 1.
+    a join, and hot keys collapse in step 1.
     """
     from ray.data.aggregate import Max
 
@@ -2031,14 +2002,15 @@ def salted_join(
     *,
     salt: int = 8,
     hot_threshold: Optional[int] = None,
-    num_partitions: Optional[int] = None,
     left_suffix: Optional[str] = None,
     right_suffix: Optional[str] = "_r",
 ) -> rd.Dataset:
-    """Inner hash join with HOT-KEY SALTING — the skew escape hatch for a
+    """Inner join with HOT-KEY SALTING — the skew escape hatch for a
     big-big join whose key distribution has heavy hitters (one domain =
-    30% of pages): a plain hash join sends every row of a hot key to ONE
-    aggregator, so the slowest partition is the whole runtime.
+    30% of pages). The join is a sort (``util.equi_join``), and a sort
+    never splits a run of equal keys across its blocks: every row of a
+    hot key lands in ONE probe task, so the biggest run is the slowest
+    task and must fit one worker's heap.
 
     Plan (the dedup ``_salted_bucket_self_join`` pattern generalized to a
     binary join):
@@ -2052,33 +2024,28 @@ def salted_join(
        rows keep sub-key 0,
     3. hot RIGHT rows are REPLICATED once per sub-key (repeat/take,
        vectorized); cold rows pass through once,
-    4. one ``Dataset.join`` on ``(on, _salt)``; the sub-key splits every
-       hot key's work across ``salt`` aggregators. Output rows == the
-       plain join's exactly (each (l, r) pair of a hot key meets at
-       exactly the sub-key of its left row).
+    4. one ``equi_join`` on ``(on, _salt)``; the salt column splits every
+       hot key's run into ``salt`` runs, which the sort may place in
+       different blocks. Output rows == the plain join's exactly (each
+       (l, r) pair of a hot key meets at exactly the sub-key of its left
+       row).
 
     Contract: keys hot on the LEFT; the right side's rows for those keys
     are multiplied by ``salt`` (keep right the smaller-per-key side).
     Both-sides-hot keys produce quadratic output regardless of engine —
     that is the join's semantics, not a skew artifact.
 
-    WHEN to use (measured, this Ray version): at in-memory scales the
-    plain hash-shuffle join tolerates extreme skew — interleaved A/B at
-    8M rows with 90% of rows on ONE key: plain 4–6 s vs salted 12–15 s
-    (the detection pass + right replication + 2-column key outweigh the
-    skewed critical path, which is just a linear scan). Salting is the
-    MEMORY escape hatch: a hot key whose partition exceeds a worker heap
-    (10^9+ rows of one domain) OOMs the single aggregator that must hold
-    it — salt splits that partition ``salt`` ways. Don't reach for it on
-    speed grounds below that regime.
+    WHEN to use: salting pays a detection pass (materialize, count,
+    groupby-Sum, collect) and the right-side replication before the
+    join starts, so it is the MEMORY escape hatch: reach for it when one
+    key's run would not fit a worker's heap (10^9+ rows of one domain),
+    not on speed grounds below that regime.
     """
     import ray
 
     from ray.data.aggregate import Sum
 
-    from ..util import JOIN_AGG_ARGS, cached_get, join_partitions
-
-    npart = num_partitions or join_partitions()
+    from ..util import cached_get, equi_join
 
     def partial_counts(batch: pa.Table) -> pa.Table:
         u, c = np.unique(
@@ -2089,22 +2056,6 @@ def salted_join(
         )
 
     left = left.materialize()
-    if left.count() == 0 or right.limit(1).count() == 0:
-        # an ALL-EMPTY side crashes Dataset.join — empty inner join result
-        def _fields(d):
-            s = d.schema(fetch_if_missing=True)
-            base = getattr(s, "base_schema", None) if s is not None else None
-            return [(f.name, f.type) for f in base] if base is not None else []
-
-        lf = _fields(left)
-        rf = [
-            (n if n == on or n not in dict(lf) else n + (right_suffix or ""), t)
-            for n, t in _fields(right)
-            if n != on
-        ]
-        return rd.from_arrow(
-            pa.table({n: pa.array([], t) for n, t in lf + rf})
-        )
     counts = (
         left.map_batches(partial_counts, batch_format="pyarrow")
         .groupby(on)
@@ -2164,17 +2115,10 @@ def salted_join(
 
     l_s = left.map_batches(salt_left, batch_format="pyarrow")
     r_s = right.map_batches(salt_right, batch_format="pyarrow")
-    joined = l_s.join(
-        r_s,
-        "inner",
-        npart,
-        on=(on, "_salt"),
-        left_suffix=left_suffix,
-        right_suffix=right_suffix,
-        aggregator_ray_remote_args=JOIN_AGG_ARGS,
+    joined = equi_join(
+        l_s, r_s, [on, "_salt"], left_suffix=left_suffix, right_suffix=right_suffix
     )
-    drop = [c for c in joined.columns() if c.startswith("_salt")]
-    return joined.drop_columns(drop)
+    return joined.drop_columns(["_salt"])
 
 
 def zscore_filter(

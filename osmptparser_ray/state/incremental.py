@@ -14,7 +14,7 @@ proportional to the chunk, never to history:
 
 Per chunk: sessionize the chunk alone (the distributed scan plan), then
 stitch its per-user FIRST session onto the saved open tail with one
-per-user aggregate + one hash join — O(users-in-chunk) rows, no
+per-user aggregate + one join — O(users-in-chunk) rows, no
 per-event rework. The append-log contract (events of a user arrive in
 non-decreasing time across chunks) is asserted per user when
 ``strict=True``; violating it would require re-sessionizing history,
@@ -122,7 +122,6 @@ def sessionize_append(
     *,
     run_id: Optional[str] = None,
     strict: bool = True,
-    num_partitions: Optional[int] = None,
     plan: str = "auto",
     broadcast_cap: int = 2_000_000,
 ) -> rd.Dataset:
@@ -134,19 +133,15 @@ def sessionize_append(
 
     ``plan="broadcast"`` (default under ``auto`` while active-user tails
     AND chunk sessions both fit ``broadcast_cap``) removes all three
-    per-fold hash joins: the per-user stitch runs as driver numpy over
-    the two vocab-sized tables and the session renumber is one broadcast
-    searchsorted map over the chunk — the join fixed costs (aggregator
-    pool spin-up ×3) dominate a fold at small state. ``plan="shuffle"``
-    keeps the join realization for beyond-memory user populations;
+    per-fold joins: the per-user stitch runs as driver numpy over the two
+    vocab-sized tables and the session renumber is one broadcast
+    searchsorted map over the chunk — the join fixed costs (a sort each,
+    ×3) dominate a fold at small state. ``plan="shuffle"`` keeps the join
+    realization (``util.equi_join``) for beyond-memory user populations;
     parity-tested.
     """
     from ..streams import sessionize
-    from ..util import JOIN_AGG_ARGS, join_partitions
-
-    # each join partition pins an aggregator actor — size to the cluster
-    # (and use fractional CPUs) or a 4-CPU session starves (util.py:21)
-    npart = num_partitions or join_partitions()
+    from ..util import equi_join
 
     os.makedirs(state_dir, exist_ok=True)
     runs_path = os.path.join(state_dir, "_RUNS.jsonl")
@@ -202,13 +197,7 @@ def sessionize_append(
             ),
             batch_format="pyarrow",
         )
-        per_user = per_user.join(
-            t,
-            "left_outer",
-            npart,
-            on=("user_id",),
-            aggregator_ray_remote_args=JOIN_AGG_ARGS,
-        )
+        per_user = equi_join(per_user, t, "user_id", how="left_outer")
 
         def stitch(batch: pa.Table) -> pa.Table:
             # Nullable int64 out of the left-outer join must NOT round-trip
@@ -281,13 +270,7 @@ def sessionize_append(
         per_user = per_user.map_batches(no_tail, batch_format="pyarrow")
 
     per_user = per_user.materialize()
-    adj = new_sess.join(
-        per_user,
-        "inner",
-        npart,
-        on=("user_id",),
-        aggregator_ray_remote_args=JOIN_AGG_ARGS,
-    )
+    adj = equi_join(new_sess, per_user, "user_id")
 
     def finalize(batch: pa.Table) -> pa.Table:
         sid = batch["session_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -352,16 +335,9 @@ def sessionize_append(
 
     # tails of users untouched by this chunk stay open
     if have_tails:
-        seen = per_user.select_columns(["user_id"])
-        untouched = tails.select_columns(_SESSION_COLS).join(
-            seen,
-            "left_anti",
-            npart,
-            on=("user_id",),
-            aggregator_ray_remote_args=JOIN_AGG_ARGS,
+        untouched = equi_join(tails, per_user, "user_id", how="left_anti").select_columns(
+            _SESSION_COLS
         )
-        # left_anti with an empty probe side is safe (seen is non-empty here:
-        # new_sess has rows ⇒ per_user has rows)
         new_tails = new_tails.union(untouched)
 
     return _commit_fold(state_dir, runs_path, run_id, closed, new_tails)

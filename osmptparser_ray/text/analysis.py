@@ -539,7 +539,8 @@ def tfidf_top_terms(
        vocabulary ≤ ``broadcast_cap``) ships the (token → df) arrays via
        ``ray.put`` and attaches per batch with a dictionary-encode +
        searchsorted lookup — no join; ``plan="shuffle"`` is the tf ⋈ df
-       hash join for web-scale vocabularies (parity-tested),
+       sort join (``util.equi_join``) for web-scale vocabularies
+       (parity-tested),
     4. score per row, then the sort-scan ``topk_per_group`` per doc.
 
     ``idf="ratio"`` scores ``(tf·N)/df`` — the raw-ratio IDF variant,
@@ -553,7 +554,7 @@ def tfidf_top_terms(
     import numpy as np
 
     from ..stages.relational import topk_per_group
-    from ..util import JOIN_AGG_ARGS, join_partitions
+    from ..util import equi_join
 
     from ray.data.aggregate import Count
 
@@ -562,7 +563,7 @@ def tfidf_top_terms(
     n = int(n_docs if n_docs is not None else docs.count())
     tf = doc_term_counts(docs, text_col, id_col).materialize()
     if n == 0 or tf.count() == 0:
-        # an ALL-EMPTY side crashes Dataset.join — short-circuit
+        # nothing to score (and no vocabulary to broadcast) — short-circuit
         return rd.from_arrow(
             pa.table(
                 {
@@ -601,13 +602,7 @@ def tfidf_top_terms(
 
         joined = tf.map_batches(attach, batch_format="pyarrow")
     else:
-        joined = tf.join(
-            df,
-            "inner",
-            join_partitions(),
-            on=("token",),
-            aggregator_ray_remote_args=JOIN_AGG_ARGS,
-        )
+        joined = equi_join(tf, df, "token")
 
     def score(batch: pa.Table) -> pa.Table:
         tf_ = batch["tf"].to_numpy(zero_copy_only=False).astype(np.int64)

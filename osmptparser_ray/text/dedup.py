@@ -295,16 +295,17 @@ def _salted_bucket_self_join(
 ) -> rd.Dataset:
     """Self-join ``rows`` on (band, hash) with skew-salted hot buckets.
 
-    A bucket of population m lands m·m join work on ONE aggregator
-    partition; a degenerate corpus (one shared band hash) makes that
-    O(n²)-in-one-task. Standard skew-join salting spreads it WITHOUT
-    changing the pair set: hot left rows get salt = h(id) mod s, hot
-    right rows are replicated once per salt, cold rows ride salt 0 —
-    every (a, b) pair still meets in exactly one (key, salt) partition.
+    A bucket of population m lands m·m join work in ONE sort block (a
+    sort never splits a run of equal keys); a degenerate corpus (one
+    shared band hash) makes that O(n²)-in-one-task. Standard skew-join
+    salting spreads it WITHOUT changing the pair set: hot left rows get
+    salt = h(id) mod s, hot right rows are replicated once per salt, cold
+    rows ride salt 0 — every (a, b) pair still meets in exactly one
+    (key, salt) run, and the salt splits a hot key into ``s`` runs.
     ``hot_bucket_cap=None`` disables detection (one small count
     aggregation) and salting entirely.
     """
-    from ..util import JOIN_AGG_ARGS, cached_get, join_partitions
+    from ..util import cached_get, equi_join
 
     hot_ref = None
     if hot_bucket_cap is not None and hot_salt > 1:
@@ -359,13 +360,7 @@ def _salted_bucket_self_join(
 
     left = rows.map_batches(mk(left_cols, True), batch_format="pyarrow")
     right = rows.map_batches(mk(right_cols, False), batch_format="pyarrow")
-    return left.join(
-        right,
-        join_type="inner",
-        num_partitions=join_partitions(),
-        on=(band_col, hash_col, "salt"),
-        aggregator_ray_remote_args=JOIN_AGG_ARGS,
-    )
+    return equi_join(left, right, [band_col, hash_col, "salt"])
 
 
 def lsh_candidate_pairs(
@@ -462,7 +457,6 @@ def verify_jaccard(
     text_col: str = "text",
     shingle_k: int = 5,
     plan: str = "pruned",
-    num_partitions: int | None = None,
 ) -> rd.Dataset:
     """Exact shingle-Jaccard verification of candidate pairs.
 
@@ -475,17 +469,18 @@ def verify_jaccard(
       a distributed map-side filter and only the O(|pairs|) matching
       texts are collected for the verify stage. The corpus itself always
       streams.
-    * ``"join"``: two hash joins carry each side's text onto the pair row
-      (pairs ⨝ docs on doc_a, then doc_b) — nothing is ever collected;
-      for pair sets too large to hold anywhere. Costs two full shuffles
-      of the docs table, so it only wins at extreme scale.
+    * ``"join"``: two sort joins (``util.equi_join``) carry each side's
+      text onto the pair row (pairs ⨝ docs on doc_a, then doc_b) —
+      nothing is ever collected; for pair sets too large to hold
+      anywhere. Costs two full sorts of the docs table, so it only wins
+      at extreme scale.
     * ``"broadcast"``: the id→text broadcast of the WHOLE corpus — small
       fixtures only (every worker holds all texts).
     """
     import ray
     from ray.data.aggregate import Count
 
-    from ..util import JOIN_AGG_ARGS, cached_get, join_partitions
+    from ..util import cached_get, equi_join
 
     def _jaccard_batch(a_texts: list, b_texts: list) -> np.ndarray:
         jac = np.empty(len(a_texts), dtype=np.float64)
@@ -582,7 +577,6 @@ def verify_jaccard(
         texts_ref = ray.put(_texts_of(docs.select_columns([id_col, text_col])))
         return _verify_bcast_stage(uniq, texts_ref)
 
-    npart = num_partitions or join_partitions()
     txt = docs.select_columns([id_col, text_col])
     a_txt = txt.map_batches(
         lambda t: pa.table({"doc_a": t[id_col], "text_a": t[text_col]}),
@@ -592,20 +586,7 @@ def verify_jaccard(
         lambda t: pa.table({"doc_b": t[id_col], "text_b": t[text_col]}),
         batch_format="pyarrow",
     )
-    j1 = uniq.join(
-        a_txt,
-        join_type="inner",
-        num_partitions=npart,
-        on=("doc_a",),
-        aggregator_ray_remote_args=JOIN_AGG_ARGS,
-    )
-    j2 = j1.join(
-        b_txt,
-        join_type="inner",
-        num_partitions=npart,
-        on=("doc_b",),
-        aggregator_ray_remote_args=JOIN_AGG_ARGS,
-    )
+    j2 = equi_join(equi_join(uniq, a_txt, "doc_a"), b_txt, "doc_b")
 
     def verify_join(batch: pa.Table) -> pa.Table:
         jac = _jaccard_batch(
@@ -792,15 +773,16 @@ def duplicate_groups(
 
     ``plan="shuffle"`` — distributed min-label propagation: each round
     every node adopts the min label over {self} ∪ neighbors' labels,
-    implemented as a hash join (edges ⨝ labels on peer) + groupby-min —
-    no driver-side graph state. Rounds are O(component diameter), bounded
-    by ``max_rounds``; convergence is detected by the (monotonically
-    decreasing) global label sum. The beyond-memory path.
+    implemented as a sort join (edges ⨝ labels on peer,
+    ``util.equi_join``) + groupby-min — no driver-side graph state.
+    Rounds are O(component diameter), bounded by ``max_rounds``;
+    convergence is detected by the (monotonically decreasing) global
+    label sum. The beyond-memory path.
 
     ``plan="broadcast"`` — the pair set of a dedup pipeline is typically
     orders of magnitude smaller than the corpus, and the shuffle plan pays
-    ~2 aggregator-pool spin-ups PER ROUND (the measured iterative-Dataset
-    fixed cost, NOTES_ROUND4 pagerank: dominates below ~10^7 rows). Below
+    a sort and a groupby PER ROUND (the iterative-Dataset fixed cost,
+    NOTES_ROUND4 pagerank: dominates below ~10^7 rows). Below
     ``broadcast_cap`` pairs the edge list is collected once (16 B/pair)
     and components run as vectorized numpy min-propagation with pointer
     jumping on the driver — same output (parity-tested), no per-round
@@ -811,7 +793,7 @@ def duplicate_groups(
     import ray
     from ray.data.aggregate import Min
 
-    from ..util import JOIN_AGG_ARGS, join_partitions
+    from ..util import equi_join
 
     if plan not in ("auto", "broadcast", "shuffle"):
         raise ValueError(f"plan must be 'auto', 'broadcast' or 'shuffle', got {plan!r}")
@@ -820,9 +802,6 @@ def duplicate_groups(
         plan = "broadcast" if pairs.count() <= broadcast_cap else "shuffle"
     if plan == "broadcast":
         return _duplicate_groups_broadcast(pairs)
-
-    npart = join_partitions()
-    agg_args = JOIN_AGG_ARGS
 
     def edges_both(batch: pa.Table) -> pa.Table:
         a = batch["doc_a"].to_numpy(zero_copy_only=False)
@@ -856,27 +835,8 @@ def duplicate_groups(
     for _ in range(max_rounds):
         if not n_labels:
             break
-        # HEAL empty partitions before the join: the hash-shuffle groupby
-        # behind _minimize can emit zero-COLUMN empty blocks for empty
-        # partitions; those bypass map_batches and crash Acero's
-        # per-partition join ("No match for key field"). A repartition to
-        # ≤ row-count blocks rebuilds every block schema-ful (measured;
-        # see NOTES_ROUND2 empty-partition rule).
-        k = max(1, min(npart, n_labels))
-        peer_labels = labels.map_batches(
-            lambda t: pa.table({"lnode": t["node"], "plabel": t["label"]}),
-            batch_format="pyarrow",
-        ).repartition(k)
-        propagated = edges.join(
-            peer_labels,
-            join_type="inner",
-            num_partitions=npart,
-            on=("peer",),
-            right_on=("lnode",),
-            aggregator_ray_remote_args=agg_args,
-        ).map_batches(
-            lambda t: pa.table({"node": t["node"], "label": t["plabel"]}),
-            batch_format="pyarrow",
+        propagated = equi_join(edges, labels, "peer", right_on="node").select_columns(
+            ["node", "label"]
         )
         labels = _minimize(labels.union(propagated)).materialize()
         s = labels.sum("label")

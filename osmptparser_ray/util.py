@@ -1,6 +1,9 @@
-"""Small shared helpers for stage configuration."""
+"""Small shared helpers: block tasks, the one keyed regroup (``cosort``)
+and the equi-join built on it, and per-worker broadcast caching."""
 
 from __future__ import annotations
+
+from functools import partial
 
 import ray
 
@@ -18,39 +21,23 @@ def default_actor_concurrency() -> tuple[int, int]:
     return (1, max(2, cpus))
 
 
-def join_partitions(cap: int = 16, rows: int | None = None) -> int:
-    """Hash-join partition count sized to the cluster.
+def _arrow(block):
+    import pyarrow as pa
 
-    Each partition pins an aggregator actor whose spin-up is the dominant
-    fixed cost of a Dataset.join at sub-TB scale — fewer, larger partitions
-    win until a partition no longer fits in a worker's heap. Measured on
-    this Ray version: npart=8 beats 16/32 by 20-55% on a 600k-row join.
-
-    ``rows``: optional size hint for the BIGGER join side; when the caller
-    already knows it (a materialized side), partitions shrink to
-    ~1 per 150k rows so sub-100k joins pay 2 actor spin-ups, not 8
-    (round-5: the dominant fixed cost of every small gate join).
-    """
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    n = max(2, min(cap, cpus // 4))
-    if rows is not None:
-        n = max(2, min(n, rows // 150_000 + 1))
-    return n
-
-
-JOIN_AGG_ARGS = {"num_cpus": 0.25}
+    return block if isinstance(block, pa.Table) else pa.Table.from_pandas(block, preserve_index=False)
 
 
 @ray.remote
 def _block_task(fn, block, *args):
+    return fn(_arrow(block), *args)
+
+
+@ray.remote
+def _probe_task(probe, *blocks):
     import pyarrow as pa
 
-    if not isinstance(block, pa.Table):
-        block = pa.Table.from_pandas(block, preserve_index=False)
-    return fn(block, *args)
+    # the sort's own reducers merge their slices with permissive promotion
+    return probe(pa.concat_tables([_arrow(b) for b in blocks], promote_options="permissive"))
 
 
 def block_tasks(ds, fn, *args, num_returns: int = 1) -> list:
@@ -80,23 +67,52 @@ def cosort(sides: list, keys: list, probe, schema):
     Exactness rests on an invariant the code does not show: Ray's sort
     range-partitions on sampled key boundaries and each reducer emits one
     block, so a sort never splits a run of equal keys across blocks, and
-    ``block_tasks`` hands ``probe`` each block whole. Every row of one
-    key, from every side, thus reaches a single ``probe`` call, in a
-    block sorted on ``keys``.
+    each probe task gets its blocks whole. Every row of one key, from
+    every side, thus reaches a single ``probe`` call, in a block sorted on
+    ``keys``.
 
-    The probes are block tasks, not a ``map_batches``: a sort leaves a
+    The probes are plain tasks, not a ``map_batches``: a sort leaves a
     columnless empty block for every empty key range, and ``map_batches``
     forwards those without calling the UDF, so the output would carry
     schema-less blocks. Here every output block comes from ``probe``, and
     an input without rows yields ``probe(schema.empty_table())``.
+
+    Consecutive sorted blocks under ``DataContext.target_min_block_size``
+    share one probe call (their concatenation is still sorted and holds
+    whole key runs). So a small input gives few output blocks: a
+    sort-based groupby after a cosort makes one partition per input block
+    and a columnless empty block for each partition without a group.
     """
     import ray.data as rd
+    from ray.data import DataContext
 
     rows = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
     blocks = rows.sort(keys).materialize()
+    floor = DataContext.get_current().target_min_block_size
+    groups, size = [], floor
+    for bundle in blocks.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows == 0:
+                continue
+            if size >= floor:
+                groups.append([])
+                size = 0
+            groups[-1].append(ref)
+            size += meta.size_bytes or 0
     return rd.from_arrow_refs(
-        block_tasks(blocks, probe) or [ray.put(probe(schema.empty_table()))]
+        [_probe_task.remote(probe, *g) for g in groups] or [ray.put(probe(schema.empty_table()))]
     )
+
+
+def key_pairs(left, right) -> tuple:
+    """(left index, right index) of every pair of equal keys; ``right``
+    must be sorted. Each left key takes its ``searchsorted`` range."""
+    import numpy as np
+
+    lo = np.searchsorted(right, left, "left")
+    n = np.searchsorted(right, left, "right") - lo
+    li = np.repeat(np.arange(len(left), dtype=np.int64), n)
+    return li, np.arange(len(li), dtype=np.int64) - np.repeat(np.cumsum(n) - n - lo, n)
 
 
 def key_runs(*keys):
@@ -110,6 +126,146 @@ def key_runs(*keys):
     for k in keys:
         change |= k[1:] != k[:-1]
     return np.concatenate([[0], np.flatnonzero(change) + 1, [n]]) if n else np.zeros(1, np.int64)
+
+
+JOIN_HOWS = ("inner", "left_outer", "left_anti", "full_outer")
+_SIDE = "__side"
+
+
+def equi_join(left, right, on, right_on=None, how: str = "inner",
+              left_suffix=None, right_suffix=None):
+    """``left`` ⋈ ``right`` on the columns ``on`` = ``right_on``
+    (``right_on`` defaults to ``on``) as one ``cosort`` → a materialized
+    dataset. ``how`` is one of ``JOIN_HOWS``.
+
+    The output is what ``Dataset.join`` gave: the left columns (keys
+    included, in the left's types), then the right's non-key columns; a
+    name on both sides takes ``left_suffix``/``right_suffix``, and
+    ``full_outer`` coalesces the key into the left column. Null keys never
+    match. Integer keys may differ in width between the sides (int32 vs
+    int64): the sort compares them as int64.
+
+    Each side's rows are tagged with a side column, its keys under the
+    left names and every other column under a side-prefixed name (null
+    for the other side's rows), so both sides sort as one schema. The
+    probe numbers the key runs of its block (``key_runs``) and pairs each
+    run's left rows with its right rows (``key_pairs``). Tagging needs both
+    schemas before the sort: a side whose schema is unknown until it runs
+    (a lazy ``map_batches``) is materialized first, and a side without any
+    schema (no blocks) joins as a side without rows that has only its keys.
+    """
+    import numpy as np
+    import pyarrow as pa
+
+    if how not in JOIN_HOWS:
+        raise ValueError(f"how must be one of {JOIN_HOWS}, got {how!r}")
+    on = [on] if isinstance(on, str) else list(on)
+    right_on = on if right_on is None else [right_on] if isinstance(right_on, str) else list(right_on)
+    left, ls = _side_schema(left)
+    right, rs = _side_schema(right)
+    if ls is None:
+        ls = pa.schema([(k, rs.field(r).type if rs else pa.null()) for k, r in zip(on, right_on)])
+    if rs is None:
+        rs = pa.schema([(r, ls.field(k).type) for k, r in zip(on, right_on)])
+    ktypes = [_common_key_type(ls.field(k).type, rs.field(r).type) for k, r in zip(on, right_on)]
+    lpay = [f for f in ls if f.name not in on]
+    rpay = [] if how == "left_anti" else [f for f in rs if f.name not in right_on]
+    clash = set(ls.names) & {f.name for f in rpay}
+    if clash and not (left_suffix or right_suffix):
+        raise ValueError(f"columns {sorted(clash)} are on both sides: give a suffix")
+
+    def named(f, suffix):
+        return f.name + suffix if f.name in clash and suffix else f.name
+
+    tagged = pa.schema(
+        [(_SIDE, pa.int8())] + list(zip(on, ktypes))
+        + [("l." + f.name, f.type) for f in lpay] + [("r." + f.name, f.type) for f in rpay]
+    )
+    out = pa.schema([(named(f, left_suffix), f.type) for f in ls]
+                    + [(named(f, right_suffix), f.type) for f in rpay])
+    payload = list(tagged)[1 + len(on):]
+
+    def tag(ds, side: int, keys: list):
+        own = "lr"[side]
+
+        def rows(batch):
+            n = batch.num_rows
+            return pa.Table.from_arrays(
+                [pa.array(np.full(n, side, np.int8))]
+                + [batch[k].cast(t) for k, t in zip(keys, ktypes)]
+                + [batch[f.name[2:]] if f.name[0] == own else pa.nulls(n, f.type) for f in payload],
+                schema=tagged,
+            )
+
+        return ds.map_batches(rows, batch_format="pyarrow")
+
+    probe = partial(
+        _join_probe, keys=on, how=how, out=out,
+        lsrc=[f.name if f.name in on else "l." + f.name for f in ls],
+        rsrc=["r." + f.name for f in rpay],
+    )
+    return cosort([tag(left, 0, on), tag(right, 1, right_on)], on, probe, tagged)
+
+
+def _side_schema(ds):
+    """``ds`` and its Arrow schema, materializing ``ds`` only when its
+    schema is unknown until it runs; ``None`` for a side without columns."""
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is None:
+        ds = ds.materialize()
+        schema = ds.schema()
+    return ds, schema.base_schema if schema is not None and schema.names else None
+
+
+def _common_key_type(a, b):
+    import pyarrow as pa
+
+    if a == b:
+        return a
+    if pa.types.is_integer(a) and pa.types.is_integer(b):
+        return pa.int64()
+    raise TypeError(f"join keys of types {a} and {b} cannot be compared")
+
+
+def _join_probe(block, keys: list, how: str, out, lsrc: list, rsrc: list):
+    """One sorted block of tagged rows → its joined rows (``equi_join``):
+    matched pairs, then unmatched left rows (every join but inner; the only
+    rows of left_anti), then unmatched right rows (full_outer)."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    side = block[_SIDE].to_numpy()
+    valid = np.ones(len(side), bool)
+    for k in keys:
+        valid &= pc.is_valid(block[k]).to_numpy(zero_copy_only=False)
+    rows = np.flatnonzero(valid)
+    sub = block.select(keys).take(pa.array(rows))
+    bounds = key_runs(*[sub[k].to_numpy(zero_copy_only=False) for k in keys])
+    run = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    is_left = side[rows] == 0
+    lrows, rrows, lrun, rrun = rows[is_left], rows[~is_left], run[is_left], run[~is_left]
+    none = np.empty(0, np.int64)
+    hit = np.zeros(len(side), bool)
+    if how == "left_anti":
+        li = ri = none
+        hit[lrows[np.isin(lrun, rrun)]] = True
+    else:
+        a, b = key_pairs(lrun, rrun)
+        li, ri = lrows[a], rrows[b]
+        hit[li] = hit[ri] = True
+    ul = none if how == "inner" else np.flatnonzero((side == 0) & ~hit)
+    ur = np.flatnonzero((side == 1) & ~hit) if how == "full_outer" else none
+    m, nl, nr = len(li), len(ul), len(ur)
+    at = np.arange(m + nl + nr)
+    lidx = pa.array(np.concatenate([li, ul, np.zeros(nr, np.int64)]), mask=at >= m + nl)
+    ridx = pa.array(np.concatenate([ri, np.zeros(nl, np.int64), ur]), mask=(at >= m) & (at < m + nl))
+    kidx = pa.array(np.concatenate([li, ul, ur]))
+    cols = [block[c].take(kidx if c in keys else lidx) for c in lsrc]
+    cols += [block[c].take(ridx) for c in rsrc]
+    return pa.Table.from_arrays(
+        [c if c.type == f.type else pc.cast(c, f.type) for c, f in zip(cols, out)], schema=out
+    )
 
 
 def concat_columns(parts: list, dtypes: tuple) -> list:
