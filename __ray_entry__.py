@@ -29,6 +29,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from osmptparser_ray.util import group_agg
+
 # --------------------------------------------------------------------------
 # deterministic synthetic inputs shared by engine and oracle
 # --------------------------------------------------------------------------
@@ -447,10 +449,13 @@ def _q_approx_quantiles(sf_dir: str):
         )
 
     parts = (
-        li.map_batches(rank_counts, batch_format="pyarrow")
+        pa.concat_tables(li.map_batches(rank_counts, batch_format="pyarrow").iter_batches(
+            batch_size=None, batch_format="pyarrow"))
+        .group_by("qi")
+        .aggregate([("lt", "sum"), ("le", "sum"), ("n", "sum")])
+        .rename_columns(["qi", "lt", "le", "n"])
+        .sort_by("qi")
         .to_pandas()
-        .groupby("qi")
-        .sum()
     )
     n = int(parts["n"].max()) if len(parts) else 0
     for qi, (q, err) in enumerate(
@@ -499,9 +504,9 @@ def _q_areas_fixture(sf_dir: str):
 
 
 def _q_groupby_agg(sf_dir: str):
-    """Partial-aggregate inside map_batches, then a small groupby — the
-    pre-aggregation pattern (SURVEY §2.5 / guide 'Aggregation at scale')."""
-    import ray.data as rd
+    """Grouped Sum/Count — the pre-aggregation pattern (SURVEY §2.5 /
+    guide 'Aggregation at scale'): ``group_agg`` aggregates each block
+    before its one sort."""
     from ray.data.aggregate import Count, Sum
 
     ds = _read(
@@ -510,27 +515,15 @@ def _q_groupby_agg(sf_dir: str):
         ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def revenue(batch: pa.Table) -> pa.Table:
         rev = pc.multiply(batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"]))
-        batch = batch.append_column("revenue", rev)
-        t = batch.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("revenue", "sum"), ("l_quantity", "count")]
-        )
-        return pa.table(
-            {
-                "l_returnflag": t["l_returnflag"],
-                "l_linestatus": t["l_linestatus"],
-                "p_qty": t["l_quantity_sum"],
-                "p_rev": t["revenue_sum"],
-                "p_n": t["l_quantity_count"],
-            }
-        )
+        return batch.append_column("revenue", rev)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    out = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("p_qty", alias_name="sum_qty"),
-        Sum("p_rev", alias_name="p_rev_sum"),
-        Sum("p_n", alias_name="n_rows"),
+    out = group_agg(
+        ds.map_batches(revenue, batch_format="pyarrow"), ["l_returnflag", "l_linestatus"],
+        Sum("l_quantity", alias_name="sum_qty"),
+        Sum("revenue", alias_name="p_rev_sum"),
+        Count("l_quantity", ignore_nulls=True, alias_name="n_rows"),
     )
 
     def int_rev(batch: pa.Table) -> pa.Table:
@@ -585,10 +578,7 @@ def _q_semi_join(sf_dir: str):
         return batch.filter(pa.array(keep))
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderstatus"])
-    out = orders.map_batches(semi, batch_format="pyarrow").groupby("o_orderstatus").aggregate(
-        Count(alias_name="n")
-    )
-    return out
+    return group_agg(orders.map_batches(semi, batch_format="pyarrow"), "o_orderstatus", Count(alias_name="n"))
 
 
 def _q_hash_join(sf_dir: str):
@@ -608,7 +598,7 @@ def _q_hash_join(sf_dir: str):
     from osmptparser_ray.util import equi_join
 
     joined = equi_join(li, orders, "l_orderkey", right_on="o_orderkey")
-    out = joined.groupby("o_orderpriority").aggregate(Sum("revenue", alias_name="rev_sum"))
+    out = group_agg(joined, "o_orderpriority", Sum("revenue", alias_name="rev_sum"))
 
     def int_rev(batch: pa.Table) -> pa.Table:
         rev = np.round(batch["rev_sum"].to_numpy(zero_copy_only=False)).astype(np.int64)
@@ -666,30 +656,26 @@ def _q_window_tumbling(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(win, batch_format="pyarrow")
-        .groupby(["user_id", "window_id"])
-        .aggregate(Count(alias_name="n_events"), Sum("value", alias_name="sum_value"))
+    return group_agg(
+        ds.map_batches(win, batch_format="pyarrow"), ["user_id", "window_id"],
+        Count(alias_name="n_events"), Sum("value", alias_name="sum_value"),
     )
 
 
 def _q_union_distinct(sf_dir: str):
     """Union + distinct: nation keys present in customer ∪ supplier.
 
-    Distinct = per-batch local dedup (combiner) then a groupby-aggregate,
-    projecting the key back out — no per-group UDF."""
-    from ray.data.aggregate import Count
-
+    Distinct = ``group_agg`` without aggregates (per-block dedup, one
+    sort) — no per-group UDF."""
     c = _read(sf_dir, "customer", ["c_nationkey"]).map_batches(
-        lambda t: pa.table({"nationkey": pc.cast(t["c_nationkey"], pa.int64()).unique()}),
+        lambda t: pa.table({"nationkey": pc.cast(t["c_nationkey"], pa.int64())}),
         batch_format="pyarrow",
     )
     s = _read(sf_dir, "supplier", ["s_nationkey"]).map_batches(
-        lambda t: pa.table({"nationkey": pc.cast(t["s_nationkey"], pa.int64()).unique()}),
+        lambda t: pa.table({"nationkey": pc.cast(t["s_nationkey"], pa.int64())}),
         batch_format="pyarrow",
     )
-    out = c.union(s).groupby("nationkey").aggregate(Count(alias_name="n"))
-    return out.select_columns(["nationkey"])
+    return group_agg(c.union(s), "nationkey")
 
 
 # --------------------------------------------------------------------------
@@ -1049,22 +1035,12 @@ def _q_hll_distinct(sf_dir: str):
     the engine's own exact distinct count, and the exact count
     hash-matches SQL COUNT(DISTINCT). A wrong sketch flips hll_ok and
     fails the driver hash."""
-    from ray.data.aggregate import Count
-
     from osmptparser_ray.stages.relational import approx_distinct
 
     p = 12
     ds = _read(sf_dir, "events", ["user_id"])
     est = approx_distinct(ds, "user_id", p=p)
-    distinct = (
-        ds.map_batches(
-            lambda t: pa.table({"id": pc.unique(t["user_id"])}),
-            batch_format="pyarrow",
-        )
-        .groupby("id")
-        .aggregate(Count(alias_name="__n"))
-    )
-    n_exact = distinct.count()
+    n_exact = group_agg(ds, "user_id").count()
     ok = abs(est - n_exact) / max(n_exact, 1) <= 5 * 1.04 / (1 << (p // 2))
     return pa.table(
         {
@@ -1096,11 +1072,7 @@ def _q_windowed_topk(sf_dir: str):
             }
         )
 
-    counts = (
-        ds.map_batches(win, batch_format="pyarrow")
-        .groupby(["window_id", "event_type"])
-        .aggregate(Count(alias_name="n"))
-    )
+    counts = group_agg(ds.map_batches(win, batch_format="pyarrow"), ["window_id", "event_type"], Count(alias_name="n"))
     out = topk_per_group(
         counts, "window_id", "n", 2, tiebreak_col="event_type", descending=True
     )
@@ -1171,9 +1143,7 @@ def _q_percent_rank(sf_dir: str):
         batch_format="pyarrow",
     )
     rn = running_agg(ds, "user_id", ["ts", "event_id"], "__one")
-    totals = (
-        ds.groupby("user_id").aggregate(Count(alias_name="n_grp"))
-    )
+    totals = group_agg(ds, "user_id", Count(alias_name="n_grp"))
 
     def ratio(t: pa.Table) -> pa.Table:
         num = pc.cast(pc.subtract(t["running_n"], 1), pa.float64())
@@ -1206,7 +1176,7 @@ def _q_ntile(sf_dir: str):
         batch_format="pyarrow",
     )
     rn = running_agg(ds, "user_id", ["ts", "event_id"], "__one")
-    totals = ds.groupby("user_id").aggregate(Count(alias_name="n_grp"))
+    totals = group_agg(ds, "user_id", Count(alias_name="n_grp"))
 
     def bucket(t: pa.Table) -> pa.Table:
         rnv = t["running_n"].to_numpy(zero_copy_only=False)
@@ -1571,19 +1541,7 @@ def _q_hll_group(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
     est = approx_distinct_per_group(ds, "event_type", "user_id", p=p)
     exact = (
-        ds.map_batches(
-            lambda t: pa.table(
-                {
-                    "event_type": t["event_type"],
-                    "user_id": t["user_id"],
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby(["event_type", "user_id"])
-        .aggregate(Count(alias_name="__n"))
-        .groupby("event_type")
-        .aggregate(Count(alias_name="n_distinct"))
+        group_agg(group_agg(ds, ["event_type", "user_id"]), "event_type", Count(alias_name="n_distinct"))
         .to_pandas()
         .sort_values("event_type")
         .reset_index(drop=True)
@@ -2409,9 +2367,7 @@ def _q_broadcast_enrich(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     joined = broadcast_join(orders, cust, on="o_custkey", right_on="c_custkey")
-    return (
-        joined.groupby("c_mktsegment").aggregate(Count(alias_name="n_orders"))
-    )
+    return group_agg(joined, "c_mktsegment", Count(alias_name="n_orders"))
 
 
 def _q_sessionize(sf_dir: str):
@@ -2667,10 +2623,7 @@ def _q_webtext_e2e(sf_dir: str):
     counted = deduped.map_batches(words, batch_format="pyarrow")
     meta = kept.drop_columns(["text"])
     joined = equi_join(counted, meta, "doc_id")
-    return (
-        joined.groupby("lang")
-        .aggregate(Count(alias_name="n_docs"), Sum("n_words", alias_name="sum_words"))
-    )
+    return group_agg(joined, "lang", Count(alias_name="n_docs"), Sum("n_words", alias_name="sum_words"))
 
 
 def _q_unpivot(sf_dir: str):
@@ -2707,10 +2660,9 @@ def _q_json_extract(sf_dir: str):
         k = pc.cast(pc.struct_field(m, "k"), pa.int64())
         return pa.table({"event_type": t["event_type"], "k": k})
 
-    return (
-        ev.map_batches(extract, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("k", alias_name="sum_k"), Count(alias_name="n"))
+    return group_agg(
+        ev.map_batches(extract, batch_format="pyarrow"), "event_type",
+        Sum("k", alias_name="sum_k"), Count(alias_name="n"),
     )
 
 
@@ -2755,16 +2707,8 @@ def _q_full_outer_join(sf_dir: str):
 
     from osmptparser_ray.util import equi_join
 
-    ev = (
-        _read(sf_dir, "events", ["user_id"])
-        .groupby("user_id")
-        .aggregate(Count(alias_name="n_events"))
-    )
-    orders = (
-        _read(sf_dir, "orders", ["o_custkey"])
-        .groupby("o_custkey")
-        .aggregate(Count(alias_name="n_orders"))
-    )
+    ev = group_agg(_read(sf_dir, "events", ["user_id"]), "user_id", Count(alias_name="n_events"))
+    orders = group_agg(_read(sf_dir, "orders", ["o_custkey"]), "o_custkey", Count(alias_name="n_orders"))
     joined = equi_join(ev, orders, "user_id", right_on="o_custkey", how="full_outer")
 
     def fill(t: pa.Table) -> pa.Table:

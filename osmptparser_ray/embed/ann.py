@@ -252,36 +252,17 @@ def cosine_near_dup(
 
     hot_ref = None
     if bucket_cap is not None and cap_blocks > 1:
-        from ray.data.aggregate import Sum
+        from ray.data.aggregate import Count
+
+        from ..util import block_tasks, group_agg
 
         bucketized = bucketized.materialize()  # count pass + explode pass
 
-        def partial(batch: pa.Table) -> pa.Table:
-            u, c = np.unique(
-                batch["bucket"].to_numpy(zero_copy_only=False), return_counts=True
-            )
-            return pa.table(
-                {
-                    "bucket": pa.array(u, pa.uint64()),
-                    "n_part": pa.array(c.astype(np.int64), pa.int64()),
-                }
-            )
+        def hot(t: pa.Table) -> np.ndarray:
+            return t.filter(pa.compute.greater(t["n"], bucket_cap))["bucket"].to_numpy().astype(np.uint64)
 
-        hot_ds = (
-            bucketized.map_batches(partial, batch_format="pyarrow")
-            .groupby("bucket")
-            .aggregate(Sum("n_part", alias_name="n"))
-            .map_batches(
-                lambda t: t.filter(pa.compute.greater(t["n"], bucket_cap)).select(
-                    ["bucket"]
-                ),
-                batch_format="pyarrow",
-            )
-        )
-        parts = [
-            b["bucket"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            for b in hot_ds.iter_batches(batch_size=1 << 16, batch_format="pyarrow")
-        ]
+        counts = group_agg(bucketized.select_columns(["bucket"]), "bucket", Count(alias_name="n"))
+        parts = ray.get(block_tasks(counts, hot))
         flat = np.concatenate(parts) if parts else np.empty(0, np.uint64)
         hot_ref = ray.put(np.sort(flat)) if len(flat) else None
 

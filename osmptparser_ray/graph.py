@@ -19,25 +19,18 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from .util import equi_join
+from .util import equi_join, group_agg
 
 
 def _distinct_nodes(edges: rd.Dataset, src_col: str, dst_col: str) -> rd.Dataset:
-    """Distinct node ids appearing on either side (combiner + groupby)."""
+    """Distinct node ids appearing on either side (``group_agg``), materialized."""
 
     def partial(batch: pa.Table) -> pa.Table:
         s = batch[src_col].to_numpy(zero_copy_only=False)
         d = batch[dst_col].to_numpy(zero_copy_only=False)
         return pa.table({"node": pa.array(np.unique(np.concatenate([s, d])))})
 
-    from ray.data.aggregate import Count
-
-    return (
-        edges.map_batches(partial, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Count(alias_name="_c"))
-        .select_columns(["node"])
-    )
+    return group_agg(edges.map_batches(partial, batch_format="pyarrow"), "node")
 
 
 
@@ -88,7 +81,7 @@ def pagerank(
 
     d = float(damping)
 
-    nodes = _distinct_nodes(edges, src_col, dst_col).materialize()
+    nodes = _distinct_nodes(edges, src_col, dst_col)
     n = nodes.count()
     if n == 0:
         return rd.from_arrow(
@@ -114,12 +107,9 @@ def pagerank(
             )
         return _pagerank_broadcast(edges, n_iter, d, src_col, dst_col, nodes, n)
 
-    outdeg = (
-        edges.map_batches(
-            lambda t: pa.table({"node": t[src_col]}), batch_format="pyarrow"
-        )
-        .groupby("node")
-        .aggregate(Count(alias_name="outdeg"))
+    outdeg = group_agg(
+        edges.map_batches(lambda t: pa.table({"node": t[src_col]}), batch_format="pyarrow"),
+        "node", Count(alias_name="outdeg"),
     )
     # node table with out-degree (0 for sinks) — the per-iteration spine
     spine = equi_join(nodes, outdeg, "node", how="left_outer").map_batches(
@@ -187,19 +177,12 @@ def pagerank(
                 batch_size=1 << 16, batch_format="pyarrow"
             )
         )
-        contribs = (
-            equi_join(wedges, ranks.select_columns(["node", "rank"]), "node")
-            .map_batches(
-                lambda t: pa.table(
-                    {
-                        "node": t["dst"],
-                        "inflow_part": pc.multiply(t["rank"], t["w"]),
-                    }
-                ),
+        contribs = group_agg(
+            equi_join(wedges, ranks.select_columns(["node", "rank"]), "node").map_batches(
+                lambda t: pa.table({"node": t["dst"], "inflow_part": pc.multiply(t["rank"], t["w"])}),
                 batch_format="pyarrow",
-            )
-            .groupby("node")
-            .aggregate(Sum("inflow_part", alias_name="inflow"))
+            ),
+            "node", Sum("inflow_part", alias_name="inflow"),
         )
         dshare = dangling / n
 
@@ -262,12 +245,8 @@ def _pagerank_broadcast(
         )
 
     outdeg = np.zeros(n, np.int64)
-    deg_tbl = (
-        edges.map_batches(deg_part, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum("deg_part", alias_name="deg"))
-    )
-    for b in deg_tbl.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
+    deg_tbl = group_agg(edges.map_batches(deg_part, batch_format="pyarrow"), "node", Sum("deg_part", alias_name="deg"))
+    for b in ray.get(deg_tbl.to_arrow_refs()):
         ix = np.searchsorted(node_ids, b["node"].to_numpy(zero_copy_only=False))
         outdeg[ix] = b["deg"].to_numpy(zero_copy_only=False)
 
@@ -307,12 +286,10 @@ def _pagerank_broadcast(
             )
 
         inflow = np.zeros(n, np.float64)
-        agg = (
-            edges_slim.map_batches(contrib, batch_format="pyarrow")
-            .groupby("node")
-            .aggregate(Sum("inflow_part", alias_name="inflow"))
+        agg = group_agg(
+            edges_slim.map_batches(contrib, batch_format="pyarrow"), "node", Sum("inflow_part", alias_name="inflow")
         )
-        for b in agg.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
+        for b in ray.get(agg.to_arrow_refs()):
             ix = np.searchsorted(node_ids, b["node"].to_numpy(zero_copy_only=False))
             inflow[ix] = b["inflow"].to_numpy(zero_copy_only=False)
         dangling = float(ranks[sink].sum())
@@ -350,14 +327,7 @@ def _canonical_edges(edges: rd.Dataset, src_col: str, dst_col: str) -> rd.Datase
             {"u": pa.array(uv[:, 0], pa.int64()), "v": pa.array(uv[:, 1], pa.int64())}
         )
 
-    from ray.data.aggregate import Count
-
-    return (
-        edges.map_batches(canon, batch_format="pyarrow")
-        .groupby(["u", "v"])
-        .aggregate(Count(alias_name="_c"))
-        .select_columns(["u", "v"])
-    )
+    return group_agg(edges.map_batches(canon, batch_format="pyarrow"), ["u", "v"])
 
 
 def _wedge_pair_counts(
@@ -440,7 +410,7 @@ def triangle_count(
     """
     if plan not in ("auto", "broadcast", "shuffle"):
         raise ValueError(f"unknown plan: {plan!r}")
-    canon = _canonical_edges(edges, src_col, dst_col).materialize()
+    canon = _canonical_edges(edges, src_col, dst_col)
 
     def deg_partial(batch: pa.Table) -> pa.Table:
         both = np.concatenate(
@@ -456,11 +426,7 @@ def triangle_count(
 
     from ray.data.aggregate import Sum
 
-    deg = (
-        canon.map_batches(deg_partial, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum("deg_part", alias_name="deg"))
-    )
+    deg = group_agg(canon.map_batches(deg_partial, batch_format="pyarrow"), "node", Sum("deg_part", alias_name="deg"))
 
     if plan == "auto":
         n_nodes = deg.count()

@@ -45,7 +45,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..kernel.geometry import haversine_m_vec
-from ..util import block_tasks, concat_columns, cosort
+from ..util import block_tasks, concat_columns, cosort, group_agg
 from .cell import cell_neighbors, choose_level_for_radius, encode_cell, xy_to_cell
 from .pip import points_in_ring
 
@@ -817,33 +817,21 @@ def cell_density_smoothed(
     Output: (cell_x, cell_y, n, n_smoothed), one row per non-empty cell.
     """
     import ray
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     from ..util import cached_get
     from .cell import lonlat_to_xy
 
-    def local_counts(batch: pa.Table) -> pa.Table:
+    def cells(batch: pa.Table) -> pa.Table:
         x, y = lonlat_to_xy(
             batch[lat_col].to_numpy(zero_copy_only=False),
             batch[lon_col].to_numpy(zero_copy_only=False),
             level,
         )
-        key = x * np.int64(1 << level) + y
-        uniq, counts = np.unique(key, return_counts=True)
-        return pa.table(
-            {
-                "cell_x": pa.array(uniq // (1 << level), pa.int64()),
-                "cell_y": pa.array(uniq % (1 << level), pa.int64()),
-                "n_part": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"cell_x": pa.array(x, pa.int64()), "cell_y": pa.array(y, pa.int64())})
 
-    density = (
-        points.map_batches(local_counts, batch_format="pyarrow")
-        .groupby(["cell_x", "cell_y"])
-        .aggregate(Sum("n_part", alias_name="n"))
-        .materialize()  # small: one row per non-empty cell; reused twice
-    )
+    # small: one row per non-empty cell; reused twice
+    density = group_agg(points.map_batches(cells, batch_format="pyarrow"), ["cell_x", "cell_y"], Count(alias_name="n"))
 
     def replicate(batch: pa.Table) -> pa.Table:
         x = batch["cell_x"].to_numpy(zero_copy_only=False)
@@ -863,10 +851,9 @@ def cell_density_smoothed(
             }
         )
 
-    smoothed = (
-        density.map_batches(replicate, batch_format="pyarrow")
-        .groupby(["cell_x", "cell_y"])
-        .aggregate(Sum("contrib", alias_name="n_smoothed"))
+    smoothed = group_agg(
+        density.map_batches(replicate, batch_format="pyarrow"), ["cell_x", "cell_y"],
+        Sum("contrib", alias_name="n_smoothed"),
     )
 
     # keep only non-empty CENTER cells: broadcast the density side as two

@@ -43,7 +43,7 @@ import ray.data as rd
 from ..kernel.filters import TagFilter
 from ..sources.extract import OsmPayloadExtractor, extract_batch
 from ..sources.osmxml import ELEMENT_SCHEMA
-from ..util import block_tasks
+from ..util import block_tasks, cached_get, concat_columns, group_agg
 
 
 def read_pages(
@@ -321,8 +321,6 @@ def _isin_idset(values: np.ndarray, idset) -> np.ndarray:
     """Membership of int64 values in a broadcast id-set: legacy sorted
     array (one searchsorted) or ShardedIdSet (bucketed searchsorted —
     same O(log n) per value, shards fetched once per worker process)."""
-    from ..util import cached_get
-
     if not isinstance(idset, ShardedIdSet):
         return _isin_sorted(values, idset)
     out = np.zeros(len(values), dtype=bool)
@@ -359,8 +357,6 @@ def dedup_by_id(ds: rd.Dataset, num_partitions: int = 0) -> rd.Dataset:
     """
     from ray.data.aggregate import Count, Min
 
-    from ..util import cached_get
-
     def local_first_wins(batch: pa.Table) -> pa.Table:
         ids = batch["id"].to_numpy(zero_copy_only=False)
         _, first_idx = np.unique(ids, return_index=True)
@@ -378,25 +374,15 @@ def dedup_by_id(ds: rd.Dataset, num_partitions: int = 0) -> rd.Dataset:
 
     tagged = ds.map_batches(local_first_wins, batch_format="pyarrow").materialize()
 
-    winners = (
-        tagged.map_batches(
-            lambda t: t.select(["id", "__tag"]), batch_format="pyarrow"
-        )
-        .groupby("id")
-        .aggregate(Min("__tag", alias_name="__w"), Count(alias_name="__n"))
-        .map_batches(
-            lambda t: t.filter(pa.compute.greater(t["__n"], 1)).select(
-                ["id", "__w"]
-            ),
-            batch_format="pyarrow",
-        )
+    counts = group_agg(
+        tagged.select_columns(["id", "__tag"]), "id", Min("__tag", alias_name="__w"), Count(alias_name="__n")
     )
-    id_parts, w_parts = [], []
-    for b in winners.iter_batches(batch_size=1 << 18, batch_format="pyarrow"):
-        id_parts.append(b["id"].to_numpy(zero_copy_only=False).astype(np.int64))
-        w_parts.append(b["__w"].to_numpy(zero_copy_only=False).astype(np.int64))
-    dup_ids = np.concatenate(id_parts) if id_parts else np.empty(0, np.int64)
-    dup_w = np.concatenate(w_parts) if w_parts else np.empty(0, np.int64)
+
+    def dups(t: pa.Table):
+        t = t.filter(pc.greater(t["__n"], 1))
+        return t["id"].to_numpy().astype(np.int64), t["__w"].to_numpy().astype(np.int64)
+
+    dup_ids, dup_w = concat_columns(ray.get(block_tasks(counts, dups)), (np.int64, np.int64))
     order = np.argsort(dup_ids, kind="stable")
     winners_ref = ray.put((dup_ids[order], dup_w[order]))
 
@@ -571,32 +557,23 @@ def _parser_tables_from_kinds(
     return ParserTables(relations=relations, ways=ways, nodes=nodes)
 
 
-def _distinct_list_ids(ds: rd.Dataset, column: str) -> rd.Dataset:
-    """DISTRIBUTED distinct values of a list<int64> column → Dataset {"id"}.
+def _list_ids(ds: rd.Dataset, column: str) -> rd.Dataset:
+    """The values of a list<int64> column, flattened → a lazy Dataset
+    {"id"}; ``group_agg(…, "id")`` of it is the distinct id set, which
+    never touches the driver."""
 
-    The at-scale twin of ``_flatten_unique_list_column``: per-batch local
-    flatten+unique (combiner) → groupby-distinct shuffle; the id set never
-    touches the driver."""
-    from ray.data.aggregate import Count
+    def flat(batch: pa.Table) -> pa.Table:
+        return pa.table({"id": pc.list_flatten(batch[column]).cast(pa.int64())})
 
-    def local(batch: pa.Table) -> pa.Table:
-        col = batch[column].combine_chunks()
-        a = np.unique(col.flatten().to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table({"id": pa.array(a, pa.int64())})
-
-    return (
-        ds.select_columns([column])
-        .map_batches(local, batch_format="pyarrow")
-        .groupby("id")
-        .aggregate(Count(alias_name="__n"))
-        .map_batches(lambda t: t.select(["id"]), batch_format="pyarrow")
-    )
+    return ds.select_columns([column]).map_batches(flat, batch_format="pyarrow")
 
 
 def _bloom_from_id_dataset(ids: rd.Dataset, n: int, fpr: float):
-    """BloomFilter over a distributed {"id"} dataset: per-partition partial
-    filters with SHARED (n_bits, k) parameters, OR-merged on the driver —
-    driver memory = one filter (~1.2 B/key), never the key set itself."""
+    """BloomFilter over a distributed {"id"} dataset: one partial filter
+    per block (``util.block_tasks``, no execution over a materialized
+    dataset) with SHARED (n_bits, k) parameters, OR-merged on the driver
+    one at a time — driver memory = two filters (~1.2 B/key each), never
+    the key set itself."""
     import math
 
     from .bloom import BloomFilter
@@ -606,8 +583,8 @@ def _bloom_from_id_dataset(ids: rd.Dataset, n: int, fpr: float):
     n_bits = ((n_bits + 63) // 64) * 64
     k = max(1, round(n_bits / n * math.log(2)))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        keys = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    def bits(block: pa.Table) -> np.ndarray:
+        keys = block["id"].to_numpy(zero_copy_only=False).astype(np.int64)
         bf = BloomFilter(np.zeros(n_bits // 64, dtype=np.uint64), n_bits, k)
         from .bloom import _hash2
 
@@ -619,14 +596,11 @@ def _bloom_from_id_dataset(ids: rd.Dataset, n: int, fpr: float):
                 (pos >> np.uint64(6)).astype(np.int64),
                 np.uint64(1) << (pos & np.uint64(63)),
             )
-        return pa.table({"bits": pa.array([bf.bits.tobytes()], pa.binary())})
+        return bf.bits
 
     merged = np.zeros(n_bits // 64, dtype=np.uint64)
-    for b in ids.map_batches(partial, batch_format="pyarrow").iter_batches(
-        batch_size=16, batch_format="pyarrow"
-    ):
-        for raw in b["bits"].to_pylist():
-            merged |= np.frombuffer(raw, np.uint64)
+    for ref in block_tasks(ids, bits):
+        merged |= ray.get(ref)
     return BloomFilter(merged, n_bits, k)
 
 
@@ -663,10 +637,6 @@ def _build_parser_tables_bloom(
        enter a join, and the output tables are bit-identical to the
        exact path (forced-parity tested).
     """
-    from ray.data.aggregate import Count
-
-    from ..util import cached_get
-
     relations = elements.map_batches(
         partial(_project_relations, filters=filters), batch_format="pyarrow"
     )
@@ -674,7 +644,7 @@ def _build_parser_tables_bloom(
     relations = relations.repartition(max(4, 2 * cpus)).materialize()
 
     # --- ways: bloom prefilter, then exact FP subtraction -----------------
-    way_ids = _distinct_list_ids(relations, "way_ids").materialize()
+    way_ids = group_agg(_list_ids(relations, "way_ids"), "id")
     n_way_ids = way_ids.count()
     way_bloom_ref = ray.put(_bloom_from_id_dataset(way_ids, n_way_ids, fpr))
 
@@ -705,25 +675,9 @@ def _build_parser_tables_bloom(
         project_ways_bloom, batch_format="pyarrow"
     ).materialize()  # consumed twice: FP resolution + final filter
 
-    cand_ids = (
-        candidates.map_batches(
-            lambda t: pa.table(
-                {
-                    "id": pa.array(
-                        np.unique(
-                            t.filter(t["maybe_member"])["id"].to_numpy(
-                                zero_copy_only=False
-                            )
-                        ),
-                        pa.int64(),
-                    )
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("id")
-        .aggregate(Count(alias_name="__n"))
-        .map_batches(lambda t: t.select(["id"]), batch_format="pyarrow")
+    cand_ids = group_agg(
+        candidates.map_batches(lambda t: t.filter(t["maybe_member"]).select(["id"]), batch_format="pyarrow"),
+        "id",
     )
     way_fp_ref = ray.put(_bloom_false_positive_ids(cand_ids, way_ids))
 
@@ -751,15 +705,7 @@ def _build_parser_tables_bloom(
     ways = ways.materialize()
 
     # --- nodes: bloom prefilter + exact FP subtraction --------------------
-    ref_ids = _distinct_list_ids(ways, "node_refs")
-    stop_ids = _distinct_list_ids(relations, "stop_ids")
-    node_ids = (
-        ref_ids.union(stop_ids)
-        .groupby("id")
-        .aggregate(Count(alias_name="__n"))
-        .map_batches(lambda t: t.select(["id"]), batch_format="pyarrow")
-        .materialize()
-    )
+    node_ids = group_agg(_list_ids(ways, "node_refs").union(_list_ids(relations, "stop_ids")), "id")
     n_node_ids = node_ids.count()
     node_bloom_ref = ray.put(_bloom_from_id_dataset(node_ids, n_node_ids, fpr))
 
@@ -781,21 +727,7 @@ def _build_parser_tables_bloom(
     node_candidates = elements.map_batches(
         project_nodes_bloom, batch_format="pyarrow"
     ).materialize()
-    node_cand_ids = (
-        node_candidates.map_batches(
-            lambda t: pa.table(
-                {
-                    "id": pa.array(
-                        np.unique(t["id"].to_numpy(zero_copy_only=False)), pa.int64()
-                    )
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("id")
-        .aggregate(Count(alias_name="__n"))
-        .map_batches(lambda t: t.select(["id"]), batch_format="pyarrow")
-    )
+    node_cand_ids = group_agg(node_candidates.select_columns(["id"]), "id")
     node_fp_ref = ray.put(_bloom_false_positive_ids(node_cand_ids, node_ids))
 
     def finalize_nodes(batch: pa.Table) -> pa.Table:

@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..util import cached_get
+from ..util import cached_get, equi_join, group_agg
 
 
 def _as_arrow_block(block) -> "pa.Table":
@@ -32,10 +32,16 @@ def _as_arrow_block(block) -> "pa.Table":
     return block
 
 
-def _select_as(t: pa.Table, keep: list, **renamed: str) -> pa.Table:
-    """``keep`` columns plus each ``renamed[new] = old`` column, selected
-    BY NAME (pyarrow's group_by output column order is not a contract)."""
-    return pa.table({**{c: t[c] for c in keep}, **{new: t[old] for new, old in renamed.items()}})
+def _finest_sums(ds: rd.Dataset, group_cols: list, value_col: str) -> rd.Dataset:
+    """(group_cols…, n, sum_v) at the finest level of ``rollup_agg`` and
+    ``cube_agg``: one ``group_agg`` with ``value_col`` cast to int64."""
+    from ray.data.aggregate import Count, Sum
+
+    def ints(batch: pa.Table) -> pa.Table:
+        return batch.select(group_cols).append_column("__v", pc.cast(batch[value_col], pa.int64()))
+
+    ints_ds = ds.map_batches(ints, batch_format="pyarrow")
+    return group_agg(ints_ds, group_cols, Count(alias_name="n"), Sum("__v", alias_name="sum_v"))
 
 
 def _nonempty_block_refs(sorted_ds) -> list:
@@ -282,8 +288,6 @@ def interval_join(
     import numpy as np
     import pyarrow as pa
     import ray
-
-    from ..util import cached_get
 
     iid = np.asarray([i[0] for i in intervals], dtype=np.int64)
     lo = np.asarray([i[1] for i in intervals], dtype=np.float64)
@@ -705,8 +709,6 @@ def interval_join_shuffle(
     and replicates that cell's interval rows to each — the hot-cell
     treatment shared with ``pip_join``.
     """
-    from ..util import equi_join
-
     if banding not in ("auto", "single", "multiscale"):
         raise ValueError(f"banding must be auto|single|multiscale, got {banding!r}")
 
@@ -1346,8 +1348,10 @@ def anti_join(
     and every batch filters NOT-isin with one ``searchsorted`` — zero
     shuffle. Same small-side contract as ``broadcast_join``.
 
-    ``plan="shuffle"`` (big-big): a Bloom prefilter (built by OR-merging
-    distributed partial filters, ~1.2 B/key) splits the probe side —
+    ``plan="shuffle"`` (big-big): the distinct keys come from one
+    ``util.group_agg`` (per-block unique, one sort, one merge per sorted
+    block); a Bloom prefilter over them (per-block partial filters
+    OR-merged on the driver, ~1.2 B/key) splits the probe side —
     bloom-NEGATIVE rows are DEFINITE anti-matches (Bloom filters have no
     false negatives) and stream straight to the output; only the
     bloom-positive sliver (true matches + ~fpr of the rest) pays the
@@ -1362,10 +1366,6 @@ def anti_join(
     (e.g. the ``exact_dedup`` md5→int pattern) for string-keyed anti
     joins.
     """
-    from ray.data.aggregate import Count
-
-    from ..util import equi_join
-
     kcol = keys_on or on
 
     if plan == "broadcast":
@@ -1399,17 +1399,9 @@ def anti_join(
 
     from .elements import _bloom_from_id_dataset
 
-    def local_unique(b: pa.Table) -> pa.Table:
-        u = np.unique(b[kcol].to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table({"id": pa.array(u, pa.int64())})
-
-    distinct = (
-        keys.select_columns([kcol])
-        .map_batches(local_unique, batch_format="pyarrow")
-        .groupby("id")
-        .aggregate(Count(alias_name="__n"))
-        .map_batches(lambda t: t.select(["id"]), batch_format="pyarrow")
-        .materialize()
+    distinct = group_agg(
+        keys.map_batches(lambda b: pa.table({"id": b[kcol].cast(pa.int64())}), batch_format="pyarrow"),
+        "id",
     )
     n_keys = distinct.count()
     if n_keys == 0:
@@ -1625,29 +1617,7 @@ def rollup_agg(
 
     if not group_cols:
         raise ValueError("group_cols must be non-empty")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.select(group_cols + [value_col])
-        t = t.set_column(
-            t.schema.get_field_index(value_col),
-            value_col,
-            pc.cast(t[value_col], pa.int64()),
-        )
-        t = t.append_column("__one", pa.array(np.ones(len(t), np.int64), pa.int64()))
-        g = t.group_by(group_cols).aggregate(
-            [("__one", "sum"), (value_col, "sum")]
-        )
-        return _select_as(g, group_cols, n="__one_sum", sum_v=f"{value_col}_sum")
-
-    finest = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(group_cols)
-        .aggregate(Sum("n", alias_name="n"), Sum("sum_v", alias_name="sum_v"))
-        .map_batches(
-            lambda t: t.select(group_cols + ["n", "sum_v"]), batch_format="pyarrow"
-        )
-        .materialize()
-    )
+    finest = _finest_sums(ds, group_cols, value_col)
 
     def fill(level_cols: "list[str]"):
         missing = [c for c in group_cols if c not in level_cols]
@@ -1668,11 +1638,9 @@ def rollup_agg(
     levels = [finest.map_batches(fill(group_cols), batch_format="pyarrow")]
     for i in range(len(group_cols) - 1, 0, -1):
         lc = group_cols[:i]
-        lvl = (
-            finest.groupby(lc)
-            .aggregate(Sum("n", alias_name="n"), Sum("sum_v", alias_name="sum_v"))
-            .map_batches(fill(lc), batch_format="pyarrow")
-        )
+        lvl = group_agg(
+            finest, lc, Sum("n", alias_name="n"), Sum("sum_v", alias_name="sum_v")
+        ).map_batches(fill(lc), batch_format="pyarrow")
         levels.append(lvl)
     # grand total: two scalars off the (already tiny) finest table
     # EMPTY input (ADVICE r4): aggregates return None over zero rows —
@@ -1920,21 +1888,10 @@ def pivot_agg(
             cols[name] = pa.array(mat[:, j], pa.int64())
         return pa.table(cols)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(group_col)
-        .aggregate(*[Sum(n, alias_name=n) for n in out_names])
+    return group_agg(
+        ds.map_batches(partial, batch_format="pyarrow"), group_col,
+        *[Sum(n, alias_name=n) for n in out_names],
     )
-
-
-def _distinct_keys(ds: rd.Dataset, on: list[str], flag: str) -> rd.Dataset:
-    """Per-batch local key dedup (combiner) + a constant side flag."""
-
-    def f(batch: pa.Table) -> pa.Table:
-        t = batch.select(on).group_by(on).aggregate([])
-        return t.append_column(flag, pa.array(np.ones(t.num_rows, np.int8)))
-
-    return ds.map_batches(f, batch_format="pyarrow")
 
 
 def _set_op(
@@ -1942,37 +1899,30 @@ def _set_op(
 ) -> rd.Dataset:
     """Shared plan for INTERSECT/EXCEPT DISTINCT — no join operator:
 
-    1. each side deduplicates its keys PER BATCH (combiner: the shuffle
-       carries at most the batch's distinct keys) and tags a side flag,
-    2. one union + groupby(keys) with Max(side) aggregates answers
-       "seen in a? seen in b?" per key,
+    1. each side's keys get a side flag (``in_a`` or ``in_b``),
+    2. one union + ``group_agg(keys)`` with Max(side) answers "seen in
+       a? seen in b?" per key (each block deduplicates its keys before
+       the sort, so hot keys collapse there),
     3. a vectorized filter keeps keys matching the op's truth table.
 
-    One all-to-all over deduplicated keys total — strictly cheaper than
-    a join, and hot keys collapse in step 1.
+    One sort over deduplicated keys total — strictly cheaper than a join.
     """
     from ray.data.aggregate import Max
 
     cols = [on] if isinstance(on, str) else list(on)
-    ta = _distinct_keys(a, cols, "in_a")
-    tb = _distinct_keys(b, cols, "in_b")
 
-    def zero(name):
+    def flagged(in_a: int):
         def f(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                name, pa.array(np.zeros(batch.num_rows, np.int8))
-            )
+            n = batch.num_rows
+            t = batch.select(cols).append_column("in_a", pa.array(np.full(n, in_a, np.int8)))
+            return t.append_column("in_b", pa.array(np.full(n, 1 - in_a, np.int8)))
 
         return f
 
-    ta = ta.map_batches(zero("in_b"), batch_format="pyarrow")
-    tb = tb.map_batches(zero("in_a"), batch_format="pyarrow").select_columns(
-        cols + ["in_a", "in_b"]
+    both = a.map_batches(flagged(1), batch_format="pyarrow").union(
+        b.map_batches(flagged(0), batch_format="pyarrow")
     )
-    both = ta.select_columns(cols + ["in_a", "in_b"]).union(tb)
-    agg = both.groupby(cols).aggregate(
-        Max("in_a", alias_name="in_a"), Max("in_b", alias_name="in_b")
-    )
+    agg = group_agg(both, cols, Max("in_a", alias_name="in_a"), Max("in_b", alias_name="in_b"))
 
     def pick(batch: pa.Table) -> pa.Table:
         in_a = pc.equal(batch["in_a"], 1)
@@ -2015,10 +1965,10 @@ def salted_join(
     Plan (the dedup ``_salted_bucket_self_join`` pattern generalized to a
     binary join):
 
-    1. detect hot LEFT keys — per-batch partial counts → vocab-sized
-       groupby-Sum → keys above ``hot_threshold`` (default: 8× the mean
-       per-key count) collected + broadcast (contract: the HOT set is
-       small — heavy hitters by definition),
+    1. detect hot LEFT keys — per-key counts (``util.group_agg``) read on
+       the driver → keys above ``hot_threshold`` (default: 8× the mean
+       per-key count) broadcast (contract: the HOT set is small — heavy
+       hitters by definition),
     2. hot left rows scatter over ``salt`` sub-keys (position mod salt;
        any assignment is correct — salting only redistributes), cold
        rows keep sub-key 0,
@@ -2035,47 +1985,23 @@ def salted_join(
     Both-sides-hot keys produce quadratic output regardless of engine —
     that is the join's semantics, not a skew artifact.
 
-    WHEN to use: salting pays a detection pass (materialize, count,
-    groupby-Sum, collect) and the right-side replication before the
+    WHEN to use: salting pays a detection pass (materialize, one
+    ``util.group_agg`` count, its blocks read on the driver) and the
+    right-side replication before the
     join starts, so it is the MEMORY escape hatch: reach for it when one
     key's run would not fit a worker's heap (10^9+ rows of one domain),
     not on speed grounds below that regime.
     """
     import ray
-
-    from ray.data.aggregate import Sum
-
-    from ..util import cached_get, equi_join
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(
-            batch[on].to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {on: pa.array(u), "n_part": pa.array(c.astype(np.int64), pa.int64())}
-        )
+    from ray.data.aggregate import Count
 
     left = left.materialize()
-    counts = (
-        left.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby(on)
-        .aggregate(Sum("n_part", alias_name="n"))
-        .materialize()
-    )
+    counts = group_agg(left.select_columns([on]), on, Count(alias_name="n"))
+    counts = pa.concat_tables(ray.get(counts.to_arrow_refs()))
     if hot_threshold is None:
-        import pandas as pd  # noqa: F401  (Sum of a small table)
-
-        tot = counts.sum("n") or 0
-        n_keys = max(counts.count(), 1)
-        hot_threshold = max(2, int(8 * tot / n_keys))
-    hot_parts = [
-        b[on].to_numpy(zero_copy_only=False)
-        for b in counts.map_batches(
-            lambda t: t.filter(pc.greater(t["n"], hot_threshold)).select([on]),
-            batch_format="pyarrow",
-        ).iter_batches(batch_size=1 << 16, batch_format="pyarrow")
-    ]
-    hot = np.sort(np.concatenate(hot_parts)) if hot_parts else np.empty(0)
+        n_keys = max(counts.num_rows, 1)
+        hot_threshold = max(2, int(8 * (pc.sum(counts["n"]).as_py() or 0) / n_keys))
+    hot = np.sort(counts.filter(pc.greater(counts["n"], hot_threshold))[on].to_numpy(zero_copy_only=False))
     hot_ref = ray.put(hot) if len(hot) else None
 
     def _is_hot(keys: np.ndarray, hot_arr: np.ndarray) -> np.ndarray:
@@ -2192,17 +2118,13 @@ def zscore_filter(
             }
         )
 
-    stats = (
-        ds.select_columns([group_col, value_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(group_col)
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("s", alias_name="s"),
-            Sum("ss", alias_name="ss"),
-            AggMax("mx", alias_name="mx"),
-        )
-        .materialize()
+    stats = group_agg(
+        ds.select_columns([group_col, value_col]).map_batches(partial, batch_format="pyarrow"),
+        group_col,
+        Sum("n", alias_name="n"),
+        Sum("s", alias_name="s"),
+        Sum("ss", alias_name="ss"),
+        AggMax("mx", alias_name="mx"),
     )
     keys, ns, sums, sqs, mxs = [], [], [], [], []
     for b in stats.iter_batches(batch_size=1 << 16, batch_format="pyarrow"):
@@ -2342,11 +2264,9 @@ def histogram(
         )
 
     group_keys = ["bin"] if group_col is None else [group_col, "bin"]
-    merged = (
-        ds.select_columns(in_cols)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(group_keys)
-        .aggregate(Sum("cnt_part", alias_name="cnt"))
+    merged = group_agg(
+        ds.select_columns(in_cols).map_batches(partial, batch_format="pyarrow"), group_keys,
+        Sum("cnt_part", alias_name="cnt"),
     )
 
     def edges(batch: pa.Table) -> pa.Table:
@@ -2536,27 +2456,7 @@ def cube_agg(
         raise ValueError("group_cols must be non-empty")
     if len(group_cols) > 8:
         raise ValueError("cube_agg caps at 8 columns (2^k grouping sets)")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.select(group_cols + [value_col])
-        t = t.set_column(
-            t.schema.get_field_index(value_col),
-            value_col,
-            pc.cast(t[value_col], pa.int64()),
-        )
-        t = t.append_column("__one", pa.array(np.ones(len(t), np.int64), pa.int64()))
-        g = t.group_by(group_cols).aggregate([("__one", "sum"), (value_col, "sum")])
-        return _select_as(g, group_cols, n="__one_sum", sum_v=f"{value_col}_sum")
-
-    finest = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(group_cols)
-        .aggregate(Sum("n", alias_name="n"), Sum("sum_v", alias_name="sum_v"))
-        .map_batches(
-            lambda t: t.select(group_cols + ["n", "sum_v"]), batch_format="pyarrow"
-        )
-        .materialize()
-    )
+    finest = _finest_sums(ds, group_cols, value_col)
 
     def fill(level_cols: "list[str]"):
         missing = [c for c in group_cols if c not in level_cols]
@@ -2577,8 +2477,7 @@ def cube_agg(
         for subset in combinations(group_cols, size):
             lc = list(subset)
             levels.append(
-                finest.groupby(lc)
-                .aggregate(Sum("n", alias_name="n"), Sum("sum_v", alias_name="sum_v"))
+                group_agg(finest, lc, Sum("n", alias_name="n"), Sum("sum_v", alias_name="sum_v"))
                 .map_batches(fill(lc), batch_format="pyarrow")
             )
     # EMPTY input (ADVICE r4): aggregates return None over zero rows —
@@ -2612,29 +2511,16 @@ def unique_violations(ds: rd.Dataset, cols) -> rd.Dataset:
     """Data-quality uniqueness check (the dbt-style `unique` test):
     key combinations appearing more than once → (cols..., n).
 
-    Per-batch partial counts (combiner) + one vocab-sized groupby-Sum +
-    a vectorized HAVING filter — the shuffle carries distinct keys per
-    batch, never rows. Referential-integrity checks compose from
+    One ``group_agg`` count (per-block partial counts, one sort) + a
+    vectorized HAVING filter — the sort carries distinct keys per
+    block, never rows. Referential-integrity checks compose from
     ``except_distinct`` (orphans = child keys EXCEPT parent keys), so
     only uniqueness needs an operator.
     """
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count
 
     key_cols = [cols] if isinstance(cols, str) else list(cols)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.select(key_cols)
-        t = t.append_column(
-            "__one", pa.array(np.ones(t.num_rows, np.int64), pa.int64())
-        )
-        g = t.group_by(key_cols).aggregate([("__one", "sum")])
-        return _select_as(g, key_cols, n_part="__one_sum")
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(key_cols)
-        .aggregate(Sum("n_part", alias_name="n"))
-    )
+    agg = group_agg(ds.select_columns(key_cols), key_cols, Count(alias_name="n"))
     return agg.map_batches(
         lambda t: t.filter(pc.greater(t["n"], 1)).select(key_cols + ["n"]),
         batch_format="pyarrow",
@@ -2667,10 +2553,9 @@ def decayed_sum(
     monotone ``now_ep``). A float e^{−λΔt} EMA can't give either
     guarantee: summation order changes the last bits.
 
-    Plan: per-batch (key, contribution) integer partial sums (argsort +
-    ``np.add.reduceat`` — exact, no float accumulator) → one
-    #keys-sized ``groupby.Sum``. The shuffle carries distinct keys per
-    batch, never rows.
+    Plan: per-row integer contributions → one ``group_agg`` Sum (exact,
+    no float accumulator). The sort carries distinct keys per block,
+    never rows.
 
     Overflow contract: requires Σ |value| · 2^scale_bits < 2^63 per key;
     lower ``scale_bits`` (weights 2^(scale_bits−max_k)..2^scale_bits)
@@ -2681,52 +2566,16 @@ def decayed_sum(
     if not 0 <= max_k <= scale_bits:
         raise ValueError("require 0 <= max_k <= scale_bits")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    key_col: batch[key_col],
-                    "decayed_part": pa.array([], pa.int64()),
-                }
-            )
-        ts = (
-            batch[ts_col]
-            .combine_chunks()
-            .cast(pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        v = (
-            batch[val_col]
-            .combine_chunks()
-            .cast(pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        ep = ts // half_life_us
-        k = np.clip(now_ep - ep, 0, max_k)
-        contrib = v * np.left_shift(
-            np.int64(1), (scale_bits - k).astype(np.int64)
-        )
-        keys = batch[key_col].combine_chunks()
-        enc = keys.dictionary_encode()
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(codes, kind="stable")
-        sc = codes[order]
-        starts = np.flatnonzero(np.concatenate([[True], sc[1:] != sc[:-1]]))
-        sums = np.add.reduceat(contrib[order], starts)
-        return pa.table(
-            {
-                key_col: enc.dictionary.take(pa.array(sc[starts])),
-                "decayed_part": pa.array(sums, pa.int64()),
-            }
-        )
+    def contrib(batch: pa.Table) -> pa.Table:
+        ts = batch[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
+        v = batch[val_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
+        k = np.clip(now_ep - ts // half_life_us, 0, max_k)
+        c = v * np.left_shift(np.int64(1), (scale_bits - k).astype(np.int64))
+        return pa.table({key_col: batch[key_col], "c": pa.array(c, pa.int64())})
 
-    return (
-        ds.select_columns([key_col, ts_col, val_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(key_col)
-        .aggregate(Sum("decayed_part", alias_name="decayed"))
+    return group_agg(
+        ds.select_columns([key_col, ts_col, val_col]).map_batches(contrib, batch_format="pyarrow"),
+        key_col, Sum("c", alias_name="decayed"),
     )
 
 
@@ -2976,10 +2825,9 @@ def mode_per_group(
     ``ROW_NUMBER() OVER (ORDER BY count(*) DESC, val)``); ties broken by
     the SMALLEST value — deterministic, oracle-matchable.
 
-    Physical plan: per-batch ``(key, val)`` pre-count (one Arrow
-    ``group_by`` kernel per batch — the map-side combiner that shrinks
-    the exchange from #rows to #distinct-pairs-per-block), ONE hash
-    ``groupby(key, val).aggregate(Sum)``, then the sort-scan
+    Physical plan: ONE ``group_agg((key, val), Count)`` (its per-block
+    pre-count shrinks the sort from #rows to #distinct-pairs-per-block),
+    then the sort-scan
     ``topk_per_group(k=1)`` picks each key's argmax with zero per-group
     UDF dispatch. Scale contract: the shuffle carries distinct (key,
     val) pairs only; skewed keys cost one combiner row per block, not
@@ -2987,21 +2835,9 @@ def mode_per_group(
 
     Output: ``(key_col, val_col, count_col)`` — one row per key.
     """
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = (
-            batch.select([key_col, val_col])
-            .group_by([key_col, val_col])
-            .aggregate([([], "count_all")])
-        )
-        return _select_as(g, [key_col, val_col], n_part="count_all")
-
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby([key_col, val_col])
-        .aggregate(Sum("n_part", alias_name=count_col))
-    )
+    counts = group_agg(ds.select_columns([key_col, val_col]), [key_col, val_col], Count(alias_name=count_col))
     top = topk_per_group(
         counts, key_col, count_col, 1, tiebreak_col=val_col, descending=True
     )

@@ -116,19 +116,12 @@ def moments_by_group(
             }
         )
 
+    from ray.data.aggregate import Sum
+
+    from ..util import group_agg
+
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby(group_col).sum(
-        ["n", "sx", "sy", "sxx", "syy", "sxy"]
-    ).rename_columns(
-        {
-            "sum(n)": "n",
-            "sum(sx)": "sx",
-            "sum(sy)": "sy",
-            "sum(sxx)": "sxx",
-            "sum(syy)": "syy",
-            "sum(sxy)": "sxy",
-        }
-    )
+    return group_agg(partials, group_col, *[Sum(c, alias_name=c) for c in ("n", "sx", "sy", "sxx", "syy", "sxy")])
 
 
 def corr_by_group(

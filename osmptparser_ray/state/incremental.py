@@ -37,6 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from ..util import group_agg
 from .checkpoint import completed_partitions, write_partition
 
 _TAILS_PTR = "_TAILS.json"
@@ -179,9 +180,8 @@ def sessionize_append(
     # (sessions are time-ordered per user, so Min(start_us) IS session 1's)
     from ray.data.aggregate import Max, Min
 
-    per_user = new_sess.groupby("user_id").aggregate(
-        Max("session_id", alias_name="max_sid"),
-        Min("start_us", alias_name="first_start"),
+    per_user = group_agg(
+        new_sess, "user_id", Max("session_id", alias_name="max_sid"), Min("start_us", alias_name="first_start")
     )
 
     if have_tails:
@@ -373,12 +373,11 @@ def _fold_broadcast(
 
     from ..util import cached_get
 
-    per_user = new_sess.groupby("user_id").aggregate(
-        Max("session_id", alias_name="max_sid"),
-        Min("start_us", alias_name="first_start"),
+    per_user = group_agg(
+        new_sess, "user_id", Max("session_id", alias_name="max_sid"), Min("start_us", alias_name="first_start")
     )
     us, ms, fs = [], [], []
-    for b in per_user.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
+    for b in ray.get(per_user.to_arrow_refs()):
         us.append(b["user_id"].to_numpy(zero_copy_only=False))
         ms.append(b["max_sid"].to_numpy(zero_copy_only=False))
         fs.append(b["first_start"].to_numpy(zero_copy_only=False))
@@ -764,10 +763,8 @@ def decayed_sum_append(
         ep = pc.max_element_wise(batch["ep"], pa.scalar(floor_ep, pa.int64()))
         return batch.set_column(batch.schema.get_field_index("ep"), "ep", ep)
 
-    folded = (
-        parts.map_batches(compact, batch_format="pyarrow")
-        .groupby([key_col, "ep"])
-        .aggregate(Sum("v_sum", alias_name="v_sum"))
+    folded = group_agg(
+        parts.map_batches(compact, batch_format="pyarrow"), [key_col, "ep"], Sum("v_sum", alias_name="v_sum")
     )
 
     rel = f"decay-{run_id}-{uuid.uuid4().hex[:6]}"
@@ -820,9 +817,7 @@ def decayed_sum_state_read(
             }
         )
 
-    return (
-        rd.read_parquet(os.path.join(state_dir, ptr["path"]))
-        .map_batches(weigh, batch_format="pyarrow")
-        .groupby(key_col)
-        .aggregate(Sum("decayed_part", alias_name="decayed"))
+    return group_agg(
+        rd.read_parquet(os.path.join(state_dir, ptr["path"])).map_batches(weigh, batch_format="pyarrow"),
+        key_col, Sum("decayed_part", alias_name="decayed"),
     )

@@ -13,6 +13,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from .util import group_agg
+
 
 def sessionize(
     events: rd.Dataset,
@@ -190,12 +192,12 @@ def sessionize(
         emit.remote(ref, *corrections[i]) for i, ref in enumerate(block_refs)
     ]
     partials = rd.from_arrow_refs(out_refs)
-    merged = partials.groupby([user_col, "session_id"]).aggregate(
+    return group_agg(
+        partials, [user_col, "session_id"],
         Sum("n_part", alias_name="n_events"),
         Min("start_us", alias_name="start_us"),
         Max("end_us", alias_name="end_us"),
     )
-    return merged
 
 
 def asof_join(
@@ -429,10 +431,9 @@ def hopping_window(
             }
         )
 
-    return (
-        events.map_batches(explode, batch_format="pyarrow")
-        .groupby([key_col, "window_id"])
-        .aggregate(Count(alias_name="n_events"), Sum(value_col, alias_name="sum_value"))
+    return group_agg(
+        events.map_batches(explode, batch_format="pyarrow"), [key_col, "window_id"],
+        Count(alias_name="n_events"), Sum(value_col, alias_name="sum_value"),
     )
 
 
@@ -459,8 +460,7 @@ def tumbling_window(
             }
         )
 
-    return (
-        events.map_batches(win, batch_format="pyarrow")
-        .groupby([key_col, "window_id"])
-        .aggregate(Count(alias_name="n_events"), Sum(value_col, alias_name="sum_value"))
+    return group_agg(
+        events.map_batches(win, batch_format="pyarrow"), [key_col, "window_id"],
+        Count(alias_name="n_events"), Sum(value_col, alias_name="sum_value"),
     )

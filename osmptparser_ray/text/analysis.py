@@ -13,6 +13,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from ..util import group_agg
+
 TOKEN_RE = r"[A-Za-z0-9_]+"
 PUNCT_RE = r"[.!?]"
 # GPT-2-style pretokenizer (public pattern shape): contractions, letter
@@ -443,11 +445,9 @@ def token_frequencies(
             }
         )
 
-    merged = (
-        ds.select_columns([col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("cnt", alias_name="cnt"))
+    merged = group_agg(
+        ds.select_columns([col]).map_batches(partial, batch_format="pyarrow"), "token",
+        Sum("cnt", alias_name="cnt"),
     )
     return merged.sort(["cnt", "token"], descending=[True, False]).limit(top_n)
 
@@ -576,7 +576,7 @@ def tfidf_top_terms(
                 }
             )
         )
-    df = tf.groupby("token").aggregate(Count(alias_name="df")).materialize()
+    df = group_agg(tf, "token", Count(alias_name="df"))
     if plan == "auto":
         plan = "broadcast" if df.count() <= broadcast_cap else "shuffle"
     if plan == "broadcast":
@@ -686,11 +686,9 @@ def ngram_frequencies(
             }
         )
 
-    merged = (
-        ds.select_columns([col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("ngram")
-        .aggregate(Sum("cnt", alias_name="cnt"))
+    merged = group_agg(
+        ds.select_columns([col]).map_batches(partial, batch_format="pyarrow"), "ngram",
+        Sum("cnt", alias_name="cnt"),
     )
     return merged.sort(["cnt", "ngram"], descending=[True, False]).limit(top_n)
 

@@ -77,6 +77,8 @@ def exact_dedup(
 
     from ray.data.aggregate import Count, Min
 
+    from ..util import group_agg
+
     def add_hash(batch: pa.Table) -> pa.Table:
         digests = [
             hashlib.md5(s.encode("utf-8")).hexdigest() for s in batch[text_col].to_pylist()
@@ -85,12 +87,9 @@ def exact_dedup(
             {"content_md5": pa.array(digests, pa.string()), id_col: batch[id_col]}
         )
 
-    # groupby-AGGREGATE (vectorized per shuffle partition), not
-    # map_groups(head) — one UDF call per unique text would dominate at scale
-    return (
-        ds.map_batches(add_hash, batch_format="pyarrow")
-        .groupby("content_md5")
-        .aggregate(Min(id_col, alias_name=id_col), Count(alias_name="n_dups"))
+    return group_agg(
+        ds.map_batches(add_hash, batch_format="pyarrow"), "content_md5",
+        Min(id_col, alias_name=id_col), Count(alias_name="n_dups"),
     )
 
 
@@ -196,34 +195,21 @@ def _slot_of(keys: np.ndarray) -> np.ndarray:
 
 
 def _hot_keys_exact(rows: rd.Dataset, band_col: str, hash_col: str, cap: int):
-    """Key-exact detection: partial counts → Sum groupby → distributed
-    filter; only the tiny hot list reaches the driver. The at-scale plan
-    (the aggregation's ~1.5 s fixed spin-up amortizes on big corpora)."""
+    """Key-exact detection: per-key counts (``group_agg``), filtered in one
+    task per count block; only the hot list reaches the driver."""
     import ray
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count
 
-    def partial(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(_combined_key(batch, band_col, hash_col), return_counts=True)
-        return pa.table(
-            {
-                "k": pa.array(u, pa.int64()),
-                "n_part": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
+    from ..util import block_tasks, group_agg
 
-    hot = (
-        rows.map_batches(partial, batch_format="pyarrow")
-        .groupby("k")
-        .aggregate(Sum("n_part", alias_name="n"))
-        .map_batches(
-            lambda t: t.filter(pa.compute.greater(t["n"], cap)).select(["k"]),
-            batch_format="pyarrow",
-        )
-    )
-    parts = [
-        b["k"].to_numpy(zero_copy_only=False).astype(np.int64)
-        for b in hot.iter_batches(batch_size=1 << 16, batch_format="pyarrow")
-    ]
+    def key(batch: pa.Table) -> pa.Table:
+        return pa.table({"k": pa.array(_combined_key(batch, band_col, hash_col), pa.int64())})
+
+    def hot(t: pa.Table) -> np.ndarray:
+        return t.filter(pa.compute.greater(t["n"], cap))["k"].to_numpy().astype(np.int64)
+
+    counts = group_agg(rows.map_batches(key, batch_format="pyarrow"), "k", Count(alias_name="n"))
+    parts = ray.get(block_tasks(counts, hot))
     flat = np.concatenate(parts) if parts else np.empty(0, np.int64)
     if not len(flat):
         return None
@@ -478,9 +464,8 @@ def verify_jaccard(
       fixtures only (every worker holds all texts).
     """
     import ray
-    from ray.data.aggregate import Count
 
-    from ..util import cached_get, equi_join
+    from ..util import cached_get, equi_join, group_agg
 
     def _jaccard_batch(a_texts: list, b_texts: list) -> np.ndarray:
         jac = np.empty(len(a_texts), dtype=np.float64)
@@ -567,12 +552,8 @@ def verify_jaccard(
         )
         return _verify_bcast_stage(uniq_ds, texts_ref)
 
-    # join / broadcast plans: dedup via a distributed groupby-aggregate
-    uniq = (
-        pairs.groupby(["doc_a", "doc_b"])
-        .aggregate(Count(alias_name="_n"))
-        .map_batches(lambda t: t.select(["doc_a", "doc_b"]), batch_format="pyarrow")
-    )
+    # join / broadcast plans: the distinct pairs
+    uniq = group_agg(pairs, ["doc_a", "doc_b"])
     if plan == "broadcast":
         texts_ref = ray.put(_texts_of(docs.select_columns([id_col, text_col])))
         return _verify_bcast_stage(uniq, texts_ref)
@@ -726,6 +707,8 @@ def simhash_near_pairs(
     import ray
     from ray.data.aggregate import Min
 
+    from ..util import group_agg
+
     # materialize: both self-join sides + the hot-bucket count pass consume
     # these rows (avoids recomputing the signatures per consumer)
     rows = sigs.map_batches(explode, batch_format="pyarrow").materialize()
@@ -759,7 +742,7 @@ def simhash_near_pairs(
         )
 
     pairs = joined.map_batches(hamming_filter, batch_format="pyarrow")
-    return pairs.groupby(["doc_a", "doc_b"]).aggregate(Min("hamming", alias_name="hamming"))
+    return group_agg(pairs, ["doc_a", "doc_b"], Min("hamming", alias_name="hamming"))
 
 
 def duplicate_groups(
@@ -793,7 +776,7 @@ def duplicate_groups(
     import ray
     from ray.data.aggregate import Min
 
-    from ..util import equi_join
+    from ..util import equi_join, group_agg
 
     if plan not in ("auto", "broadcast", "shuffle"):
         raise ValueError(f"plan must be 'auto', 'broadcast' or 'shuffle', got {plan!r}")
@@ -816,8 +799,7 @@ def duplicate_groups(
     edges = pairs.map_batches(edges_both, batch_format="pyarrow").materialize()
 
     def _minimize(ds: rd.Dataset) -> rd.Dataset:
-        out = ds.groupby("node").aggregate(Min("label", alias_name="label"))
-        return out
+        return group_agg(ds, "node", Min("label", alias_name="label"))
 
     # round 0: label(node) = min(self, neighbors)
     self_rows = edges.map_batches(
@@ -828,7 +810,7 @@ def duplicate_groups(
         lambda t: pa.table({"node": t["node"], "label": t["peer"]}),
         batch_format="pyarrow",
     )
-    labels = _minimize(self_rows.union(neigh_rows)).materialize()
+    labels = _minimize(self_rows.union(neigh_rows))
     prev_sum = labels.sum("label")
     n_labels = labels.count()
 
@@ -838,7 +820,7 @@ def duplicate_groups(
         propagated = equi_join(edges, labels, "peer", right_on="node").select_columns(
             ["node", "label"]
         )
-        labels = _minimize(labels.union(propagated)).materialize()
+        labels = _minimize(labels.union(propagated))
         s = labels.sum("label")
         if s == prev_sum:
             break
@@ -919,10 +901,12 @@ def span_dedup(
        the word values), one ``binary_join`` kernel to materialize span
        strings. Global order is packed into ONE int64
        (``id << ord_bits | ordinal``) so the dedup needs a plain Min.
-    2. ONE hash ``groupby(span).aggregate(Min(packed))`` — the only
-       all-to-all exchange, the same shuffle shape as ``exact_dedup``;
-       the winner row carries everything needed (span + packed key), so
-       there is NO join back to the corpus.
+    2. ONE ``util.group_agg(span, Min(packed))`` — per-block Arrow
+       ``group_by`` partial minima, one sort on ``span``, one merging
+       ``group_by`` per sorted block; the only all-to-all exchange, the
+       same shape as ``exact_dedup``. The winner row carries everything
+       needed (span + packed key), so there is NO join back to the
+       corpus.
     3. decode + ``group_concat_sorted`` reassembly (one distributed
        sort by ``(id, ordinal)``, per-block ``binary_join`` run concat,
        O(#blocks) driver boundary chain).
@@ -939,6 +923,8 @@ def span_dedup(
 
     from osmptparser_ray.stages.relational import group_concat_sorted
     from ray.data.aggregate import Min
+
+    from ..util import group_agg
 
     W = int(span_words)
     if W < 1:
@@ -990,10 +976,9 @@ def span_dedup(
         packed = (ids[doc_idx] << bits) | span_pos
         return pa.table({"span": spans, "packed": pa.array(packed, pa.int64())})
 
-    kept = (
-        ds.map_batches(explode_spans, batch_format="pyarrow")
-        .groupby("span")
-        .aggregate(Min("packed", alias_name="packed"))
+    kept = group_agg(
+        ds.map_batches(explode_spans, batch_format="pyarrow"), "span",
+        Min("packed", alias_name="packed"),
     )
 
     def decode(batch: pa.Table) -> pa.Table:

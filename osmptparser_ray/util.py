@@ -1,5 +1,6 @@
 """Small shared helpers: block tasks, the one keyed regroup (``cosort``)
-and the equi-join built on it, and per-worker broadcast caching."""
+with the equi-join and the keyed aggregation built on it, and per-worker
+broadcast caching."""
 
 from __future__ import annotations
 
@@ -69,25 +70,36 @@ def cosort(sides: list, keys: list, probe, schema):
     block, so a sort never splits a run of equal keys across blocks, and
     each probe task gets its blocks whole. Every row of one key, from
     every side, thus reaches a single ``probe`` call, in a block sorted on
-    ``keys``.
+    ``keys``. One exception: with several keys, the rows whose leading
+    key is null may be split by the keys after it (``group_agg`` sorts on
+    null flags for that reason; ``equi_join`` never matches null keys).
 
     The probes are plain tasks, not a ``map_batches``: a sort leaves a
     columnless empty block for every empty key range, and ``map_batches``
     forwards those without calling the UDF, so the output would carry
-    schema-less blocks. Here every output block comes from ``probe``, and
-    an input without rows yields ``probe(schema.empty_table())``.
+    schema-less blocks (Ray logs a schema-change warning for each; the
+    sort drops just those lines). Here every output block comes from
+    ``probe``, and an input without rows yields
+    ``probe(schema.empty_table())``.
 
     Consecutive sorted blocks under ``DataContext.target_min_block_size``
     share one probe call (their concatenation is still sorted and holds
-    whole key runs). So a small input gives few output blocks: a
-    sort-based groupby after a cosort makes one partition per input block
-    and a columnless empty block for each partition without a group.
+    whole key runs), so a small input gives few output blocks. ``schema``
+    may be a function giving it, called only for an input without rows.
     """
+    import logging
+
     import ray.data as rd
     from ray.data import DataContext
 
     rows = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
-    blocks = rows.sort(keys).materialize()
+    # the sort's columnless blocks each log a schema-change warning; drop only those
+    log = logging.getLogger("ray.data._internal.execution.streaming_executor_state")
+    log.addFilter(_schema_change_filter)
+    try:
+        blocks = rows.sort(keys).materialize()
+    finally:
+        log.removeFilter(_schema_change_filter)
     floor = DataContext.get_current().target_min_block_size
     groups, size = [], floor
     for bundle in blocks.iter_internal_ref_bundles():
@@ -99,9 +111,128 @@ def cosort(sides: list, keys: list, probe, schema):
                 size = 0
             groups[-1].append(ref)
             size += meta.size_bytes or 0
-    return rd.from_arrow_refs(
-        [_probe_task.remote(probe, *g) for g in groups] or [ray.put(probe(schema.empty_table()))]
+    if not groups:
+        return rd.from_arrow_refs([ray.put(probe((schema() if callable(schema) else schema).empty_table()))])
+    return rd.from_arrow_refs([_probe_task.remote(probe, *g) for g in groups])
+
+
+def _schema_change_filter(record) -> bool:
+    return not record.getMessage().startswith("Operator produced a RefBundle with a different schema")
+
+
+def group_agg(ds, keys, *aggs):
+    """``ds.groupby(keys).aggregate(*aggs)`` for Ray's ``Count``, ``Sum``,
+    ``Min`` and ``Max`` as one ``cosort`` → a materialized dataset.
+
+    The output is what Ray gave: the keys, then one column per aggregate
+    under its name, one row per key in key order (null keys last). Ray
+    builds its rows from Python scalars, so integer keys and values come
+    out int64 and floating ones float64; Count is int64. Nulls are
+    skipped unless an aggregate has ``ignore_nulls=False``; a group
+    without a value gives null. Without aggregates it gives the distinct
+    keys.
+
+    Each block is aggregated on its own first (``pa.Table.group_by``), so
+    a hot key enters the sort as one row per block, not as one long run.
+    The cosort brings every partial row of a key to one probe, which
+    merges them with a second ``group_by``: counts by sum, the others with
+    themselves. Every output block comes from a probe, so each has the
+    full schema, and an input without rows gives a typed empty output.
+    """
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    specs = [(type(a).__name__, a.get_target_column(), a._ignore_nulls, a.name) for a in aggs]
+    if any(kind not in ("Count", "Sum", "Min", "Max") for kind, *_ in specs):
+        raise ValueError(f"group_agg takes Count, Sum, Min and Max, got {[s[0] for s in specs]}")
+    step = partial(_agg_step, keys=keys, specs=specs)
+
+    def schema():  # only for an input without rows; untyped columns without a schema
+        import pyarrow as pa
+
+        s = ds.schema()
+        if s is not None and s.names:
+            return step(s.base_schema.empty_table()).schema
+        return step(pa.table({c: pa.nulls(0) for c in keys + [on for _, on, *_ in specs if on]})).schema
+
+    partials = ds.map_batches(step, batch_format="pyarrow", batch_size=None)
+    return cosort([partials], _sort_keys(keys), partial(step, merge=True), schema)
+
+
+def _agg_step(block, keys: list, specs: list, merge: bool = False):
+    """One block → one row per key (``group_agg``): the partial aggregates
+    of its rows, keyed on ``_sort_keys``, or with ``merge`` the merge of
+    its partial rows, keyed on ``keys`` and sorted on them (``group_by``
+    does not keep the order of first appearance)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    sort_keys = _sort_keys(keys)
+    if merge or len(keys) == 1:
+        cols = {k: _py_typed(block[k]) for k in sort_keys}
+    else:
+        cols = {}
+        for i, k in enumerate(keys):
+            col = _py_typed(block[k])
+            cols[f"__null{i}"] = pc.is_null(col).cast(pa.int8())
+            cols[k] = pc.fill_null(col, _zero(col.type))
+    aggs = []
+    for i, (kind, on, skip, name) in enumerate(specs):
+        if merge:
+            col, fn = block[name], "sum" if kind == "Count" else kind.lower()
+        elif kind == "Count":
+            col, fn = block[on or keys[0]], "count"
+        else:
+            col, fn = _py_typed(block[on]), kind.lower()
+        cols[f"__{i}"] = col
+        opts = (pc.CountOptions("only_valid" if on and skip else "all") if fn == "count"
+                else pc.ScalarAggregateOptions(skip_nulls=skip, min_count=1))
+        aggs.append((f"__{i}", fn, opts))
+    out = pa.table(cols).group_by(sort_keys, use_threads=False).aggregate(aggs)
+    if merge:
+        out = out.sort_by([(k, "ascending") for k in sort_keys], null_placement="at_end")
+    key_cols = [out[k] for k in sort_keys]
+    if merge and len(keys) > 1:
+        key_cols = [pc.if_else(pc.equal(out[f"__null{i}"], 1), pa.scalar(None, out[k].type), out[k])
+                    for i, k in enumerate(keys)]
+    return pa.table(
+        key_cols + [out[f"{c}_{fn}"] for c, fn, _ in aggs],
+        names=(keys if merge else sort_keys) + [name for *_, name in specs],
     )
+
+
+def _sort_keys(keys: list) -> list:
+    """The columns ``group_agg`` sorts on: its one key, or for several a
+    null flag before each key, the key filled where null. (Ray's sort
+    keeps the null run of a single key whole, but splits the nulls of a
+    leading key by the keys after it.)"""
+    return keys if len(keys) == 1 else [c for i, k in enumerate(keys) for c in (f"__null{i}", k)]
+
+
+def _zero(t):
+    """A non-null fill value of type ``t``."""
+    import pyarrow as pa
+
+    if pa.types.is_null(t):
+        return pa.scalar(None, t)
+    if pa.types.is_string(t) or pa.types.is_large_string(t):
+        return pa.scalar("", t)
+    if pa.types.is_binary(t) or pa.types.is_large_binary(t):
+        return pa.scalar(b"", t)
+    if pa.types.is_boolean(t):
+        return pa.scalar(False)
+    return pa.scalar(0).cast(t)
+
+
+def _py_typed(col):
+    """``col`` in the type Ray's Python-scalar rows give it: integers as
+    int64 (uint64 stays uint64, which int64 cannot hold), floating point
+    as float64, anything else unchanged."""
+    import pyarrow as pa
+
+    if pa.types.is_integer(col.type) and col.type != pa.uint64():
+        return col.cast(pa.int64())
+    if pa.types.is_floating(col.type):
+        return col.cast(pa.float64())
+    return col
 
 
 def key_pairs(left, right) -> tuple:

@@ -272,30 +272,226 @@ ray.shutdown()
 """
 
 
+def _run_script(script: str, sf_dir: str, timeout: int) -> str:
+    """``script`` in a subprocess (its own Ray session) → its stdout; the
+    test fails when it does not finish within ``timeout`` seconds."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, sf_dir, os.path.join(root, "tools")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": root}, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the driver and its Ray processes
+        proc.communicate()
+        pytest.fail(f"the script did not finish in {timeout} s")
+    assert proc.returncode == 0, err[-3000:]
+    return out
+
+
 class TestJoinSmallCluster:
     def test_gate_joins_finish_at_two_cpus(self, sf_dir):
         """The gate's join queries in a Ray session of 2 CPUs finish within
         180 s and match their DuckDB oracles hash-exactly, dtypes included.
         A subprocess, because the test session's own Ray has 4 CPUs and a
         join that pins CPUs in actors deadlocks only in a smaller one."""
-        import os
-        import signal
-        import subprocess
-        import sys
-
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _JOINS_AT_TWO_CPUS, sf_dir, os.path.join(root, "tools")],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONPATH": root}, start_new_session=True,
-        )
-        try:
-            out, err = proc.communicate(timeout=180)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)  # the driver and its Ray processes
-            proc.communicate()
-            pytest.fail("the gate joins did not finish in 180 s at num_cpus=2")
-        assert proc.returncode == 0, err[-3000:]
+        out = _run_script(_JOINS_AT_TWO_CPUS, sf_dir, 180)
         assert out.split("\n")[:3] == [
             "full_outer_join OK", "first_last_value OK", "hash_join_revenue OK"
         ], out
+
+
+_SMALL_BLOCKS = r"""
+import sys
+
+import duckdb
+import pyarrow as pa
+import ray
+from ray.data import DataContext
+
+sys.path.insert(0, sys.argv[2])
+from check_oracles import compare
+
+sf_dir = sys.argv[1]
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+ctx = DataContext.get_current()
+ctx.enable_progress_bars = False
+ctx.target_min_block_size = 1024
+import __ray_entry__ as entry
+
+con = duckdb.connect()
+for t in ("customer", "orders", "lineitem", "documents"):
+    con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
+for name in ("hash_join_revenue", "webtext_e2e"):
+    blocks = ray.get(entry.queries()[name](sf_dir).to_arrow_refs())
+    try:
+        mine = pa.concat_tables(blocks).to_pandas()
+    except Exception as e:
+        print(name, f"{sum(not b.num_columns for b in blocks)} of {len(blocks)} blocks columnless: {e}", flush=True)
+        continue
+    problems = compare(name, mine, con.sql(entry.oracle_sql()[name]).df())
+    print(name, "; ".join(problems) or "OK", flush=True)
+ray.shutdown()
+"""
+
+
+class TestGroupAggSmallBlocks:
+    def test_grouped_gate_queries_concat_at_small_block_size(self, sf_dir):
+        """At 2 CPUs with ``target_min_block_size`` 1 KiB every probe of
+        the grouped gate queries emits its own block; the blocks must all
+        carry the schema (``pa.concat_tables`` of them works) and match
+        the DuckDB oracle hash-exactly, dtypes included."""
+        out = _run_script(_SMALL_BLOCKS, sf_dir, 300)
+        assert out.split("\n")[:2] == ["hash_join_revenue OK", "webtext_e2e OK"], out
+
+
+def test_sort_schema_warnings_dropped_errors_kept(ray_session, caplog):
+    """A cosort whose sort leaves empty key ranges after a non-empty one
+    (two keys, one of them over many blocks) logs no schema-change line;
+    a real error still raises."""
+    import logging
+
+    log = logging.getLogger("ray.data._internal.execution.streaming_executor_state")
+    log.addHandler(caplog.handler)
+    try:
+        with caplog.at_level(logging.WARNING, logger=log.name):
+            t = _side(np.r_[np.full(2, 1), np.full(40, 3)], 0)
+            out = cosort([_layout(t, "one_row_blocks")], ["k"], _make_probe(), SCHEMA)
+            assert sorted(out.to_pandas().n.tolist()) == [2, 40]
+        assert not [r for r in caplog.records if "different schema" in r.getMessage()]
+        with pytest.raises(Exception, match="nope"):
+            cosort([_layout(t, "one_row_blocks")], ["nope"], _make_probe(), SCHEMA)
+    finally:
+        log.removeHandler(caplog.handler)
+
+
+# -- util.group_agg ----------------------------------------------------------
+
+
+def _agg_table(hot: bool) -> pa.Table:
+    """``k`` int32 with null keys, ``s`` string, ``v`` int32 with null
+    values (one ``k`` group has no value at all; string group ``s4`` has
+    no null, as Ray types a column of nulls only as null), ``f`` float64;
+    with ``hot`` one ``k`` holds ~85% of the rows."""
+    rng = np.random.default_rng(23)
+    n = 60
+    k = rng.integers(0, 8, n).astype(object)
+    if hot:
+        k[rng.random(n) < 0.85] = 5
+    k[rng.random(n) < 0.1] = None
+    k[:3] = 9  # the group without values
+    s = np.array([f"s{i}" for i in rng.integers(0, 5, n)])
+    s[:3] = "s0"
+    v = rng.integers(-50, 50, n).astype(object)
+    v[(rng.random(n) < 0.2) & (s != "s4")] = None  # no null in "s4"
+    v[:3] = None
+    return pa.table(
+        {
+            "k": pa.array(k, pa.int32()),
+            "s": pa.array(s),
+            "v": pa.array(v, pa.int32()),
+            "f": pa.array(rng.integers(0, 80, n) / 8, pa.float64()),  # exact sums
+        }
+    )
+
+
+def _aggs(case: str) -> list:
+    from ray.data.aggregate import Count, Max, Min, Sum
+
+    one = {
+        "count": [Count(alias_name="n")],
+        "sum": [Sum("v", alias_name="sv")],
+        "min": [Min("v", alias_name="mn")],
+        "max": [Max("s", alias_name="mx")],
+    }
+    if case in one:
+        return one[case]
+    return [Count(alias_name="n"), Sum("v", alias_name="sv"), Min("v", alias_name="mn"),
+            Max("s", alias_name="mx"), Sum("f", alias_name="sf"), Count("v", ignore_nulls=True, alias_name="nv"),
+            Min("v", ignore_nulls=False, alias_name="mn_strict")]
+
+
+AGG_KEYS = {"int": ["k"], "string": ["s"], "two": ["k", "s"]}
+AGG_TYPES = {"k": pa.int64(), "s": pa.string(), "n": pa.int64(), "sv": pa.int64(), "mn": pa.int64(),
+             "mx": pa.string(), "sf": pa.float64(), "nv": pa.int64(), "mn_strict": pa.int64()}
+
+
+@pytest.fixture
+def one_probe_per_block():
+    """Every sorted block gets its own probe, as on inputs past
+    ``target_min_block_size``, so a key split over blocks would show."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    old, ctx.target_min_block_size = ctx.target_min_block_size, 1
+    yield
+    ctx.target_min_block_size = old
+
+
+class TestGroupAgg:
+    @pytest.mark.parametrize("layout", ["one_block", "one_row_blocks", "empty_block", "hot_key"])
+    @pytest.mark.parametrize("keys", list(AGG_KEYS))
+    @pytest.mark.parametrize("case", ["count", "sum", "min", "max", "all"])
+    def test_matches_ray_groupby(self, ray_session, one_probe_per_block, case, keys, layout):
+        """The rows, their order, the column order and the types of Ray's
+        own ``groupby().aggregate()``; every output block has them all."""
+        import ray
+
+        from osmptparser_ray.util import group_agg
+
+        t = _agg_table(layout == "hot_key")
+        ds = rd.from_arrow([t.slice(i, 15) for i in range(0, 60, 15)]) if layout == "hot_key" else _layout(t, layout)
+        keys, aggs = AGG_KEYS[keys], _aggs(case)
+        want = pa.concat_tables(
+            [b for b in ray.get(ds.groupby(keys).aggregate(*aggs).to_arrow_refs()) if b.num_columns],
+            promote_options="permissive",
+        )
+        blocks = ray.get(group_agg(ds, keys, *aggs).to_arrow_refs())
+        assert blocks and all(b.schema == want.schema for b in blocks)
+        assert want.schema == pa.schema([(c, AGG_TYPES[c]) for c in want.column_names])
+        assert pa.concat_tables(blocks).to_pylist() == want.to_pylist()
+
+    def test_int32_sum_is_int64_without_overflow(self, ray_session):
+        from ray.data.aggregate import Sum
+
+        from osmptparser_ray.util import group_agg
+
+        big = np.full(8, 2**31 - 1, np.int32)
+        t = pa.table({"k": pa.array(np.zeros(8, np.int32)), "v": pa.array(big)})
+        out = group_agg(_layout(t, "one_row_blocks"), "k", Sum("v", alias_name="sv"))
+        assert out.schema().base_schema == pa.schema([("k", pa.int64()), ("sv", pa.int64())])
+        assert out.to_pandas().sv.tolist() == [8 * (2**31 - 1)]
+
+    @pytest.mark.parametrize("keys", list(AGG_KEYS))
+    def test_no_rows_gives_typed_empty_output(self, ray_session, keys):
+        from osmptparser_ray.util import group_agg
+
+        keys = AGG_KEYS[keys]
+        out = group_agg(rd.from_arrow(_agg_table(False).schema.empty_table()), keys, *_aggs("all"))
+        assert out.count() == 0
+        names = keys + [a.name for a in _aggs("all")]
+        assert out.schema().base_schema == pa.schema([(c, AGG_TYPES[c]) for c in names])
+
+    def test_no_aggregates_gives_distinct_keys(self, ray_session, one_probe_per_block):
+        from osmptparser_ray.util import group_agg
+
+        t = _agg_table(True)
+        out = group_agg(_layout(t, "one_row_blocks"), ["k", "s"]).to_pandas()
+        want = t.group_by(["k", "s"]).aggregate([]).to_pandas()
+        assert sorted(map(repr, out.itertuples(index=False))) == sorted(map(repr, want.itertuples(index=False)))
+        assert not out.duplicated().any()
+
+    def test_other_aggregates_rejected(self, ray_session):
+        from ray.data.aggregate import Mean
+
+        from osmptparser_ray.util import group_agg
+
+        with pytest.raises(ValueError, match="Count, Sum, Min and Max"):
+            group_agg(rd.from_arrow(_agg_table(False)), "k", Mean("v"))
