@@ -107,11 +107,21 @@ def _cached_page_elements(pages_path: str):
 
 
 def _cached_pbf_elements(pbf_path: str):
+    """The elements of ``pbf_path`` read by the PBF source. Where that
+    file is absent, the committed fixture elements (the same golden file,
+    decoded) are written to a scratch PBF and that file is read instead."""
     ds = _ELEMENTS_MEMO.get(("pbf", pbf_path))
     if ds is None:
         from osmptparser_ray.sources.pbf import read_pbf_elements
 
-        ds = read_pbf_elements(pbf_path).materialize()
+        path = pbf_path
+        if not os.path.exists(path):
+            from osmptparser_ray.fixtures import fixture_elements
+            from osmptparser_ray.sources.pbf_write import write_pbf
+
+            path = _pid_scratch("osmray_fixture_{pid}.osm.pbf")
+            write_pbf(fixture_elements(), path)
+        ds = read_pbf_elements(path).materialize()
         _ELEMENTS_MEMO[("pbf", pbf_path)] = ds
     return ds
 
@@ -185,31 +195,7 @@ def _q_ptv2_fixture(sf_dir: str):
     from osmptparser_ray.stages.elements import build_parser_tables
 
     tables = build_parser_tables(_cached_page_elements(_fixture_pages(1)), PTV2)
-    ds = get_public_transports(tables, 1500.0)
-
-    def project(batch: pa.Table) -> pa.Table:
-        from osmptparser_ray.kernel.filters import get_tag_values
-
-        names = get_tag_values(batch, "name", "tags")
-        versions = get_tag_values(batch, "version", "info")
-        timestamps = get_tag_values(batch, "timestamp", "info")
-        n_stops = pc.list_value_length(batch["stops"])
-        n_geom = [
-            sum(len(seg) for seg in g) for g in batch["geometry"].to_pylist()
-        ]
-        return pa.table(
-            {
-                "id": batch["id"],
-                "name": pa.array(names.tolist(), pa.string()),
-                "version": pa.array(versions.tolist(), pa.string()),
-                "ts": pa.array(timestamps.tolist(), pa.string()),
-                "n_stops": pc.cast(n_stops, pa.int64()),
-                "status_code": batch["status_code"],
-                "n_geom_points": pa.array(n_geom, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(project, batch_format="pyarrow")
+    return _pt_observable(get_public_transports(tables, 1500.0))
 
 
 def _q_ptv2_from_pbf(sf_dir: str):
@@ -224,31 +210,7 @@ def _q_ptv2_from_pbf(sf_dir: str):
     tables = build_parser_tables(
         _cached_pbf_elements("/root/reference/tests/test.pbf"), PTV2
     )
-    ds = get_public_transports(tables, 1500.0)
-
-    def project(batch: pa.Table) -> pa.Table:
-        from osmptparser_ray.kernel.filters import get_tag_values
-
-        names = get_tag_values(batch, "name", "tags")
-        versions = get_tag_values(batch, "version", "info")
-        timestamps = get_tag_values(batch, "timestamp", "info")
-        n_stops = pc.list_value_length(batch["stops"])
-        n_geom = [
-            sum(len(seg) for seg in g) for g in batch["geometry"].to_pylist()
-        ]
-        return pa.table(
-            {
-                "id": batch["id"],
-                "name": pa.array(names.tolist(), pa.string()),
-                "version": pa.array(versions.tolist(), pa.string()),
-                "ts": pa.array(timestamps.tolist(), pa.string()),
-                "n_stops": pc.cast(n_stops, pa.int64()),
-                "status_code": batch["status_code"],
-                "n_geom_points": pa.array(n_geom, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(project, batch_format="pyarrow")
+    return _pt_observable(get_public_transports(tables, 1500.0))
 
 
 def _pt_observable(ds):
@@ -315,9 +277,9 @@ def _q_pbf_roundtrip(sf_dir: str):
 
 def _q_asof_join(sf_dir: str):
     """AS-OF join (round-3 custom operator — Ray Data has none): every
-    click joins the latest same-user purchase at or before it. Distributed
-    sort + boundary-chained per-block scan; oracle = DuckDB native
-    ASOF LEFT JOIN."""
+    click joins the latest same-user purchase at or before it. One
+    ``util.sort_scan`` over both sides; oracle = DuckDB native ASOF LEFT
+    JOIN."""
     import ray.data as rd
 
     from osmptparser_ray.streams import asof_join
@@ -1220,8 +1182,8 @@ def _q_argmax_per_group(sf_dir: str):
 def _q_global_index(sf_dir: str):
     """Deterministic global shuffle + contiguous shard assignment
     (round-5): the reproducible-training-data primitive — one sort by
-    the closed-form hash IS the shuffle, positions from block metadata
-    + an O(#blocks) prefix chain. Hash-exact against the SQL
+    the closed-form hash IS the shuffle (``util.sort_scan``), positions
+    from the block row counts' prefix sums. Hash-exact against the SQL
     ROW_NUMBER-over-hash-order oracle."""
     from osmptparser_ray.stages.relational import global_index
 
@@ -1596,8 +1558,8 @@ def _q_anti_join_shuffle(sf_dir: str):
 
 def _q_running_agg(sf_dir: str):
     """Per-key running window aggregates (round-4): ROW_NUMBER + running
-    SUM per user ordered by (ts, event_id) — sort-scan with an O(#blocks)
-    integer carry chain, zero per-group UDFs. Values are fixed-point
+    SUM per user ordered by (ts, event_id) — one ``util.sort_scan`` with
+    integer carries, zero per-group UDFs. Values are fixed-point
     cents (integer prefix sums are associative ⇒ exact cross-block
     carries ⇒ hash-exact vs the SQL window oracle)."""
     from osmptparser_ray.stages.relational import running_agg
@@ -1617,9 +1579,9 @@ def _q_running_agg(sf_dir: str):
 
 def _q_lead_lag_rank(sf_dir: str):
     """LAG / LEAD / DENSE_RANK per user (round-5): the remaining SQL
-    window staples on the running_agg sort-scan chassis — one sort,
-    per-block boundary summaries, O(#blocks) carry chain, vectorized
-    emit. (ts, event_id) is a total order per user, so LAG/LEAD are
+    window staples as one ``util.sort_scan`` — per-block boundary
+    summaries, a driver fold, vectorized emits. (ts, event_id) is a
+    total order per user, so LAG/LEAD are
     deterministic; boundary nulls are coalesced to -1 in BOTH engines
     (int64 stays hash-exact; NaN would poison the value compare)."""
     from osmptparser_ray.stages.relational import lead_lag_rank
@@ -1653,9 +1615,10 @@ def _q_lead_lag_rank(sf_dir: str):
 def _q_pack_sequences(sf_dir: str):
     """Sequence packing (round-4): id-ordered token-stream slicing into
     fixed 256-token training sequences — pack_id/pack_off per document.
-    Physical plan: one sort + per-block token totals + O(#blocks) driver
-    prefix chain + vectorized per-block emit (zero per-group UDFs, no
-    driver row materialization). Oracle: one SQL window prefix sum."""
+    Physical plan: one ``util.sort_scan`` — per-block token totals, their
+    prefix sums on the driver, a vectorized per-block emit (zero
+    per-group UDFs, no driver row materialization). Oracle: one SQL
+    window prefix sum."""
     from osmptparser_ray.text import pack_sequences
     from osmptparser_ray.text.analysis import add_token_count
 
@@ -2528,9 +2491,9 @@ def _q_skyline(sf_dir: str):
 
 def _q_group_concat(sf_dir: str):
     """Ordered per-user event-type trace — SQL string_agg(... ORDER BY)
-    (round-5): sort-scan with per-block C++ binary_join run concats and an
-    O(#blocks) driver stitch chain for boundary-spanning groups; zero
-    per-group UDFs."""
+    (round-5): one ``util.sort_scan`` with per-block C++ binary_join run
+    concats; a group spanning blocks is emitted, carried prefix first, by
+    the block holding its last row; zero per-group UDFs."""
     from osmptparser_ray.stages.relational import group_concat_sorted
 
     ev = _read(sf_dir, "events", ["user_id", "event_id", "event_type"])

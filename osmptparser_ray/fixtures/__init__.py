@@ -23,6 +23,25 @@ def load_osm_fixture() -> dict:
         return json.load(f)
 
 
+def fixture_elements(pbf_path: str | None = None):
+    """The fixture's 563 nodes / 126 ways / 2 relations as a materialized
+    ELEMENT_SCHEMA dataset: read from ``pbf_path`` (the PBF the fixture
+    was decoded from) where that file exists, else built from the
+    committed JSON through the package's own XML path."""
+    import ray.data as rd
+
+    if pbf_path is not None and os.path.exists(pbf_path):
+        from ..sources.pbf import read_pbf_elements
+
+        return read_pbf_elements(pbf_path).materialize()
+    from ..sources.osmxml import columns_to_table, elements_to_xml, empty_columns, parse_osm_payload
+
+    fx = load_osm_fixture()
+    cols = empty_columns()
+    parse_osm_payload(elements_to_xml(fx["nodes"], fx["ways"], fx["relations"]), cols)
+    return rd.from_arrow(columns_to_table(cols)).materialize()
+
+
 def resolved_relation_ways(fixture: dict, relation_id: int) -> list[dict]:
     """Member ways of a relation, in member order, missing refs dropped —
     mirrors the reference's silent-filter resolution (mod.rs:664-702)."""

@@ -19,7 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from .util import equi_join, group_agg
+from .util import equi_join, group_agg, key_runs, sort_scan
 
 
 def _distinct_nodes(edges: rd.Dataset, src_col: str, dst_col: str) -> rd.Dataset:
@@ -397,15 +397,15 @@ def triangle_count(
     ``plan="broadcast"`` (auto ≤ ``node_cap`` nodes): degrees collect to
     the driver, nodes are rank-relabelled by (deg, id), the sorted edge
     keys broadcast once (``ray.put``); wedge pairs are generated and
-    membership-counted per BLOCK of the (src, dst)-sorted oriented edges
-    — runs split across block boundaries are detected by an O(#blocks)
-    driver chain and re-counted driver-side from the shipped boundary
-    rows (≤ 2·√(2m) rows per block).
+    membership-counted per BLOCK of one ``util.sort_scan`` over the
+    (src, dst)-sorted oriented edges — its fold flags the src runs split
+    across block boundaries, and those are re-counted driver-side from
+    the shipped boundary rows (≤ 2·√(2m) rows per block).
 
     ``plan="shuffle"``: no driver-sized state — degrees stay a Dataset,
     orientation is by raw (deg, id) pairs via two sort joins, wedges are
-    emitted as a Dataset and closed by a distributed inner join against
-    the oriented edges. The beyond-memory twin (node/edge sets too big
+    emitted by the same ``sort_scan`` as a Dataset and closed by a
+    distributed inner join against the oriented edges. The beyond-memory twin (node/edge sets too big
     to ray.put); same output, parity-tested.
     """
     if plan not in ("auto", "broadcast", "shuffle"):
@@ -485,87 +485,49 @@ def _triangles_broadcast(canon: rd.Dataset, deg: rd.Dataset, node_cap: int) -> r
     edge_keys = np.sort(np.concatenate(key_parts)) if key_parts else np.empty(0, np.int64)
     keys_ref = ray.put(edge_keys)
 
-    from .stages.relational import _as_arrow_block, _nonempty_block_refs
+    def count_block(block: pa.Table, split) -> tuple:
+        # count the runs wholly in the block; ship the rows of split runs
+        s, d, ship = _split_run_rows(block, split)
+        return _wedge_pair_counts(d[~ship], key_runs(s[~ship])[:-1], cached_get(keys_ref), n), s[ship], d[ship]
 
-    sorted_ds = oriented.sort(["src", "dst"]).materialize()
-    block_refs = _nonempty_block_refs(sorted_ds)
-
-    @ray.remote
-    def summarize(block):
-        block = _as_arrow_block(block)
-        if block.num_rows == 0:
-            return None
-        s = block["src"].to_numpy(zero_copy_only=False)
-        return {"first": int(s[0]), "last": int(s[-1]), "single": bool(s[0] == s[-1])}
-
-    summaries = ray.get([summarize.remote(r) for r in block_refs])
-
-    # flags: a block's first/last run is SPLIT if the neighbor block
-    # shares that src — split runs are counted driver-side from shipped rows
-    flags = []
-    for i, s in enumerate(summaries):
-        if s is None:
-            flags.append((False, False))
-            continue
-        prev = next(
-            (summaries[j] for j in range(i - 1, -1, -1) if summaries[j] is not None),
-            None,
-        )
-        nxt = next(
-            (summaries[j] for j in range(i + 1, len(summaries)) if summaries[j] is not None),
-            None,
-        )
-        skip_first = prev is not None and prev["last"] == s["first"]
-        skip_last = nxt is not None and nxt["first"] == s["last"]
-        flags.append((skip_first, skip_last))
-
-    @ray.remote
-    def count_block(block, skip_first: bool, skip_last: bool):
-        block = _as_arrow_block(block)
-        if block.num_rows == 0:
-            return 0, pa.table({"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())})
-        keys = cached_get(keys_ref)
-        s = block["src"].to_numpy(zero_copy_only=False)
-        d = block["dst"].to_numpy(zero_copy_only=False)
-        m = len(s)
-        is_new = np.ones(m, bool)
-        is_new[1:] = s[1:] != s[:-1]
-        run_start = np.flatnonzero(is_new)
-        # ship rows of split first/last runs; count the rest locally
-        ship = np.zeros(m, bool)
-        if skip_first:
-            end0 = run_start[1] if len(run_start) > 1 else m
-            ship[:end0] = True
-        if skip_last:
-            ship[run_start[-1]:] = True
-        local = ~ship
-        ls, ld = s[local], d[local]
-        lm = len(ls)
-        if lm:
-            ln = np.ones(lm, bool)
-            ln[1:] = ls[1:] != ls[:-1]
-            cnt = _wedge_pair_counts(ld, np.flatnonzero(ln), keys, n)
-        else:
-            cnt = 0
-        shipped = pa.table(
-            {"src": pa.array(s[ship], pa.int64()), "dst": pa.array(d[ship], pa.int64())}
-        )
-        return cnt, shipped
-
-    results = ray.get(
-        [count_block.remote(r, *flags[i]) for i, r in enumerate(block_refs)]
-    )
-    total = sum(c for c, _ in results)
-    boundary = pa.concat_tables([t for _, t in results])
-    if boundary.num_rows:
-        bs = boundary["src"].to_numpy(zero_copy_only=False)
-        bd = boundary["dst"].to_numpy(zero_copy_only=False)
-        order2 = np.lexsort((bd, bs))
-        bs, bd = bs[order2], bd[order2]
-        ln = np.ones(len(bs), bool)
-        ln[1:] = bs[1:] != bs[:-1]
-        total += _wedge_pair_counts(bd, np.flatnonzero(ln), edge_keys, n)
+    results = ray.get(sort_scan(oriented, ["src", "dst"], _src_ends, _split_runs, count_block))
+    total = sum(c for c, _, _ in results)
+    # the shipped rows, in block order, are in (src, dst) order already
+    bs = np.concatenate([s for _, s, _ in results])
+    bd = np.concatenate([d for _, _, d in results])
+    total += _wedge_pair_counts(bd, key_runs(bs)[:-1], edge_keys, n)
     return rd.from_arrow(pa.table({"triangles": pa.array([total], pa.int64())}))
+
+
+def _src_ends(block: pa.Table) -> tuple:
+    """First and last src of a block of src-sorted oriented edges."""
+    s = block["src"].to_numpy(zero_copy_only=False)
+    return int(s[0]), int(s[-1])
+
+
+def _split_runs(ends: list) -> list:
+    """Per block of src-sorted oriented edges: does its first src run go
+    on from the block before it, and its last into the block after it."""
+    return [
+        (i > 0 and ends[i - 1][1] == first, i + 1 < len(ends) and ends[i + 1][0] == last)
+        for i, (first, last) in enumerate(ends)
+    ]
+
+
+def _split_run_rows(block: pa.Table, split) -> tuple:
+    """src, dst and the mask of the rows in the block's split src runs:
+    their wedges need the rows of the neighbour block, so the driver
+    counts them."""
+    s = block["src"].to_numpy(zero_copy_only=False)
+    d = block["dst"].to_numpy(zero_copy_only=False)
+    bounds = key_runs(s)
+    ship = np.zeros(len(s), bool)
+    split_first, split_last = split or (False, False)
+    if split_first:
+        ship[: bounds[1]] = True
+    if split_last:
+        ship[bounds[-2]:] = True
+    return s, d, ship
 
 
 def _triangles_shuffle(canon: rd.Dataset, deg: rd.Dataset) -> rd.Dataset:
@@ -574,11 +536,8 @@ def _triangles_shuffle(canon: rd.Dataset, deg: rd.Dataset) -> rd.Dataset:
     distributed inner join (no driver-sized arrays anywhere)."""
     import ray
 
-    from .stages.relational import _as_arrow_block, _nonempty_block_refs
-
-    # the join drops the right key column itself — only rename needed
-    withu = equi_join(canon, deg, "u", right_on="node").rename_columns({"deg": "deg_u"})
-    both = equi_join(withu, deg, "v", right_on="node").rename_columns({"deg": "deg_v"})
+    withu = equi_join(canon, deg, "u", right_on="node")
+    both = equi_join(withu, deg, "v", right_on="node", left_suffix="_u", right_suffix="_v")
 
     def orient(batch: pa.Table) -> pa.Table:
         u = batch["u"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -598,39 +557,6 @@ def _triangles_shuffle(canon: rd.Dataset, deg: rd.Dataset) -> rd.Dataset:
         )
 
     oriented = both.map_batches(orient, batch_format="pyarrow").materialize()
-    # sort so each src-run's neighbors appear in orientation order
-    # ((deg, id) asc) — consecutive pairs are then oriented wedges
-    sorted_ds = oriented.sort(["src", "deg_dst", "dst"]).materialize()
-    block_refs = _nonempty_block_refs(sorted_ds)
-
-    @ray.remote
-    def summarize(block):
-        block = _as_arrow_block(block)
-        if block.num_rows == 0:
-            return None
-        s = block["src"].to_numpy(zero_copy_only=False)
-        return {"first": int(s[0]), "last": int(s[-1])}
-
-    summaries = ray.get([summarize.remote(r) for r in block_refs])
-    flags = []
-    for i, s in enumerate(summaries):
-        if s is None:
-            flags.append((False, False))
-            continue
-        prev = next(
-            (summaries[j] for j in range(i - 1, -1, -1) if summaries[j] is not None),
-            None,
-        )
-        nxt = next(
-            (summaries[j] for j in range(i + 1, len(summaries)) if summaries[j] is not None),
-            None,
-        )
-        flags.append(
-            (
-                prev is not None and prev["last"] == s["first"],
-                nxt is not None and nxt["first"] == s["last"],
-            )
-        )
 
     def _pairs(s: np.ndarray, d: np.ndarray) -> pa.Table:
         m = len(s)
@@ -655,36 +581,20 @@ def _triangles_shuffle(canon: rd.Dataset, deg: rd.Dataset) -> rd.Dataset:
             {"src": pa.array(d[left], pa.int64()), "dst": pa.array(d[right], pa.int64())}
         )
 
-    @ray.remote(num_returns=2)
-    def wedge_block(block, skip_first: bool, skip_last: bool):
-        block = _as_arrow_block(block)
-        empty = pa.table({"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())})
-        if block.num_rows == 0:
-            return empty, empty
-        s = block["src"].to_numpy(zero_copy_only=False)
-        d = block["dst"].to_numpy(zero_copy_only=False)
-        m = len(s)
-        is_new = np.ones(m, bool)
-        is_new[1:] = s[1:] != s[:-1]
-        run_start = np.flatnonzero(is_new)
-        ship = np.zeros(m, bool)
-        if skip_first:
-            end0 = run_start[1] if len(run_start) > 1 else m
-            ship[:end0] = True
-        if skip_last:
-            ship[run_start[-1]:] = True
-        shipped = pa.table(
-            {"src": pa.array(s[ship], pa.int64()), "dst": pa.array(d[ship], pa.int64())}
-        )
-        return _pairs(s[~ship], d[~ship]), shipped
+    def wedge_block(block: pa.Table, split) -> tuple:
+        s, d, ship = _split_run_rows(block, split)
+        return _pairs(s[~ship], d[~ship]), pa.table({"src": s[ship], "dst": d[ship]})
 
+    # sort so each src-run's neighbors appear in orientation order
+    # ((deg, id) asc) — consecutive pairs are then oriented wedges. The
     # wedge blocks STAY distributed (refs, never fetched — the whole point
-    # of the beyond-memory twin); only the small boundary slices collect
-    wedge_refs, ship_refs = [], []
-    for i, r in enumerate(block_refs):
-        w_ref, s_ref = wedge_block.remote(r, *flags[i])
-        wedge_refs.append(w_ref)
-        ship_refs.append(s_ref)
+    # of the beyond-memory twin); only the small split-run rows collect
+    blocks = sort_scan(
+        oriented, ["src", "deg_dst", "dst"], _src_ends, _split_runs, wedge_block, num_returns=2,
+        schema=pa.schema([("src", pa.int64()), ("dst", pa.int64()), ("deg_dst", pa.int64())]),
+    )
+    wedge_refs = [w for w, _ in blocks]
+    ship_refs = [s for _, s in blocks]
     boundary = pa.concat_tables(ray.get(ship_refs))
     if boundary.num_rows:
         bs = boundary["src"].to_numpy(zero_copy_only=False)

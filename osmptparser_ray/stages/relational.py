@@ -1,10 +1,12 @@
 """General relational operators (guide patterns as first-class functions).
 
 * ``topk_per_group`` — top-k rows per group key by a score column:
-  per-batch partial top-k combiner, one distributed sort, then per-block
-  vectorized head-k with an O(#blocks) driver boundary chain (no
-  per-group UDF anywhere). The training-data staple "best k documents
-  per domain".
+  per-batch partial top-k combiner, then one ``util.sort_scan`` with a
+  vectorized per-block head-k (no per-group UDF anywhere). The
+  training-data staple "best k documents per domain". The window
+  operators (``running_agg``, ``lead_lag_rank``, ``rolling_sum``), the
+  ordered ones (``global_index``, ``group_concat_sorted``) and the exact
+  quantiles are ``sort_scan``s too.
 * ``broadcast_join`` — map-side dimension enrichment: the small side is
   collected once, ``ray.put``, and merged into every batch with a pandas
   hash merge — zero shuffle (guide §joins: "small side: broadcast it").
@@ -21,15 +23,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..util import cached_get, equi_join, group_agg
-
-
-def _as_arrow_block(block) -> "pa.Table":
-    """Sorted-dataset blocks downstream of a pandas stage stay pandas —
-    coerce to Arrow once (shared by every sort-scan operator)."""
-    if isinstance(block, pd.DataFrame):
-        return pa.Table.from_pandas(block, preserve_index=False)
-    return block
+from ..util import cached_get, equi_join, group_agg, key_runs, run_positions, sort_scan
 
 
 def _finest_sums(ds: rd.Dataset, group_cols: list, value_col: str) -> rd.Dataset:
@@ -42,18 +36,6 @@ def _finest_sums(ds: rd.Dataset, group_cols: list, value_col: str) -> rd.Dataset
 
     ints_ds = ds.map_batches(ints, batch_format="pyarrow")
     return group_agg(ints_ds, group_cols, Count(alias_name="n"), Sum("__v", alias_name="sum_v"))
-
-
-def _nonempty_block_refs(sorted_ds) -> list:
-    """Block refs of a materialized dataset, empty blocks dropped —
-    the sort-scan scaffolding shared by topk_per_group / running_agg /
-    quantiles_per_group / pack_sequences."""
-    return [
-        ref
-        for bundle in sorted_ds.iter_internal_ref_bundles()
-        for ref, md in bundle.blocks
-        if md.num_rows is None or md.num_rows > 0
-    ]
 
 
 def topk_per_group(
@@ -69,17 +51,14 @@ def topk_per_group(
 
     Output: input columns + ``rank`` (1-based within group).
 
-    Physical plan (sort-scan — ZERO per-group UDF dispatch):
-
-    1. per-batch partial top-k (vectorized pandas sort/head) caps the
-       sorted volume at k rows per group per input block,
-    2. one distributed sort by ``(group, score[, tiebreak])`` — blocks of
-       the sorted dataset are ordered ranges, so each group's survivors
-       are contiguous,
-    3. per-block VECTORIZED head-k: run-change mask → per-row in-group
-       position → ``pos < k`` filter, with an O(#blocks) driver boundary
-       chain handing each block the carried-in row count of its first
-       group (same block-ordinal pattern as ``sessionize``/``asof_join``).
+    Physical plan (ZERO per-group UDF dispatch): a per-batch partial
+    top-k (vectorized pandas sort/head) caps the sorted volume at k rows
+    per group per input block, then one ``util.sort_scan`` on
+    ``(group, score[, tiebreak])``: each block summarizes its first and
+    last group's row counts, the fold carries into each block the rows
+    its first group already has in the blocks before it, and the emit
+    keeps the rows whose in-group position is under k (vectorized
+    run-change mask).
 
     Replaces both earlier shapes measured at 100k groups / 2M rows /
     32 cpus: ``groupby().map_groups`` (9.0 s — one pandas UDF call per
@@ -92,8 +71,6 @@ def topk_per_group(
     NaN scores are unsupported (pandas and Arrow order them differently;
     both prior shapes shared the caveat).
     """
-    import ray
-
     sort_cols = [score_col] + ([tiebreak_col] if tiebreak_col else [])
     asc = [not descending] + ([True] if tiebreak_col else [])
 
@@ -104,73 +81,29 @@ def topk_per_group(
             .head(k)
         )
 
-    pruned = ds.map_batches(partial_topk, batch_format="pandas")
-    sorted_ds = pruned.sort(
-        [group_col] + sort_cols, descending=[False] + [not a for a in asc]
-    ).materialize()
+    def summarize(block: pa.Table):
+        g = block[group_col].to_numpy(zero_copy_only=False)
+        return g[0], g[-1], int((g == g[0]).sum()), int((g == g[-1]).sum())
 
-    block_refs = _nonempty_block_refs(sorted_ds)
-    _blk = _as_arrow_block
+    def fold(summaries) -> list:
+        # rows of each block's first group in the blocks before it
+        offsets, group, n = [], None, 0
+        for first, last, n_first, n_last in summaries:
+            offsets.append(n if first == group else 0)
+            group, n = last, (offsets[-1] + n_first if first == last else n_last)
+        return offsets
 
-    def _groups(block: pa.Table) -> np.ndarray:
-        return block[group_col].to_numpy(zero_copy_only=False)
-
-    @ray.remote
-    def summarize(block):
-        block = _blk(block)
-        if block.num_rows == 0 or group_col not in block.schema.names:
-            return None
-        g = _groups(block)
-        first, last = g[0], g[-1]
-        return {
-            "first": first,
-            "last": last,
-            "n_first": int((g == first).sum()),
-            "n_last": int((g == last).sum()),
-            "single": bool(first == last),
-        }
-
-    summaries = ray.get([summarize.remote(ref) for ref in block_refs])
-
-    # O(#blocks) driver chain: rows of each block's FIRST group already
-    # emitted by previous blocks
-    offsets: list[int] = []
-    carry_group, carry_n = None, 0
-    for s in summaries:
-        if s is None:
-            offsets.append(0)
-            continue
-        off = carry_n if (carry_group is not None and s["first"] == carry_group) else 0
-        offsets.append(off)
-        if s["single"]:
-            carry_group, carry_n = s["first"], off + s["n_first"]
-        else:
-            carry_group, carry_n = s["last"], s["n_last"]
-    del carry_group, carry_n
-
-    @ray.remote
-    def head_k(block, offset: int) -> pa.Table:
-        block = _blk(block)
-        if block.num_rows == 0 or group_col not in block.schema.names:
-            return block.append_column("rank", pa.array([], pa.int64()))
-        g = _groups(block)
-        n = len(g)
-        is_new = np.ones(n, bool)
-        is_new[1:] = g[1:] != g[:-1]
-        run_id = np.cumsum(is_new) - 1
-        run_start = np.flatnonzero(is_new)
-        pos = np.arange(n, dtype=np.int64) - run_start[run_id]
-        pos[run_id == 0] += offset
+    def head_k(block: pa.Table, offset) -> pa.Table:
+        run, pos = run_positions(block[group_col].to_numpy(zero_copy_only=False))
+        pos[run == 0] += offset or 0
         keep = pos < k
-        out = block.filter(pa.array(keep))
-        return out.append_column(
-            "rank", pa.array((pos[keep] + 1).astype(np.int64), pa.int64())
-        )
+        return block.filter(pa.array(keep)).append_column("rank", pa.array(pos[keep] + 1, pa.int64()))
 
-    out_refs = [
-        head_k.remote(ref, offsets[i]) for i, ref in enumerate(block_refs)
-    ]
-    return rd.from_arrow_refs(out_refs)
+    pruned = ds.map_batches(partial_topk, batch_format="pandas")
+    return rd.from_arrow_refs(sort_scan(
+        pruned, [group_col] + sort_cols, summarize, fold, head_k,
+        descending=[False] + [not a for a in asc], schema=ds.schema,
+    ))
 
 
 def broadcast_join(
@@ -362,60 +295,40 @@ def exact_quantiles(
     """EXACT distributed quantiles (quantile_disc semantics: the value at
     0-based rank ceil(q·n)−1 of the sorted column) — (q, value) rows.
 
-    Scalable shape: ONE distributed sort of the (single-column) dataset,
-    then the driver maps each target rank onto a block via the blocks'
-    row-count METADATA and fetches only the few blocks that hold a target
-    rank — never the column itself. Exactness costs the sort (at 10^12
-    rows prefer an approximate sketch; this operator is the exact
-    baseline the sketches are verified against).
+    Scalable shape: one ``util.sort_scan`` of the (single-column) dataset
+    whose summaries are the block row counts; the fold maps each target
+    rank onto a block and a local offset, and each block's emit returns
+    only the values at its target ranks — never the column itself.
+    Exactness costs the sort (at 10^12 rows prefer an approximate sketch;
+    this operator is the exact baseline the sketches are verified
+    against).
     """
-    import numpy as np
-    import pyarrow as pa
-    import ray
 
-    n = ds.count()
-    if n == 0:
-        return pa.table(
-            {"q": pa.array(qs, pa.float64()), "value": pa.nulls(len(qs), pa.float64())}
-        )
-    sorted_ds = ds.select_columns([col]).sort(col).materialize()
-    ranks = [min(max(int(np.ceil(q * n)) - 1, 0), n - 1) for q in qs]
+    def fold(counts) -> list:
+        n = sum(counts)
+        offs = np.concatenate([[0], np.cumsum(counts)])
+        picks: list = [[] for _ in counts]
+        for qi, q in enumerate(qs):
+            r = min(max(int(np.ceil(q * n)) - 1, 0), n - 1)
+            b = int(np.searchsorted(offs, r, side="right")) - 1
+            picks[b].append((qi, r - int(offs[b])))
+        return picks
 
-    # block row-counts from metadata; fetch only rank-holding blocks
-    bundles = list(sorted_ds.iter_internal_ref_bundles())
-    block_refs, counts = [], []
-    for b in bundles:
-        for ref, meta in zip(b.block_refs, b.metadata):
-            block_refs.append(ref)
-            counts.append(meta.num_rows)
-    offs = np.zeros(len(counts) + 1, np.int64)
-    np.cumsum(counts, out=offs[1:])
+    def pick(block: pa.Table, picks) -> list:
+        return [(qi, block[col][i].as_py()) for qi, i in picks or []]
 
-    @ray.remote
-    def pick(block, local_ranks):
-        # blocks can be pandas (upstream pandas-format stages survive the
-        # sort) — positional indexing either way, never label-based
-        if isinstance(block, pd.DataFrame):
-            vals = block[col].to_numpy()
-            return [vals[int(i)] for i in local_ranks]
-        return [block[col][int(i)].as_py() for i in local_ranks]
-
-    per_block: dict[int, list[tuple[int, int]]] = {}
-    for qi, r in enumerate(ranks):
-        bi = int(np.searchsorted(offs, r, side="right") - 1)
-        per_block.setdefault(bi, []).append((qi, r - int(offs[bi])))
-    out_vals: list = [None] * len(qs)
-    fetches = {
-        bi: pick.remote(block_refs[bi], [lr for _, lr in items])
-        for bi, items in per_block.items()
-    }
-    for bi, items in per_block.items():
-        vals = ray.get(fetches[bi])
-        for (qi, _), v in zip(items, vals):
-            out_vals[qi] = v
+    refs = sort_scan(ds.select_columns([col]), col, _num_rows, fold, pick)
+    found = dict(p for part in ray.get(refs) for p in part)
     return pa.table(
-        {"q": pa.array(qs, pa.float64()), "value": pa.array(out_vals, pa.float64())}
+        {
+            "q": pa.array(qs, pa.float64()),
+            "value": pa.array([found.get(qi) for qi in range(len(qs))], pa.float64()),
+        }
     )
+
+
+def _num_rows(block: pa.Table) -> int:
+    return block.num_rows
 
 
 # ---------------------------------------------------------------------------
@@ -867,118 +780,74 @@ def quantiles_per_group(
     """EXACT per-group quantiles (quantile_disc semantics) — (group, q,
     value) rows; the training-data "per-domain score percentiles" staple.
 
-    Physical plan (sort-scan, round-4 — the grouped twin of
-    ``exact_quantiles``): ONE distributed sort by (group, value); blocks
-    of the sorted dataset are globally ordered, so a group's rows form a
-    contiguous GLOBAL index range. Per-block run-length summaries
-    (vectorized, O(runs) rows to the driver) give every group's global
-    start offset and total; each target rank then maps to a global row
-    index, a block via the blocks' row-count METADATA, and a local
-    offset — only rank-holding blocks are fetched, never the column.
-    Driver work is numpy over (#runs + #groups·#qs) arrays — no
-    per-group Python loop, no per-group UDF anywhere.
+    Physical plan (the grouped twin of ``exact_quantiles``): one
+    ``util.sort_scan`` on (group, value). A group's rows form a contiguous
+    global index range, so per-block run-length summaries (vectorized,
+    O(runs) rows to the driver) give every group's global start and
+    total; the fold maps each target rank to a global row, then to a
+    block and a local offset, and each block's emit takes just the rows
+    at its targets. Driver work is numpy over (#runs + #groups·#qs)
+    arrays — no per-group Python loop, no per-group UDF anywhere.
     """
-    import ray
+    nq = len(qs)
+    q_arr = np.asarray(qs, np.float64)
 
-    def _empty(group_type) -> pa.Table:
-        return pa.table(
-            {
-                "group": pa.array([], group_type),
-                "q": pa.array([], pa.float64()),
-                "value": pa.array([], pa.float64()),
-            }
-        )
-
-    def _drop_null_values(t: pa.Table) -> pa.Table:
+    def drop_null_values(t: pa.Table) -> pa.Table:
         # same contract as exact_quantiles/_sketch_samples: NULL values
         # are ignored — without this, nulls inflate group totals and a
         # high-q rank can land in the null region (NaN result)
         return t.filter(pc.is_valid(t[value_col]))
 
-    sorted_ds = (
-        ds.select_columns([group_col, value_col])
-        .map_batches(_drop_null_values, batch_format="pyarrow")
-        .sort([group_col, value_col])
-        .materialize()
-    )
-    bundles = list(sorted_ds.iter_internal_ref_bundles())
-    block_refs, counts = [], []
-    for b in bundles:
-        for ref, meta in zip(b.block_refs, b.metadata):
-            if meta.num_rows is None:
-                # the rank→block index REQUIRES counts; silently dropping
-                # an unknown-count block would lose rows (sibling
-                # operators without a rank index keep such blocks)
-                raise RuntimeError(
-                    "quantiles_per_group: block metadata lacks num_rows"
-                )
-            if meta.num_rows:
-                block_refs.append(ref)
-                counts.append(meta.num_rows)
-    if not block_refs:
-        return _empty(pa.string())
-    block_cum = np.cumsum(np.asarray(counts, np.int64))
-    block_start = block_cum - np.asarray(counts, np.int64)
+    def rle(block: pa.Table):
+        g = block[group_col].to_numpy(zero_copy_only=False)
+        bounds = key_runs(g)
+        return g[bounds[:-1]], np.diff(bounds)
 
-    _blk = _as_arrow_block
+    def fold(parts) -> list:
+        run_groups = np.concatenate([p[0] for p in parts])
+        run_counts = np.concatenate([p[1] for p in parts])
+        # a group split across blocks is one run per block: merge them
+        bounds = key_runs(run_groups)
+        totals = np.add.reduceat(run_counts, bounds[:-1])
+        starts = np.cumsum(totals) - totals  # global row index
+        # target global row per (group, q): start_g + (ceil(q·n_g)−1)
+        local = np.ceil(q_arr[None, :] * totals[:, None]).astype(np.int64) - 1
+        np.clip(local, 0, (totals - 1)[:, None], out=local)
+        gidx = (starts[:, None] + local).ravel()  # group-major, q within
+        sizes = np.array([p[1].sum() for p in parts])
+        ends = np.cumsum(sizes)
+        blk = np.searchsorted(ends, gidx, side="right")
+        loc = gidx - (ends - sizes)[blk]
+        order = np.argsort(blk, kind="stable")
+        cuts = np.searchsorted(blk[order], np.arange(1, len(parts)))
+        return [(i, loc[i]) for i in np.split(order, cuts)]
 
-    @ray.remote
-    def rle(block):
-        g = _blk(block)[group_col].to_numpy(zero_copy_only=False)
-        n = len(g)
-        is_new = np.ones(n, bool)
-        is_new[1:] = g[1:] != g[:-1]
-        starts = np.flatnonzero(is_new)
-        cnts = np.diff(np.append(starts, n))
-        return g[starts], cnts.astype(np.int64)
+    def pick(block: pa.Table, targets) -> pa.Table:
+        i, loc = targets if targets is not None else (np.empty(0, np.int64),) * 2
+        rows = block.take(pa.array(loc, pa.int64()))
+        return pa.table(
+            {
+                "group": rows[group_col],
+                "q": pa.array(q_arr[i % nq], pa.float64()),
+                "value": pc.cast(rows[value_col], pa.float64()),
+                "__i": pa.array(i, pa.int64()),
+            }
+        )
 
-    parts = ray.get([rle.remote(r) for r in block_refs])
-    run_groups = np.concatenate([p[0] for p in parts])
-    run_counts = np.concatenate([p[1] for p in parts])
-    # merge runs split across block boundaries (groups stay contiguous
-    # after the global sort)
-    is_new = np.ones(len(run_groups), bool)
-    is_new[1:] = run_groups[1:] != run_groups[:-1]
-    grp_vals = run_groups[is_new]
-    grp_id_of_run = np.cumsum(is_new) - 1
-    grp_totals = np.bincount(grp_id_of_run, weights=run_counts).astype(np.int64)
-    grp_starts = np.cumsum(grp_totals) - grp_totals  # global row index
-
-    # target global row index per (group, q): start_g + (ceil(q·n_g)−1)
-    nq = len(qs)
-    q_arr = np.asarray(qs, np.float64)
-    local = np.ceil(q_arr[None, :] * grp_totals[:, None]).astype(np.int64) - 1
-    np.clip(local, 0, (grp_totals - 1)[:, None], out=local)
-    gidx = (grp_starts[:, None] + local).ravel()  # group-major, q within
-
-    # map to (block, local offset) via metadata
-    blk_of = np.searchsorted(block_cum, gidx, side="right")
-    loc_of = gidx - block_start[blk_of]
-
-    @ray.remote
-    def pick(block, locs):
-        v = _blk(block)[value_col].to_numpy(zero_copy_only=False)
-        return v[np.asarray(locs, np.int64)]
-
-    per_block: dict[int, list[int]] = {}
-    for i, b in enumerate(blk_of.tolist()):
-        per_block.setdefault(b, []).append(i)
-    fetched = {
-        b: pick.remote(block_refs[b], loc_of[idxs])
-        for b, idxs in per_block.items()
-    }
-    values = np.empty(len(gidx), np.float64)
-    for b, idxs in per_block.items():
-        values[np.asarray(idxs, np.int64)] = ray.get(fetched[b])
-
-    group_out = pa.array(np.repeat(grp_vals, nq))
-    return pa.table(
-        {
-            "group": group_out,
-            "q": pa.array(np.tile(q_arr, len(grp_vals)), pa.float64()),
-            "value": pa.array(values, pa.float64()),
-        }
-    )
+    pairs = ds.select_columns([group_col, value_col])
+    parts = ray.get(sort_scan(
+        pairs.map_batches(drop_null_values, batch_format="pyarrow"),
+        [group_col, value_col], rle, fold, pick, schema=pairs.schema,
+    ))
+    if not parts:  # an empty input whose schema Ray cannot tell
+        return pa.table(
+            {
+                "group": pa.array([], pa.string()),
+                "q": pa.array([], pa.float64()),
+                "value": pa.array([], pa.float64()),
+            }
+        )
+    return pa.concat_tables(parts).sort_by("__i").drop_columns(["__i"])
 
 
 def assign_split(
@@ -1037,115 +906,54 @@ def running_agg(
     running revenue, position features).
 
     ``value_col`` must be integer-valued (cast to int64): integer prefix
-    sums are associative, so the cross-block carry chain is EXACT — the
-    reason the driver oracle can hash-match. (A float variant would be
+    sums are associative, so the cross-block carry is EXACT — the reason
+    the driver oracle can hash-match. (A float variant would be
     order-exact within the engine but not guaranteed bitwise equal to a
     SQL window sum; cast to fixed-point upstream instead.)
 
-    Physical plan (sort-scan, zero per-group UDFs — the
-    ``topk_per_group`` shape): one distributed sort by
-    ``(key, *order_cols)``; per-block summaries (first/last key with
-    their row counts and value sums) feed an O(#blocks) driver carry
-    chain; a vectorized per-block emit computes run-relative positions
-    and a segmented cumsum, offsetting the first run by its carry.
+    Physical plan: one ``util.sort_scan`` on ``(key, *order_cols)``. Each
+    block summarizes its first and last key's row counts and value sums;
+    the fold carries into each block the (rows, sum) its first key has in
+    the blocks before it; the vectorized emit computes run-relative
+    positions and a segmented cumsum, offsetting the first run by its
+    carry. Zero per-group UDFs.
 
     Output: input columns + ``count_out`` (1-based row number within
     key) + ``sum_out`` (inclusive running sum), both int64.
     """
-    sorted_ds = ds.sort([key_col] + list(order_cols)).materialize()
 
-    block_refs = _nonempty_block_refs(sorted_ds)
-    _blk = _as_arrow_block
-
-    def _cols(block: pa.Table):
+    def cols(block: pa.Table):
         g = block[key_col].to_numpy(zero_copy_only=False)
-        v = np.asarray(
-            block[value_col].to_numpy(zero_copy_only=False), np.int64
-        )
-        return g, v
+        return g, np.asarray(block[value_col].to_numpy(zero_copy_only=False), np.int64)
 
-    @ray.remote
-    def summarize(block):
-        block = _blk(block)
-        if block.num_rows == 0:
-            return None
-        g, v = _cols(block)
-        first, last = g[0], g[-1]
-        m_first = g == first
-        m_last = g == last
-        return {
-            "first": first,
-            "last": last,
-            "n_first": int(m_first.sum()),
-            "n_last": int(m_last.sum()),
-            "sum_first": int(v[m_first].sum()),
-            "sum_last": int(v[m_last].sum()),
-            "single": bool(first == last),
-        }
+    def summarize(block: pa.Table):
+        g, v = cols(block)
+        first, last = g == g[0], g == g[-1]
+        return g[0], g[-1], int(first.sum()), int(v[first].sum()), int(last.sum()), int(v[last].sum())
 
-    summaries = ray.get([summarize.remote(ref) for ref in block_refs])
+    def fold(summaries) -> list:
+        # (rows, sum) of each block's first key in the blocks before it
+        carries, key, carry = [], None, (0, 0)
+        for first, last, n_first, s_first, n_last, s_last in summaries:
+            n, total = carry if first == key else (0, 0)
+            carries.append((n, total))
+            key, carry = last, ((n + n_first, total + s_first) if first == last else (n_last, s_last))
+        return carries
 
-    # O(#blocks) carry chain: (rows, sum) already emitted for each
-    # block's FIRST key by previous blocks
-    carries: "list[tuple[int, int]]" = []
-    carry_key, carry_n, carry_sum = None, 0, 0
-    for s in summaries:
-        if s is None:
-            carries.append((0, 0))
-            continue
-        hit = carry_key is not None and s["first"] == carry_key
-        off_n, off_sum = (carry_n, carry_sum) if hit else (0, 0)
-        carries.append((off_n, off_sum))
-        if s["single"]:
-            carry_key = s["first"]
-            carry_n = off_n + s["n_first"]
-            carry_sum = off_sum + s["sum_first"]
-        else:
-            carry_key, carry_n, carry_sum = s["last"], s["n_last"], s["sum_last"]
-    del carry_key, carry_n, carry_sum
-
-    @ray.remote
-    def emit(block, off_n: int, off_sum: int) -> pa.Table:
-        block = _blk(block)
-        if block.num_rows == 0:
-            return block.append_column(
-                count_out, pa.array([], pa.int64())
-            ).append_column(sum_out, pa.array([], pa.int64()))
-        g, v = _cols(block)
-        n = len(g)
-        is_new = np.ones(n, bool)
-        is_new[1:] = g[1:] != g[:-1]
-        run_id = np.cumsum(is_new) - 1
-        run_start = np.flatnonzero(is_new)
-        pos = np.arange(n, dtype=np.int64) - run_start[run_id]
+    def emit(block: pa.Table, carry) -> pa.Table:
+        g, v = cols(block)
+        run, pos = run_positions(g)
         cs = np.cumsum(v)
-        base = cs[run_start[run_id]] - v[run_start[run_id]]
-        seg = cs - base
-        first_run = run_id == 0
-        pos[first_run] += off_n
-        seg[first_run] += off_sum
-        return block.append_column(
-            count_out, pa.array(pos + 1, pa.int64())
-        ).append_column(sum_out, pa.array(seg, pa.int64()))
+        start = np.arange(len(g)) - pos
+        seg = cs - (cs[start] - v[start])
+        n, total = carry or (0, 0)
+        pos[run == 0] += n
+        seg[run == 0] += total
+        return block.append_column(count_out, pa.array(pos + 1, pa.int64())).append_column(
+            sum_out, pa.array(seg, pa.int64())
+        )
 
-    if not block_refs:
-        schema = ds.schema(fetch_if_missing=True)
-        base = getattr(schema, "base_schema", None) if schema is not None else None
-        empty = (
-            pa.table({f.name: pa.array([], f.type) for f in base})
-            if base is not None
-            else pa.table({})
-        )
-        return rd.from_arrow(
-            empty.append_column(count_out, pa.array([], pa.int64())).append_column(
-                sum_out, pa.array([], pa.int64())
-            )
-        )
-    out_refs = [
-        emit.remote(ref, carries[i][0], carries[i][1])
-        for i, ref in enumerate(block_refs)
-    ]
-    return rd.from_arrow_refs(out_refs)
+    return rd.from_arrow_refs(sort_scan(ds, [key_col] + list(order_cols), summarize, fold, emit))
 
 
 def lead_lag_rank(
@@ -1159,10 +967,8 @@ def lead_lag_rank(
     dense_rank_out: str = "dense_rank",
 ) -> rd.Dataset:
     """Per-key LAG(value) / LEAD(value) / DENSE_RANK() — the remaining SQL
-    window staples (VERDICT r4 #6) on the ``running_agg`` sort-scan
-    chassis: one distributed sort by ``(key, *order_cols)``, per-block
-    boundary summaries, an O(#blocks) driver chain, vectorized per-block
-    emit. ZERO per-group Python.
+    window staples as one ``util.sort_scan`` on ``(key, *order_cols)``
+    with vectorized per-block emits. ZERO per-group Python.
 
     * ``lag_out``  — previous row's ``value_col`` within the key (null at
       each key's first row), SQL ``LAG(v) OVER (PARTITION BY k ORDER BY o)``.
@@ -1172,161 +978,88 @@ def lead_lag_rank(
 
     LAG/LEAD are deterministic only when ``(key, *order_cols)`` is a total
     order (SQL says the same); DENSE_RANK is deterministic regardless of
-    ties. Cross-block carries: each block learns its predecessor's last
-    (key, order, value), its successor's first, and the running distinct-
-    order count for its first key — so rows at block boundaries see their
-    true neighbors.
+    ties. The fold hands each block its predecessor's last value and its
+    successor's first (where they share its boundary key) and the
+    distinct-order count its first key has in the blocks before it — so
+    rows at block boundaries see their true neighbors.
     """
-    sorted_ds = ds.sort([key_col] + list(order_cols)).materialize()
-    block_refs = _nonempty_block_refs(sorted_ds)
-    _blk = _as_arrow_block
     ocols = list(order_cols)
 
-    def _order_arrays(block: pa.Table):
-        return [block[c].to_numpy(zero_copy_only=False) for c in ocols]
-
-    def _order_change(arrs) -> np.ndarray:
-        """Row-over-row 'order tuple differs' mask (len n, first=False)."""
-        n = len(arrs[0])
-        ch = np.zeros(n, bool)
-        for a in arrs:
+    def order_change(block: pa.Table) -> np.ndarray:
+        """Row-over-row 'order tuple differs' mask (first row False)."""
+        ch = np.zeros(block.num_rows, bool)
+        for c in ocols:
+            a = block[c].to_numpy(zero_copy_only=False)
             ch[1:] |= a[1:] != a[:-1]
         return ch
 
-    @ray.remote
-    def summarize(block):
-        block = _blk(block)
-        if block.num_rows == 0:
-            return None
+    def summarize(block: pa.Table) -> dict:
         g = block[key_col].to_numpy(zero_copy_only=False)
-        arrs = _order_arrays(block)
-        ch = _order_change(arrs)
-        m_first = g == g[0]
+        ch = order_change(block)
         m_last = g == g[-1]
-        # distinct order tuples within the first/last key's rows
-        d_first = 1 + int((ch & m_first).sum())
-        d_last = 1 + int((ch[m_last][1:]).sum()) if m_last.sum() > 1 else 1
-        v = block[value_col].combine_chunks()
+        v = block[value_col]
         return {
             "first": g[0],
             "last": g[-1],
-            "first_order": tuple(a[0].item() if hasattr(a[0], "item") else a[0] for a in arrs),
-            "last_order": tuple(a[-1].item() if hasattr(a[-1], "item") else a[-1] for a in arrs),
+            "first_order": tuple(block[c][0].as_py() for c in ocols),
+            "last_order": tuple(block[c][-1].as_py() for c in ocols),
             "first_val": v[0].as_py(),
             "last_val": v[-1].as_py(),
-            "d_first": d_first,
-            "d_last": d_last,
-            "single": bool(g[0] == g[-1]),
+            # distinct order tuples within the first/last key's rows
+            "d_first": 1 + int((ch & (g == g[0])).sum()),
+            "d_last": 1 + int(ch[m_last][1:].sum()),
         }
 
-    summaries = ray.get([summarize.remote(ref) for ref in block_refs])
+    def fold(summaries) -> list:
+        carries, key, distinct, order = [], None, 0, None
+        for i, s in enumerate(summaries):
+            # dense-rank offset of the block's first key
+            off = distinct - (s["first_order"] == order) if s["first"] == key else 0
+            prev = summaries[i - 1] if i else None
+            nxt = summaries[i + 1] if i + 1 < len(summaries) else None
+            lag = (prev["last_val"],) if prev and prev["last"] == s["first"] else None
+            lead = (nxt["first_val"],) if nxt and nxt["first"] == s["last"] else None
+            carries.append((lag, lead, off))
+            key, order = s["last"], s["last_order"]
+            distinct = off + s["d_first"] if s["first"] == s["last"] else s["d_last"]
+        return carries
 
-    # forward chain: dense-rank offset for each block's first key
-    dr_offs: "list[int]" = []
-    carry = None  # (key, distinct_count_so_far, last_order)
-    for s in summaries:
-        if s is None:
-            dr_offs.append(0)
-            continue
-        if carry is not None and s["first"] == carry[0]:
-            merge = s["first_order"] == carry[2]
-            off = carry[1] - (1 if merge else 0)
-        else:
-            off = 0
-        dr_offs.append(off)
-        if s["single"]:
-            carry = (s["last"], off + s["d_first"], s["last_order"])
-        else:
-            carry = (s["last"], s["d_last"], s["last_order"])
-
-    @ray.remote
-    def emit(block, lag_val, has_lag: bool, lead_val, has_lead: bool, dr_off: int) -> pa.Table:
-        block = _blk(block)
+    def emit(block: pa.Table, carry) -> pa.Table:
+        lag, lead, dr_off = carry or (None, None, 0)
         n = block.num_rows
         v = block[value_col].combine_chunks()
-        if n == 0:
-            return (
-                block.append_column(lag_out, pa.array([], v.type))
-                .append_column(lead_out, pa.array([], v.type))
-                .append_column(dense_rank_out, pa.array([], pa.int64()))
-            )
         g = block[key_col].to_numpy(zero_copy_only=False)
-        same_prev = np.zeros(n, bool)
-        same_prev[1:] = g[1:] == g[:-1]
-
-        # LAG: take row-1 where same key; boundary row 0 gets the carry
-        idx = np.arange(n, dtype=np.int64) - 1
-        lag_arr = pc.if_else(
-            pa.array(same_prev), v.take(pa.array(np.maximum(idx, 0))), pa.nulls(n, v.type)
-        )
-        if has_lag:
-            m0 = np.zeros(n, bool)
-            m0[0] = True
-            lag_arr = pc.replace_with_mask(
-                lag_arr, pa.array(m0), pa.array([lag_val], v.type)
-            )
-        # LEAD: take row+1 where next row same key; boundary last row carry
+        run, pos = run_positions(g)
+        same_prev = pos > 0
         same_next = np.zeros(n, bool)
         same_next[:-1] = same_prev[1:]
-        idx2 = np.minimum(np.arange(n, dtype=np.int64) + 1, n - 1)
-        lead_arr = pc.if_else(
-            pa.array(same_next), v.take(pa.array(idx2)), pa.nulls(n, v.type)
+        edge = np.zeros(n, bool)
+        # LAG: row-1 where same key; the block's first row takes the carry
+        lag_arr = pc.if_else(
+            pa.array(same_prev), v.take(pa.array(np.maximum(np.arange(n) - 1, 0))), pa.nulls(n, v.type)
         )
-        if has_lead:
-            mL = np.zeros(n, bool)
-            mL[-1] = True
-            lead_arr = pc.replace_with_mask(
-                lead_arr, pa.array(mL), pa.array([lead_val], v.type)
-            )
+        if lag:
+            edge[:1] = True
+            lag_arr = pc.replace_with_mask(lag_arr, pa.array(edge), pa.array(list(lag), v.type))
+        # LEAD: row+1 where same key; the block's last row takes the carry
+        lead_arr = pc.if_else(
+            pa.array(same_next), v.take(pa.array(np.minimum(np.arange(n) + 1, n - 1))), pa.nulls(n, v.type)
+        )
+        if lead:
+            edge[:] = False
+            edge[-1:] = True
+            lead_arr = pc.replace_with_mask(lead_arr, pa.array(edge), pa.array(list(lead), v.type))
         # DENSE_RANK: segmented cumsum of order-change rows, first run offset
-        arrs = _order_arrays(block)
-        ch = _order_change(arrs)
-        is_new_key = ~same_prev
-        run_start = np.flatnonzero(is_new_key)
-        run_id = np.cumsum(is_new_key) - 1
-        inc = (ch & same_prev).astype(np.int64)
-        cs = np.cumsum(inc)
-        dr = 1 + cs - cs[run_start[run_id]]
-        dr[run_id == 0] += dr_off
+        cs = np.cumsum((order_change(block) & same_prev).astype(np.int64))
+        dr = 1 + cs - cs[np.arange(n) - pos]
+        dr[run == 0] += dr_off
         return (
             block.append_column(lag_out, lag_arr)
             .append_column(lead_out, lead_arr)
             .append_column(dense_rank_out, pa.array(dr, pa.int64()))
         )
 
-    if not block_refs:
-        schema = ds.schema(fetch_if_missing=True)
-        base = getattr(schema, "base_schema", None) if schema is not None else None
-        vtype = base.field(value_col).type if base is not None else pa.int64()
-        empty = (
-            pa.table({f.name: pa.array([], f.type) for f in base})
-            if base is not None
-            else pa.table({})
-        )
-        return rd.from_arrow(
-            empty.append_column(lag_out, pa.array([], vtype))
-            .append_column(lead_out, pa.array([], vtype))
-            .append_column(dense_rank_out, pa.array([], pa.int64()))
-        )
-
-    out_refs = []
-    for i, ref in enumerate(block_refs):
-        s = summaries[i]
-        prev_s = summaries[i - 1] if i > 0 else None
-        next_s = summaries[i + 1] if i + 1 < len(summaries) else None
-        has_lag = prev_s is not None and s is not None and prev_s["last"] == s["first"]
-        has_lead = next_s is not None and s is not None and next_s["first"] == s["last"]
-        out_refs.append(
-            emit.remote(
-                ref,
-                prev_s["last_val"] if has_lag else None,
-                has_lag,
-                next_s["first_val"] if has_lead else None,
-                has_lead,
-                dr_offs[i],
-            )
-        )
-    return rd.from_arrow_refs(out_refs)
+    return rd.from_arrow_refs(sort_scan(ds, [key_col] + ocols, summarize, fold, emit))
 
 
 def anti_join(
@@ -2330,8 +2063,8 @@ def rolling_sum(
     (trailing moving totals: W-event engagement, W-order spend).
 
     Integer ``value_col`` required (exact carries ⇒ hash-exact oracle;
-    the ``running_agg`` contract). Sort-scan plan with a TAIL carry: each
-    block's boundary summary carries the last ``min(window−1, run)``
+    the ``running_agg`` contract). One ``util.sort_scan`` with a TAIL
+    carry: each block's summary holds the last ``min(window−1, run)``
     VALUES of its last key — O(#blocks × window) driver bytes, so the
     operating regime is window ≪ block size (a 10^6-row frame wants the
     unbounded ``running_agg`` or a segment-tree variant instead; capped
@@ -2339,95 +2072,44 @@ def rolling_sum(
     window-start gather; first-run rows top up from the carried tail's
     suffix sums.
     """
-    import ray
-
     if not (1 <= window <= 65536):
         raise ValueError("window must be in [1, 65536]")
     w = int(window)
 
-    sorted_ds = ds.sort([key_col] + list(order_cols)).materialize()
-    block_refs = _nonempty_block_refs(sorted_ds)
-    _blk = _as_arrow_block
-
-    def _cols(block: pa.Table):
+    def cols(block: pa.Table):
         g = block[key_col].to_numpy(zero_copy_only=False)
-        v = np.asarray(block[value_col].to_numpy(zero_copy_only=False), np.int64)
-        return g, v
+        return g, np.asarray(block[value_col].to_numpy(zero_copy_only=False), np.int64)
 
-    @ray.remote
-    def summarize(block):
-        block = _blk(block)
-        if block.num_rows == 0:
-            return None
-        g, v = _cols(block)
-        m_last = g == g[-1]
-        tail = v[m_last][-(w - 1):] if w > 1 else np.empty(0, np.int64)
-        return {
-            "first": g[0],
-            "last": g[-1],
-            "single": bool(g[0] == g[-1]),
-            "tail": tail.tolist(),
-        }
+    def summarize(block: pa.Table):
+        g, v = cols(block)
+        tail = v[g == g[-1]][-(w - 1):] if w > 1 else v[:0]
+        return g[0], g[-1], tail.tolist()
 
-    summaries = ray.get([summarize.remote(ref) for ref in block_refs])
+    def fold(summaries) -> list:
+        # the ≤ w−1 values preceding each block's first row within its run
+        carries, key, tail = [], None, []
+        for first, last, own in summaries:
+            carries.append(tail if first == key else [])
+            tail = (carries[-1] + own)[-(w - 1):] if first == last else own
+            key = last
+        return carries
 
-    # O(#blocks) tail chain: the ≤ w−1 values preceding each block's
-    # first row within its run
-    carries: "list[list[int]]" = []
-    carry_key, carry_tail = None, []
-    for s in summaries:
-        if s is None:
-            carries.append([])
-            continue
-        hit = carry_key is not None and s["first"] == carry_key
-        incoming = carry_tail if hit else []
-        carries.append(incoming)
-        if s["single"] and hit:
-            carry_tail = (incoming + s["tail"])[-(w - 1):] if w > 1 else []
-        else:
-            carry_tail = s["tail"]
-        carry_key = s["last"]
-    del carry_key, carry_tail
-
-    @ray.remote
-    def emit(block, tail: "list[int]") -> pa.Table:
-        block = _blk(block)
-        if block.num_rows == 0:
-            return block.append_column(out, pa.array([], pa.int64()))
-        g, v = _cols(block)
-        n = len(g)
-        is_new = np.ones(n, bool)
-        is_new[1:] = g[1:] != g[:-1]
-        run_id = np.cumsum(is_new) - 1
-        run_start = np.flatnonzero(is_new)
-        starts = run_start[run_id]
-        pos = np.arange(n, dtype=np.int64) - starts
+    def emit(block: pa.Table, tail) -> pa.Table:
+        g, v = cols(block)
+        run, pos = run_positions(g)
+        row = np.arange(len(g))
         cs = np.cumsum(v)
-        win_start = np.maximum(starts, np.arange(n) - w + 1)
+        win_start = np.maximum(row - pos, row - w + 1)
         rs = cs - (cs[win_start] - v[win_start])
         if tail:
             t = np.asarray(tail, np.int64)
             suf = np.r_[np.cumsum(t[::-1])[::-1], 0]  # suf[i] = sum(t[i:])
-            first_run = run_id == 0
-            need = np.minimum(
-                np.maximum(w - 1 - pos[first_run], 0), len(t)
-            ).astype(np.int64)
+            first_run = run == 0
+            need = np.minimum(np.maximum(w - 1 - pos[first_run], 0), len(t))
             rs[first_run] += suf[len(t) - need]
         return block.append_column(out, pa.array(rs, pa.int64()))
 
-    if not block_refs:
-        schema = ds.schema(fetch_if_missing=True)
-        base = getattr(schema, "base_schema", None) if schema is not None else None
-        empty = (
-            pa.table({f.name: pa.array([], f.type) for f in base})
-            if base is not None
-            else pa.table({})
-        )
-        return rd.from_arrow(empty.append_column(out, pa.array([], pa.int64())))
-    out_refs = [
-        emit.remote(ref, carries[i]) for i, ref in enumerate(block_refs)
-    ]
-    return rd.from_arrow_refs(out_refs)
+    return rd.from_arrow_refs(sort_scan(ds, [key_col] + list(order_cols), summarize, fold, emit))
 
 
 def cube_agg(
@@ -2600,11 +2282,11 @@ def global_index(
     intermediate inside BIGINT; non-negative-id contract, see there).
     The id tiebreak makes the order total even under hash collisions.
 
-    Physical plan: one distributed sort by (hash, id) — the shuffle IS
-    the product — then per-block row counts (block metadata, no data
-    read) feed an O(#blocks) driver prefix chain and a vectorized
-    per-block emit of ``offset + arange``. No per-row Python, nothing
-    driver-collected but #blocks integers.
+    Physical plan: one ``util.sort_scan`` on (hash, id) — the shuffle IS
+    the product — whose summaries are the block row counts; the fold's
+    prefix sums give each block its offset and the emit is a vectorized
+    ``offset + arange``. No per-row Python, nothing driver-collected but
+    #blocks integers.
     """
 
     def add_hash(batch: pa.Table) -> pa.Table:
@@ -2614,38 +2296,16 @@ def global_index(
         h = ((keys % (1 << 31)) * _SAMPLE_MULT + salt) % (1 << 32)
         return batch.append_column("__h", pa.array(h, pa.int64()))
 
-    sorted_ds = (
-        ds.map_batches(add_hash, batch_format="pyarrow")
-        .sort(["__h", on])
-        .materialize()
-    )
+    def fold(counts) -> list:
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        return [(int(o), int(offsets[-1])) for o in offsets[:-1]]
 
-    refs, counts = [], []
-    for bundle in sorted_ds.iter_internal_ref_bundles():
-        for ref, md in bundle.blocks:
-            if md.num_rows == 0:
-                continue
-            refs.append(ref)
-            counts.append(md.num_rows)
-    if any(c is None for c in counts):
-
-        @ray.remote
-        def _count(block) -> int:
-            return _as_arrow_block(block).num_rows
-
-        counts = ray.get([_count.remote(r) for r in refs])
-        refs = [r for r, c in zip(refs, counts) if c > 0]
-        counts = [c for c in counts if c > 0]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    total = int(offsets[-1])
-
-    @ray.remote
-    def emit(block, offset: int) -> pa.Table:
-        block = _as_arrow_block(block)
+    def emit(block: pa.Table, carry) -> pa.Table:
+        offset, total = carry or (0, 0)
         pos = offset + np.arange(1, block.num_rows + 1, dtype=np.int64)
-        out = block.drop_columns(["__h"]).append_column(
-            pos_out, pa.array(pos, pa.int64())
-        )
+        # an input without rows arrives in its own schema, without the hash
+        out = block.select([c for c in block.column_names if c != "__h"])
+        out = out.append_column(pos_out, pa.array(pos, pa.int64()))
         if n_shards is not None:
             out = out.append_column(
                 shard_out,
@@ -2653,21 +2313,8 @@ def global_index(
             )
         return out
 
-    if not refs:
-        schema = ds.schema(fetch_if_missing=True)
-        base = getattr(schema, "base_schema", None) if schema is not None else None
-        empty = (
-            pa.table({f.name: pa.array([], f.type) for f in base})
-            if base is not None
-            else pa.table({})
-        )
-        empty = empty.append_column(pos_out, pa.array([], pa.int64()))
-        if n_shards is not None:
-            empty = empty.append_column(shard_out, pa.array([], pa.int64()))
-        return rd.from_arrow(empty)
-    return rd.from_arrow_refs(
-        [emit.remote(r, int(offsets[i])) for i, r in enumerate(refs)]
-    )
+    hashed = ds.map_batches(add_hash, batch_format="pyarrow")
+    return rd.from_arrow_refs(sort_scan(hashed, ["__h", on], _num_rows, fold, emit, schema=ds.schema))
 
 
 def group_concat_sorted(
@@ -2683,15 +2330,15 @@ def group_concat_sorted(
     per-group concatenation (doc reassembly from chunks, per-user event
     traces, prompt assembly from ranked snippets).
 
-    Physical plan (sort-scan, zero per-group UDFs): one distributed sort
-    by ``(key, *order_cols)``; per-block run concats via the C++
-    ``binary_join`` kernel over a run-offset ListArray (no per-row
-    Python); an O(#blocks) driver chain stitches runs that span block
-    boundaries — each block emits its complete runs, every block's LAST
-    run is deferred to the chain, and the chain emits one row per carried
-    run (≤ #blocks driver-side rows).
+    Physical plan: one ``util.sort_scan`` on ``(key, *order_cols)``;
+    per-block run concats via the C++ ``binary_join`` kernel over a
+    run-offset ListArray (no per-row Python). The fold hands each block
+    the concat its first key has in the blocks before it and tells it
+    whether its last key goes on in the next block; the block that holds
+    a key's last row emits the key's row, carried prefix first. Zero
+    per-group UDFs.
 
-    Driver-memory contract: the chain holds the concat strings of runs
+    Driver-memory contract: the fold holds the concat strings of runs
     that TOUCH a block boundary (≤ 2 per block) — bounded by
     #blocks × the largest single group's concatenated size. A group whose
     concat exceeds worker/driver string limits needs a different output
@@ -2702,22 +2349,9 @@ def group_concat_sorted(
 
     Output: (key, out) — one row per key.
     """
-    sorted_ds = ds.sort([key_col] + list(order_cols)).materialize()
-    block_refs = _nonempty_block_refs(sorted_ds)
-    _blk = _as_arrow_block
 
-    if not block_refs:
-        key_type = None
-        schema = ds.schema(fetch_if_missing=True)
-        base = getattr(schema, "base_schema", None) if schema is not None else None
-        key_type = base.field(key_col).type if base is not None else pa.int64()
-        return rd.from_arrow(
-            pa.table({key_col: pa.array([], key_type), out: pa.array([], pa.string())})
-        )
-
-    def _run_concats(block: pa.Table):
+    def run_concats(block: pa.Table):
         """(keys-per-run, concat-per-run) via one vectorized binary_join."""
-        g = block[key_col].to_numpy(zero_copy_only=False)
         vals = block[value_col].combine_chunks()
         if not pa.types.is_string(vals.type) and not pa.types.is_large_string(vals.type):
             vals = pc.cast(vals, pa.string())
@@ -2726,92 +2360,39 @@ def group_concat_sorted(
                 "group_concat_sorted: NULL values in the value column — "
                 "SQL string_agg skips NULLs; fill or filter upstream"
             )
-        n = len(g)
-        is_new = np.ones(n, bool)
-        is_new[1:] = g[1:] != g[:-1]
-        run_start = np.flatnonzero(is_new)
-        offsets = np.concatenate([run_start, [n]]).astype(np.int32)
-        lists = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), vals)
-        joined = pc.binary_join(lists, sep)
-        run_keys = block[key_col].take(pa.array(run_start))
-        return run_keys, joined
+        bounds = key_runs(block[key_col].to_numpy(zero_copy_only=False))
+        lists = pa.ListArray.from_arrays(pa.array(bounds, pa.int32()), vals)
+        return block[key_col].take(pa.array(bounds[:-1])), pc.binary_join(lists, sep)
 
-    @ray.remote
-    def summarize(block):
-        block = _blk(block)
-        if block.num_rows == 0:
-            return None
-        keys, concats = _run_concats(block)
-        return {
-            "first_key": keys[0].as_py(),
-            "last_key": keys[-1].as_py(),
-            "first_concat": concats[0].as_py(),
-            "last_concat": concats[-1].as_py(),
-            "single": len(keys) == 1,
-        }
+    def summarize(block: pa.Table):
+        keys, concats = run_concats(block)
+        return keys[0].as_py(), keys[-1].as_py(), concats[0].as_py(), concats[-1].as_py()
 
-    summaries = ray.get([summarize.remote(r) for r in block_refs])
+    def fold(summaries) -> list:
+        # the concat of each block's first key in the blocks before it
+        prefixes, key, open_run = [], None, None
+        for first, last, first_concat, last_concat in summaries:
+            prefixes.append(open_run if first == key else None)
+            if first != last:
+                open_run = last_concat
+            elif prefixes[-1] is not None:
+                open_run = prefixes[-1] + sep + first_concat
+            else:
+                open_run = first_concat
+            key = last
+        goes_on = [a[1] == b[0] for a, b in zip(summaries, summaries[1:])] + [False]
+        return list(zip(prefixes, goes_on))
 
-    # driver chain: per-block prefix for its first emitted run, plus the
-    # deferred boundary rows the chain itself emits
-    prefixes: "list[str]" = []
-    extra_keys, extra_vals = [], []
-    carry_key, carry_str = None, None
-    for s in summaries:
-        if s is None:
-            prefixes.append("")
-            continue
-        if carry_key is not None and carry_key != s["first_key"]:
-            extra_keys.append(carry_key)
-            extra_vals.append(carry_str)
-            carry_key, carry_str = None, None
-        pref = (carry_str + sep) if carry_key is not None else ""
-        prefixes.append(pref)
-        if s["single"]:
-            carry_key, carry_str = s["first_key"], pref + s["first_concat"]
-        else:
-            carry_key, carry_str = s["last_key"], s["last_concat"]
-    if carry_key is not None:
-        extra_keys.append(carry_key)
-        extra_vals.append(carry_str)
+    def emit(block: pa.Table, carry) -> pa.Table:
+        prefix, goes_on = carry or (None, False)
+        keys, concats = run_concats(block)
+        if prefix is not None:
+            head = pa.array([prefix + sep + concats[0].as_py()], concats.type)
+            concats = pa.concat_arrays([head, concats[1:]])
+        n = len(keys) - goes_on  # a run that goes on is emitted by a later block
+        return pa.table({key_col: keys[:n], out: concats[:n]})
 
-    # key type from dataset metadata — avoid fetching a data block for it
-    _schema = sorted_ds.schema(fetch_if_missing=True)
-    _base = getattr(_schema, "base_schema", None)
-    if isinstance(_base, pa.Schema):
-        key_type = _base.field(key_col).type
-    else:  # non-Arrow schema wrapper: fall back to the first block
-        key_type = _as_arrow_block(ray.get(block_refs[0])).schema.field(key_col).type
-
-    @ray.remote
-    def emit(block, prefix: str) -> pa.Table:
-        block = _blk(block)
-        if block.num_rows == 0:
-            return pa.table(
-                {key_col: pa.array([], key_type), out: pa.array([], pa.string())}
-            )
-        keys, concats = _run_concats(block)
-        r = len(keys)
-        # last run is ALWAYS deferred to the chain; first emitted run
-        # gets the carried prefix
-        if r == 1:
-            return pa.table(
-                {key_col: pa.array([], key_type), out: pa.array([], pa.string())}
-            )
-        keys_out = keys.slice(0, r - 1)
-        concats_out = concats.slice(0, r - 1)
-        if prefix:
-            first = pa.array([prefix + concats_out[0].as_py()], pa.string())
-            rest = concats_out.slice(1)
-            concats_out = pa.concat_arrays([first, rest.combine_chunks() if isinstance(rest, pa.ChunkedArray) else rest])
-        return pa.table({key_col: keys_out, out: concats_out})
-
-    out_refs = [emit.remote(r, prefixes[i]) for i, r in enumerate(block_refs)]
-    extra = pa.table(
-        {key_col: pa.array(extra_keys, key_type), out: pa.array(extra_vals, pa.string())}
-    )
-    out_refs.append(ray.put(extra))
-    return rd.from_arrow_refs(out_refs)
+    return rd.from_arrow_refs(sort_scan(ds, [key_col] + list(order_cols), summarize, fold, emit))
 
 
 def mode_per_group(

@@ -907,9 +907,9 @@ def span_dedup(
        same shape as ``exact_dedup``. The winner row carries everything
        needed (span + packed key), so there is NO join back to the
        corpus.
-    3. decode + ``group_concat_sorted`` reassembly (one distributed
-       sort by ``(id, ordinal)``, per-block ``binary_join`` run concat,
-       O(#blocks) driver boundary chain).
+    3. decode + ``group_concat_sorted`` reassembly (one
+       ``util.sort_scan`` on ``(id, ordinal)``, per-block ``binary_join``
+       run concat).
 
     Documents whose every span was seen earlier drop out entirely
     (SQL ``GROUP BY`` over zero kept rows emits nothing — matched).

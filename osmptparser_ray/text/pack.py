@@ -11,14 +11,10 @@ This operator computes, for every document, its sequence (``pack_id``)
 and its token offset inside that sequence (``pack_off``), given a token
 count column. The semantics are a pure prefix sum over the id-ordered
 stream, so the oracle is one SQL window function — and the Ray plan needs
-NO per-group UDF and NO driver-side row materialization:
-
-1. one distributed sort by the id column (blocks become ordered ranges),
-2. per-block token TOTALS fetched via block metadata tasks (O(#blocks)
-   driver state — the same block-ordinal chain as ``sessionize`` /
-   ``topk_per_group``),
-3. per-block vectorized emit: local cumsum + the block's carried-in
-   stream offset → ``pack_id = start // budget``.
+NO per-group UDF and NO driver-side row materialization: one
+``util.sort_scan`` on the id column whose summaries are the per-block
+token totals; the fold's prefix sums give each block its stream offset,
+and the emit is a local cumsum from it (``pack_id = start // budget``).
 
 At 100 TB the only all-to-all is the sort; everything after moves one
 int per block to the driver and streams back out.
@@ -27,9 +23,10 @@ int per block to the driver and streams back out.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
+
+from ..util import sort_scan
 
 
 def pack_sequences(
@@ -46,62 +43,28 @@ def pack_sequences(
     ``pack_off = start % budget`` with ``start`` = tokens emitted by all
     lower-id rows (SQL: ``SUM(tok) OVER (ORDER BY id) - tok``).
     """
-    import ray
-
     if budget <= 0:
         raise ValueError("budget must be positive")
 
-    sorted_ds = ds.select_columns([id_col, token_col]).sort(id_col).materialize()
+    def tokens(block: pa.Table) -> np.ndarray:
+        return np.asarray(block[token_col].to_numpy(zero_copy_only=False), np.int64)
 
-    from ..stages.relational import _as_arrow_block as _blk
-    from ..stages.relational import _nonempty_block_refs
+    def fold(totals) -> list:
+        # tokens of all lower-id rows at each block's start
+        return np.concatenate([[0], np.cumsum(totals)])[:-1].tolist()
 
-    block_refs = _nonempty_block_refs(sorted_ds)
-
-    @ray.remote
-    def block_total(block) -> int:
-        block = _blk(block)
-        if block.num_rows == 0:
-            return 0
-        return int(
-            np.asarray(block[token_col].to_numpy(zero_copy_only=False), np.int64).sum()
-        )
-
-    totals = ray.get([block_total.remote(ref) for ref in block_refs])
-    # O(#blocks) driver chain: token-stream offset at each block's start
-    starts = np.concatenate(([0], np.cumsum(np.asarray(totals, np.int64))))[:-1]
-
-    @ray.remote
-    def emit(block, start: int) -> pa.Table:
-        block = _blk(block)
-        empty = block.num_rows == 0
-        tok = np.asarray(block[token_col].to_numpy(zero_copy_only=False), np.int64)
-        doc_start = start + np.cumsum(tok) - tok
-        pack_id = doc_start // budget
-        pack_off = doc_start - pack_id * budget
+    def emit(block: pa.Table, start) -> pa.Table:
+        tok = tokens(block)
+        doc_start = (start or 0) + np.cumsum(tok) - tok
         return pa.table(
             {
                 id_col: block[id_col],
                 token_col: pa.array(tok, pa.int64()),
-                "pack_id": pa.array(
-                    pack_id if not empty else [], pa.int64()
-                ),
-                "pack_off": pa.array(
-                    pack_off if not empty else [], pa.int64()
-                ),
+                "pack_id": pa.array(doc_start // budget, pa.int64()),
+                "pack_off": pa.array(doc_start % budget, pa.int64()),
             }
         )
 
-    out_refs = [emit.remote(ref, int(starts[i])) for i, ref in enumerate(block_refs)]
-    if not out_refs:
-        return rd.from_arrow(
-            pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    token_col: pa.array([], pa.int64()),
-                    "pack_id": pa.array([], pa.int64()),
-                    "pack_off": pa.array([], pa.int64()),
-                }
-            )
-        )
-    return rd.from_arrow_refs(out_refs)
+    return rd.from_arrow_refs(sort_scan(
+        ds.select_columns([id_col, token_col]), id_col, lambda b: int(tokens(b).sum()), fold, emit
+    ))

@@ -1,6 +1,6 @@
 """Small shared helpers: block tasks, the one keyed regroup (``cosort``)
-with the equi-join and the keyed aggregation built on it, and per-worker
-broadcast caching."""
+with the equi-join and the keyed aggregation built on it, the one ordered
+scan (``sort_scan``), and per-worker broadcast caching."""
 
 from __future__ import annotations
 
@@ -34,11 +34,11 @@ def _block_task(fn, block, *args):
 
 
 @ray.remote
-def _probe_task(probe, *blocks):
+def _group_task(fn, args: tuple, *blocks):
     import pyarrow as pa
 
     # the sort's own reducers merge their slices with permissive promotion
-    return probe(pa.concat_tables([_arrow(b) for b in blocks], promote_options="permissive"))
+    return fn(pa.concat_tables([_arrow(b) for b in blocks], promote_options="permissive"), *args)
 
 
 def block_tasks(ds, fn, *args, num_returns: int = 1) -> list:
@@ -87,17 +87,76 @@ def cosort(sides: list, keys: list, probe, schema):
     whole key runs), so a small input gives few output blocks. ``schema``
     may be a function giving it, called only for an input without rows.
     """
-    import logging
-
     import ray.data as rd
-    from ray.data import DataContext
 
     rows = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
-    # the sort's columnless blocks each log a schema-change warning; drop only those
+    groups = _sorted_groups(rows, keys)
+    if not groups:
+        return rd.from_arrow_refs([ray.put(probe((schema() if callable(schema) else schema).empty_table()))])
+    return rd.from_arrow_refs([_group_task.remote(probe, (), *g) for g in groups])
+
+
+def sort_scan(ds, keys, summarize, fold, emit, *, descending=False, num_returns: int = 1,
+              schema=None) -> list:
+    """The one ordered scan: ``ds`` sorted on ``keys`` (``descending`` as
+    in ``Dataset.sort``), then three kernels over the sorted blocks →
+    the ``emit`` refs in block order (a list of ``num_returns`` refs per
+    task when ``num_returns > 1``):
+
+    - ``summarize(block)``, one plain task per block;
+    - ``fold(summaries)`` on the driver, over the whole list in block
+      order → one carry per block (forward carries, lookaheads and
+      neighbour flags all fit, since it sees every summary);
+    - ``emit(block, carry)``, one plain task per block.
+
+    A "block" here is a group of consecutive non-empty sorted blocks
+    packed as ``cosort`` packs them, concatenated into one Arrow table.
+
+    Exactness rests on two conditions. The sorted blocks are in key order,
+    so the rows of one key (or one run of an operator's group key, which
+    the sort keys may extend with order columns) are a contiguous stretch
+    of consecutive blocks. Unlike ``cosort``, nothing keeps such a stretch
+    in one block, so the carry must make a key that spans blocks exact:
+    each block hears, through its carry, what the blocks before (or after)
+    it hold of its first (or last) key. A hot key then costs one small
+    summary per block and never has to fit one task.
+
+    An input without rows gives one ``emit(schema.empty_table(), None)``:
+    ``schema`` (a schema, or a function giving one, called only then)
+    defaults to ``ds.schema()`` and names the input's columns when a lazy
+    map before the sort hides them; without any schema such an input
+    gives ``[]``.
+    """
+    import pyarrow as pa
+
+    groups = _sorted_groups(ds, keys, descending)
+    task = _group_task.options(num_returns=num_returns)
+    if not groups:
+        s = ds.schema if schema is None else schema
+        s = s() if callable(s) else s
+        s = getattr(s, "base_schema", s)
+        return [task.remote(emit, (None,), s.empty_table())] if isinstance(s, pa.Schema) and s.names else []
+    carries = fold(ray.get([_group_task.remote(summarize, (), *g) for g in groups]))
+    return [task.remote(emit, (carry,), *g) for g, carry in zip(groups, carries)]
+
+
+def _sorted_groups(rows, keys, descending=False) -> list:
+    """``rows`` sorted on ``keys`` and materialized → its non-empty blocks
+    as groups of consecutive block refs, each group one task's input.
+
+    A group closes once it holds ``DataContext.target_min_block_size``
+    bytes, so a small input runs few tasks and gives few output blocks;
+    the concatenation of a group is still sorted. The sort leaves a
+    columnless block for each empty key range, and Ray logs a
+    schema-change warning for each; only those lines are dropped."""
+    import logging
+
+    from ray.data import DataContext
+
     log = logging.getLogger("ray.data._internal.execution.streaming_executor_state")
     log.addFilter(_schema_change_filter)
     try:
-        blocks = rows.sort(keys).materialize()
+        blocks = rows.sort(keys, descending=descending).materialize()
     finally:
         log.removeFilter(_schema_change_filter)
     floor = DataContext.get_current().target_min_block_size
@@ -111,9 +170,7 @@ def cosort(sides: list, keys: list, probe, schema):
                 size = 0
             groups[-1].append(ref)
             size += meta.size_bytes or 0
-    if not groups:
-        return rd.from_arrow_refs([ray.put(probe((schema() if callable(schema) else schema).empty_table()))])
-    return rd.from_arrow_refs([_probe_task.remote(probe, *g) for g in groups])
+    return groups
 
 
 def _schema_change_filter(record) -> bool:
@@ -257,6 +314,16 @@ def key_runs(*keys):
     for k in keys:
         change |= k[1:] != k[:-1]
     return np.concatenate([[0], np.flatnonzero(change) + 1, [n]]) if n else np.zeros(1, np.int64)
+
+
+def run_positions(keys):
+    """Run number and in-run position of each row of a sorted key column
+    (a numpy array): the sort-scan kernels' shared vocabulary."""
+    import numpy as np
+
+    bounds = key_runs(keys)
+    run = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    return run, np.arange(len(keys), dtype=np.int64) - bounds[run]
 
 
 JOIN_HOWS = ("inner", "left_outer", "left_anti", "full_outer")

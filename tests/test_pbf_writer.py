@@ -6,31 +6,11 @@ import os
 import pyarrow as pa
 import ray.data as rd
 
+from osmptparser_ray.fixtures import fixture_elements
 from osmptparser_ray.sources.pbf import read_pbf_elements
 from osmptparser_ray.sources.pbf_write import write_pbf, write_pbf_shards
 
 REF_PBF = "/root/reference/tests/test.pbf"
-
-
-def _fixture_elements():
-    """The golden fixture's 563 nodes / 126 ways / 2 relations as an
-    ELEMENT_SCHEMA dataset: read from the reference ``test.pbf`` where it
-    exists, else built from the committed JSON that ``tools/decode_pbf.py``
-    decoded from that file, through the package's own XML path."""
-    if os.path.exists(REF_PBF):
-        return read_pbf_elements(REF_PBF).materialize()
-    from osmptparser_ray.fixtures import load_osm_fixture
-    from osmptparser_ray.sources.osmxml import (
-        columns_to_table,
-        elements_to_xml,
-        empty_columns,
-        parse_osm_payload,
-    )
-
-    fx = load_osm_fixture()
-    cols = empty_columns()
-    parse_osm_payload(elements_to_xml(fx["nodes"], fx["ways"], fx["relations"]), cols)
-    return rd.from_arrow(columns_to_table(cols)).materialize()
 
 
 def _canon(ds):
@@ -58,7 +38,7 @@ class TestPbfRoundTrip:
         nodes→ways→relations per the one-type-per-group rule). The elements
         come from the reference test.pbf where it exists, otherwise from the
         committed JSON that tools/decode_pbf.py decoded from it."""
-        orig = _fixture_elements()
+        orig = fixture_elements(REF_PBF)
         out = str(tmp_path / "roundtrip.osm.pbf")
         write_pbf(orig, out, batch_size=200)  # multiple blobs
         back = read_pbf_elements(out)
@@ -69,14 +49,14 @@ class TestPbfRoundTrip:
         pd.testing.assert_frame_equal(a, b)
 
     def test_uncompressed_round_trip(self, ray_session, tmp_path):
-        orig = _fixture_elements()
+        orig = fixture_elements(REF_PBF)
         out = str(tmp_path / "raw.osm.pbf")
         write_pbf(orig, out, compress=False)
         back = read_pbf_elements(out)
         assert _canon(orig).equals(_canon(back))
 
     def test_sharded_round_trip(self, ray_session, tmp_path):
-        orig = _fixture_elements()
+        orig = fixture_elements(REF_PBF)
         out_dir = str(tmp_path / "shards")
         write_pbf_shards(orig, out_dir, batch_size=300)
         shards = sorted(os.listdir(out_dir))

@@ -2,7 +2,10 @@
 
 Runs every ``queries()[name](sf_dir)`` and compares against
 ``oracle_sql()[name]`` via DuckDB: row count, column names (sorted), and
-order-insensitive value comparison. Usage:
+order-insensitive value comparison. Each query's line shows its wall and
+its streaming executions (Ray Data executor launches, counted with
+``perfbench.workloads.ExecutionCounter``); the last line gives both totals.
+Usage:
 
     python tools/check_oracles.py [sf_dir] [query ...]
 """
@@ -10,10 +13,13 @@ order-insensitive value comparison. Usage:
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import duckdb
 import numpy as np
 import pandas as pd
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def to_pandas(result) -> pd.DataFrame:
@@ -83,8 +89,12 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(REPO))
     import __ray_entry__ as entrymod
+    from perfbench.workloads import ExecutionCounter
+
+    executions = ExecutionCounter()
+    executions.install()
 
     con = duckdb.connect()
     for t in (
@@ -101,16 +111,16 @@ def main() -> int:
     for name, fn in qs.items():
         if only and name not in only:
             continue
-        t0 = _time.perf_counter()
+        t0, e0 = _time.perf_counter(), executions.count
         try:
             mine = to_pandas(fn(sf_dir))
         except Exception as e:  # noqa: BLE001
             print(f"FAIL {name}: query raised {type(e).__name__}: {e}")
             failures += 1
             continue
-        dt = _time.perf_counter() - t0
+        cost = f"[{_time.perf_counter() - t0:.2f}s, {executions.count - e0} exec]"
         if name not in oracles:
-            print(f"ok(rows-only) {name}: {len(mine)} rows [{dt:.2f}s]")
+            print(f"ok(rows-only) {name}: {len(mine)} rows {cost}")
             continue
         try:
             oracle = con.sql(oracles[name]).df()
@@ -123,8 +133,8 @@ def main() -> int:
             print(f"FAIL {name}: " + "; ".join(problems))
             failures += 1
         else:
-            print(f"OK   {name}: {len(mine)} rows match [{dt:.2f}s]")
-    print(f"TOTAL {_time.perf_counter() - t_all:.1f}s")
+            print(f"OK   {name}: {len(mine)} rows match {cost}")
+    print(f"TOTAL {_time.perf_counter() - t_all:.1f}s, {executions.count} exec")
     ray.shutdown()
     return 1 if failures else 0
 
