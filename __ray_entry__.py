@@ -1549,7 +1549,7 @@ def _q_anti_join(sf_dir: str):
 def _q_anti_join_shuffle(sf_dir: str):
     """Big-big anti-join twin (round-4): Bloom prefilter routes definite
     non-members straight through; only the bloom-positive sliver pays the
-    exact hash left_anti join. Same oracle as the broadcast plan."""
+    exact left_anti ``util.equi_join``. Same oracle as the broadcast plan."""
     from osmptparser_ray.stages.relational import anti_join
 
     cust, fkeys = _anti_join_inputs(sf_dir)
@@ -2505,8 +2505,8 @@ def _q_span_dedup(sf_dir: str):
     spans, keep each span's globally first occurrence (min (doc_id,
     ordinal), packed into ONE int64 so the dedup is a plain groupby-Min
     — no join back), reassemble survivors per doc via the sort-scan
-    group_concat chassis. One hash shuffle (span) + one sort (doc,
-    ord); documents whose every span was seen before drop out."""
+    group_concat chassis. One keyed aggregation (span) + one ordered
+    scan (doc, ord); documents whose every span was seen before drop out."""
     from osmptparser_ray.text.dedup import span_dedup
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -2551,8 +2551,8 @@ def _q_webtext_e2e(sf_dir: str):
     bigram fraction ≤ 5% — integer predicate, exact) → C4-style global
     span dedup with reassembly → doc_id⨝lang sort join (the honest
     scale shape: the metadata side is corpus-sized, so no broadcast) →
-    per-language doc/word accounting. Three exchanges total (span
-    groupby, reassembly sort, metadata join sort)."""
+    per-language doc/word accounting. Four regroups (span aggregation,
+    reassembly scan, metadata join, language aggregation)."""
     from ray.data.aggregate import Count, Sum
 
     from osmptparser_ray.text.analysis import add_repetition_ratio

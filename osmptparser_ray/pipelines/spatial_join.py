@@ -221,7 +221,8 @@ def stop_route_spatial_join(
     materialized and the whole call starts 1 streaming execution, the
     page read; extraction, the element tables, assembly, the index builds
     and the probes run as plain Ray tasks. ``small_side="shuffle"`` adds
-    one sort execution per spatial join (pip, knn): 3 in all.
+    one execution per spatial join (pip, knn), which maps both sides to
+    their cell-keyed rows for the range partitioner: 3 in all.
     """
     pt = public_transports_from_pages(
         pages_path, gap=gap, filters=filters, validate=validate, concurrency=concurrency
@@ -255,9 +256,9 @@ def stop_route_joins(
     target indexes once, and one block task per stop block runs the pip,
     knn and tiles probes together; all outputs are materialized and,
     over a materialized ``pt``, no streaming execution starts.
-    ``small_side="shuffle"``: the sort plans of ``pip_join`` and
-    ``knn_join`` that scale to big-big joins (one sort of both sides per
-    join, then one probe task per sorted block); tiles come from one
+    ``small_side="shuffle"``: the cosort plans of ``pip_join`` and
+    ``knn_join`` that scale to big-big joins (both sides range-partitioned
+    together on the cell, then one probe task per key range); tiles come from one
     block task per stop block. Outputs are materialized and keep their
     schemas when empty in both plans. Results identical (tested).
     """

@@ -1082,8 +1082,8 @@ def anti_join(
     shuffle. Same small-side contract as ``broadcast_join``.
 
     ``plan="shuffle"`` (big-big): the distinct keys come from one
-    ``util.group_agg`` (per-block unique, one sort, one merge per sorted
-    block); a Bloom prefilter over them (per-block partial filters
+    ``util.group_agg`` (per-block unique, one range partition, one merge
+    per key range); a Bloom prefilter over them (per-block partial filters
     OR-merged on the driver, ~1.2 B/key) splits the probe side —
     bloom-NEGATIVE rows are DEFINITE anti-matches (Bloom filters have no
     false negatives) and stream straight to the output; only the
@@ -1690,10 +1690,10 @@ def salted_join(
 ) -> rd.Dataset:
     """Inner join with HOT-KEY SALTING — the skew escape hatch for a
     big-big join whose key distribution has heavy hitters (one domain =
-    30% of pages). The join is a sort (``util.equi_join``), and a sort
-    never splits a run of equal keys across its blocks: every row of a
-    hot key lands in ONE probe task, so the biggest run is the slowest
-    task and must fit one worker's heap.
+    30% of pages). The join is ``util.equi_join``, whose range
+    partitioner puts every row of one key tuple in one key range: every
+    row of a hot key lands in ONE probe task, so the biggest run is the
+    slowest task and must fit one worker's heap.
 
     Plan (the dedup ``_salted_bucket_self_join`` pattern generalized to a
     binary join):
@@ -1708,8 +1708,8 @@ def salted_join(
     3. hot RIGHT rows are REPLICATED once per sub-key (repeat/take,
        vectorized); cold rows pass through once,
     4. one ``equi_join`` on ``(on, _salt)``; the salt column splits every
-       hot key's run into ``salt`` runs, which the sort may place in
-       different blocks. Output rows == the plain join's exactly (each
+       hot key's run into ``salt`` runs, which the partitioner may
+       place in different ranges. Output rows == the plain join's exactly (each
        (l, r) pair of a hot key meets at exactly the sub-key of its left
        row).
 

@@ -281,8 +281,8 @@ def _salted_bucket_self_join(
 ) -> rd.Dataset:
     """Self-join ``rows`` on (band, hash) with skew-salted hot buckets.
 
-    A bucket of population m lands m·m join work in ONE sort block (a
-    sort never splits a run of equal keys); a degenerate corpus (one
+    A bucket of population m lands m·m join work in ONE probe task (the
+    range partitioner keeps a key tuple in one range); a degenerate corpus (one
     shared band hash) makes that O(n²)-in-one-task. Standard skew-join
     salting spreads it WITHOUT changing the pair set: hot left rows get
     salt = h(id) mod s, hot right rows are replicated once per salt, cold
@@ -902,8 +902,8 @@ def span_dedup(
        strings. Global order is packed into ONE int64
        (``id << ord_bits | ordinal``) so the dedup needs a plain Min.
     2. ONE ``util.group_agg(span, Min(packed))`` — per-block Arrow
-       ``group_by`` partial minima, one sort on ``span``, one merging
-       ``group_by`` per sorted block; the only all-to-all exchange, the
+       ``group_by`` partial minima, one range partition on ``span``, one
+       merging ``group_by`` per key range; the only all-to-all exchange, the
        same shape as ``exact_dedup``. The winner row carries everything
        needed (span + packed key), so there is NO join back to the
        corpus.

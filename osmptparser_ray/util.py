@@ -1,6 +1,7 @@
-"""Small shared helpers: block tasks, the one keyed regroup (``cosort``)
-with the equi-join and the keyed aggregation built on it, the one ordered
-scan (``sort_scan``), and per-worker broadcast caching."""
+"""Small shared helpers: block tasks, the one range partitioner
+(``_regroup``, plain tasks) with the keyed regroup (``cosort``), the
+ordered scan (``sort_scan``), the keyed aggregation and the equi-join
+built on it, and per-worker broadcast caching."""
 
 from __future__ import annotations
 
@@ -33,14 +34,6 @@ def _block_task(fn, block, *args):
     return fn(_arrow(block), *args)
 
 
-@ray.remote
-def _group_task(fn, args: tuple, *blocks):
-    import pyarrow as pa
-
-    # the sort's own reducers merge their slices with permissive promotion
-    return fn(pa.concat_tables([_arrow(b) for b in blocks], promote_options="permissive"), *args)
-
-
 def block_tasks(ds, fn, *args, num_returns: int = 1) -> list:
     """``fn(block, *args)`` as one plain Ray task per non-empty block of
     ``ds``, in block order → the task refs (a list of ``num_returns`` refs
@@ -61,125 +54,227 @@ def block_tasks(ds, fn, *args, num_returns: int = 1) -> list:
 
 
 def cosort(sides: list, keys: list, probe, schema):
-    """The one keyed regroup: every side in ``sides`` (datasets of rows of
-    one ``schema``) sorted together on ``keys``, then ``probe`` run on
-    each sorted block → a materialized dataset of the probe outputs.
+    """The one keyed regroup: the datasets in ``sides`` (rows of one
+    ``schema``) range-partitioned together on ``keys`` (``_regroup``),
+    then ``probe(block)`` once per key range, on the range's rows from
+    every side sorted on ``keys`` → a materialized dataset of the probe
+    outputs, in key order. A row's range depends on its key tuple alone,
+    so every row of one key reaches a single ``probe`` call.
 
-    Exactness rests on an invariant the code does not show: Ray's sort
-    range-partitions on sampled key boundaries and each reducer emits one
-    block, so a sort never splits a run of equal keys across blocks, and
-    each probe task gets its blocks whole. Every row of one key, from
-    every side, thus reaches a single ``probe`` call, in a block sorted on
-    ``keys``. One exception: with several keys, the rows whose leading
-    key is null may be split by the keys after it (``group_agg`` sorts on
-    null flags for that reason; ``equi_join`` never matches null keys).
-
-    The probes are plain tasks, not a ``map_batches``: a sort leaves a
-    columnless empty block for every empty key range, and ``map_batches``
-    forwards those without calling the UDF, so the output would carry
-    schema-less blocks (Ray logs a schema-change warning for each; the
-    sort drops just those lines). Here every output block comes from
-    ``probe``, and an input without rows yields
-    ``probe(schema.empty_table())``.
-
-    Consecutive sorted blocks under ``DataContext.target_min_block_size``
-    share one probe call (their concatenation is still sorted and holds
-    whole key runs), so a small input gives few output blocks. ``schema``
-    may be a function giving it, called only for an input without rows.
+    The lazy sides run as one streaming execution (their union), the
+    materialized ones run none. An input without rows gives one
+    ``probe(schema.empty_table())``; ``schema`` may be a function giving
+    it, called only then.
     """
     import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
 
-    rows = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
-    groups = _sorted_groups(rows, keys)
-    if not groups:
-        return rd.from_arrow_refs([ray.put(probe((schema() if callable(schema) else schema).empty_table()))])
-    return rd.from_arrow_refs([_group_task.remote(probe, (), *g) for g in groups])
+    done = [ds for ds in sides if isinstance(ds, MaterializedDataset)]
+    lazy = [ds for ds in sides if not isinstance(ds, MaterializedDataset)]
+    if len(lazy) > 1:
+        lazy = [lazy[0].union(*lazy[1:])]
+    side = _side(*done, *lazy)
+    empty = None if side[0] else (schema() if callable(schema) else schema).empty_table()
+    return rd.from_arrow_refs(_regroup([side], [keys], probe, empties=[empty]))
 
 
 def sort_scan(ds, keys, summarize, fold, emit, *, descending=False, num_returns: int = 1,
               schema=None) -> list:
-    """The one ordered scan: ``ds`` sorted on ``keys`` (``descending`` as
-    in ``Dataset.sort``), then three kernels over the sorted blocks →
-    the ``emit`` refs in block order (a list of ``num_returns`` refs per
-    task when ``num_returns > 1``):
+    """The one ordered scan: ``ds`` range-partitioned on ``keys``
+    (``_regroup``; ``descending`` as in ``Dataset.sort``), then three
+    kernels over the non-empty key ranges, each one Arrow table sorted on
+    ``keys`` → the ``emit`` refs in key order (``num_returns`` each):
+    ``summarize(block)``, one plain task per range; ``fold(summaries)``
+    on the driver, over the whole list in key order → one carry per range
+    (forward carries, lookaheads and neighbour flags all fit); and
+    ``emit(block, carry)``, one plain task per range.
 
-    - ``summarize(block)``, one plain task per block;
-    - ``fold(summaries)`` on the driver, over the whole list in block
-      order → one carry per block (forward carries, lookaheads and
-      neighbour flags all fit, since it sees every summary);
-    - ``emit(block, carry)``, one plain task per block.
-
-    A "block" here is a group of consecutive non-empty sorted blocks
-    packed as ``cosort`` packs them, concatenated into one Arrow table.
-
-    Exactness rests on two conditions. The sorted blocks are in key order,
-    so the rows of one key (or one run of an operator's group key, which
-    the sort keys may extend with order columns) are a contiguous stretch
-    of consecutive blocks. Unlike ``cosort``, nothing keeps such a stretch
-    in one block, so the carry must make a key that spans blocks exact:
-    each block hears, through its carry, what the blocks before (or after)
-    it hold of its first (or last) key. A hot key then costs one small
-    summary per block and never has to fit one task.
+    The rows of one key (or one run of an operator's group key, which
+    the sort keys may extend with order columns) are a stretch of
+    consecutive ranges that nothing keeps in one range: the carry tells
+    each range what the ranges before (or after) it hold of its first (or
+    last) key. A hot key then costs one small summary per range and never
+    has to fit one task.
 
     An input without rows gives one ``emit(schema.empty_table(), None)``:
     ``schema`` (a schema, or a function giving one, called only then)
-    defaults to ``ds.schema()`` and names the input's columns when a lazy
-    map before the sort hides them; without any schema such an input
+    defaults to the input's own and names the input's columns when a lazy
+    map before the scan hides them; without any schema such an input
     gives ``[]``.
     """
     import pyarrow as pa
 
-    groups = _sorted_groups(ds, keys, descending)
-    task = _group_task.options(num_returns=num_returns)
-    if not groups:
-        s = ds.schema if schema is None else schema
+    side = _side(ds)
+    task = _block_task.options(num_returns=num_returns)
+    if not side[0]:
+        s = schema or side[3] or ds.schema
         s = s() if callable(s) else s
         s = getattr(s, "base_schema", s)
-        return [task.remote(emit, (None,), s.empty_table())] if isinstance(s, pa.Schema) and s.names else []
-    carries = fold(ray.get([_group_task.remote(summarize, (), *g) for g in groups]))
-    return [task.remote(emit, (carry,), *g) for g, carry in zip(groups, carries)]
+        return [task.remote(emit, s.empty_table(), None)] if isinstance(s, pa.Schema) and s.names else []
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    # each range's task gives the fold its (rows, summary) and emit the range
+    ranges = _regroup([side], [keys], lambda b: ((b.num_rows, b.num_rows and summarize(b)), b),
+                      descending=descending, num_returns=2)
+    heads = ray.get([head for head, _ in ranges])
+    kept = [(summary, block) for (n, summary), (_, block) in zip(heads, ranges) if n]
+    carries = fold([summary for summary, _ in kept])
+    return [task.remote(emit, block, carry) for (_, block), carry in zip(kept, carries)]
 
 
-def _sorted_groups(rows, keys, descending=False) -> list:
-    """``rows`` sorted on ``keys`` and materialized → its non-empty blocks
-    as groups of consecutive block refs, each group one task's input.
+# -- the range partitioner ---------------------------------------------------
 
-    A group closes once it holds ``DataContext.target_min_block_size``
-    bytes, so a small input runs few tasks and gives few output blocks;
-    the concatenation of a group is still sorted. The sort leaves a
-    columnless block for each empty key range, and Ray logs a
-    schema-change warning for each; only those lines are dropped."""
-    import logging
+_SAMPLES = 20  # boundary sample rows drawn per range
 
+
+def _side(*datasets) -> tuple:
+    """The non-empty blocks of ``datasets`` → (block refs, their rows,
+    their bytes, the first schema with columns or ``None``). A lazy
+    dataset runs its one streaming execution here; a materialized one
+    runs none."""
+    refs, rows, nbytes, schema = [], [], 0, None
+    for bundle in (b for ds in datasets for b in ds.iter_internal_ref_bundles()):
+        if schema is None and bundle.schema is not None and bundle.schema.names:
+            schema = bundle.schema
+        for ref, meta in bundle.blocks:
+            if meta.num_rows != 0:
+                refs.append(ref)
+                rows.append(meta.num_rows or 0)
+                nbytes += meta.size_bytes or 0
+    return refs, rows, nbytes, schema
+
+
+def _range_count(nbytes: int, nrows: int) -> int:
+    """P, the number of key ranges: one per ``target_min_block_size``
+    bytes of input, at least one and at most one per row; never from the
+    block count."""
     from ray.data import DataContext
 
-    log = logging.getLogger("ray.data._internal.execution.streaming_executor_state")
-    log.addFilter(_schema_change_filter)
-    try:
-        blocks = rows.sort(keys, descending=descending).materialize()
-    finally:
-        log.removeFilter(_schema_change_filter)
-    floor = DataContext.get_current().target_min_block_size
-    groups, size = [], floor
-    for bundle in blocks.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows == 0:
-                continue
-            if size >= floor:
-                groups.append([])
-                size = 0
-            groups[-1].append(ref)
-            size += meta.size_bytes or 0
-    return groups
+    floor = max(DataContext.get_current().target_min_block_size, 1)
+    return max(1, min(-(-nbytes // floor), nrows))
 
 
-def _schema_change_filter(record) -> bool:
-    return not record.getMessage().startswith("Operator produced a RefBundle with a different schema")
+def _regroup(sides: list, keys: list, fn, *, preps=None, empties=None, descending=False,
+             num_returns: int = 1) -> list:
+    """The one range partitioner, all plain tasks: ``fn(*tables)`` once
+    per key range, in key order → the task refs (``num_returns`` each).
+    ``tables[i]`` is side ``i``'s rows of the range sorted on ``keys[i]``
+    by Arrow: nulls last, ``descending`` (one flag, or one per key) as in
+    ``Dataset.sort``. ``sides`` are ``_side`` tuples; ``preps[i]`` maps
+    each block of side ``i`` before its keys are read; ``empties[i]`` is
+    the (prepped) table of side ``i`` when it has no rows.
+
+    With P (``_range_count``) == 1 the one task gets the blocks whole.
+    Otherwise one sample task per block draws key tuples, the driver
+    picks P − 1 of them as boundaries (``_boundaries``), and one split
+    task per block (``_split``) cuts it into one slice per range: a
+    row's range is the number of boundaries that sort at or before its
+    key tuple. That depends on the key tuple alone, so the rows of one
+    key tuple (nulls equal to nulls) share a range on every side.
+    """
+    n = len(sides)
+    preps, empties = preps or [None] * n, empties or [None] * n
+    flags = descending if isinstance(descending, (list, tuple)) else [descending] * len(keys[0])
+    order = ["descending" if d else "ascending" for d in flags]
+    nrows = sum(sum(rows) for _, rows, *_ in sides)
+    p = _range_count(sum(nbytes for _, _, nbytes, _ in sides), nrows)
+    bounds = None if p == 1 else _boundaries(ray.get([
+        _sample.remote(ref, k, prep, -(-_SAMPLES * p * m // nrows))
+        for (refs, rows, *_), k, prep in zip(sides, keys, preps) for ref, m in zip(refs, rows)
+    ]), p, order)
+    if bounds is None or not bounds.num_rows:
+        ranges = [[refs for refs, *_ in sides]]
+    else:
+        split, at = _split.options(num_returns=bounds.num_rows + 1), ray.put(bounds)
+        cuts = [[split.remote(ref, k, prep, at, order) for ref in refs]
+                for (refs, *_), k, prep in zip(sides, keys, preps)]
+        ranges = [[[c[i] for c in side] for side in cuts] for i in range(bounds.num_rows + 1)]
+        preps = [None] * n  # the split tasks ran them
+    task = _range_task.options(num_returns=num_returns)
+    return [
+        task.remote(fn, [(len(refs), k, order, prep, None if refs else empty)
+                         for refs, k, prep, empty in zip(rng, keys, preps, empties)],
+                    *[ref for refs in rng for ref in refs])
+        for rng in ranges
+    ]
+
+
+def _key_table(t, keys: list):
+    """``t``'s key columns under positional names, so that the key
+    tuples of sides with different column names compare."""
+    import pyarrow as pa
+
+    return pa.table([t[k] for k in keys], names=[str(i) for i in range(len(keys))])
+
+
+def _prepped(block, prep):
+    return prep(_arrow(block)) if prep else _arrow(block)
+
+
+@ray.remote
+def _sample(block, keys: list, prep, k: int):
+    """Up to ``k`` evenly spaced key tuples of one (prepped) block."""
+    import numpy as np
+    import pyarrow as pa
+
+    t = _prepped(block, prep)
+    k = min(k, t.num_rows)
+    return _key_table(t, keys).take(pa.array((2 * np.arange(k) + 1) * t.num_rows // max(2 * k, 1)))
+
+
+def _boundaries(samples: list, p: int, order: list):
+    """The pooled sample → its P-quantile key tuples, less each equal to
+    the one before (or, the first, to the smallest sample)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    s = pa.concat_tables(samples, promote_options="permissive")
+    s = s.take(pc.sort_indices(s, sort_keys=list(zip(s.column_names, order)), null_placement="at_end"))
+    rows = s.to_pylist()
+    picks = [i * len(rows) // p for i in range(p)]
+    return s.take(pa.array([b for a, b in zip(picks, picks[1:]) if rows[b] != rows[a]], pa.int64()))
+
+
+@ray.remote
+def _split(block, keys: list, prep, bounds, order: list) -> tuple:
+    """One (prepped) block → one slice per range: the boundary rows, marked
+    to sort before equal block rows, are sorted with the block's key
+    tuples, and a row's range is the count of boundary rows before it."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    t = _prepped(block, prep)
+    nb = bounds.num_rows
+    both = pa.concat_tables([bounds, _key_table(t, keys)], promote_options="permissive")
+    both = both.append_column("m", pa.array(np.repeat(np.int8([0, 1]), [nb, t.num_rows])))
+    idx = pc.sort_indices(both, sort_keys=list(zip(bounds.column_names, order)) + [("m", "ascending")],
+                          null_placement="at_end").to_numpy()
+    is_row = idx >= nb
+    rows, rng = idx[is_row] - nb, np.cumsum(~is_row)[is_row]
+    cuts = np.searchsorted(rng, np.arange(nb + 2))
+    return tuple(t.take(pa.array(rows[a:b])) for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+@ray.remote
+def _range_task(fn, spec: list, *refs):
+    """One key range: each side's blocks or slices concatenated, prepped
+    (still raw blocks only) and sorted on its keys; then ``fn``."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    tables, at = [], 0
+    for n, keys, order, prep, empty in spec:
+        t = _prepped(pa.concat_tables([_arrow(b) for b in refs[at:at + n]], promote_options="permissive"),
+                     prep) if n else empty
+        tables.append(t.take(pc.sort_indices(t, sort_keys=list(zip(keys, order)), null_placement="at_end"))
+                      if n else t)
+        at += n
+    return fn(*tables)
 
 
 def group_agg(ds, keys, *aggs):
     """``ds.groupby(keys).aggregate(*aggs)`` for Ray's ``Count``, ``Sum``,
-    ``Min`` and ``Max`` as one ``cosort`` → a materialized dataset.
+    ``Min`` and ``Max`` as one ``_regroup`` → a materialized dataset.
 
     The output is what Ray gave: the keys, then one column per aggregate
     under its name, one row per key in key order (null keys last). Ray
@@ -189,48 +284,35 @@ def group_agg(ds, keys, *aggs):
     without a value gives null. Without aggregates it gives the distinct
     keys.
 
-    Each block is aggregated on its own first (``pa.Table.group_by``), so
-    a hot key enters the sort as one row per block, not as one long run.
-    The cosort brings every partial row of a key to one probe, which
-    merges them with a second ``group_by``: counts by sum, the others with
-    themselves. Every output block comes from a probe, so each has the
-    full schema, and an input without rows gives a typed empty output.
+    The partitioner's tasks aggregate each block on its own first
+    (``pa.Table.group_by``), so a hot key is partitioned as one row per
+    block; each range's task merges a key's partial rows with a second
+    ``group_by`` (counts by sum, the others with themselves). Every
+    output block has the full schema, also for an input without rows.
     """
+    import pyarrow as pa
+    import ray.data as rd
+
     keys = [keys] if isinstance(keys, str) else list(keys)
     specs = [(type(a).__name__, a.get_target_column(), a._ignore_nulls, a.name) for a in aggs]
     if any(kind not in ("Count", "Sum", "Min", "Max") for kind, *_ in specs):
         raise ValueError(f"group_agg takes Count, Sum, Min and Max, got {[s[0] for s in specs]}")
-    step = partial(_agg_step, keys=keys, specs=specs)
-
-    def schema():  # only for an input without rows; untyped columns without a schema
-        import pyarrow as pa
-
-        s = ds.schema()
-        if s is not None and s.names:
-            return step(s.base_schema.empty_table()).schema
-        return step(pa.table({c: pa.nulls(0) for c in keys + [on for _, on, *_ in specs if on]})).schema
-
-    partials = ds.map_batches(step, batch_format="pyarrow", batch_size=None)
-    return cosort([partials], _sort_keys(keys), partial(step, merge=True), schema)
+    step, side = partial(_agg_step, keys=keys, specs=specs), _side(ds)
+    empty = None if side[0] else step(  # typed by the input's schema; untyped without one
+        side[3].empty_table() if side[3] is not None
+        else pa.table({c: pa.nulls(0) for c in keys + [on for _, on, *_ in specs if on]}))
+    return rd.from_arrow_refs(_regroup([side], [keys], partial(step, merge=True), preps=[step], empties=[empty]))
 
 
 def _agg_step(block, keys: list, specs: list, merge: bool = False):
     """One block → one row per key (``group_agg``): the partial aggregates
-    of its rows, keyed on ``_sort_keys``, or with ``merge`` the merge of
-    its partial rows, keyed on ``keys`` and sorted on them (``group_by``
-    does not keep the order of first appearance)."""
+    of its rows, or with ``merge`` the merge of its partial rows, sorted
+    on the keys (``group_by`` does not keep the order of first
+    appearance)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    sort_keys = _sort_keys(keys)
-    if merge or len(keys) == 1:
-        cols = {k: _py_typed(block[k]) for k in sort_keys}
-    else:
-        cols = {}
-        for i, k in enumerate(keys):
-            col = _py_typed(block[k])
-            cols[f"__null{i}"] = pc.is_null(col).cast(pa.int8())
-            cols[k] = pc.fill_null(col, _zero(col.type))
+    cols = {k: _py_typed(block[k]) for k in keys}
     aggs = []
     for i, (kind, on, skip, name) in enumerate(specs):
         if merge:
@@ -243,40 +325,13 @@ def _agg_step(block, keys: list, specs: list, merge: bool = False):
         opts = (pc.CountOptions("only_valid" if on and skip else "all") if fn == "count"
                 else pc.ScalarAggregateOptions(skip_nulls=skip, min_count=1))
         aggs.append((f"__{i}", fn, opts))
-    out = pa.table(cols).group_by(sort_keys, use_threads=False).aggregate(aggs)
+    out = pa.table(cols).group_by(keys, use_threads=False).aggregate(aggs)
     if merge:
-        out = out.sort_by([(k, "ascending") for k in sort_keys], null_placement="at_end")
-    key_cols = [out[k] for k in sort_keys]
-    if merge and len(keys) > 1:
-        key_cols = [pc.if_else(pc.equal(out[f"__null{i}"], 1), pa.scalar(None, out[k].type), out[k])
-                    for i, k in enumerate(keys)]
+        out = out.sort_by([(k, "ascending") for k in keys], null_placement="at_end")
     return pa.table(
-        key_cols + [out[f"{c}_{fn}"] for c, fn, _ in aggs],
-        names=(keys if merge else sort_keys) + [name for *_, name in specs],
+        [out[k] for k in keys] + [out[f"{c}_{fn}"] for c, fn, _ in aggs],
+        names=keys + [name for *_, name in specs],
     )
-
-
-def _sort_keys(keys: list) -> list:
-    """The columns ``group_agg`` sorts on: its one key, or for several a
-    null flag before each key, the key filled where null. (Ray's sort
-    keeps the null run of a single key whole, but splits the nulls of a
-    leading key by the keys after it.)"""
-    return keys if len(keys) == 1 else [c for i, k in enumerate(keys) for c in (f"__null{i}", k)]
-
-
-def _zero(t):
-    """A non-null fill value of type ``t``."""
-    import pyarrow as pa
-
-    if pa.types.is_null(t):
-        return pa.scalar(None, t)
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
-        return pa.scalar("", t)
-    if pa.types.is_binary(t) or pa.types.is_large_binary(t):
-        return pa.scalar(b"", t)
-    if pa.types.is_boolean(t):
-        return pa.scalar(False)
-    return pa.scalar(0).cast(t)
 
 
 def _py_typed(col):
@@ -327,13 +382,12 @@ def run_positions(keys):
 
 
 JOIN_HOWS = ("inner", "left_outer", "left_anti", "full_outer")
-_SIDE = "__side"
 
 
 def equi_join(left, right, on, right_on=None, how: str = "inner",
               left_suffix=None, right_suffix=None):
     """``left`` ⋈ ``right`` on the columns ``on`` = ``right_on``
-    (``right_on`` defaults to ``on``) as one ``cosort`` → a materialized
+    (``right_on`` defaults to ``on``) as one ``_regroup`` → a materialized
     dataset. ``how`` is one of ``JOIN_HOWS``.
 
     The output is what ``Dataset.join`` gave: the left columns (keys
@@ -341,126 +395,65 @@ def equi_join(left, right, on, right_on=None, how: str = "inner",
     name on both sides takes ``left_suffix``/``right_suffix``, and
     ``full_outer`` coalesces the key into the left column. Null keys never
     match. Integer keys may differ in width between the sides (int32 vs
-    int64): the sort compares them as int64.
-
-    Each side's rows are tagged with a side column, its keys under the
-    left names and every other column under a side-prefixed name (null
-    for the other side's rows), so both sides sort as one schema. The
-    probe numbers the key runs of its block (``key_runs``) and pairs each
-    run's left rows with its right rows (``key_pairs``). Tagging needs both
-    schemas before the sort: a side whose schema is unknown until it runs
-    (a lazy ``map_batches``) is materialized first, and a side without any
-    schema (no blocks) joins as a side without rows that has only its keys.
+    int64): each block's keys are cast to int64 as it is split. Both
+    sides are split on shared key ranges and keep their own schemas; a
+    side without any schema (no blocks) joins as one without rows that
+    has only its keys.
     """
-    import numpy as np
     import pyarrow as pa
+    import ray.data as rd
 
     if how not in JOIN_HOWS:
         raise ValueError(f"how must be one of {JOIN_HOWS}, got {how!r}")
     on = [on] if isinstance(on, str) else list(on)
     right_on = on if right_on is None else [right_on] if isinstance(right_on, str) else list(right_on)
-    left, ls = _side_schema(left)
-    right, rs = _side_schema(right)
+    sides = [_side(left), _side(right)]
+    ls, rs = sides[0][3], sides[1][3]
     if ls is None:
         ls = pa.schema([(k, rs.field(r).type if rs else pa.null()) for k, r in zip(on, right_on)])
     if rs is None:
         rs = pa.schema([(r, ls.field(k).type) for k, r in zip(on, right_on)])
-    ktypes = [_common_key_type(ls.field(k).type, rs.field(r).type) for k, r in zip(on, right_on)]
-    lpay = [f for f in ls if f.name not in on]
+    types = [(ls.field(k).type, rs.field(r).type) for k, r in zip(on, right_on)]
+    if any(a != b and not (pa.types.is_integer(a) and pa.types.is_integer(b)) for a, b in types):
+        raise TypeError(f"join keys of types {types} cannot be compared")
+    ktypes = [a if a == b else pa.int64() for a, b in types]
     rpay = [] if how == "left_anti" else [f for f in rs if f.name not in right_on]
     clash = set(ls.names) & {f.name for f in rpay}
     if clash and not (left_suffix or right_suffix):
         raise ValueError(f"columns {sorted(clash)} are on both sides: give a suffix")
-
-    def named(f, suffix):
-        return f.name + suffix if f.name in clash and suffix else f.name
-
-    tagged = pa.schema(
-        [(_SIDE, pa.int8())] + list(zip(on, ktypes))
-        + [("l." + f.name, f.type) for f in lpay] + [("r." + f.name, f.type) for f in rpay]
-    )
-    out = pa.schema([(named(f, left_suffix), f.type) for f in ls]
-                    + [(named(f, right_suffix), f.type) for f in rpay])
-    payload = list(tagged)[1 + len(on):]
-
-    def tag(ds, side: int, keys: list):
-        own = "lr"[side]
-
-        def rows(batch):
-            n = batch.num_rows
-            return pa.Table.from_arrays(
-                [pa.array(np.full(n, side, np.int8))]
-                + [batch[k].cast(t) for k, t in zip(keys, ktypes)]
-                + [batch[f.name[2:]] if f.name[0] == own else pa.nulls(n, f.type) for f in payload],
-                schema=tagged,
-            )
-
-        return ds.map_batches(rows, batch_format="pyarrow")
-
-    probe = partial(
-        _join_probe, keys=on, how=how, out=out,
-        lsrc=[f.name if f.name in on else "l." + f.name for f in ls],
-        rsrc=["r." + f.name for f in rpay],
-    )
-    return cosort([tag(left, 0, on), tag(right, 1, right_on)], on, probe, tagged)
+    out = pa.schema([(f.name + (sfx or "") if f.name in clash else f.name, f.type)
+                     for fields, sfx in ((ls, left_suffix), (rpay, right_suffix)) for f in fields])
+    casts = [partial(_cast_keys, keys=k, types=ktypes) for k in (on, right_on)]
+    probe = partial(_join_probe, lkeys=on, rkeys=right_on, how=how, out=out,
+                    lcols=ls.names, rcols=[f.name for f in rpay])
+    return rd.from_arrow_refs(_regroup(sides, [on, right_on], probe, preps=casts,
+                                       empties=[cast(s.empty_table()) for cast, s in zip(casts, (ls, rs))]))
 
 
-def _side_schema(ds):
-    """``ds`` and its Arrow schema, materializing ``ds`` only when its
-    schema is unknown until it runs; ``None`` for a side without columns."""
-    schema = ds.schema(fetch_if_missing=False)
-    if schema is None:
-        ds = ds.materialize()
-        schema = ds.schema()
-    return ds, schema.base_schema if schema is not None and schema.names else None
-
-
-def _common_key_type(a, b):
+def _cast_keys(t, keys: list, types: list):
+    """``t`` with its join keys cast to the join's key types."""
     import pyarrow as pa
 
-    if a == b:
-        return a
-    if pa.types.is_integer(a) and pa.types.is_integer(b):
-        return pa.int64()
-    raise TypeError(f"join keys of types {a} and {b} cannot be compared")
+    return t.cast(pa.schema([f.with_type(types[keys.index(f.name)]) if f.name in keys else f for f in t.schema]))
 
 
-def _join_probe(block, keys: list, how: str, out, lsrc: list, rsrc: list):
-    """One sorted block of tagged rows → its joined rows (``equi_join``):
-    matched pairs, then unmatched left rows (every join but inner; the only
-    rows of left_anti), then unmatched right rows (full_outer)."""
+def _join_probe(left, right, lkeys: list, rkeys: list, how: str, out, lcols: list, rcols: list):
+    """One key range → its joined rows (``equi_join``): the key tuples of
+    both sides with their row positions joined by Arrow (nulls never
+    match; full_outer coalesces the key), then both sides' rows taken."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    side = block[_SIDE].to_numpy()
-    valid = np.ones(len(side), bool)
-    for k in keys:
-        valid &= pc.is_valid(block[k]).to_numpy(zero_copy_only=False)
-    rows = np.flatnonzero(valid)
-    sub = block.select(keys).take(pa.array(rows))
-    bounds = key_runs(*[sub[k].to_numpy(zero_copy_only=False) for k in keys])
-    run = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    is_left = side[rows] == 0
-    lrows, rrows, lrun, rrun = rows[is_left], rows[~is_left], run[is_left], run[~is_left]
-    none = np.empty(0, np.int64)
-    hit = np.zeros(len(side), bool)
-    if how == "left_anti":
-        li = ri = none
-        hit[lrows[np.isin(lrun, rrun)]] = True
-    else:
-        a, b = key_pairs(lrun, rrun)
-        li, ri = lrows[a], rrows[b]
-        hit[li] = hit[ri] = True
-    ul = none if how == "inner" else np.flatnonzero((side == 0) & ~hit)
-    ur = np.flatnonzero((side == 1) & ~hit) if how == "full_outer" else none
-    m, nl, nr = len(li), len(ul), len(ur)
-    at = np.arange(m + nl + nr)
-    lidx = pa.array(np.concatenate([li, ul, np.zeros(nr, np.int64)]), mask=at >= m + nl)
-    ridx = pa.array(np.concatenate([ri, np.zeros(nl, np.int64), ur]), mask=(at >= m) & (at < m + nl))
-    kidx = pa.array(np.concatenate([li, ul, ur]))
-    cols = [block[c].take(kidx if c in keys else lidx) for c in lsrc]
-    cols += [block[c].take(ridx) for c in rsrc]
+    if not (left.num_rows or right.num_rows):  # keys may be untyped here
+        return out.empty_table()
+    names = [str(i) for i in range(len(lkeys))]
+    pairs = _key_table(left, lkeys).append_column("__l", pa.array(np.arange(left.num_rows))).join(
+        _key_table(right, rkeys).append_column("__r", pa.array(np.arange(right.num_rows))),
+        names, join_type=how.replace("_", " "), coalesce_keys=True, use_threads=False,
+    )
+    cols = [pairs[names[lkeys.index(c)]] if c in lkeys else left[c].take(pairs["__l"]) for c in lcols]
+    cols += [right[c].take(pairs["__r"]) for c in rcols]
     return pa.Table.from_arrays(
         [c if c.type == f.type else pc.cast(c, f.type) for c, f in zip(cols, out)], schema=out
     )

@@ -495,3 +495,211 @@ class TestGroupAgg:
 
         with pytest.raises(ValueError, match="Count, Sum, Min and Max"):
             group_agg(rd.from_arrow(_agg_table(False)), "k", Mean("v"))
+
+
+# -- the range partitioner: a nullable string key, many blocks, executions ----
+
+
+@pytest.fixture(params=["default", "one_byte"])
+def min_block_size(request):
+    """The default ``target_min_block_size`` (one key range for these
+    inputs) and 1 byte (about one range per row, so every range
+    boundary is crossed)."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    old = ctx.target_min_block_size
+    if request.param == "one_byte":
+        ctx.target_min_block_size = 1
+    yield
+    ctx.target_min_block_size = old
+
+
+def _nullable_string_sides():
+    """30 left rows on a nullable string key ``s`` (5 nulls), with a
+    unique order ``o`` and a value ``v``; 12 right rows ``(s, w)`` on an
+    overlapping key set, 2 of them null."""
+    rng = np.random.default_rng(31)
+    ls = np.array([f"s{i}" for i in rng.integers(0, 6, 30)], object)
+    ls[rng.permutation(30)[:5]] = None
+    rs = np.array([f"s{i}" for i in rng.integers(3, 9, 12)], object)
+    rs[[2, 7]] = None
+    left = pa.table({"s": pa.array(ls, pa.string()), "o": pa.array(rng.permutation(30), pa.int64()),
+                     "v": pa.array(rng.integers(-9, 9, 30), pa.int64())})
+    right = pa.table({"s": pa.array(rs, pa.string()), "w": pa.array(np.arange(12), pa.int64())})
+    return left, right
+
+
+def _null_last(key):
+    return (key is None, key or "")
+
+
+def _rows(out: rd.Dataset) -> list:
+    import ray
+
+    return pa.concat_tables(ray.get(out.to_arrow_refs())).to_pylist()
+
+
+class TestNullableStringKey:
+    """One nullable string key over 30 one-row blocks: nulls form one
+    group, sort last and never match in a join."""
+
+    def test_group_agg(self, ray_session, min_block_size):
+        from ray.data.aggregate import Count, Sum
+
+        from osmptparser_ray.util import group_agg
+
+        left, _ = _nullable_string_sides()
+        out = group_agg(_layout(left, "one_row_blocks"), "s", Count(alias_name="n"),
+                        Sum("v", alias_name="sv"))
+        groups: dict = {}
+        for r in left.to_pylist():
+            n, sv = groups.get(r["s"], (0, 0))
+            groups[r["s"]] = (n + 1, sv + r["v"])
+        want = [{"s": k, "n": n, "sv": sv} for k, (n, sv) in sorted(groups.items(), key=lambda g: _null_last(g[0]))]
+        assert want[-1]["s"] is None
+        assert _rows(out) == want
+
+    @pytest.mark.parametrize("how", HOWS)
+    def test_equi_join(self, ray_session, min_block_size, how):
+        from osmptparser_ray.util import equi_join
+
+        left, right = _nullable_string_sides()
+        out = equi_join(_layout(left, "one_row_blocks"), _layout(right, "one_row_blocks"), "s", how=how)
+        rrows, hit, want = right.to_pylist(), set(), []
+        for lr in left.to_pylist():
+            js = [j for j, rr in enumerate(rrows) if lr["s"] is not None and rr["s"] == lr["s"]]
+            lv = (lr["s"], lr["o"], lr["v"])
+            if how == "left_anti":
+                want += [lv] if not js else []
+                continue
+            want += [lv + (rrows[j]["w"],) for j in js] or ([] if how == "inner" else [lv + (None,)])
+            hit.update(js)
+        if how == "full_outer":
+            want += [(rr["s"], None, None, rr["w"]) for j, rr in enumerate(rrows) if j not in hit]
+        assert sorted(repr(tuple(r.values())) for r in _rows(out)) == sorted(map(repr, want))
+
+    def test_sort_scan_running_agg(self, ray_session, min_block_size):
+        from osmptparser_ray.stages.relational import running_agg
+
+        left, _ = _nullable_string_sides()
+        out = running_agg(_layout(left, "one_row_blocks"), "s", ["o"], "v")
+        got = sorted(((r["s"], r["o"], r["running_n"], r["running_sum"]) for r in _rows(out)),
+                     key=repr)
+        want, runs = [], {}
+        for r in sorted(left.to_pylist(), key=lambda r: (_null_last(r["s"]), r["o"])):
+            n, total = runs.get(r["s"], (0, 0))
+            runs[r["s"]] = (n + 1, total + r["v"])
+            want.append((r["s"], r["o"], n + 1, total + r["v"]))
+        assert got == sorted(want, key=repr)
+
+
+def _hot_rows(n: int = 1280) -> pa.Table:
+    """``n`` rows of ``SCHEMA``; key 7 holds 60% of them."""
+    rng = np.random.default_rng(41)
+    return _side(np.where(rng.random(n) < 0.6, 7, rng.integers(0, 100, n)), 0)
+
+
+@pytest.fixture
+def small_ranges():
+    """``target_min_block_size`` at 2 KiB: about ten ranges for
+    ``_hot_rows`` (17 bytes a row)."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    old, ctx.target_min_block_size = ctx.target_min_block_size, 2048
+    yield
+    ctx.target_min_block_size = old
+
+
+class TestManyBlocks:
+    """The same rows as 64 and as 128 blocks, one key holding 60% of
+    them: the range count comes from bytes, so both layouts get the same
+    P (the driver holds P refs per block, never blocks²), and every
+    result is the oracle's."""
+
+    @staticmethod
+    def _blocks(t: pa.Table, n: int) -> rd.Dataset:
+        size = t.num_rows // n
+        return rd.from_arrow([t.slice(i, size) for i in range(0, t.num_rows, size)])
+
+    def test_range_count_from_bytes(self, ray_session, small_ranges):
+        from osmptparser_ray.util import _range_count, _side
+
+        counts = []
+        for n in (64, 128):
+            ds = self._blocks(_hot_rows(), n)
+            refs, rows, nbytes, _ = _side(ds)
+            assert len(refs) == n
+            counts.append(_range_count(nbytes, sum(rows)))
+        assert counts[0] == counts[1] > 1
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_results_match_oracle(self, ray_session, small_ranges, n):
+        from ray.data.aggregate import Count, Sum
+
+        from osmptparser_ray.util import equi_join, group_agg
+
+        t = _hot_rows()
+        ds = self._blocks(t, n)
+        out = cosort([ds], ["k"], _make_probe(), SCHEMA)
+        assert 1 < out.num_blocks()
+        got = sorted(tuple(r) for r in out.to_pandas()[OUT].itertuples(index=False))
+        assert [(int(a), int(b), int(c), int(d), bool(e)) for a, b, c, d, e in got] == _expected(
+            t, SCHEMA.empty_table())
+
+        df = t.to_pandas()
+        agg = group_agg(ds, "k", Count(alias_name="n"), Sum("v", alias_name="sv")).to_pandas()
+        want = df.groupby("k").agg(n=("v", "size"), sv=("v", "sum")).reset_index()
+        assert agg.values.tolist() == want.values.tolist()
+
+        right = pa.table({"k": pa.array(np.arange(0, 100, 2), pa.int64()),
+                          "w": pa.array(np.arange(50) * 3, pa.int64())})
+        joined = equi_join(ds, rd.from_arrow(right), "k").to_pandas()
+        want = df.merge(right.to_pandas(), on="k")
+        assert sorted(map(tuple, joined.values.tolist())) == sorted(map(tuple, want[joined.columns].values.tolist()))
+
+
+@pytest.fixture
+def executions():
+    """A ``perfbench`` execution counter on this process's Ray Data
+    executor log, removed afterwards."""
+    import logging
+
+    from ray.data import DataContext
+
+    from perfbench.workloads import ExecutionCounter
+
+    counter = ExecutionCounter()
+    ctx = DataContext.get_current()
+    log = logging.getLogger("ray.data._internal.execution.streaming_executor")
+    old = ctx.print_on_execution_start, log.level
+    counter.install()
+    yield counter
+    log.removeHandler(counter)
+    ctx.print_on_execution_start, _ = old
+    log.setLevel(old[1])
+
+
+class TestExecutions:
+    def test_materialized_sides_run_no_execution(self, ray_session, executions):
+        from ray.data.aggregate import Count
+
+        from osmptparser_ray.util import equi_join, group_agg
+
+        left, right = _data(True)
+        lds, rds = _layout(left, "one_row_blocks"), _layout(right, "one_row_blocks")
+        before = executions.count
+        group_agg(lds, "k", Count(alias_name="n"))
+        equi_join(lds, rds, "k", left_suffix="_l")
+        assert executions.count == before
+
+    def test_lazy_side_runs_once(self, ray_session, executions):
+        from osmptparser_ray.util import equi_join
+
+        left, right = _data(False)
+        lazy = _layout(left, "one_row_blocks").map_batches(lambda b: b, batch_format="pyarrow")
+        before = executions.count
+        out = equi_join(lazy, _layout(right, "one_row_blocks"), "k", left_suffix="_l")
+        assert executions.count - before == 1
+        assert out.count() == sum(1 for a in left["k"].to_pylist() for b in right["k"].to_pylist() if a == b)

@@ -12,6 +12,7 @@ Usage:
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 
@@ -111,6 +112,7 @@ def main() -> int:
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        gc.collect()  # a collection pause from the queries before is not this query's wall
         t0, e0 = _time.perf_counter(), executions.count
         try:
             mine = to_pandas(fn(sf_dir))
