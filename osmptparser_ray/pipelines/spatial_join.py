@@ -221,8 +221,7 @@ def stop_route_spatial_join(
     materialized and the whole call starts 1 streaming execution, the
     page read; extraction, the element tables, assembly, the index builds
     and the probes run as plain Ray tasks. ``small_side="shuffle"`` adds
-    one execution per spatial join (pip, knn), which maps both sides to
-    their cell-keyed rows for the range partitioner: 3 in all.
+    one execution per spatial join (pip, knn), its two row maps: 3 in all.
     """
     pt = public_transports_from_pages(
         pages_path, gap=gap, filters=filters, validate=validate, concurrency=concurrency

@@ -8,11 +8,10 @@ kernel.geometry.haversine_m_vec):
   index (``RingIndex`` / ``TargetIndex``) that every batch of the other
   side probes; no shuffle.
 * shuffle (``pip_join``, ``knn_join``, ``distance_join``) — both sides
-  map to one row schema keyed by cell (a side flag or null columns tell
-  the build rows from the probe rows), are range-partitioned together on
-  the key, and one task probes each key range (``util.cosort``): the
-  range's build rows form the index that its probe rows look up. These
-  run on call and return materialized datasets.
+  map to one row schema keyed by cell (a side flag or null columns mark
+  the build rows), are range-partitioned together on it, and one task
+  probes each key range (``util.cosort``) with its build rows as the
+  index. These run on call and return materialized datasets.
 
 Partitioning assumptions (documented per operator):
 

@@ -1,10 +1,11 @@
-"""Small shared helpers: block tasks, the one range partitioner
-(``_regroup``, plain tasks) with the keyed regroup (``cosort``), the
-ordered scan (``sort_scan``), the keyed aggregation and the equi-join
-built on it, and per-worker broadcast caching."""
+"""Small shared helpers: block tasks, the one range partitioner of plain
+tasks (``_regroup``) under ``cosort``, ``sort_scan``, ``group_agg`` and
+``equi_join``, and per-worker broadcast caching."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import partial
 
 import ray
@@ -124,13 +125,13 @@ def sort_scan(ds, keys, summarize, fold, emit, *, descending=False, num_returns:
 # -- the range partitioner ---------------------------------------------------
 
 _SAMPLES = 20  # boundary sample rows drawn per range
+_SLICE = 256 << 10  # least mean bytes of a split slice (``_range_count``)
 
 
 def _side(*datasets) -> tuple:
     """The non-empty blocks of ``datasets`` → (block refs, their rows,
-    their bytes, the first schema with columns or ``None``). A lazy
-    dataset runs its one streaming execution here; a materialized one
-    runs none."""
+    their bytes, the first schema with columns or ``None``); a lazy
+    dataset runs its one streaming execution here."""
     refs, rows, nbytes, schema = [], [], 0, None
     for bundle in (b for ds in datasets for b in ds.iter_internal_ref_bundles()):
         if schema is None and bundle.schema is not None and bundle.schema.names:
@@ -143,14 +144,29 @@ def _side(*datasets) -> tuple:
     return refs, rows, nbytes, schema
 
 
-def _range_count(nbytes: int, nrows: int) -> int:
-    """P, the number of key ranges: one per ``target_min_block_size``
-    bytes of input, at least one and at most one per row; never from the
-    block count."""
+def _range_count(nbytes: int, nrows: int) -> tuple:
+    """(P, the least mean bytes of a split slice) from the input's bytes
+    alone. P is one key range per ``target_min_block_size`` bytes, at
+    most one per row and at most √(bytes / slice). Ray keeps task outputs
+    under 100 KiB in the driver until read, so slices average ``_SLICE``
+    (or the target, if less) or more: a split task reads P slices or more
+    (``_groups``), and the driver holds about bytes / slice slices."""
     from ray.data import DataContext
 
-    floor = max(DataContext.get_current().target_min_block_size, 1)
-    return max(1, min(-(-nbytes // floor), nrows))
+    target = max(DataContext.get_current().target_min_block_size, 1)
+    piece = min(target, _SLICE)
+    return max(1, min(-(-nbytes // target), math.isqrt(nbytes // piece), nrows)), piece
+
+
+def _groups(refs: list, rows: list, nbytes: int, least: int) -> list:
+    """A side's blocks cut, in order, into at most bytes / ``least``
+    groups of about equal rows, one split task each → [[refs, rows]]."""
+    out, at, g = {}, 0, max(1, nbytes // least)
+    for ref, m in zip(refs, rows):
+        grp = out.setdefault(at * g // sum(rows), [[], 0])
+        grp[0].append(ref)
+        grp[1], at = grp[1] + m, at + m
+    return list(out.values())
 
 
 def _regroup(sides: list, keys: list, fn, *, preps=None, empties=None, descending=False,
@@ -160,33 +176,31 @@ def _regroup(sides: list, keys: list, fn, *, preps=None, empties=None, descendin
     ``tables[i]`` is side ``i``'s rows of the range sorted on ``keys[i]``
     by Arrow: nulls last, ``descending`` (one flag, or one per key) as in
     ``Dataset.sort``. ``sides`` are ``_side`` tuples; ``preps[i]`` maps
-    each block of side ``i`` before its keys are read; ``empties[i]`` is
-    the (prepped) table of side ``i`` when it has no rows.
+    side ``i``'s rows once, keeping the order of key values;
+    ``empties[i]`` is its (prepped) table when it has no rows.
 
-    With P (``_range_count``) == 1 the one task gets the blocks whole.
-    Otherwise one sample task per block draws key tuples, the driver
-    picks P − 1 of them as boundaries (``_boundaries``), and one split
-    task per block (``_split``) cuts it into one slice per range: a
-    row's range is the number of boundaries that sort at or before its
-    key tuple. That depends on the key tuple alone, so the rows of one
-    key tuple (nulls equal to nulls) share a range on every side.
+    P (``_range_count``) == 1 is one task. Otherwise, per group of blocks
+    (``_groups``), a sample task draws raw key tuples, the driver picks
+    P − 1 boundaries (``_boundaries``) and a split task (``_split``)
+    cuts the group by the number of boundaries at or before a row's key
+    tuple, so one key tuple (nulls equal) has one range on every side.
     """
     n = len(sides)
     preps, empties = preps or [None] * n, empties or [None] * n
     flags = descending if isinstance(descending, (list, tuple)) else [descending] * len(keys[0])
     order = ["descending" if d else "ascending" for d in flags]
     nrows = sum(sum(rows) for _, rows, *_ in sides)
-    p = _range_count(sum(nbytes for _, _, nbytes, _ in sides), nrows)
-    bounds = None if p == 1 else _boundaries(ray.get([
-        _sample.remote(ref, k, prep, -(-_SAMPLES * p * m // nrows))
-        for (refs, rows, *_), k, prep in zip(sides, keys, preps) for ref, m in zip(refs, rows)
-    ]), p, order)
+    (p, piece), bounds = _range_count(sum(nbytes for _, _, nbytes, _ in sides), nrows), None
+    if p > 1:
+        groups = [_groups(*side[:3], p * piece) for side in sides]
+        bounds = _boundaries(ray.get([_sample.remote(k, -(-_SAMPLES * p * m // nrows), *refs)
+                                      for side, k in zip(groups, keys) for refs, m in side]), p, order)
     if bounds is None or not bounds.num_rows:
         ranges = [[refs for refs, *_ in sides]]
     else:
         split, at = _split.options(num_returns=bounds.num_rows + 1), ray.put(bounds)
-        cuts = [[split.remote(ref, k, prep, at, order) for ref in refs]
-                for (refs, *_), k, prep in zip(sides, keys, preps)]
+        cuts = [[split.remote(k, prep, at, order, *refs) for refs, _ in side]
+                for side, k, prep in zip(groups, keys, preps)]
         ranges = [[[c[i] for c in side] for side in cuts] for i in range(bounds.num_rows + 1)]
         preps = [None] * n  # the split tasks ran them
     task = _range_task.options(num_returns=num_returns)
@@ -206,46 +220,47 @@ def _key_table(t, keys: list):
     return pa.table([t[k] for k in keys], names=[str(i) for i in range(len(keys))])
 
 
-def _prepped(block, prep):
-    return prep(_arrow(block)) if prep else _arrow(block)
+def _concat(blocks, prep=None):
+    import pyarrow as pa
+
+    t = pa.concat_tables([_arrow(b) for b in blocks], promote_options="permissive")
+    return prep(t) if prep else t
 
 
 @ray.remote
-def _sample(block, keys: list, prep, k: int):
-    """Up to ``k`` evenly spaced key tuples of one (prepped) block."""
+def _sample(keys: list, k: int, *blocks):
+    """Up to ``k`` evenly spaced raw key tuples of ``blocks`` (a prep's
+    widened key types meet them in ``_split``'s concatenation)."""
     import numpy as np
     import pyarrow as pa
 
-    t = _prepped(block, prep)
+    t = _concat([_key_table(_arrow(b), keys) for b in blocks])
     k = min(k, t.num_rows)
-    return _key_table(t, keys).take(pa.array((2 * np.arange(k) + 1) * t.num_rows // max(2 * k, 1)))
+    return t.take(pa.array((2 * np.arange(k) + 1) * t.num_rows // max(2 * k, 1)))
 
 
 def _boundaries(samples: list, p: int, order: list):
     """The pooled sample → its P-quantile key tuples, less each equal to
     the one before (or, the first, to the smallest sample)."""
     import pyarrow as pa
-    import pyarrow.compute as pc
 
-    s = pa.concat_tables(samples, promote_options="permissive")
-    s = s.take(pc.sort_indices(s, sort_keys=list(zip(s.column_names, order)), null_placement="at_end"))
+    s = _concat(samples).sort_by(list(zip(samples[0].column_names, order)), null_placement="at_end")
     rows = s.to_pylist()
     picks = [i * len(rows) // p for i in range(p)]
     return s.take(pa.array([b for a, b in zip(picks, picks[1:]) if rows[b] != rows[a]], pa.int64()))
 
 
 @ray.remote
-def _split(block, keys: list, prep, bounds, order: list) -> tuple:
-    """One (prepped) block → one slice per range: the boundary rows, marked
-    to sort before equal block rows, are sorted with the block's key
-    tuples, and a row's range is the count of boundary rows before it."""
+def _split(keys: list, prep, bounds, order: list, *blocks) -> tuple:
+    """Blocks → one prepped table → one slice per range: the boundary
+    rows, marked to sort before equal rows, are sorted with the table's
+    key tuples; a row's range is the count of boundary rows before it."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    t = _prepped(block, prep)
-    nb = bounds.num_rows
-    both = pa.concat_tables([bounds, _key_table(t, keys)], promote_options="permissive")
+    t, nb = _concat(blocks, prep), bounds.num_rows
+    both = _concat([bounds, _key_table(t, keys)])
     both = both.append_column("m", pa.array(np.repeat(np.int8([0, 1]), [nb, t.num_rows])))
     idx = pc.sort_indices(both, sort_keys=list(zip(bounds.column_names, order)) + [("m", "ascending")],
                           null_placement="at_end").to_numpy()
@@ -259,17 +274,9 @@ def _split(block, keys: list, prep, bounds, order: list) -> tuple:
 def _range_task(fn, spec: list, *refs):
     """One key range: each side's blocks or slices concatenated, prepped
     (still raw blocks only) and sorted on its keys; then ``fn``."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    tables, at = [], 0
-    for n, keys, order, prep, empty in spec:
-        t = _prepped(pa.concat_tables([_arrow(b) for b in refs[at:at + n]], promote_options="permissive"),
-                     prep) if n else empty
-        tables.append(t.take(pc.sort_indices(t, sort_keys=list(zip(keys, order)), null_placement="at_end"))
-                      if n else t)
-        at += n
-    return fn(*tables)
+    at = [0, *itertools.accumulate(n for n, *_ in spec)]
+    return fn(*[_concat(refs[a:b], prep).sort_by(list(zip(keys, order)), null_placement="at_end")
+                if b > a else empty for a, b, (_, keys, order, prep, empty) in zip(at, at[1:], spec)])
 
 
 def group_agg(ds, keys, *aggs):
@@ -284,9 +291,9 @@ def group_agg(ds, keys, *aggs):
     without a value gives null. Without aggregates it gives the distinct
     keys.
 
-    The partitioner's tasks aggregate each block on its own first
+    The partitioner's tasks aggregate their blocks first
     (``pa.Table.group_by``), so a hot key is partitioned as one row per
-    block; each range's task merges a key's partial rows with a second
+    task; each range's task merges a key's partial rows with a second
     ``group_by`` (counts by sum, the others with themselves). Every
     output block has the full schema, also for an input without rows.
     """
@@ -340,11 +347,9 @@ def _py_typed(col):
     as float64, anything else unchanged."""
     import pyarrow as pa
 
-    if pa.types.is_integer(col.type) and col.type != pa.uint64():
-        return col.cast(pa.int64())
-    if pa.types.is_floating(col.type):
-        return col.cast(pa.float64())
-    return col
+    t = col.type
+    to = pa.int64() if pa.types.is_integer(t) and t != pa.uint64() else pa.float64() if pa.types.is_floating(t) else t
+    return col if to == t else col.cast(to)
 
 
 def key_pairs(left, right) -> tuple:
@@ -395,7 +400,7 @@ def equi_join(left, right, on, right_on=None, how: str = "inner",
     name on both sides takes ``left_suffix``/``right_suffix``, and
     ``full_outer`` coalesces the key into the left column. Null keys never
     match. Integer keys may differ in width between the sides (int32 vs
-    int64): each block's keys are cast to int64 as it is split. Both
+    int64): the keys are cast to int64 as the rows are split. Both
     sides are split on shared key ranges and keep their own schemas; a
     side without any schema (no blocks) joins as one without rows that
     has only its keys.

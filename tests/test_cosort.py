@@ -503,8 +503,8 @@ class TestGroupAgg:
 @pytest.fixture(params=["default", "one_byte"])
 def min_block_size(request):
     """The default ``target_min_block_size`` (one key range for these
-    inputs) and 1 byte (about one range per row, so every range
-    boundary is crossed)."""
+    inputs) and 1 byte (√bytes ranges of a row or two each, so range
+    boundaries are crossed)."""
     from ray.data import DataContext
 
     ctx = DataContext.get_current()
@@ -602,8 +602,8 @@ def _hot_rows(n: int = 1280) -> pa.Table:
 
 @pytest.fixture
 def small_ranges():
-    """``target_min_block_size`` at 2 KiB: about ten ranges for
-    ``_hot_rows`` (17 bytes a row)."""
+    """``target_min_block_size`` at 2 KiB: three ranges for ``_hot_rows``
+    (17 bytes a row, √(bytes / 2 KiB) ranges)."""
     from ray.data import DataContext
 
     ctx = DataContext.get_current()
@@ -615,8 +615,7 @@ def small_ranges():
 class TestManyBlocks:
     """The same rows as 64 and as 128 blocks, one key holding 60% of
     them: the range count comes from bytes, so both layouts get the same
-    P (the driver holds P refs per block, never blocks²), and every
-    result is the oracle's."""
+    P, and every result is the oracle's."""
 
     @staticmethod
     def _blocks(t: pa.Table, n: int) -> rd.Dataset:
@@ -631,8 +630,28 @@ class TestManyBlocks:
             ds = self._blocks(_hot_rows(), n)
             refs, rows, nbytes, _ = _side(ds)
             assert len(refs) == n
-            counts.append(_range_count(nbytes, sum(rows)))
+            counts.append(_range_count(nbytes, sum(rows))[0])
         assert counts[0] == counts[1] > 1
+
+    @pytest.mark.parametrize("blocks", [8, 1024])
+    def test_split_slices_stay_out_of_the_driver(self, blocks):
+        """1 GiB as 8 blocks of 128 MiB and as 1024 of 1 MiB at the
+        default block size: the same P ≫ 2 from bytes, and the split
+        slices average at least ``_SLICE`` (Ray keeps task outputs under
+        100 KiB in the driver), so the driver holds at most bytes /
+        ``_SLICE`` slice refs, however many blocks there are."""
+        from ray.data import DataContext
+
+        from osmptparser_ray.util import _SLICE, _groups, _range_count
+
+        assert DataContext.get_current().target_min_block_size == 1 << 20
+        nbytes, nrows = 1 << 30, 1 << 26
+        p, piece = _range_count(nbytes, nrows)
+        assert (p, piece) == (64, _SLICE)
+        groups = _groups(list(range(blocks)), [nrows // blocks] * blocks, nbytes, p * piece)
+        assert [r for refs, _ in groups for r in refs] == list(range(blocks))
+        assert [m for _, m in groups] == [nrows // len(groups)] * len(groups)
+        assert p * len(groups) <= nbytes // _SLICE
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_results_match_oracle(self, ray_session, small_ranges, n):

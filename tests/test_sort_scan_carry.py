@@ -2,8 +2,8 @@
 
 At the default ``target_min_block_size`` each matrix input of
 ``test_sort_scan.py`` is one key range, so its scan passes no carry; at
-1 byte the same rows split into about one range per row, and a hot key
-spans dozens of them. The two must give the same rows, so a carry that
+1 byte the same rows split into √bytes ranges of a few rows each, and a
+hot key spans many of them. The two must give the same rows, so a carry that
 is missing or wrong fails here even where every layout of the matrix
 (all run at 1 byte) would agree with one another.
 """
