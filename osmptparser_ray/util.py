@@ -161,9 +161,9 @@ def _range_count(nbytes: int, nrows: int) -> tuple:
 def _groups(refs: list, rows: list, nbytes: int, least: int) -> list:
     """A side's blocks cut, in order, into at most bytes / ``least``
     groups of about equal rows, one split task each → [[refs, rows]]."""
-    out, at, g = {}, 0, max(1, nbytes // least)
+    out, at, g, total = {}, 0, max(1, nbytes // least), sum(rows)
     for ref, m in zip(refs, rows):
-        grp = out.setdefault(at * g // sum(rows), [[], 0])
+        grp = out.setdefault(at * g // total, [[], 0])
         grp[0].append(ref)
         grp[1], at = grp[1] + m, at + m
     return list(out.values())
