@@ -573,8 +573,10 @@ def _q_hash_join(sf_dir: str):
 
 def _q_topk(sf_dir: str):
     """Global sort + limit (top-k)."""
+    from osmptparser_ray.util import top_n
+
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    return ds.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(10)
+    return top_n(ds, ["o_totalprice", "o_orderkey"], 10, descending=[True, False])
 
 
 def _q_filter_dsl(sf_dir: str):

@@ -42,10 +42,11 @@ def parser_tables_from_pages(
 
     By default each page block is extracted inside the first task of the
     ``build_parser_tables`` plan, so the read is the only streaming
-    execution and no element row goes through the object store before
-    its kind split. ``concurrency`` (an extractor actor pool) and
-    ``id_set_mode="bloom"`` feed the streaming ``extract_elements``
-    output to ``build_parser_tables`` instead.
+    execution, no element row goes through the object store before
+    its kind split, and the driver waits for none of the plan's tasks
+    (the tables hold their refs until read). ``concurrency`` (an
+    extractor actor pool) and ``id_set_mode="bloom"`` feed the streaming
+    ``extract_elements`` output to ``build_parser_tables`` instead.
 
     ``id_set_mode="bloom"`` switches the J1/J2 semi-join sides from exact
     sorted-array broadcasts to Bloom prefilter + exact post-join (same

@@ -37,8 +37,9 @@ from ..spatial.join import (
     ring_arrays,
 )
 from ..spatial.pip import convex_hull
-from ..util import block_tasks, concat_columns
-from .ptv2 import public_transports_from_pages
+from ..stages.assemble import PT_SCHEMA, public_transport_blocks
+from ..util import block_tasks, concat_columns, dataset_of, submit
+from .ptv2 import parser_tables_from_pages
 
 _STOP_DTYPES = (np.int64, np.float64, np.float64)
 
@@ -90,29 +91,35 @@ def _stop_table(ids: np.ndarray, lats: np.ndarray, lons: np.ndarray) -> pa.Table
     )
 
 
-def _stops_dataset(stops: pa.Table) -> rd.Dataset:
-    """The distinct stops as a materialized dataset of MANY blocks — a
-    single block would serialize every downstream map stage onto one
-    worker."""
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    step = max(1, -(-stops.num_rows // max(1, min(2 * cpus, stops.num_rows))))
-    return rd.from_arrow(
-        [stops.slice(i, step) for i in range(0, stops.num_rows, step)] or [stops]
-    )
+def _slice_count() -> int:
+    """Slices of the distinct stops: 2 per Ray CPU, so that one stop
+    block does not serialize the probes onto one worker."""
+    return 2 * int(ray.cluster_resources().get("CPU", 4))
+
+
+def _stop_slices(k: int, *parts) -> tuple:
+    """Per-block distinct stops → the distinct stops table (sorted by id)
+    cut into ``k`` slices of ceil(rows / k) rows (one row each when
+    there are fewer rows than slices; the slices after the last row
+    are empty): ``k`` returns of one task."""
+    stops = _stop_table(*_distinct_stops(*concat_columns(parts, _STOP_DTYPES)))
+    step = max(1, -(-stops.num_rows // k))
+    return tuple(stops.slice(i * step, step) for i in range(k))
 
 
 def unique_stops(stops: rd.Dataset) -> rd.Dataset:
     """Distinct stop points. All duplicates of a stop id carry identical
     coords, so any-wins dedup is exact.
 
-    Per-block dedup runs in block tasks (``util.block_tasks``), the
-    driver merges the already-small parts and re-distributes one Arrow
-    table — no shuffle and no streaming execution. Right whenever unique stops fit
-    driver memory — the same contract the broadcast join plans already
-    assume.
+    Per-block dedup runs in block tasks (``util.block_tasks``), one task
+    merges the already-small parts and cuts them into ``_stop_slices``
+    — no shuffle and no streaming execution. Right whenever unique stops
+    fit one task's memory — the same contract the broadcast join plans
+    already assume.
     """
-    parts = ray.get(block_tasks(stops, _block_distinct_stops))
-    return _stops_dataset(_stop_table(*_distinct_stops(*concat_columns(parts, _STOP_DTYPES))))
+    k = _slice_count()
+    return dataset_of(submit(_stop_slices, k, *block_tasks(stops, _block_distinct_stops),
+                             num_returns=k))
 
 
 def _route_hulls_block(batch: pa.Table) -> pa.Table:
@@ -197,6 +204,16 @@ def _probe_stops(stops: pa.Table, pip_index, knn_index, knn_k: int, knn_radius_m
     )
 
 
+def _ring_index(*hulls):
+    return build_ring_index([ring_arrays(t) for t in hulls])
+
+
+def _target_index(radius_m: float, *parts):
+    return build_target_index(
+        *_distinct_stops(*concat_columns(parts, _STOP_DTYPES)), radius_m
+    )
+
+
 def stop_route_spatial_join(
     pages_path: str,
     *,
@@ -214,29 +231,34 @@ def stop_route_spatial_join(
     """The flagship: returns the component datasets.
 
     Keys: public_transports, stops (unique), pip (stop×route-hull pairs),
-    knn (stop k-nearest-stop rows), tiles (stop→cell assignment). The PT
-    rows are materialized, then joined by ``stop_route_joins``.
+    knn (stop k-nearest-stop rows), tiles (stop→cell assignment), each a
+    materialized dataset.
 
-    With ``small_side="broadcast"`` (default) every output is
-    materialized and the whole call starts 1 streaming execution, the
-    page read; extraction, the element tables, assembly, the index builds
-    and the probes run as plain Ray tasks. ``small_side="shuffle"`` adds
-    one execution per spatial join (pip, knn), its two row maps: 3 in all.
+    With ``small_side="broadcast"`` (default) the whole call is one task
+    graph chained by object ref: the page read (the one streaming
+    execution) feeds the element tables' tasks
+    (``parser_tables_from_pages``), those the assembly's
+    (``public_transport_blocks``) and those the spatial tail's
+    (``stop_route_joins``). Every step takes its inputs as top-level
+    task arguments, so the driver submits the graph without waiting and
+    then waits only for the metadata of the five outputs.
+    ``small_side="shuffle"`` runs the pip and knn cosorts over the
+    stops and hulls, which wait for their inputs: 3 executions in all,
+    the read and one per spatial join.
     """
-    pt = public_transports_from_pages(
-        pages_path, gap=gap, filters=filters, validate=validate, concurrency=concurrency
-    ).materialize()  # consumed by 3 downstream branches; small (one row per route)
-    return {
-        "public_transports": pt,
-        **stop_route_joins(
-            pt, pip_level=pip_level, pip_salt=pip_salt, knn_k=knn_k,
-            knn_radius_m=knn_radius_m, tile_level=tile_level, small_side=small_side,
-        ),
-    }
+    tables = parser_tables_from_pages(
+        pages_path, filters, validate=validate, concurrency=concurrency
+    )
+    pt = public_transport_blocks(tables, gap)
+    joins = stop_route_joins(
+        pt, pip_level=pip_level, pip_salt=pip_salt, knn_k=knn_k,
+        knn_radius_m=knn_radius_m, tile_level=tile_level, small_side=small_side,
+    )
+    return {"public_transports": dataset_of(pt, PT_SCHEMA.empty_table()), **joins}
 
 
 def stop_route_joins(
-    pt: rd.Dataset,
+    pt: rd.Dataset | list,
     *,
     pip_level: int = 12,
     pip_salt: int = 1,
@@ -245,50 +267,45 @@ def stop_route_joins(
     tile_level: int = 14,
     small_side: str = "broadcast",
 ) -> dict[str, rd.Dataset]:
-    """The flagship's spatial tail over PT rows → stops, pip, knn, tiles.
+    """The flagship's spatial tail over PT rows (a Dataset, or the refs of
+    its blocks) → stops, pip, knn, tiles.
 
     One block task per PT block yields that block's distinct stops and
-    route hulls; the driver merges the stops (``stops`` is materialized).
+    route hulls; one task merges the stops and cuts them into
+    ``_stop_slices`` (``stops``, materialized).
 
     ``small_side="broadcast"`` (default): hulls / target stops are the
-    small sides of both spatial joins. The driver builds the ring and
-    target indexes once, and one block task per stop block runs the pip,
-    knn and tiles probes together; all outputs are materialized and,
-    over a materialized ``pt``, no streaming execution starts.
-    ``small_side="shuffle"``: the cosort plans of ``pip_join`` and
-    ``knn_join`` that scale to big-big joins (both sides range-partitioned
-    together on the cell, then one probe task per key range); tiles come from one
-    block task per stop block. Outputs are materialized and keep their
-    schemas when empty in both plans. Results identical (tested).
+    small sides of both spatial joins. One task builds the ring index,
+    one the target index, and one block task per stop slice runs the
+    pip, knn and tiles probes together; each task takes its inputs as
+    top-level arguments, so nothing waits before the outputs are
+    wrapped, and over a materialized ``pt`` no streaming execution
+    starts. ``small_side="shuffle"``: the cosort plans of ``pip_join``
+    and ``knn_join`` that scale to big-big joins (both sides
+    range-partitioned together on the cell, then one probe task per key
+    range); tiles come from one block task per stop slice. Outputs are
+    materialized and keep their schemas when empty in both plans.
+    Results identical (tested).
     """
     parts = block_tasks(pt, _stops_and_hulls, num_returns=2)
-    stop_ids, lats, lons = _distinct_stops(
-        *concat_columns(ray.get([p[0] for p in parts]), _STOP_DTYPES)
-    )
-    stop_table = _stop_table(stop_ids, lats, lons)
-    stops = _stops_dataset(stop_table)
-    hull_refs = [p[1] for p in parts]
+    stop_parts, hulls = [p[0] for p in parts], [p[1] for p in parts]
+    k = _slice_count()
+    slices = submit(_stop_slices, k, *stop_parts, num_returns=k)
     if small_side == "broadcast":
-        pip_index = build_ring_index([ring_arrays(t) for t in ray.get(hull_refs)])
-        knn_index = build_target_index(stop_ids, lats, lons, knn_radius_m)
-        args = (knn_k, knn_radius_m, tile_level)
-        outs = block_tasks(stops, _probe_stops, ray.put(pip_index), ray.put(knn_index), *args,
-                           num_returns=3)
-        if not outs:  # no stops: schema-ful empty outputs
-            outs = [[ray.put(t) for t in _probe_stops(stop_table, pip_index, knn_index, *args)]]
-        pip_pairs, knn_pairs, tiles = (
-            rd.from_arrow_refs([o[i] for o in outs]).materialize() for i in range(3)
+        outs = block_tasks(
+            slices, _probe_stops, submit(_ring_index, *hulls),
+            submit(_target_index, knn_radius_m, *stop_parts), knn_k, knn_radius_m, tile_level,
+            num_returns=3,
         )
-    else:
-        pip_pairs = pip_join(
-            stops, rd.from_arrow_refs(hull_refs), level=pip_level, salt=pip_salt,
-            point_id="stop_id",
-        )
-        knn_pairs = knn_join(
-            stops, stops, k=knn_k, radius_m=knn_radius_m, query_id="stop_id",
-            target_id="stop_id",
-        )
-        tiles = rd.from_arrow_refs(
-            block_tasks(stops, add_cells, tile_level) or [ray.put(add_cells(stop_table, tile_level))]
-        )
+        pip_pairs, knn_pairs, tiles = (dataset_of([o[i] for o in outs]) for i in range(3))
+        return {"stops": dataset_of(slices), "pip": pip_pairs, "knn": knn_pairs, "tiles": tiles}
+    stops = dataset_of(slices)
+    pip_pairs = pip_join(
+        stops, dataset_of(hulls, _route_hulls_block(PT_SCHEMA.empty_table())), level=pip_level,
+        salt=pip_salt, point_id="stop_id",
+    )
+    knn_pairs = knn_join(
+        stops, stops, k=knn_k, radius_m=knn_radius_m, query_id="stop_id", target_id="stop_id",
+    )
+    tiles = dataset_of(block_tasks(slices, add_cells, tile_level))
     return {"stops": stops, "pip": pip_pairs, "knn": knn_pairs, "tiles": tiles}

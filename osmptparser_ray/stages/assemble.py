@@ -5,16 +5,18 @@
 Two physical strategies, identical results (tested against each other):
 
 * ``mode="broadcast"`` (default): the member-way and node lookup tables are
-  ``ray.put`` once and read by every assembly task (they are the SMALL
-  side — ids/coords only, pruned by the semi-joins). Per-relation
-  resolution is then a local array lookup inside one block task per
-  relation block (``util.block_tasks``) — no shuffle and no streaming
-  execution at all. This mirrors the reference's shared read-only cache and
+  built in tasks (the way index, the node index shards) and read by
+  every assembly task as top-level arguments (they are the SMALL side —
+  ids/coords only, pruned by the semi-joins). Per-relation resolution is
+  then a local array lookup inside one block task per relation block
+  (``util.block_tasks``) — no shuffle, no streaming execution and no
+  driver wait at all. This mirrors the reference's shared read-only cache and
   is the right plan while ways+nodes-of-interest fit a worker's heap
   (country-scale OSM ≈ a few GB).
 
 * ``mode="shuffle"``: fully distributed — three ``util.cosort`` passes
-  over scalar rows, each a sort plus one probe task per sorted block:
+  over scalar rows made by block tasks, each a range partition plus one
+  probe task per key range:
   member rows ⋈ way-ref rows on way_id, those ⋈ node coordinates on
   node_id, then those regrouped with the relation rows (tags, info and
   stop ids as native Arrow columns) on relation_id, where the block is
@@ -40,8 +42,8 @@ import ray
 import ray.data as rd
 
 from ..kernel.geometry import NodeSeq, flatten_relation, flatten_single_way
-from ..util import block_tasks, concat_columns, cosort, key_pairs, key_runs
-from .elements import ParserTables, _flatten_unique_list_columns, _tables_dataset
+from ..util import block_tasks, concat_columns, cosort, dataset_of, key_pairs, key_runs, submit
+from .elements import ParserTables, _shard_count, stop_id_set
 
 TAGS_T = pa.map_(pa.string(), pa.string())
 STOP_T = pa.struct(
@@ -180,16 +182,17 @@ def _member_way_arrays(b: pa.Table) -> tuple:
     )
 
 
-def build_way_index(ways: rd.Dataset) -> WayIndex:
-    """Member ways → WayIndex.
+def way_index(ways) -> "ray.ObjectRef":
+    """The ref of the member ways' WayIndex, submitted without waiting:
+    one ``_member_way_arrays`` task per block of ``ways`` (block refs or
+    a Dataset, ``util.block_tasks``) and one ``_way_index`` task over
+    their outputs."""
+    return submit(_way_index, *block_tasks(ways, _member_way_arrays))
 
-    The per-block work (member filter, list flatten, int64 casts) runs in
-    block tasks (``util.block_tasks``: no streaming execution over a
-    materialized table); the driver only concatenates + does the single
-    final argsort. At high CPU counts the driver-side share of the index
-    build is the serial floor of the broadcast assembly plan; this keeps
-    it at memcpy + one sort."""
-    parts = ray.get(block_tasks(ways, _member_way_arrays))
+
+def _way_index(*parts) -> WayIndex:
+    """Per-block member-way arrays → WayIndex: concatenation and the one
+    final argsort, in one task."""
     ids, lens, refs = concat_columns(parts, (np.int64, np.int64, np.int64))
     offs = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(lens, out=offs[1:])
@@ -201,6 +204,11 @@ def build_way_index(ways: rd.Dataset) -> WayIndex:
     keep = np.ones(len(ids_sorted), dtype=bool)
     keep[:-1] = ids_sorted[:-1] != ids_sorted[1:]
     return WayIndex(ids_sorted[keep], order[keep], offs, refs)
+
+
+def build_way_index(ways: rd.Dataset) -> WayIndex:
+    """Member ways → WayIndex on the driver (``way_index``, then a wait)."""
+    return ray.get(way_index(ways))
 
 
 def build_node_index(nodes: rd.Dataset, stop_ids: Optional[np.ndarray] = None) -> NodeIndex:
@@ -255,28 +263,22 @@ def _merge_node_parts(
 
 
 class ShardedNodeIndex:
-    """Hash-sharded node lookup living ENTIRELY in the object store.
+    """Hash-sharded node lookup: P ``NodeIndex`` shards by ``id % P``.
 
     The un-sharded ``NodeIndex`` is built by (and broadcast from) the
     driver — fine while nodes-of-interest fit one heap, but a serial
-    section at high CPU counts and a hard wall at planet scale. Here the
-    index never exists in one piece anywhere: split tasks partition each
-    block's rows by ``id % P``, one merge task per shard sorts/dedups its
-    slice, and the driver holds only P ObjectRefs. Workers resolve shards
-    lazily through the per-process cache (same total bytes as the single
-    broadcast, now scheduler-placed), and every lookup routes vectorized
-    per-shard. API-compatible with ``NodeIndex`` (gather / stops_bulk).
+    section at high CPU counts and a hard wall at planet scale. Here
+    split tasks partition each block's rows by ``id % P`` and one merge
+    task per shard sorts/dedups its slice (``node_index_shards``); the
+    driver holds only P ObjectRefs, and the tasks that read the index
+    take the shards as top-level arguments and wrap them in this class.
+    Every lookup routes vectorized per-shard. API-compatible with
+    ``NodeIndex`` (gather / stops_bulk).
     """
 
-    def __init__(self, shard_refs: list, num_shards: int):
-        self.shard_refs = shard_refs
-        self.num_shards = num_shards
-        self._shards: Optional[list] = None
-
-    def _resolve(self) -> list:
-        if self._shards is None:
-            self._shards = [_cached_get(r) for r in self.shard_refs]
-        return self._shards
+    def __init__(self, shards):
+        self.shards = list(shards)
+        self.num_shards = len(self.shards)
 
     def gather(self, ref_ids: np.ndarray):
         refs = np.asarray(ref_ids, dtype=np.int64)
@@ -292,7 +294,7 @@ class ShardedNodeIndex:
         lons = np.empty(n, np.float64)
         if n == 0:
             return ok, lats, lons
-        shards = self._resolve()
+        shards = self.shards
         sh = refs % self.num_shards
         for p in np.unique(sh):
             m = sh == p
@@ -318,7 +320,7 @@ class ShardedNodeIndex:
         n = len(refs)
         if n == 0:
             return np.zeros(0, bool), np.empty(0), np.empty(0), pa.array([], TAGS_T)
-        shards = self._resolve()
+        shards = self.shards
         sh = refs % self.num_shards
         ok = np.zeros(n, dtype=bool)
         lats = np.empty(n, np.float64)
@@ -382,33 +384,31 @@ def _merge_node_shard(*pieces) -> NodeIndex:
     )
 
 
+def node_index_shards(nodes, stop_ids, num_shards: int) -> list:
+    """The refs of ``num_shards`` ``NodeIndex`` shards of ``nodes`` (block
+    refs or a Dataset), submitted without waiting: one split task per
+    block, ``num_shards`` returns each, then one merge task per shard.
+    ``stop_ids`` (a sorted id array or its ref, or ``None`` for all
+    nodes) selects the nodes whose tags are kept. Block ORDER is
+    preserved into every merge so last-wins dedup matches the
+    reference."""
+    P = num_shards
+    pieces = block_tasks(nodes, _split_node_block, P, stop_ids, num_returns=P)
+    return [submit(_merge_node_shard, *[p[i] for p in pieces]) for i in range(P)]
+
+
 def build_node_index_sharded(
     nodes: rd.Dataset,
     stop_ids: Optional[np.ndarray] = None,
     num_shards: Optional[int] = None,
 ) -> ShardedNodeIndex:
-    """Node lookup built entirely in Ray tasks (see ShardedNodeIndex).
-
-    The driver's role is reduced to launching split/merge tasks over the
-    materialized blocks and holding P shard refs; block ORDER is
-    preserved into every merge so last-wins dedup matches the reference.
-    """
-    if num_shards is None:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        num_shards = int(max(2, min(16, cpus // 2)))
-    P = num_shards
-    stop_ref = ray.put(_sorted_ids(stop_ids))
-    merge = ray.remote(_merge_node_shard)
-    piece_refs = block_tasks(nodes, _split_node_block, P, stop_ref, num_returns=P)
-    shard_refs = [merge.remote(*[pieces[p] for pieces in piece_refs]) for p in range(P)]
-    return ShardedNodeIndex(shard_refs, P)
+    """``node_index_shards`` of a Dataset, fetched to the driver."""
+    P = num_shards or _shard_count(0.5)
+    return ShardedNodeIndex(ray.get(node_index_shards(nodes, ray.put(_sorted_ids(stop_ids)), P)))
 
 
 def collect_stop_ids(relations: rd.Dataset) -> np.ndarray:
-    return _flatten_unique_list_columns(relations, ["stop_ids"])[0]
-
-
-from ..util import cached_get as _cached_get
+    return ray.get(stop_id_set(relations))
 
 
 def _list_parts(col) -> tuple:
@@ -518,22 +518,22 @@ def _resolve_seqs_batch(way_ids_arr: "pa.Array", wi: WayIndex, nodes) -> list[li
     return seqs_col
 
 
-def _assemble_task(batch: pa.Table, ways: WayIndex, nodes, gap, closed, as_area) -> pa.Table:
+def _assemble_task(batch: pa.Table, ways: WayIndex, gap, closed, as_area, *node_shards) -> pa.Table:
     """One relation block → its flattened rows (broadcast mode). The way
-    index arrives as a resolved ``ray.put`` argument (zero-copy numpy
-    reads); the sharded node index fetches its shards through a
-    per-worker-process cache."""
+    index and the node index shards arrive as resolved top-level
+    arguments (zero-copy numpy reads)."""
+    nodes = ShardedNodeIndex(node_shards)
     seqs_col = _resolve_seqs_batch(batch["way_ids"], ways, nodes)
     return _flatten_rows(batch, seqs_col, nodes, gap, closed, as_area)
 
 
-def _way_area_task(batch: pa.Table, nodes, gap: float) -> pa.Table:
+def _way_area_task(batch: pa.Table, gap: float, *node_shards) -> pa.Table:
     """Standalone ways → 'w'-type Area rows (reference mod.rs:596-647).
     Needs only node coords for the way's own refs: one bulk
     ``gather_mask`` for the whole batch, not one gather per way."""
     batch = batch.filter(batch["is_standalone"])
     offs, flat = _list_parts(batch["node_refs"])
-    ok, lats_f, lons_f = nodes.gather_mask(flat)
+    ok, lats_f, lons_f = ShardedNodeIndex(node_shards).gather_mask(flat)
     geoms, codes, details = [], [], []
     for i in range(batch.num_rows):
         s, e = offs[i], offs[i + 1]
@@ -556,11 +556,25 @@ def _way_area_task(batch: pa.Table, nodes, gap: float) -> pa.Table:
     )
 
 
-def _assemble_relations(tables: ParserTables, nodes, gap: float, closed: bool,
+def _assemble_relations(tables: ParserTables, node_shards: list, gap: float, closed: bool,
                         as_area: bool) -> list:
-    """The broadcast assembly: one ``_assemble_task`` per relation block."""
-    ways = ray.put(build_way_index(tables.ways))
-    return block_tasks(tables.relations, _assemble_task, ways, nodes, gap, closed, as_area)
+    """The broadcast assembly: one ``_assemble_task`` per relation block,
+    after the way index task → the output block refs."""
+    return block_tasks(tables.blocks("relations"), _assemble_task, way_index(tables.blocks("ways")),
+                       gap, closed, as_area, *node_shards)
+
+
+def _node_shards(tables: ParserTables, stop_ids) -> list:
+    return node_index_shards(tables.blocks("nodes"), stop_ids, _shard_count(0.5))
+
+
+def public_transport_blocks(tables: ParserTables, gap: float) -> list:
+    """The broadcast assembly's PT block refs, submitted without waiting:
+    the node index shards (tags kept for stops only; the driver holds
+    refs only) and the way index are tasks, and each relation block's
+    assembly task takes them, with its block, as top-level arguments."""
+    return _assemble_relations(tables, _node_shards(tables, tables.stop_ids()), gap,
+                               closed=False, as_area=False)
 
 
 def get_public_transports(
@@ -569,20 +583,19 @@ def get_public_transports(
     *,
     mode: Literal["broadcast", "shuffle"] = "broadcast",
 ) -> rd.Dataset:
-    """All filtered relations flattened (open) → PublicTransport rows.
+    """All filtered relations flattened (open) → PublicTransport rows, a
+    materialized dataset.
 
     Reference: get_public_transports (mod.rs:511-527). Output order is
     nondeterministic, matching the reference's channel-drain order.
+    ``mode="broadcast"`` is ``public_transport_blocks``, whose tasks take
+    the tables' block refs: over tables the plan built, the only wait is
+    the one for the output's metadata, here at the end.
     """
-    # the stop lookup is the node index pruned to stop ids; it stays
-    # SHARDED in the object store, the driver holds refs only
-    nodes = build_node_index_sharded(tables.nodes, collect_stop_ids(tables.relations))
     if mode == "shuffle":
-        return _assemble_shuffle(tables, nodes, gap, closed=False, as_area=False)
-    # both indexes and the assembly run in block tasks over the
-    # materialized tables (no streaming execution)
-    refs = _assemble_relations(tables, nodes, gap, closed=False, as_area=False)
-    return _tables_dataset(refs, PT_SCHEMA.empty_table())
+        return _assemble_shuffle(tables, _node_shards(tables, tables.stop_ids()), gap,
+                                 closed=False, as_area=False)
+    return dataset_of(public_transport_blocks(tables, gap), PT_SCHEMA.empty_table())
 
 
 def get_areas(
@@ -597,13 +610,13 @@ def get_areas(
     including Broken; CLI-parity filtering (drop status!=0 / empty
     geometry, bin.rs:68-73) is `cli_area_filter`.
     """
-    nodes = build_node_index_sharded(tables.nodes)
-    way_areas = block_tasks(tables.ways, _way_area_task, nodes, gap)
+    node_shards = _node_shards(tables, None)
+    way_areas = block_tasks(tables.blocks("ways"), _way_area_task, gap, *node_shards)
     if mode == "shuffle":
-        rel_areas = _assemble_shuffle(tables, None, gap, closed=True, as_area=True)
-        return rel_areas.union(_tables_dataset(way_areas, AREA_SCHEMA.empty_table()))
-    rel_areas = _assemble_relations(tables, nodes, gap, closed=True, as_area=True)
-    return _tables_dataset(rel_areas + way_areas, AREA_SCHEMA.empty_table())
+        rel_areas = _assemble_shuffle(tables, [], gap, closed=True, as_area=True)
+        return rel_areas.union(dataset_of(way_areas, AREA_SCHEMA.empty_table()))
+    rel_areas = _assemble_relations(tables, node_shards, gap, closed=True, as_area=True)
+    return dataset_of(rel_areas + way_areas, AREA_SCHEMA.empty_table())
 
 
 def cli_area_filter(areas: rd.Dataset) -> rd.Dataset:
@@ -728,11 +741,13 @@ def _coord_probe(block: pa.Table) -> pa.Table:
     )
 
 
-def _relation_probe(block: pa.Table, nodes, gap: float, closed: bool, as_area: bool) -> pa.Table:
+def _relation_probe(block: pa.Table, *node_shards, gap: float, closed: bool,
+                    as_area: bool) -> pa.Table:
     """Relation rows with their resolved node rows → flattened rows: the
     node rows, ordered by (relation_id, member_pos, node_pos), split into
     one ``NodeSeq`` per member run. A relation without node rows gets
-    no seqs → 501 Broken, like the reference."""
+    no seqs → 501 Broken, like the reference. The stop lookup is the
+    node index shards (none for areas)."""
     points, rels = _split(block, "member_pos")
     rid, mpos = _col(points, "relation_id"), _col(points, "member_pos")
     order = np.lexsort((_col(points, "node_pos"), mpos, rid))
@@ -745,26 +760,29 @@ def _relation_probe(block: pa.Table, nodes, gap: float, closed: bool, as_area: b
         seqs_col[k].append(NodeSeq(ids[s:e], lats[s:e], lons[s:e]))
     batch = pa.table({"id": rels["relation_id"], "tags": rels["tags"],
                       "info": rels["info"], "stop_ids": rels["stop_ids"]})
+    nodes = ShardedNodeIndex(node_shards) if node_shards else None
     return _flatten_rows(batch, seqs_col, nodes, gap, closed, as_area)
 
 
-def _assemble_shuffle(tables: ParserTables, nodes, gap: float, *, closed: bool,
+def _assemble_shuffle(tables: ParserTables, node_shards: list, gap: float, *, closed: bool,
                       as_area: bool) -> rd.Dataset:
     """Shuffle-mode assembly (see the module docstring): three cosorts,
-    on way_id, node_id and relation_id."""
+    on way_id, node_id and relation_id. Their row maps are block tasks
+    over the tables' block refs, so the cosorts start no streaming
+    execution."""
 
-    def rows(ds: rd.Dataset, fn) -> rd.Dataset:
-        return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(name: str, fn, schema: pa.Schema) -> rd.Dataset:
+        return dataset_of(block_tasks(tables.blocks(name), fn), schema.empty_table())
 
     pairs = cosort(
-        [rows(tables.relations, _member_rows), rows(tables.ways, _way_ref_rows)],
+        [rows("relations", _member_rows, _WAY_ROWS), rows("ways", _way_ref_rows, _WAY_ROWS)],
         ["way_id"], _member_node_probe, _WAY_ROWS,
     )
     points = cosort(
-        [pairs, rows(tables.nodes, _node_rows)], ["node_id"], _coord_probe, _NODE_ROWS
+        [pairs, rows("nodes", _node_rows, _NODE_ROWS)], ["node_id"], _coord_probe, _NODE_ROWS
     )
     return cosort(
-        [points, rows(tables.relations, _relation_rows)], ["relation_id"],
-        partial(_relation_probe, nodes=nodes, gap=gap, closed=closed, as_area=as_area),
-        _RELATION_ROWS,
+        [points, rows("relations", _relation_rows, _RELATION_ROWS)], ["relation_id"],
+        partial(_relation_probe, gap=gap, closed=closed, as_area=as_area),
+        _RELATION_ROWS, *node_shards,
     )

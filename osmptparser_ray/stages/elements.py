@@ -3,12 +3,14 @@
 
 The reference scans the same PBF file three times (relations → ways →
 nodes), sharing ``Arc<RwLock<HashSet>>`` id-sets between passes. Here the
-whole build is one plan of plain Ray tasks, one per block
-(``util.block_tasks``): each input block is split by kind once and its
-relations projected; the way and stop id sets come from those relation
-parts; the way and node projections then run per block against them —
-the semi-joins J1/J2 of SURVEY.md §2.4, as sorted broadcast id arrays.
-Over materialized elements none of this starts a streaming execution.
+whole build is one graph of plain Ray tasks chained by object ref
+(``util.block_tasks``, ``util.submit``): each input block is split by
+kind once and its relations projected; merge tasks make the way and stop
+id sets from those relation parts; the way and node projections then
+run per block against them — the semi-joins J1/J2 of SURVEY.md §2.4, as
+sorted broadcast id arrays passed as top-level task arguments. The
+driver waits for none of it, and over materialized elements none of
+this starts a streaming execution.
 At 10^12-page scale the extracted element table is checkpointed to
 partitioned Parquet instead of being re-derived per consumer
 (``ingest_elements``), and ``id_set_mode="bloom"`` keeps the id sets
@@ -30,7 +32,6 @@ Fidelity notes vs the reference:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -43,7 +44,15 @@ import ray.data as rd
 from ..kernel.filters import TagFilter
 from ..sources.extract import OsmPayloadExtractor, extract_batch
 from ..sources.osmxml import ELEMENT_SCHEMA
-from ..util import block_tasks, cached_get, concat_columns, group_agg
+from ..util import (
+    block_refs,
+    block_tasks,
+    cached_get,
+    concat_columns,
+    dataset_of,
+    group_agg,
+    submit,
+)
 
 
 def read_pages(
@@ -218,11 +227,11 @@ def _project_ways(batch: pa.Table, way_ids: np.ndarray, filters: str) -> pa.Tabl
     return out.combine_chunks().filter(pa.array(keep))
 
 
-def _project_nodes(batch: pa.Table, node_ids) -> pa.Table:
+def _project_nodes(batch: pa.Table, *node_ids) -> pa.Table:
     """kind=node rows ⋉ referenced-node-ids (broadcast semi-join J2).
 
-    ``node_ids``: a ShardedIdSet (built and merged entirely in Ray tasks,
-    never serialized through the driver) or a sorted int64 array."""
+    ``node_ids``: the hash-bucketed id shards (``_idset_shard``), or one
+    sorted int64 array."""
     keep = _isin_idset(batch["id"].to_numpy(zero_copy_only=False), node_ids)
     out = pa.table(
         {
@@ -249,19 +258,16 @@ def _isin_sorted(values: np.ndarray, sorted_haystack: np.ndarray) -> np.ndarray:
 # merged entirely in Ray tasks — the driver-side concat + np.unique over
 # ~10^7 ids was a measured ~2 s SERIAL gap on the flagship critical path
 # (identical at every CPU count, so it taxed the scaling ratio exactly
-# where it hurts). Shape mirrors assemble.build_node_index_sharded.
+# where it hurts). Shape mirrors assemble's node index shards.
 # ---------------------------------------------------------------------------
 
 _IDSET_PRIME = np.uint64(0x9E3779B97F4A7C15)
 
 
-@dataclass
-class ShardedIdSet:
-    """P sorted int64 shards in the object store, hash-bucketed by value;
-    the driver holds only the refs."""
-
-    shard_refs: list
-    P: int
+def _shard_count(per_cpu: float) -> int:
+    """Shards of a hash-sharded index: ``per_cpu`` per Ray CPU, 2 to 16."""
+    cpus = int(ray.cluster_resources().get("CPU", 4))
+    return int(max(2, min(16, cpus * per_cpu)))
 
 
 def _idset_bucket(ids: np.ndarray, P: int) -> np.ndarray:
@@ -271,66 +277,39 @@ def _idset_bucket(ids: np.ndarray, P: int) -> np.ndarray:
     ).astype(np.int64)
 
 
-def _split_idset_block(block: pa.Table, columns: list, P: int):
-    """One non-empty block → P sorted-unique id piece arrays."""
-    vals = np.unique(np.concatenate(_unique_list_values(block, columns)))
+def _idset_pieces(vals: np.ndarray, P: int) -> tuple:
+    """Sorted-unique ids → their P bucket pieces; selecting from a sorted
+    array by mask keeps its order."""
     b = _idset_bucket(vals, P)
-    # selecting from a sorted array by mask preserves order — no re-sort
     return tuple(vals[b == p] for p in range(P))
 
 
-def _merge_idset_shard(*pieces):
-    arrs = [p for p in pieces if len(p)]
+def _idset_shard(p: int, P: int, extra: np.ndarray, *pieces) -> np.ndarray:
+    """Shard ``p`` of ``P`` of a sharded id set: the bucket's pieces
+    merged with its bucket of the sorted ids ``extra``."""
+    return _merge_ids(extra[_idset_bucket(extra, P) == p], *pieces)
+
+
+def _merge_ids(*parts) -> np.ndarray:
+    """Sorted-unique int64 arrays → their sorted-unique union."""
+    arrs = [p for p in parts if len(p)]
     if not arrs:
         return np.empty(0, np.int64)
     return np.unique(np.concatenate(arrs))
 
 
-def build_sharded_id_set(
-    ds: rd.Dataset,
-    columns: list,
-    extra_ids: Optional[np.ndarray] = None,
-    num_shards: Optional[int] = None,
-) -> ShardedIdSet:
-    """Distinct values of list<int64> ``columns`` over a MATERIALIZED
-    dataset, as a ShardedIdSet. Split tasks read block refs directly (no
-    extra Dataset pass); per-bucket merge tasks produce the shards; the
-    driver never touches id data."""
-    if num_shards is None:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        num_shards = int(max(2, min(16, cpus)))
-    P = num_shards
-    merge = ray.remote(_merge_idset_shard)
-    piece_refs = block_tasks(ds, _split_idset_block, columns, P, num_returns=P)
-    extra_pieces = []
-    if extra_ids is not None and len(extra_ids):
-        ex = np.unique(np.asarray(extra_ids, dtype=np.int64))
-        eb = _idset_bucket(ex, P)
-        extra_pieces = [ray.put(ex[eb == p]) for p in range(P)]
-    shard_refs = [
-        merge.remote(
-            *([piece_refs[i][p] for i in range(len(piece_refs))]
-              + ([extra_pieces[p]] if extra_pieces else []))
-        )
-        for p in range(P)
-    ]
-    return ShardedIdSet(shard_refs, P)
-
-
-def _isin_idset(values: np.ndarray, idset) -> np.ndarray:
-    """Membership of int64 values in a broadcast id-set: legacy sorted
-    array (one searchsorted) or ShardedIdSet (bucketed searchsorted —
-    same O(log n) per value, shards fetched once per worker process)."""
-    if not isinstance(idset, ShardedIdSet):
-        return _isin_sorted(values, idset)
+def _isin_idset(values: np.ndarray, shards) -> np.ndarray:
+    """Membership of int64 values in a broadcast id-set given as its P
+    hash-bucketed sorted shards (bucketed searchsorted — O(log n) per
+    value); one shard is a plain sorted array."""
     out = np.zeros(len(values), dtype=bool)
     if not len(values):
         return out
-    b = _idset_bucket(values, idset.P)
-    for p in range(idset.P):
+    b = _idset_bucket(values, len(shards))
+    for p, shard in enumerate(shards):
         m = b == p
         if m.any():
-            out[m] = _isin_sorted(values[m], cached_get(idset.shard_refs[p]))
+            out[m] = _isin_sorted(values[m], shard)
     return out
 
 
@@ -402,18 +381,64 @@ def dedup_by_id(ds: rd.Dataset, num_partitions: int = 0) -> rd.Dataset:
     return tagged.map_batches(keep_winners, batch_format="pyarrow")
 
 
-@dataclass
 class ParserTables:
-    """The reference ``Parser`` cache as three Ray Datasets.
+    """The reference ``Parser`` cache as three tables, each read as a Ray
+    Dataset.
 
     relations: id, tags, info, way_ids (ordered), stop_ids (ordered)
     ways:      id, tags, info, node_refs, is_member, is_standalone
     nodes:     id, lat, lon, tags  (semi-joined to referenced ids)
+
+    A table is given as a Dataset or as a list of block refs, which is
+    what the plan builds. Such a table becomes a (materialized) Dataset
+    only when its attribute is read; later plan steps take its refs
+    (``blocks``) as task arguments without waiting for them.
+    ``stop_ids`` is the ref of the relations' sorted-unique stop ids,
+    when the plan has one.
     """
 
-    relations: rd.Dataset
-    ways: rd.Dataset
-    nodes: rd.Dataset
+    def __init__(self, relations, ways, nodes, *, stop_ids=None):
+        given = {"relations": relations, "ways": ways, "nodes": nodes}
+        self._refs = {k: t for k, t in given.items() if isinstance(t, list)}
+        self._datasets = {k: t for k, t in given.items() if not isinstance(t, list)}
+        self._stop_ids = stop_ids
+
+    @property
+    def relations(self) -> rd.Dataset:
+        return self._dataset("relations")
+
+    @property
+    def ways(self) -> rd.Dataset:
+        return self._dataset("ways")
+
+    @property
+    def nodes(self) -> rd.Dataset:
+        return self._dataset("nodes")
+
+    def _dataset(self, name: str) -> rd.Dataset:
+        if name not in self._datasets:
+            self._datasets[name] = dataset_of(self._refs[name], _EMPTY[name]())
+        return self._datasets[name]
+
+    def blocks(self, name: str) -> list:
+        """The block refs of one table: the plan's own, or a Dataset's
+        non-empty blocks (a lazy one runs here, once)."""
+        if name not in self._refs:
+            self._refs[name] = block_refs(self._datasets[name])
+        return self._refs[name]
+
+    def stop_ids(self):
+        """The ref of the relations' sorted-unique stop ids."""
+        if self._stop_ids is None:
+            self._stop_ids = stop_id_set(self.blocks("relations"))
+        return self._stop_ids
+
+
+def stop_id_set(relations):
+    """The ref of the sorted-unique stop ids of ``relations`` (block refs
+    or a Dataset), submitted without waiting: one task per block, one
+    merge task."""
+    return submit(_merge_ids, *block_tasks(relations, _unique_ids, "stop_ids"))
 
 
 _SPLIT_COLS = {
@@ -441,22 +466,42 @@ def _split_kinds(block: pa.Table) -> tuple:
 
 def _kind_parts(block: pa.Table, filters: str, prepare=None) -> tuple:
     """Step 1 of the plan, one task per input block: (``prepare`` the
-    block into element rows, then) split it by kind → (projected
-    relations, raw way rows, raw node rows)."""
+    block into element rows, then) split it by kind → the
+    ``_relation_parts`` of its relations, its raw way rows and its raw
+    node rows."""
     if prepare is not None:
         block = prepare(block)
     relations, ways, nodes = _split_kinds(block)
-    return _project_relations(relations, filters), ways, nodes
+    return (*_relation_parts(relations, filters), ways, nodes)
+
+
+def _relation_parts(block: pa.Table, filters: str) -> tuple:
+    """Relation rows → (their projection, its sorted-unique member-way
+    ids, its sorted-unique stop ids)."""
+    relations = _project_relations(block, filters)
+    return relations, _unique_ids(relations, "way_ids"), _unique_ids(relations, "stop_ids")
+
+
+def _way_part(block: pa.Table, way_ids: np.ndarray, filters: str, P: int) -> tuple:
+    """Step 3, one task per way block: its projected ways (semi-join J1),
+    then the ``P`` bucket pieces of the node ids they reference."""
+    ways = _project_ways(block, way_ids, filters)
+    return (ways, *_idset_pieces(_unique_ids(ways, "node_refs"), P))
 
 
 def _kind_empty(kind: str) -> pa.Table:
     return ELEMENT_SCHEMA.empty_table().select(_SPLIT_COLS[kind])
 
 
-def _tables_dataset(refs: list, empty: pa.Table) -> rd.Dataset:
-    """Block-task output tables → one materialized dataset; ``empty``
-    keeps the schema when there are none."""
-    return rd.from_arrow_refs(refs) if refs else rd.from_arrow(empty)
+def _empty_ways() -> pa.Table:
+    return _project_ways(_kind_empty("way"), np.empty(0, np.int64), "")
+
+
+def _empty_nodes() -> pa.Table:
+    return _project_nodes(_kind_empty("node"), np.empty(0, np.int64))
+
+
+_EMPTY = {"relations": _empty_relations_table, "ways": _empty_ways, "nodes": _empty_nodes}
 
 
 def build_parser_tables(
@@ -467,22 +512,26 @@ def build_parser_tables(
     id_set_mode: str = "exact",
     bloom_fpr: float = 0.01,
 ) -> ParserTables:
-    """elements Dataset → ParserTables, as one plan of block tasks.
+    """elements Dataset → ParserTables, as one graph of plain tasks.
 
     1. one task per elements block splits it by kind and projects its
-       relations (three returns: relations, raw ways, raw nodes) — one
-       relation block per input block, so no repartition is needed;
-    2. the member-way and stop id sets are the sorted-unique ids of the
-       relation parts;
-    3. one ``_project_ways`` task per way block (semi-join J1);
-    4. the referenced node ids (way refs ∪ stop ids) become a
-       ShardedIdSet, built and merged in Ray tasks;
+       relations (five returns: relations, their member-way ids, their
+       stop ids, raw ways, raw nodes) — one relation block per input
+       block, so no repartition is needed;
+    2. one merge task each makes the member-way and the stop id set;
+    3. one ``_way_part`` task per way block projects it (semi-join J1)
+       and buckets the node ids its ways reference;
+    4. one merge task per bucket makes a shard of the referenced node ids
+       (way refs ∪ stop ids);
     5. one ``_project_nodes`` task per node block (semi-join J2).
 
-    The three tables are materialized datasets over the task outputs.
-    The plan starts no streaming execution over materialized elements and
-    exactly one (the elements' own) over lazy ones. ``dedup=True`` dedups
-    ways and nodes by id (``dedup_by_id``).
+    Every task takes its inputs as top-level arguments, so the driver
+    submits the graph without waiting for any of it. The tables hold the
+    output refs and become materialized datasets when read
+    (``ParserTables``). The plan starts no streaming execution over
+    materialized elements and exactly one (the elements' own) over lazy
+    ones. ``dedup=True`` dedups ways and nodes by id (``dedup_by_id``),
+    which waits for them.
 
     ``id_set_mode``:
     * ``"exact"`` (default) — the member-way / referenced-node id sets are
@@ -512,49 +561,42 @@ def _parser_tables_from_blocks(
 ) -> ParserTables:
     """The exact plan over element blocks — or over page blocks, with
     ``prepare`` (the extractor) run inside each step-1 task."""
-    parts = block_tasks(blocks, _kind_parts, filters, prepare, num_returns=3)
+    parts = block_tasks(blocks, _kind_parts, filters, prepare, num_returns=5)
     return _parser_tables_from_kinds(
-        [p[0] for p in parts],
-        _tables_dataset([p[1] for p in parts], _kind_empty("way")),
-        _tables_dataset([p[2] for p in parts], _kind_empty("node")),
-        filters,
-        dedup=dedup,
+        [p[:3] for p in parts], [p[3] for p in parts], [p[4] for p in parts], filters, dedup=dedup
     )
 
 
 def _parser_tables_from_kinds(
-    relation_refs: list,
-    way_raw: rd.Dataset,
-    node_raw: rd.Dataset,
+    relation_parts: list,
+    way_raw: list,
+    node_raw: list,
     filters: str,
     *,
     dedup: bool = False,
 ) -> ParserTables:
-    """Steps 2-5 of the plan: projected relation tables plus the raw way
-    and node rows (kind-split, ``_SPLIT_COLS``) → ParserTables."""
+    """Steps 2-5 of the plan: the ``_relation_parts`` refs of each
+    relation block plus the refs of the raw way and node blocks
+    (kind-split, ``_SPLIT_COLS``) → ParserTables, every step a task
+    whose inputs are its top-level arguments; nothing waits here."""
     # NOTE: relations are NOT deduped even when dedup=True — the reference
     # extends a Vec (duplicate relation ids appear twice, mod.rs:293)
-    relations = _tables_dataset(relation_refs, _empty_relations_table())
-    way_id_arr, stop_id_arr = _flatten_unique_list_columns(
-        relations, ["way_ids", "stop_ids"]
-    )
-    ways = _tables_dataset(
-        block_tasks(way_raw, _project_ways, ray.put(way_id_arr), filters),
-        _project_ways(_kind_empty("way"), way_id_arr, filters),
-    )
+    way_ids = submit(_merge_ids, *[r[1] for r in relation_parts])
+    stop_ids = submit(_merge_ids, *[r[2] for r in relation_parts])
+    P = _shard_count(1)
+    way_parts = block_tasks(way_raw, _way_part, way_ids, filters, P, num_returns=1 + P)
+    # referenced node ids = way refs ∪ stop ids, hash-sharded and merged
+    # in Ray tasks (round-3): a driver-side concat + np.unique over ~10^7
+    # ids was a ~2 s serial critical-path gap
+    node_ids = [
+        submit(_idset_shard, p, P, stop_ids, *[w[1 + p] for w in way_parts]) for p in range(P)
+    ]
+    ways = [w[0] for w in way_parts]
+    nodes = block_tasks(node_raw, _project_nodes, *node_ids)
     if dedup:
-        ways = dedup_by_id(ways).materialize()
-    # referenced node ids = way refs ∪ stop ids, as a ShardedIdSet built
-    # entirely in Ray tasks (round-3): a driver-side concat + np.unique
-    # over ~10^7 ids was a ~2 s serial critical-path gap
-    node_id_set = build_sharded_id_set(ways, ["node_refs"], extra_ids=stop_id_arr)
-    nodes = _tables_dataset(
-        block_tasks(node_raw, _project_nodes, node_id_set),
-        _project_nodes(_kind_empty("node"), np.empty(0, np.int64)),
-    )
-    if dedup:
-        nodes = dedup_by_id(nodes).materialize()
-    return ParserTables(relations=relations, ways=ways, nodes=nodes)
+        ways = dedup_by_id(dataset_of(ways, _empty_ways())).materialize()
+        nodes = dedup_by_id(dataset_of(nodes, _empty_nodes())).materialize()
+    return ParserTables([r[0] for r in relation_parts], ways, nodes, stop_ids=stop_ids)
 
 
 def _list_ids(ds: rd.Dataset, column: str) -> rd.Dataset:
@@ -743,27 +785,11 @@ def _build_parser_tables_bloom(
     return ParserTables(relations=relations, ways=ways, nodes=nodes.materialize())
 
 
-def _unique_list_values(block: pa.Table, columns: list) -> list:
-    """Per column: the sorted-unique flat values of a list<int64> column."""
-    return [
-        np.unique(
-            block[c].combine_chunks().flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        for c in columns
-    ]
-
-
-def _flatten_unique_list_columns(ds: rd.Dataset, columns: list) -> list:
-    """SORTED-UNIQUE flat values of SEVERAL list<int64> columns of a
-    materialized dataset. The flatten + per-block dedup run as block
-    tasks (``util.block_tasks``), so no streaming execution starts — each
-    costs a fixed executor launch, a pure serial floor at any CPU count;
-    the driver only merges the deduped parts."""
-    parts = ray.get(block_tasks(ds, _unique_list_values, columns))
-    return [
-        np.unique(np.concatenate([p[i] for p in parts])) if parts else np.empty(0, np.int64)
-        for i in range(len(columns))
-    ]
+def _unique_ids(block: pa.Table, column: str) -> np.ndarray:
+    """The sorted-unique flat values of a list<int64> column."""
+    return np.unique(
+        block[column].combine_chunks().flatten().to_numpy(zero_copy_only=False).astype(np.int64)
+    )
 
 
 def ingest_elements(
@@ -820,9 +846,9 @@ def parser_tables_from_elements_parquet(
         )
 
     return _parser_tables_from_kinds(
-        block_tasks(kind_read("relation"), _project_relations, filters),
-        kind_read("way"),
-        kind_read("node"),
+        block_tasks(kind_read("relation"), _relation_parts, filters, num_returns=3),
+        block_refs(kind_read("way")),
+        block_refs(kind_read("node")),
         filters,
         dedup=dedup,
     )

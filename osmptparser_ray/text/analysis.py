@@ -14,6 +14,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..util import group_agg
+from ..util import top_n as top_rows  # the functions below name their row count top_n
 
 TOKEN_RE = r"[A-Za-z0-9_]+"
 PUNCT_RE = r"[.!?]"
@@ -449,7 +450,7 @@ def token_frequencies(
         ds.select_columns([col]).map_batches(partial, batch_format="pyarrow"), "token",
         Sum("cnt", alias_name="cnt"),
     )
-    return merged.sort(["cnt", "token"], descending=[True, False]).limit(top_n)
+    return top_rows(merged, ["cnt", "token"], top_n, descending=[True, False])
 
 
 def doc_term_counts(
@@ -690,7 +691,7 @@ def ngram_frequencies(
         ds.select_columns([col]).map_batches(partial, batch_format="pyarrow"), "ngram",
         Sum("cnt", alias_name="cnt"),
     )
-    return merged.sort(["cnt", "ngram"], descending=[True, False]).limit(top_n)
+    return top_rows(merged, ["cnt", "ngram"], top_n, descending=[True, False])
 
 
 def normalize_text(

@@ -35,39 +35,81 @@ def _block_task(fn, block, *args):
     return fn(_arrow(block), *args)
 
 
-def block_tasks(ds, fn, *args, num_returns: int = 1) -> list:
-    """``fn(block, *args)`` as one plain Ray task per non-empty block of
-    ``ds``, in block order → the task refs (a list of ``num_returns`` refs
-    per block when ``num_returns > 1``).
-
-    Over a materialized dataset this starts no streaming execution (each
-    costs a fixed executor launch); over a lazy one it starts exactly one
-    and launches tasks as blocks arrive. Zero-row blocks are skipped, so
-    ``fn`` never sees Ray's columnless empty blocks and an empty dataset
-    gives ``[]``."""
-    task = _block_task.options(num_returns=num_returns)
-    return [
-        task.remote(fn, ref, *args)
-        for bundle in ds.iter_internal_ref_bundles()
-        for ref, meta in bundle.blocks
-        if meta.num_rows != 0
-    ]
+@ray.remote
+def _call(fn, *args):
+    return fn(*args)
 
 
-def cosort(sides: list, keys: list, probe, schema):
+def submit(fn, *args, num_returns: int = 1):
+    """``fn(*args)`` as one plain Ray task → its ref (a list of
+    ``num_returns`` refs when ``num_returns > 1``). Refs among ``args``
+    are top-level task arguments: Ray resolves them before the task
+    starts, so the driver submits a chain of tasks without waiting."""
+    return _call.options(num_returns=num_returns, name=_name(fn)).remote(fn, *args)
+
+
+def block_tasks(blocks, fn, *args, num_returns: int = 1) -> list:
+    """``fn(block, *args)`` as one plain Ray task per block, in block
+    order → the task refs (a list of ``num_returns`` refs per block when
+    ``num_returns > 1``).
+
+    ``blocks`` is a list of block refs or a Dataset. A list is taken as
+    it is, without waiting: each task starts once its block exists, so
+    ``fn`` must take a zero-row table (with columns). Of a Dataset, the
+    non-empty blocks are taken (``block_refs``), so ``fn`` never sees
+    Ray's columnless empty blocks and an empty dataset gives ``[]``; a
+    lazy dataset runs its one streaming execution here and its tasks
+    start as its blocks arrive."""
+    task = _block_task.options(num_returns=num_returns, name=_name(fn))
+    refs = blocks if isinstance(blocks, list) else _block_refs(blocks)
+    return [task.remote(fn, ref, *args) for ref in refs]
+
+
+def _name(fn) -> str:
+    """A task's name in Ray's timeline and state API: its kernel's."""
+    return getattr(getattr(fn, "func", fn), "__name__", "task")
+
+
+def _block_refs(ds):
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows != 0:
+                yield ref
+
+
+def block_refs(ds) -> list:
+    """The refs of the non-empty blocks of ``ds``, in order. Iterating a
+    dataset runs Ray's streaming executor: a lazy dataset's own
+    (logged) execution, and over a dataset made by ``rd.from_arrow_refs``
+    an unlogged run of about 20 ms on every iteration. The dataset
+    ``.materialize()`` returns for it runs none on later iterations."""
+    return list(_block_refs(ds))
+
+
+def dataset_of(refs: list, empty=None):
+    """Block refs → one materialized dataset, iterated without an
+    executor run (``block_refs``); the table ``empty`` keeps the schema
+    when there are no refs. It waits for the blocks' metadata."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs(refs).materialize() if refs else rd.from_arrow(empty)
+
+
+def cosort(sides: list, keys: list, probe, schema, *args):
     """The one keyed regroup: the datasets in ``sides`` (rows of one
     ``schema``) range-partitioned together on ``keys`` (``_regroup``),
-    then ``probe(block)`` once per key range, on the range's rows from
-    every side sorted on ``keys`` → a materialized dataset of the probe
-    outputs, in key order. A row's range depends on its key tuple alone,
-    so every row of one key reaches a single ``probe`` call.
+    then ``probe(block, *args)`` once per key range, on the range's rows
+    from every side sorted on ``keys`` → a materialized dataset of the
+    probe outputs, in key order. Refs in ``args`` are top-level task
+    arguments of every probe task. A row's range depends on its key
+    tuple alone, so every row of one key reaches a single ``probe``
+    call.
 
     The lazy sides run as one streaming execution (their union), the
     materialized ones run none. An input without rows gives one
     ``probe(schema.empty_table())``; ``schema`` may be a function giving
     it, called only then.
     """
-    import ray.data as rd
     from ray.data.dataset import MaterializedDataset
 
     done = [ds for ds in sides if isinstance(ds, MaterializedDataset)]
@@ -76,7 +118,7 @@ def cosort(sides: list, keys: list, probe, schema):
         lazy = [lazy[0].union(*lazy[1:])]
     side = _side(*done, *lazy)
     empty = None if side[0] else (schema() if callable(schema) else schema).empty_table()
-    return rd.from_arrow_refs(_regroup([side], [keys], probe, empties=[empty]))
+    return dataset_of(_regroup([side], [keys], probe, empties=[empty], args=args))
 
 
 def sort_scan(ds, keys, summarize, fold, emit, *, descending=False, num_returns: int = 1,
@@ -122,6 +164,26 @@ def sort_scan(ds, keys, summarize, fold, emit, *, descending=False, num_returns:
     return [task.remote(emit, block, carry) for (_, block), carry in zip(kept, carries)]
 
 
+def top_n(ds, keys, n: int, *, descending=False):
+    """``ds.sort(keys, descending=descending).limit(n)`` without a sort
+    (``descending`` one flag or one per key, nulls last) → a materialized
+    dataset of one block: one task per block keeps that block's ``n``
+    first rows, and one task sorts the at most blocks × ``n`` kept rows
+    with Arrow and keeps the first ``n``."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    flags = descending if isinstance(descending, (list, tuple)) else [descending] * len(keys)
+    order = [(k, "descending" if d else "ascending") for k, d in zip(keys, flags)]
+    refs, _, _, schema = _side(ds)
+    if not refs:
+        return dataset_of([], schema.empty_table()) if schema is not None else ds.limit(0)
+    return dataset_of([submit(_head, order, n, *[submit(_head, order, n, ref) for ref in refs])])
+
+
+def _head(order: list, n: int, *blocks):
+    """The first ``n`` rows of ``blocks`` in ``order``."""
+    return _concat(blocks).sort_by(order, null_placement="at_end").slice(0, n)
+
+
 # -- the range partitioner ---------------------------------------------------
 
 _SAMPLES = 20  # boundary sample rows drawn per range
@@ -130,8 +192,10 @@ _SLICE = 256 << 10  # least mean bytes of a split slice (``_range_count``)
 
 def _side(*datasets) -> tuple:
     """The non-empty blocks of ``datasets`` → (block refs, their rows,
-    their bytes, the first schema with columns or ``None``); a lazy
-    dataset runs its one streaming execution here."""
+    their bytes, the first schema with columns or ``None``). Iterating
+    runs Ray's streaming executor (``block_refs``): a lazy dataset's one
+    logged execution, an unlogged one over a ``rd.from_arrow_refs``
+    dataset that was not ``.materialize()``d."""
     refs, rows, nbytes, schema = [], [], 0, None
     for bundle in (b for ds in datasets for b in ds.iter_internal_ref_bundles()):
         if schema is None and bundle.schema is not None and bundle.schema.names:
@@ -170,9 +234,9 @@ def _groups(refs: list, rows: list, nbytes: int, least: int) -> list:
 
 
 def _regroup(sides: list, keys: list, fn, *, preps=None, empties=None, descending=False,
-             num_returns: int = 1) -> list:
-    """The one range partitioner, all plain tasks: ``fn(*tables)`` once
-    per key range, in key order → the task refs (``num_returns`` each).
+             num_returns: int = 1, args=()) -> list:
+    """The one range partitioner, all plain tasks: ``fn(*tables, *args)``
+    once per key range, in key order → the task refs (``num_returns`` each).
     ``tables[i]`` is side ``i``'s rows of the range sorted on ``keys[i]``
     by Arrow: nulls last, ``descending`` (one flag, or one per key) as in
     ``Dataset.sort``. ``sides`` are ``_side`` tuples; ``preps[i]`` maps
@@ -207,7 +271,7 @@ def _regroup(sides: list, keys: list, fn, *, preps=None, empties=None, descendin
     return [
         task.remote(fn, [(len(refs), k, order, prep, None if refs else empty)
                          for refs, k, prep, empty in zip(rng, keys, preps, empties)],
-                    *[ref for refs in rng for ref in refs])
+                    len(args), *args, *[ref for refs in rng for ref in refs])
         for rng in ranges
     ]
 
@@ -271,12 +335,15 @@ def _split(keys: list, prep, bounds, order: list, *blocks) -> tuple:
 
 
 @ray.remote
-def _range_task(fn, spec: list, *refs):
+def _range_task(fn, spec: list, nargs: int, *refs):
     """One key range: each side's blocks or slices concatenated, prepped
-    (still raw blocks only) and sorted on its keys; then ``fn``."""
+    (still raw blocks only) and sorted on its keys; then ``fn`` with the
+    ``nargs`` leading arguments after them."""
+    args, refs = refs[:nargs], refs[nargs:]
     at = [0, *itertools.accumulate(n for n, *_ in spec)]
     return fn(*[_concat(refs[a:b], prep).sort_by(list(zip(keys, order)), null_placement="at_end")
-                if b > a else empty for a, b, (_, keys, order, prep, empty) in zip(at, at[1:], spec)])
+                if b > a else empty for a, b, (_, keys, order, prep, empty) in zip(at, at[1:], spec)],
+              *args)
 
 
 def group_agg(ds, keys, *aggs):
@@ -298,7 +365,6 @@ def group_agg(ds, keys, *aggs):
     output block has the full schema, also for an input without rows.
     """
     import pyarrow as pa
-    import ray.data as rd
 
     keys = [keys] if isinstance(keys, str) else list(keys)
     specs = [(type(a).__name__, a.get_target_column(), a._ignore_nulls, a.name) for a in aggs]
@@ -308,7 +374,7 @@ def group_agg(ds, keys, *aggs):
     empty = None if side[0] else step(  # typed by the input's schema; untyped without one
         side[3].empty_table() if side[3] is not None
         else pa.table({c: pa.nulls(0) for c in keys + [on for _, on, *_ in specs if on]}))
-    return rd.from_arrow_refs(_regroup([side], [keys], partial(step, merge=True), preps=[step], empties=[empty]))
+    return dataset_of(_regroup([side], [keys], partial(step, merge=True), preps=[step], empties=[empty]))
 
 
 def _agg_step(block, keys: list, specs: list, merge: bool = False):
@@ -406,7 +472,6 @@ def equi_join(left, right, on, right_on=None, how: str = "inner",
     has only its keys.
     """
     import pyarrow as pa
-    import ray.data as rd
 
     if how not in JOIN_HOWS:
         raise ValueError(f"how must be one of {JOIN_HOWS}, got {how!r}")
@@ -431,8 +496,8 @@ def equi_join(left, right, on, right_on=None, how: str = "inner",
     casts = [partial(_cast_keys, keys=k, types=ktypes) for k in (on, right_on)]
     probe = partial(_join_probe, lkeys=on, rkeys=right_on, how=how, out=out,
                     lcols=ls.names, rcols=[f.name for f in rpay])
-    return rd.from_arrow_refs(_regroup(sides, [on, right_on], probe, preps=casts,
-                                       empties=[cast(s.empty_table()) for cast, s in zip(casts, (ls, rs))]))
+    return dataset_of(_regroup(sides, [on, right_on], probe, preps=casts,
+                               empties=[cast(s.empty_table()) for cast, s in zip(casts, (ls, rs))]))
 
 
 def _cast_keys(t, keys: list, types: list):

@@ -164,6 +164,71 @@ class TestFlagshipTail:
             assert got[k].count() == 0 and cols in got[k].schema().names
 
 
+class TestTaskGraph:
+    def test_no_driver_waits(self, broadcast, pages, monkeypatch):
+        """The broadcast flagship submits its whole task graph without a
+        ``ray.get`` or ``ray.wait`` in package code, and wraps each
+        returned dataset with at most one ``rd.from_arrow_refs``. Only
+        calls made from package frames count: Ray's own waits inside
+        those wrappers and in the page read's executor are not the
+        package's."""
+        import sys
+
+        import ray
+        import ray.data as rd
+
+        from osmptparser_ray.pipelines.spatial_join import stop_route_spatial_join
+
+        calls = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                if sys._getframe(1).f_globals.get("__name__", "").startswith("osmptparser_ray"):
+                    calls.append(name)
+                return fn(*args, **kwargs)
+
+            return call
+
+        for module, name in ((ray, "get"), (ray, "wait"), (rd, "from_arrow_refs")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        out = stop_route_spatial_join(pages, validate=False)
+        monkeypatch.undo()
+        assert calls.count("get") + calls.count("wait") == 0, calls
+        assert calls.count("from_arrow_refs") <= len(out), calls
+        assert _digest(out) == _digest(broadcast[0])
+
+    def test_one_cpu(self, broadcast, pages):
+        """The flagship finishes in a Ray session of 1 CPU, where a task
+        that waited inside a worker for a ref no task had made yet would
+        hold the only CPU, and gives the default session's outputs. A
+        subprocess, because the test session's own Ray has 4 CPUs."""
+        import ast
+
+        from test_cosort import _run_script
+
+        out = _run_script(_FLAGSHIP_AT_ONE_CPU, pages, 240)
+        assert ast.literal_eval(out.strip().split("\n")[-1]) == _digest(broadcast[0])
+
+
+_FLAGSHIP_AT_ONE_CPU = r"""
+import os
+import sys
+
+import ray
+from ray.data import DataContext
+
+sys.path.insert(0, os.path.join(os.path.dirname(sys.argv[2]), "tests"))
+from test_flagship import _digest
+
+from osmptparser_ray.pipelines.spatial_join import stop_route_spatial_join
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+print(repr(_digest(stop_route_spatial_join(sys.argv[1], validate=False))), flush=True)
+ray.shutdown()
+"""
+
+
 def _layout_blocks(t: pa.Table, layout: str) -> list:
     return {
         "one_block": [t],

@@ -2,9 +2,12 @@
 
 Runs every ``queries()[name](sf_dir)`` and compares against
 ``oracle_sql()[name]`` via DuckDB: row count, column names (sorted), and
-order-insensitive value comparison. Each query's line shows its wall and
+order-insensitive value comparison. Each query's line shows its wall,
 its streaming executions (Ray Data executor launches, counted with
-``perfbench.workloads.ExecutionCounter``); the last line gives both totals.
+``perfbench.workloads.ExecutionCounter``) and the executor runs that log
+no launch line (``UnloggedRuns``: iterating a ``rd.from_arrow_refs``
+dataset runs the executor over its input blocks alone, about 20 ms each
+time); the last line gives the totals.
 Usage:
 
     python tools/check_oracles.py [sf_dir] [query ...]
@@ -72,6 +75,27 @@ def compare(name: str, mine: pd.DataFrame, oracle: pd.DataFrame) -> list[str]:
     return problems
 
 
+class UnloggedRuns:
+    """Counts the streaming executor's runs in this process by wrapping
+    ``StreamingExecutor.execute``; ``unlogged`` is the runs the
+    executor's log line misses (``logged`` is that line's count)."""
+
+    def __init__(self):
+        from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+        self.runs = 0
+        execute = StreamingExecutor.execute
+
+        def counted(executor, *args, **kwargs):
+            self.runs += 1
+            return execute(executor, *args, **kwargs)
+
+        StreamingExecutor.execute = counted
+
+    def unlogged(self, logged: int) -> int:
+        return self.runs - logged
+
+
 def main() -> int:
     import logging
 
@@ -96,6 +120,7 @@ def main() -> int:
 
     executions = ExecutionCounter()
     executions.install()
+    runs = UnloggedRuns()
 
     con = duckdb.connect()
     for t in (
@@ -113,14 +138,15 @@ def main() -> int:
         if only and name not in only:
             continue
         gc.collect()  # a collection pause from the queries before is not this query's wall
-        t0, e0 = _time.perf_counter(), executions.count
+        t0, e0, r0 = _time.perf_counter(), executions.count, runs.runs
         try:
             mine = to_pandas(fn(sf_dir))
         except Exception as e:  # noqa: BLE001
             print(f"FAIL {name}: query raised {type(e).__name__}: {e}")
             failures += 1
             continue
-        cost = f"[{_time.perf_counter() - t0:.2f}s, {executions.count - e0} exec]"
+        wall, logged = _time.perf_counter() - t0, executions.count - e0
+        cost = f"[{wall:.2f}s, {logged} exec, {runs.runs - r0 - logged} unlogged]"
         if name not in oracles:
             print(f"ok(rows-only) {name}: {len(mine)} rows {cost}")
             continue
@@ -136,7 +162,8 @@ def main() -> int:
             failures += 1
         else:
             print(f"OK   {name}: {len(mine)} rows match {cost}")
-    print(f"TOTAL {_time.perf_counter() - t_all:.1f}s, {executions.count} exec")
+    print(f"TOTAL {_time.perf_counter() - t_all:.1f}s, {executions.count} exec, "
+          f"{runs.unlogged(executions.count)} unlogged")
     ray.shutdown()
     return 1 if failures else 0
 
