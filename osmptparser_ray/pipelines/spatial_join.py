@@ -38,7 +38,7 @@ from ..spatial.join import (
 )
 from ..spatial.pip import convex_hull
 from ..stages.assemble import PT_SCHEMA, public_transport_blocks
-from ..util import block_tasks, concat_columns, dataset_of, submit
+from ..util import block_tasks, concat_columns, dataset_of, datasets_of, submit
 from .ptv2 import parser_tables_from_pages
 
 _STOP_DTYPES = (np.int64, np.float64, np.float64)
@@ -250,11 +250,9 @@ def stop_route_spatial_join(
         pages_path, filters, validate=validate, concurrency=concurrency
     )
     pt = public_transport_blocks(tables, gap)
-    joins = stop_route_joins(
-        pt, pip_level=pip_level, pip_salt=pip_salt, knn_k=knn_k,
-        knn_radius_m=knn_radius_m, tile_level=tile_level, small_side=small_side,
-    )
-    return {"public_transports": dataset_of(pt, PT_SCHEMA.empty_table()), **joins}
+    tail = _tail(pt, pip_level=pip_level, pip_salt=pip_salt, knn_k=knn_k,
+                 knn_radius_m=knn_radius_m, tile_level=tile_level, small_side=small_side)
+    return datasets_of({"public_transports": (pt, PT_SCHEMA.empty_table()), **tail})
 
 
 def stop_route_joins(
@@ -287,6 +285,15 @@ def stop_route_joins(
     materialized and keep their schemas when empty in both plans.
     Results identical (tested).
     """
+    return datasets_of(_tail(pt, pip_level=pip_level, pip_salt=pip_salt, knn_k=knn_k,
+                             knn_radius_m=knn_radius_m, tile_level=tile_level,
+                             small_side=small_side))
+
+
+def _tail(pt, *, pip_level: int, pip_salt: int, knn_k: int, knn_radius_m: float,
+          tile_level: int, small_side: str) -> dict:
+    """``stop_route_joins`` up to its outputs' wrap: each output as its
+    (block refs, empty table), or as the shuffle plan's dataset."""
     parts = block_tasks(pt, _stops_and_hulls, num_returns=2)
     stop_parts, hulls = [p[0] for p in parts], [p[1] for p in parts]
     k = _slice_count()
@@ -297,8 +304,8 @@ def stop_route_joins(
             submit(_target_index, knn_radius_m, *stop_parts), knn_k, knn_radius_m, tile_level,
             num_returns=3,
         )
-        pip_pairs, knn_pairs, tiles = (dataset_of([o[i] for o in outs]) for i in range(3))
-        return {"stops": dataset_of(slices), "pip": pip_pairs, "knn": knn_pairs, "tiles": tiles}
+        return {"stops": (slices,), **{name: ([o[i] for o in outs],)
+                                       for i, name in enumerate(("pip", "knn", "tiles"))}}
     stops = dataset_of(slices)
     pip_pairs = pip_join(
         stops, dataset_of(hulls, _route_hulls_block(PT_SCHEMA.empty_table())), level=pip_level,

@@ -95,6 +95,17 @@ def dataset_of(refs: list, empty=None):
     return rd.from_arrow_refs(refs).materialize() if refs else rd.from_arrow(empty)
 
 
+def datasets_of(parts: dict) -> dict:
+    """name → ``dataset_of`` of its (block refs[, empty table]), the
+    metadata waits of all of them overlapped in one thread each; a name
+    whose value is a Dataset keeps it."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max(1, len(parts))) as pool:
+        out = {k: pool.submit(dataset_of, *v) if isinstance(v, tuple) else v for k, v in parts.items()}
+    return {k: v.result() if hasattr(v, "result") else v for k, v in out.items()}
+
+
 def cosort(sides: list, keys: list, probe, schema, *args):
     """The one keyed regroup: the datasets in ``sides`` (rows of one
     ``schema``) range-partitioned together on ``keys`` (``_regroup``),

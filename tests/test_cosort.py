@@ -722,3 +722,30 @@ class TestExecutions:
         out = equi_join(lazy, _layout(right, "one_row_blocks"), "k", left_suffix="_l")
         assert executions.count - before == 1
         assert out.count() == sum(1 for a in left["k"].to_pylist() for b in right["k"].to_pylist() if a == b)
+
+
+class TestTopN:
+    @pytest.mark.parametrize("layout", ["one_block", "one_row_blocks", "empty_block"])
+    def test_matches_arrow_sort(self, ray_session, layout):
+        """``util.top_n`` gives the first rows of one Arrow sort of all rows
+        (nulls last, one flag per key), whatever the block layout; ties on
+        the first key are broken by the second."""
+        from osmptparser_ray.util import top_n
+
+        rng = np.random.default_rng(3)
+        t = pa.table({
+            "k": pa.array([None if v < 2 else int(v) for v in rng.integers(0, 9, 40)], pa.int64()),
+            "v": pa.array(np.arange(40), pa.int64()),
+        })
+        order = [("k", "descending"), ("v", "ascending")]
+        for n in (1, 7, 40, 50):
+            got = top_n(_layout(t, layout), ["k", "v"], n, descending=[True, False]).take_all()
+            want = t.sort_by(order, null_placement="at_end").slice(0, n).to_pylist()
+            assert got == want, n
+
+    def test_empty_input_keeps_schema(self, ray_session):
+        from osmptparser_ray.util import top_n
+
+        empty = rd.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
+        out = top_n(empty, "k", 3)
+        assert out.count() == 0 and out.schema().names == ["k"]

@@ -37,6 +37,7 @@ def counting_launches():
 # lambdas: workers cannot import this test module, so kernels travel by value
 _col_sum = lambda block, col: int(np.asarray(block[col]).sum())  # noqa: E731
 _first_last = lambda block: (block["x"][0].as_py(), block["x"][-1].as_py())  # noqa: E731
+_table_of = lambda xs: pa.table({"x": xs})  # noqa: E731
 
 
 def _digest(out: dict) -> tuple:
@@ -116,6 +117,19 @@ class TestBlockTasks:
         )
         assert ray.get(block_tasks(ds, _col_sum, "id")) == [3, 30]
         assert block_tasks(rd.range(6).filter(lambda r: False).materialize(), _col_sum, "id") == []
+
+
+    def test_block_ref_lists(self, ray_session):
+        """A list of block refs is taken as it is, zero-row tables
+        included, and a ref that a task has not made yet is waited for by
+        the block task, not by the caller."""
+        import ray
+
+        from osmptparser_ray.util import block_tasks, submit
+
+        later = submit(_table_of, [4, 5])
+        refs = [ray.put(pa.table({"x": [1, 2]})), ray.put(pa.table({"x": pa.array([], pa.int64())})), later]
+        assert ray.get(block_tasks(refs, _col_sum, "x")) == [3, 0, 9]
 
 
 class TestFlagshipTail:
