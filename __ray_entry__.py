@@ -330,8 +330,8 @@ def _q_interval_join(sf_dir: str):
 def _q_interval_join_shuffle(sf_dir: str):
     """Big-big range join (round-4): the same 15 overlapping bands as a
     DATASET side — both sides band onto value cells and sort-join (the
-    1-D pip_join shuffle pattern; salt=2 exercises the hot-cell path).
-    Same theta-join oracle as the broadcast plan."""
+    1-D pip_join shuffle pattern). Same theta-join oracle as the
+    broadcast plan."""
     import pandas as _pd
     import ray.data as _rd
 
@@ -347,7 +347,7 @@ def _q_interval_join_shuffle(sf_dir: str):
             }
         )
     )
-    return interval_join_shuffle(ev, ivs, salt=2)
+    return interval_join_shuffle(ev, ivs)
 
 
 def _q_exact_quantiles(sf_dir: str):
@@ -844,11 +844,11 @@ def _q_zscore_outliers(sf_dir: str):
 
 
 def _q_salted_join(sf_dir: str):
-    """Skew-salted join: orders ⋈ customer on custkey with a LOW hot
-    threshold so real keys actually take the salted path (each custkey
-    repeats ~10× in orders; threshold 8 salts the busier half) — output
-    must equal the plain SQL inner join exactly."""
-    from osmptparser_ray.stages.relational import salted_join
+    """Skewed join: orders ⋈ customer on custkey (each custkey repeats
+    ~10× in orders) as one ``util.equi_join``, whose partitioner spreads
+    keys hot in its boundary sample over several key ranges; output must
+    equal the plain SQL inner join exactly."""
+    from osmptparser_ray.util import equi_join
 
     o = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     c = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
@@ -857,8 +857,7 @@ def _q_salted_join(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    out = salted_join(o, c, "o_custkey", salt=4, hot_threshold=8)
-    return out.select_columns(["o_orderkey", "o_custkey", "c_mktsegment"])
+    return equi_join(o, c, "o_custkey")
 
 
 def _q_intersect_distinct(sf_dir: str):

@@ -985,6 +985,41 @@ def distance_join(
     )
 
 
+def _ring_walk(batch: pa.Table, lat_col: str, lon_col: str) -> tuple:
+    """A batch's rings (two list columns) as one vertex walk → (x, y,
+    nxt, nz, starts, ends): the flattened lons and lats, each vertex's
+    next vertex index (a ring's last wraps to its first), the rows with
+    vertices, and their first and last vertex indexes."""
+    lats = batch[lat_col].combine_chunks()
+    counts = np.asarray(
+        pc.list_value_length(lats).fill_null(0).to_numpy(zero_copy_only=False),
+        np.int64,
+    )
+    y = lats.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
+    x = (
+        batch[lon_col]
+        .combine_chunks()
+        .flatten()
+        .to_numpy(zero_copy_only=False)
+        .astype(np.float64)
+    )
+    nz = counts > 0
+    ends = np.cumsum(counts)[nz] - 1
+    starts = ends - counts[nz] + 1
+    nxt = np.arange(len(x), dtype=np.int64) + 1
+    nxt[ends] = starts
+    return x, y, nxt, nz, starts, ends
+
+
+def _ring_sums(v: np.ndarray, nz: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-row sums of the vertex values ``v`` of a ``_ring_walk``; 0 for
+    a row without vertices. ``starts`` is strictly increasing, so
+    ``np.add.reduceat`` never meets the equal indices of empty rings."""
+    sums = np.zeros(len(nz), np.float64)
+    sums[nz] = np.add.reduceat(v, starts)
+    return sums
+
+
 def polygon_area(
     ds: rd.Dataset,
     lat_col: str = "ring_lats",
@@ -994,42 +1029,16 @@ def polygon_area(
     """Signed shoelace area per polygon ring (ST_Area analogue, planar
     lon/lat units; positive = counter-clockwise). Appends ``out``.
 
-    Fully vectorized across a batch's polygons: Arrow-offset flatten of
-    both ring list columns, a wraparound next-vertex index built from the
-    offsets, one cross-product array, per-ring sums via
-    ``np.add.reduceat``. Rings may repeat or omit the closing vertex
-    (a duplicated close contributes a zero cross term).
+    Fully vectorized across a batch's polygons (``_ring_walk``): one
+    cross-product array, per-ring sums via ``np.add.reduceat``. Rings may
+    repeat or omit the closing vertex (a duplicated close contributes a
+    zero cross term).
     """
 
     def f(batch: pa.Table) -> pa.Table:
-        lats = batch[lat_col].combine_chunks()
-        counts = np.asarray(
-            pc.list_value_length(lats).fill_null(0).to_numpy(zero_copy_only=False),
-            np.int64,
-        )
-        y = lats.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-        x = (
-            batch[lon_col]
-            .combine_chunks()
-            .flatten()
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
-        n = len(counts)
-        total = int(counts.sum())
-        if total == 0:
-            return batch.append_column(out, pa.array([0.0] * n, pa.float64()))
-        ends = np.cumsum(counts) - 1
-        starts = ends - counts + 1
-        nxt = np.arange(total, dtype=np.int64) + 1
-        nz = counts > 0
-        nxt[ends[nz]] = starts[nz]
+        x, y, nxt, nz, starts, _ = _ring_walk(batch, lat_col, lon_col)
         cross = x * y[nxt] - x[nxt] * y
-        sums = np.zeros(n, np.float64)
-        sums[nz] = np.add.reduceat(cross, starts[nz])[: int(nz.sum())]
-        # reduceat quirk: equal consecutive indices (empty rings) need the
-        # nz mask above; starts[nz] is strictly increasing so this is safe
-        return batch.append_column(out, pa.array(sums / 2.0, pa.float64()))
+        return batch.append_column(out, pa.array(_ring_sums(cross, nz, starts) / 2.0, pa.float64()))
 
     return ds.map_batches(f, batch_format="pyarrow")
 
@@ -1048,36 +1057,15 @@ def polyline_length(
     (perimeter). ``metric``: "planar_deg" (degree units) or "haversine"
     (meters). Appends ``out``.
 
-    Vectorized like ``polygon_area``: one flatten per coordinate column,
-    a next-vertex index from the offsets (wraparound only when closed),
-    one segment-length array, per-row sums via ``np.add.reduceat``.
+    Vectorized like ``polygon_area``: one segment-length array over the
+    ``_ring_walk`` (its wraparound segment dropped unless closed), per-row
+    sums via ``np.add.reduceat``.
     """
     if metric not in ("planar_deg", "haversine"):
         raise ValueError(f"metric must be 'planar_deg' or 'haversine', got {metric!r}")
 
     def f(batch: pa.Table) -> pa.Table:
-        lats = batch[lat_col].combine_chunks()
-        counts = np.asarray(
-            pc.list_value_length(lats).fill_null(0).to_numpy(zero_copy_only=False),
-            np.int64,
-        )
-        y = lats.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-        x = (
-            batch[lon_col]
-            .combine_chunks()
-            .flatten()
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
-        n = len(counts)
-        total = int(counts.sum())
-        if total == 0:
-            return batch.append_column(out, pa.array([0.0] * n, pa.float64()))
-        ends = np.cumsum(counts) - 1
-        starts = ends - counts + 1
-        nxt = np.arange(total, dtype=np.int64) + 1
-        nz = counts > 0
-        nxt[ends[nz]] = starts[nz]  # wraparound (masked out below if open)
+        x, y, nxt, nz, starts, ends = _ring_walk(batch, lat_col, lon_col)
         if metric == "haversine":
             seg = haversine_m_vec(y, x, y[nxt], x[nxt])
         else:
@@ -1085,11 +1073,8 @@ def polyline_length(
             dy = y[nxt] - y
             seg = np.sqrt(dx * dx + dy * dy)
         if not closed:
-            seg = seg.copy()
-            seg[ends[nz]] = 0.0  # drop the wraparound segment
-        sums = np.zeros(n, np.float64)
-        sums[nz] = np.add.reduceat(seg, starts[nz])[: int(nz.sum())]
-        return batch.append_column(out, pa.array(sums, pa.float64()))
+            seg[ends] = 0.0  # drop the wraparound segment
+        return batch.append_column(out, pa.array(_ring_sums(seg, nz, starts), pa.float64()))
 
     return ds.map_batches(f, batch_format="pyarrow")
 
@@ -1104,48 +1089,24 @@ def polygon_centroid(
     """Area-weighted polygon centroid (ST_Centroid analogue, planar):
     C = Σ(v_i + v_{i+1})·cross_i / (6·A) with cross_i the shoelace term.
     Degenerate rings (zero area) fall back to the vertex mean; empty
-    rings emit null. Same vectorization as ``polygon_area`` (flatten +
-    wraparound next index + reduceat) — no per-ring Python.
+    rings emit null. Same vectorization as ``polygon_area``
+    (``_ring_walk`` + reduceat) — no per-ring Python.
     """
 
     def f(batch: pa.Table) -> pa.Table:
-        lats = batch[lat_col].combine_chunks()
-        counts = np.asarray(
-            pc.list_value_length(lats).fill_null(0).to_numpy(zero_copy_only=False),
-            np.int64,
-        )
-        y = lats.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-        x = (
-            batch[lon_col]
-            .combine_chunks()
-            .flatten()
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
-        n = len(counts)
-        total = int(counts.sum())
-        cx = np.full(n, np.nan)
-        cy = np.full(n, np.nan)
-        if total:
-            ends = np.cumsum(counts) - 1
-            starts = ends - counts + 1
-            nz = counts > 0
-            nxt = np.arange(total, dtype=np.int64) + 1
-            nxt[ends[nz]] = starts[nz]
-            cross = x * y[nxt] - x[nxt] * y
-            k = int(nz.sum())
-            a2 = np.add.reduceat(cross, starts[nz])[:k]  # 2·signed area
-            mx = np.add.reduceat((x + x[nxt]) * cross, starts[nz])[:k]
-            my = np.add.reduceat((y + y[nxt]) * cross, starts[nz])[:k]
-            sx = np.add.reduceat(x, starts[nz])[:k]
-            sy = np.add.reduceat(y, starts[nz])[:k]
-            nzc = counts[nz].astype(np.float64)
-            deg = a2 == 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gx = np.where(deg, sx / nzc, mx / (3.0 * a2))
-                gy = np.where(deg, sy / nzc, my / (3.0 * a2))
-            cx[nz] = gx
-            cy[nz] = gy
+        x, y, nxt, nz, starts, ends = _ring_walk(batch, lat_col, lon_col)
+        cross = x * y[nxt] - x[nxt] * y
+        a2, mx, my, sx, sy = (
+            _ring_sums(v, nz, starts)[nz]
+            for v in (cross, (x + x[nxt]) * cross, (y + y[nxt]) * cross, x, y)
+        )  # a2 = 2·signed area
+        nzc = (ends - starts + 1).astype(np.float64)
+        deg = a2 == 0.0
+        cx = np.full(len(nz), np.nan)
+        cy = np.full(len(nz), np.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cx[nz] = np.where(deg, sx / nzc, mx / (3.0 * a2))
+            cy[nz] = np.where(deg, sy / nzc, my / (3.0 * a2))
         return batch.append_column(
             out_lon, pa.array(cx, pa.float64())
         ).append_column(out_lat, pa.array(cy, pa.float64()))

@@ -590,7 +590,6 @@ def interval_join_shuffle(
     hi_col: str = "hi",
     *,
     cell_width: "float | None" = None,
-    salt: int = 1,
     banding: str = "auto",
 ) -> "rd.Dataset":
     """Big-big range join: BOTH sides are Datasets — (point_id,
@@ -618,9 +617,10 @@ def interval_join_shuffle(
     * ``"auto"`` (default) — multiscale when the stats pass sees
       max_width > 32 × mean_width, else single.
 
-    ``salt > 1`` splits each cell's POINTS into ``salt`` join sub-keys
-    and replicates that cell's interval rows to each — the hot-cell
-    treatment shared with ``pip_join``.
+    A hot cell is spread by the join's partitioner (``util._regroup``):
+    the side holding more of its rows (usually the points) spreads them
+    over several key ranges and the other side's rows are copied into
+    each.
     """
     if banding not in ("auto", "single", "multiscale"):
         raise ValueError(f"banding must be auto|single|multiscale, got {banding!r}")
@@ -698,17 +698,13 @@ def interval_join_shuffle(
             np.cumsum(cnt) - cnt, cnt
         )
         cells = c0[k] + within
-        rep = np.repeat(np.arange(total, dtype=np.int64), salt)
         return pa.table(
             {
-                "scale": pa.array(sc[k][rep], pa.int64()),
-                "cell": pa.array(cells[rep], pa.int64()),
-                "jsalt": pa.array(
-                    np.tile(np.arange(salt, dtype=np.int64), total), pa.int64()
-                ),
-                interval_id: pa.array(iid[k][rep], pa.int64()),
-                "_lo": pa.array(lo[k][rep], pa.float64()),
-                "_hi": pa.array(hi[k][rep], pa.float64()),
+                "scale": pa.array(sc[k], pa.int64()),
+                "cell": pa.array(cells, pa.int64()),
+                interval_id: pa.array(iid[k], pa.int64()),
+                "_lo": pa.array(lo[k], pa.float64()),
+                "_hi": pa.array(hi[k], pa.float64()),
             }
         )
 
@@ -723,15 +719,11 @@ def interval_join_shuffle(
     def point_rows(batch: pa.Table) -> pa.Table:
         v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
         pid = batch[point_id].to_numpy(zero_copy_only=False).astype(np.int64)
-        ps = (
-            (pid.astype(np.uint64) * np.uint64(2654435761)) >> np.uint64(16)
-        ).astype(np.int64) % salt
         if banding == "single":
             return pa.table(
                 {
                     "scale": pa.array(np.zeros(len(v), np.int64), pa.int64()),
                     "cell": pa.array(np.floor(v / w).astype(np.int64), pa.int64()),
-                    "jsalt": pa.array(ps, pa.int64()),
                     point_id: pa.array(pid, pa.int64()),
                     "_v": pa.array(v, pa.float64()),
                 }
@@ -744,7 +736,6 @@ def interval_join_shuffle(
             {
                 "scale": pa.array(np.repeat(scales_arr, len(v)), pa.int64()),
                 "cell": pa.array(cells.ravel(), pa.int64()),
-                "jsalt": pa.array(np.tile(ps, ns), pa.int64()),
                 point_id: pa.array(np.tile(pid, ns), pa.int64()),
                 "_v": pa.array(np.tile(v, ns), pa.float64()),
             }
@@ -757,7 +748,7 @@ def interval_join_shuffle(
     joined = equi_join(
         points.map_batches(point_rows, batch_format="pyarrow"),
         intervals.map_batches(interval_rows, batch_format="pyarrow"),
-        ["scale", "cell", "jsalt"],
+        ["scale", "cell"],
     )
 
     def exact(batch: pa.Table) -> pa.Table:
@@ -1676,108 +1667,6 @@ def intersect_distinct(a: rd.Dataset, b: rd.Dataset, on) -> rd.Dataset:
 def except_distinct(a: rd.Dataset, b: rd.Dataset, on) -> rd.Dataset:
     """SQL ``EXCEPT`` (distinct keys of ``a`` absent from ``b``)."""
     return _set_op(a, b, on, want_b=False)
-
-
-def salted_join(
-    left: rd.Dataset,
-    right: rd.Dataset,
-    on: str,
-    *,
-    salt: int = 8,
-    hot_threshold: Optional[int] = None,
-    left_suffix: Optional[str] = None,
-    right_suffix: Optional[str] = "_r",
-) -> rd.Dataset:
-    """Inner join with HOT-KEY SALTING — the skew escape hatch for a
-    big-big join whose key distribution has heavy hitters (one domain =
-    30% of pages). The join is ``util.equi_join``, whose range
-    partitioner puts every row of one key tuple in one key range: every
-    row of a hot key lands in ONE probe task, so the biggest run is the
-    slowest task and must fit one worker's heap.
-
-    Plan (the dedup ``_salted_bucket_self_join`` pattern generalized to a
-    binary join):
-
-    1. detect hot LEFT keys — per-key counts (``util.group_agg``) read on
-       the driver → keys above ``hot_threshold`` (default: 8× the mean
-       per-key count) broadcast (contract: the HOT set is small — heavy
-       hitters by definition),
-    2. hot left rows scatter over ``salt`` sub-keys (position mod salt;
-       any assignment is correct — salting only redistributes), cold
-       rows keep sub-key 0,
-    3. hot RIGHT rows are REPLICATED once per sub-key (repeat/take,
-       vectorized); cold rows pass through once,
-    4. one ``equi_join`` on ``(on, _salt)``; the salt column splits every
-       hot key's run into ``salt`` runs, which the partitioner may
-       place in different ranges. Output rows == the plain join's exactly (each
-       (l, r) pair of a hot key meets at exactly the sub-key of its left
-       row).
-
-    Contract: keys hot on the LEFT; the right side's rows for those keys
-    are multiplied by ``salt`` (keep right the smaller-per-key side).
-    Both-sides-hot keys produce quadratic output regardless of engine —
-    that is the join's semantics, not a skew artifact.
-
-    WHEN to use: salting pays a detection pass (materialize, one
-    ``util.group_agg`` count, its blocks read on the driver) and the
-    right-side replication before the
-    join starts, so it is the MEMORY escape hatch: reach for it when one
-    key's run would not fit a worker's heap (10^9+ rows of one domain),
-    not on speed grounds below that regime.
-    """
-    import ray
-    from ray.data.aggregate import Count
-
-    left = left.materialize()
-    counts = group_agg(left.select_columns([on]), on, Count(alias_name="n"))
-    counts = pa.concat_tables(ray.get(counts.to_arrow_refs()))
-    if hot_threshold is None:
-        n_keys = max(counts.num_rows, 1)
-        hot_threshold = max(2, int(8 * (pc.sum(counts["n"]).as_py() or 0) / n_keys))
-    hot = np.sort(counts.filter(pc.greater(counts["n"], hot_threshold))[on].to_numpy(zero_copy_only=False))
-    hot_ref = ray.put(hot) if len(hot) else None
-
-    def _is_hot(keys: np.ndarray, hot_arr: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(hot_arr, keys)
-        idx[idx >= len(hot_arr)] = len(hot_arr) - 1
-        return hot_arr[idx] == keys
-
-    def salt_left(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        s = np.zeros(n, np.int32)
-        if hot_ref is not None and n:
-            keys = batch[on].to_numpy(zero_copy_only=False)
-            m = _is_hot(keys, cached_get(hot_ref))
-            s[m] = np.arange(int(m.sum()), dtype=np.int32) % salt
-        return batch.append_column("_salt", pa.array(s, pa.int32()))
-
-    def salt_right(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if hot_ref is None or not n:
-            return batch.append_column(
-                "_salt", pa.array(np.zeros(n, np.int32), pa.int32())
-            )
-        keys = batch[on].to_numpy(zero_copy_only=False)
-        m = _is_hot(keys, cached_get(hot_ref))
-        cold_idx = np.flatnonzero(~m)
-        hot_idx = np.flatnonzero(m)
-        row_idx = np.concatenate([cold_idx, np.repeat(hot_idx, salt)])
-        s = np.concatenate(
-            [
-                np.zeros(len(cold_idx), np.int32),
-                np.tile(np.arange(salt, dtype=np.int32), len(hot_idx)),
-            ]
-        )
-        return batch.take(pa.array(row_idx)).append_column(
-            "_salt", pa.array(s, pa.int32())
-        )
-
-    l_s = left.map_batches(salt_left, batch_format="pyarrow")
-    r_s = right.map_batches(salt_right, batch_format="pyarrow")
-    joined = equi_join(
-        l_s, r_s, [on, "_salt"], left_suffix=left_suffix, right_suffix=right_suffix
-    )
-    return joined.drop_columns(["_salt"])
 
 
 def zscore_filter(

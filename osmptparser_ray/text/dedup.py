@@ -5,8 +5,8 @@ Large-scale patterns (guide: shingle→minhash→band→bucket groupby):
                      partitioned groupby keeping the MIN doc id
                      (deterministic representative, unlike head(1)).
 * minhash_signatures / lsh_candidate_pairs / verify_jaccard — near-dup
-  detection; candidate generation is a groupby on (band, band_hash)
-  shuffle; verification recomputes exact shingle Jaccard per pair.
+  detection; candidate generation is a self-join on (band, band_hash)
+  (``util.equi_join``); verification recomputes exact shingle Jaccard per pair.
 * simhash_signatures / simhash_near_pairs — 64-bit simhash; near pairs
   via chunk-banding (pigeonhole: hamming ≤ d ⇒ some of d+1 chunks equal).
 * duplicate_groups — connected components over verified pairs by
@@ -163,206 +163,15 @@ def minhash_signatures(
     )
 
 
-# ---------------------------------------------------------------------------
-# hot-bucket salting for the bucket self-joins (round-3, VERDICT r2 #5)
-# ---------------------------------------------------------------------------
-
-_KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
-_SALT_MIX = np.uint64(2654435761)
-
-
-def _combined_key(batch: pa.Table, band_col: str, hash_col: str) -> np.ndarray:
-    """(band, hash) → one int64 key (uint64 mix reinterpreted as int64
-    bits — Ray's hash-shuffle groupby rejects uint64 keys above int64
-    max). A (astronomically unlikely) mix collision merely over-salts a
-    cold key — salting is correctness-neutral in both directions, so this
-    needs no exactness."""
-    b = batch[band_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-    h = batch[hash_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-    return (h * _KEY_MIX + b).view(np.int64)
-
-
-_HOT_SLOT_BITS = 18
-_HOT_SLOTS = 1 << _HOT_SLOT_BITS
-_SLOT_MIX = np.uint64(0xC2B2AE3D27D4EB4F)
-
-
-def _slot_of(keys: np.ndarray) -> np.ndarray:
-    """int64 combined key → detection slot (top bits of a second mix)."""
-    return (
-        (keys.view(np.uint64) * _SLOT_MIX) >> np.uint64(64 - _HOT_SLOT_BITS)
-    ).astype(np.int64)
-
-
-def _hot_keys_exact(rows: rd.Dataset, band_col: str, hash_col: str, cap: int):
-    """Key-exact detection: per-key counts (``group_agg``), filtered in one
-    task per count block; only the hot list reaches the driver."""
-    import ray
-    from ray.data.aggregate import Count
-
-    from ..util import block_tasks, group_agg
-
-    def key(batch: pa.Table) -> pa.Table:
-        return pa.table({"k": pa.array(_combined_key(batch, band_col, hash_col), pa.int64())})
-
-    def hot(t: pa.Table) -> np.ndarray:
-        return t.filter(pa.compute.greater(t["n"], cap))["k"].to_numpy().astype(np.int64)
-
-    counts = group_agg(rows.map_batches(key, batch_format="pyarrow"), "k", Count(alias_name="n"))
-    parts = ray.get(block_tasks(counts, hot))
-    flat = np.concatenate(parts) if parts else np.empty(0, np.int64)
-    if not len(flat):
-        return None
-    return ray.put(("keys", np.sort(flat)))
-
-
-def _hot_slots_sketch(rows: rd.Dataset, band_col: str, hash_col: str, cap: int):
-    """Slot-count-sketch detection: each map task bincounts its batch's
-    keys into 2^18 slots (1 MB int32 partial); block refs of the partial
-    vectors tree-sum in Ray tasks (the driver holds refs and one final
-    vector). Safe by construction: slot count ≥ any member key's count,
-    so a genuinely hot key ALWAYS lands in a hot slot; a cold key sharing
-    a hot slot merely gets over-salted (correctness-neutral). Only used
-    when the corpus is small enough that baseline slot load ≪ cap (see
-    _salted_bucket_self_join) — ~10× cheaper than the groupby at bench
-    scale."""
-    import ray
-
-    def partial(batch: pa.Table) -> pa.Table:
-        slots = _slot_of(_combined_key(batch, band_col, hash_col))
-        c = np.bincount(slots, minlength=_HOT_SLOTS).astype(np.int32)
-        return pa.table({"counts": pa.array([c.tobytes()], pa.binary())})
-
-    blobds = rows.map_batches(
-        partial, batch_format="pyarrow", batch_size=1 << 18
-    ).materialize()
-    block_refs = []
-    for bundle in blobds.iter_internal_ref_bundles():
-        block_refs.extend(bundle.block_refs)
-
-    @ray.remote
-    def _sum_blocks(*blocks):
-        out = np.zeros(_HOT_SLOTS, np.int64)
-        for blk in blocks:
-            col = blk["counts"] if isinstance(blk, pa.Table) else blk
-            for raw in col.to_pylist():
-                out += np.frombuffer(raw, np.int32)
-        return out
-
-    @ray.remote
-    def _sum_vecs(*vecs):
-        out = np.zeros(_HOT_SLOTS, np.int64)
-        for v in vecs:
-            out += v
-        return out
-
-    refs = [
-        _sum_blocks.remote(*block_refs[i : i + 16])
-        for i in range(0, len(block_refs), 16)
-    ]
-    while len(refs) > 1:
-        refs = [_sum_vecs.remote(*refs[i : i + 16]) for i in range(0, len(refs), 16)]
-    total = ray.get(refs[0]) if refs else np.zeros(_HOT_SLOTS, np.int64)
-    hot = np.flatnonzero(total > cap).astype(np.int64)
-    if not len(hot):
-        return None
-    return ray.put(("slots", hot))
-
-
-def _salted_bucket_self_join(
-    rows: rd.Dataset,
-    band_col: str,
-    hash_col: str,
-    id_col: str,
-    left_cols: dict,
-    right_cols: dict,
-    hot_bucket_cap,
-    hot_salt: int,
-) -> rd.Dataset:
-    """Self-join ``rows`` on (band, hash) with skew-salted hot buckets.
-
-    A bucket of population m lands m·m join work in ONE probe task (the
-    range partitioner keeps a key tuple in one range); a degenerate corpus (one
-    shared band hash) makes that O(n²)-in-one-task. Standard skew-join
-    salting spreads it WITHOUT changing the pair set: hot left rows get
-    salt = h(id) mod s, hot right rows are replicated once per salt, cold
-    rows ride salt 0 — every (a, b) pair still meets in exactly one
-    (key, salt) run, and the salt splits a hot key into ``s`` runs.
-    ``hot_bucket_cap=None`` disables detection (one small count
-    aggregation) and salting entirely.
-    """
-    from ..util import cached_get, equi_join
-
-    hot_ref = None
-    if hot_bucket_cap is not None and hot_salt > 1:
-        # plan choice: the slot sketch is ~10× cheaper but only
-        # discriminating while baseline slot load ≪ cap; beyond that the
-        # key-exact groupby (whose fixed spin-up amortizes) takes over
-        n_rows = rows.count()
-        if n_rows <= _HOT_SLOTS * max(1, hot_bucket_cap) // 8:
-            hot_ref = _hot_slots_sketch(rows, band_col, hash_col, hot_bucket_cap)
-        else:
-            hot_ref = _hot_keys_exact(rows, band_col, hash_col, hot_bucket_cap)
-
-    def mk(side_cols: dict, is_left: bool):
-        def f(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            cols = {band_col: batch[band_col], hash_col: batch[hash_col]}
-            for dst, src in side_cols.items():
-                cols[dst] = batch[src]
-            if hot_ref is None:
-                cols["salt"] = pa.array(np.zeros(n, np.int32), pa.int32())
-                return pa.table(cols)
-            kind, hot = cached_get(hot_ref)
-            k = _combined_key(batch, band_col, hash_col)
-            if kind == "slots":
-                k = _slot_of(k)
-            idx = np.searchsorted(hot, k)
-            idx[idx >= len(hot)] = len(hot) - 1
-            is_hot = hot[idx] == k
-            if is_left:
-                ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-                salt = np.where(
-                    is_hot, (ids * _SALT_MIX) % np.uint64(hot_salt), 0
-                ).astype(np.int32)
-                cols["salt"] = pa.array(salt, pa.int32())
-                return pa.table(cols)
-            t = pa.table(cols)
-            cold = t.filter(pa.array(~is_hot)).append_column(
-                "salt", pa.array(np.zeros(int((~is_hot).sum()), np.int32), pa.int32())
-            )
-            if not is_hot.any():
-                return cold
-            hot_t = t.filter(pa.array(is_hot))
-            reps = [
-                hot_t.append_column(
-                    "salt", pa.array(np.full(hot_t.num_rows, s, np.int32), pa.int32())
-                )
-                for s in range(hot_salt)
-            ]
-            return pa.concat_tables([cold] + reps)
-
-        return f
-
-    left = rows.map_batches(mk(left_cols, True), batch_format="pyarrow")
-    right = rows.map_batches(mk(right_cols, False), batch_format="pyarrow")
-    return equi_join(left, right, [band_col, hash_col, "salt"])
-
-
 def lsh_candidate_pairs(
     sigs: rd.Dataset,
     id_col: str = "doc_id",
     bands: int = 16,
-    *,
-    hot_bucket_cap: int | None = 65536,
-    hot_salt: int = 16,
 ) -> rd.Dataset:
-    """Signatures → candidate (doc_a < doc_b) pairs via band-bucket groupby.
-
-    ``hot_bucket_cap``: buckets whose population exceeds this are
-    skew-salted across ``hot_salt`` join sub-keys (identical pair set —
-    see ``_salted_bucket_self_join``); ``None`` disables the (one small
-    count-aggregation) detection pass."""
+    """Signatures → candidate (doc_a < doc_b) pairs via a band-bucket
+    self-join. A hot bucket (a degenerate corpus shares one band hash)
+    is spread over several key ranges by the join's partitioner
+    (``util.equi_join``), not joined as one run in one task."""
 
     def explode_bands(batch: pa.Table) -> pa.Table:
         """Fully columnar (round-4; was to_pylist + per-band list extends):
@@ -405,32 +214,22 @@ def lsh_candidate_pairs(
             }
         )
 
-    # Pair generation = bucket SELF-JOIN on (band, band_hash): a hash-shuffle
-    # join vectorizes per partition, unlike map_groups which pays a pandas
-    # UDF call per tiny bucket (thousands of buckets ⇒ seconds of overhead).
-    # A pair found by several bands appears once per band — downstream
-    # verification dedups via groupby-aggregate (also vectorized).
-    import ray
+    # Pair generation = bucket SELF-JOIN on (band, band_hash): one sort
+    # join (``util.equi_join``) whose range tasks pair a bucket's rows
+    # vectorized, unlike map_groups which pays a pandas UDF call per tiny
+    # bucket (thousands of buckets ⇒ seconds of overhead). A pair found by
+    # several bands appears once per band — downstream verification dedups
+    # via groupby-aggregate (also vectorized).
+    from ..util import equi_join
 
-    # materialize the band rows: BOTH sides of the self-join consume them
-    # (plus the hot-bucket count pass), and a lazy plan would otherwise
-    # recompute the upstream minhash signatures per consumer (the dominant
-    # cost of the whole pipeline)
+    # materialize the band rows: BOTH sides of the self-join consume them,
+    # and a lazy plan would otherwise recompute the upstream minhash
+    # signatures per consumer (the dominant cost of the whole pipeline)
     rows = sigs.map_batches(explode_bands, batch_format="pyarrow").materialize()
-    joined = _salted_bucket_self_join(
-        rows,
-        "band",
-        "band_hash",
-        id_col,
-        left_cols={"doc_a": id_col},
-        right_cols={"doc_b": id_col},
-        hot_bucket_cap=hot_bucket_cap,
-        hot_salt=hot_salt,
-    )
+    joined = equi_join(rows, rows, ["band", "band_hash"], left_suffix="_a", right_suffix="_b")
+    a, b = f"{id_col}_a", f"{id_col}_b"
     return joined.map_batches(
-        lambda t: t.filter(pa.compute.less(t["doc_a"], t["doc_b"])).select(
-            ["doc_a", "doc_b"]
-        ),
+        lambda t: t.filter(pa.compute.less(t[a], t[b])).select([a, b]).rename_columns(["doc_a", "doc_b"]),
         batch_format="pyarrow",
     )
 
@@ -668,15 +467,12 @@ def simhash_near_pairs(
     sigs: rd.Dataset,
     id_col: str = "doc_id",
     max_hamming: int = 3,
-    *,
-    hot_bucket_cap: int | None = 65536,
-    hot_salt: int = 16,
 ) -> rd.Dataset:
     """Pairs with hamming(simhash) ≤ max_hamming via chunk banding.
 
     Pigeonhole: split 64 bits into (max_hamming+1) chunks — any pair within
     distance d shares at least one identical chunk. Hot chunk buckets are
-    skew-salted like ``lsh_candidate_pairs`` (identical pair set).
+    spread by the self-join's partitioner, as in ``lsh_candidate_pairs``.
     """
     nchunks = max_hamming + 1
     width = 64 // nchunks
@@ -701,32 +497,23 @@ def simhash_near_pairs(
             }
         )
 
-    # bucket self-join (vectorized hash shuffle; see lsh_candidate_pairs for
-    # why map_groups-per-tiny-bucket is avoided), then per-batch vectorized
+    # bucket self-join (one sort join; see lsh_candidate_pairs for why
+    # map_groups-per-tiny-bucket is avoided), then per-batch vectorized
     # hamming + a groupby-aggregate pair dedup
-    import ray
     from ray.data.aggregate import Min
 
-    from ..util import group_agg
+    from ..util import equi_join, group_agg
 
-    # materialize: both self-join sides + the hot-bucket count pass consume
-    # these rows (avoids recomputing the signatures per consumer)
+    # materialize: both self-join sides consume these rows (avoids
+    # recomputing the signatures per consumer)
     rows = sigs.map_batches(explode, batch_format="pyarrow").materialize()
-    joined = _salted_bucket_self_join(
-        rows,
-        "chunk",
-        "chunk_val",
-        id_col,
-        left_cols={"doc_a": id_col, "sh_a": "simhash"},
-        right_cols={"doc_b": id_col, "sh_b": "simhash"},
-        hot_bucket_cap=hot_bucket_cap,
-        hot_salt=hot_salt,
-    )
+    joined = equi_join(rows, rows, ["chunk", "chunk_val"], left_suffix="_a", right_suffix="_b")
+    ida, idb = f"{id_col}_a", f"{id_col}_b"
 
     def hamming_filter(t: pa.Table) -> pa.Table:
-        t = t.filter(pa.compute.less(t["doc_a"], t["doc_b"]))
-        a = t["sh_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["sh_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        t = t.filter(pa.compute.less(t[ida], t[idb]))
+        a = t["simhash_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        b = t["simhash_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
         x = a ^ b
         ham = np.zeros(len(x), dtype=np.int64)
         for _ in range(64):
@@ -735,8 +522,8 @@ def simhash_near_pairs(
         keep = ham <= max_hamming
         return pa.table(
             {
-                "doc_a": t["doc_a"].combine_chunks().filter(pa.array(keep)),
-                "doc_b": t["doc_b"].combine_chunks().filter(pa.array(keep)),
+                "doc_a": t[ida].combine_chunks().filter(pa.array(keep)),
+                "doc_b": t[idb].combine_chunks().filter(pa.array(keep)),
                 "hamming": pa.array(ham[keep], pa.int64()),
             }
         )

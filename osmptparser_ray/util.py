@@ -245,7 +245,7 @@ def _groups(refs: list, rows: list, nbytes: int, least: int) -> list:
 
 
 def _regroup(sides: list, keys: list, fn, *, preps=None, empties=None, descending=False,
-             num_returns: int = 1, args=()) -> list:
+             num_returns: int = 1, args=(), spread=()) -> list:
     """The one range partitioner, all plain tasks: ``fn(*tables, *args)``
     once per key range, in key order → the task refs (``num_returns`` each).
     ``tables[i]`` is side ``i``'s rows of the range sorted on ``keys[i]``
@@ -259,6 +259,15 @@ def _regroup(sides: list, keys: list, fn, *, preps=None, empties=None, descendin
     P − 1 boundaries (``_boundaries``) and a split task (``_split``)
     cuts the group by the number of boundaries at or before a row's key
     tuple, so one key tuple (nulls equal) has one range on every side.
+
+    The skew rule, only for the sides in ``spread``: a key tuple that
+    takes two or more of the P quantile picks of the pooled sample is
+    hot and owns the consecutive ranges lo..hi of its picks. If the side
+    holding most of its sampled rows is in ``spread``, that side's rows
+    of the key go round-robin over lo..hi (offset by the split task's
+    index) and every other side's rows of the key are copied into each
+    of those ranges; so every pair of rows of the key still meets in
+    exactly one range. Without ``spread`` a key tuple has one range.
     """
     n = len(sides)
     preps, empties = preps or [None] * n, empties or [None] * n
@@ -268,14 +277,16 @@ def _regroup(sides: list, keys: list, fn, *, preps=None, empties=None, descendin
     (p, piece), bounds = _range_count(sum(nbytes for _, _, nbytes, _ in sides), nrows), None
     if p > 1:
         groups = [_groups(*side[:3], p * piece) for side in sides]
-        bounds = _boundaries(ray.get([_sample.remote(k, -(-_SAMPLES * p * m // nrows), *refs)
-                                      for side, k in zip(groups, keys) for refs, m in side]), p, order)
+        samples = ray.get([_sample.remote(k, -(-_SAMPLES * p * m // nrows), *refs)
+                           for side, k in zip(groups, keys) for refs, m in side])
+        owners = [i for i, side in enumerate(groups) for _ in side]
+        bounds, hot = _boundaries(samples, owners, p, order, n, spread)
     if bounds is None or not bounds.num_rows:
         ranges = [[refs for refs, *_ in sides]]
     else:
         split, at = _split.options(num_returns=bounds.num_rows + 1), ray.put(bounds)
-        cuts = [[split.remote(k, prep, at, order, *refs) for refs, _ in side]
-                for side, k, prep in zip(groups, keys, preps)]
+        cuts = [[split.remote(k, prep, at, order, h, task, *refs) for task, (refs, _) in enumerate(side)]
+                for side, k, prep, h in zip(groups, keys, preps, hot)]
         ranges = [[[c[i] for c in side] for side in cuts] for i in range(bounds.num_rows + 1)]
         preps = [None] * n  # the split tasks ran them
     task = _range_task.options(num_returns=num_returns)
@@ -314,22 +325,56 @@ def _sample(keys: list, k: int, *blocks):
     return t.take(pa.array((2 * np.arange(k) + 1) * t.num_rows // max(2 * k, 1)))
 
 
-def _boundaries(samples: list, p: int, order: list):
-    """The pooled sample → its P-quantile key tuples, less each equal to
-    the one before (or, the first, to the smallest sample)."""
-    import pyarrow as pa
+def _boundaries(samples: list, owners: list, p: int, order: list, n: int, spread=()) -> tuple:
+    """The pooled sample (``samples[j]`` drawn from side ``owners[j]``) →
+    (boundaries, hot). The boundaries are its P-quantile key tuples after
+    the smallest, less each equal to the one before unless its key
+    spreads. ``hot`` holds per side ``None`` when no key spreads, else
+    (lo, spreads) over the ranges: at a spreading key's last range ``r``,
+    ``lo[r]`` is its first range (−1 elsewhere) and ``spreads[r]`` tells
+    whether this side spreads the key or copies it. ``_regroup`` states
+    the rule."""
+    import bisect
+    from collections import Counter
 
-    s = _concat(samples).sort_by(list(zip(samples[0].column_names, order)), null_placement="at_end")
-    rows = s.to_pylist()
-    picks = [i * len(rows) // p for i in range(p)]
-    return s.take(pa.array([b for a, b in zip(picks, picks[1:]) if rows[b] != rows[a]], pa.int64()))
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    pool = _concat(samples)
+    idx = pc.sort_indices(pool, sort_keys=list(zip(pool.column_names, order)), null_placement="at_end")
+    rows = [tuple(r.values()) for r in pool.take(idx).to_pylist()]
+    owner = np.repeat(owners, [t.num_rows for t in samples])[idx.to_numpy()]
+    picks = [rows[i * len(rows) // p] for i in range(p)]
+    first, last = {}, {}
+    for t, key in enumerate(picks):
+        first.setdefault(key, t)
+        last[key] = t
+    spreader = {}
+    for key in (k for k in first if last[k] > first[k]) if spread else ():
+        held = Counter(int(o) for r, o in zip(rows, owner) if r == key)
+        side = max(range(n), key=lambda i: (held[i], -i))
+        if side in spread:
+            spreader[key] = side
+    kept = [t for t in range(1, p) if picks[t] != picks[t - 1] or picks[t] in spreader]
+    bounds = pool.take(idx.take(pa.array([t * len(rows) // p for t in kept], pa.int64())))
+    if not spreader:
+        return bounds, [None] * n
+    lo, spreads = np.full(len(kept) + 1, -1, np.int64), np.zeros((n, len(kept) + 1), bool)
+    for key, side in spreader.items():
+        hi = bisect.bisect_right(kept, last[key])
+        lo[hi] = bisect.bisect_right(kept, first[key])
+        spreads[side, hi] = True
+    return bounds, [(lo, spreads[i]) for i in range(n)]
 
 
 @ray.remote
-def _split(keys: list, prep, bounds, order: list, *blocks) -> tuple:
+def _split(keys: list, prep, bounds, order: list, hot, task: int, *blocks) -> tuple:
     """Blocks → one prepped table → one slice per range: the boundary
     rows, marked to sort before equal rows, are sorted with the table's
-    key tuples; a row's range is the count of boundary rows before it."""
+    key tuples; a row's range is the count of boundary rows before it.
+    ``hot`` (``_boundaries``) then spreads or copies the rows of hot
+    keys; ``task`` is this split task's index on its side."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -341,8 +386,46 @@ def _split(keys: list, prep, bounds, order: list, *blocks) -> tuple:
                           null_placement="at_end").to_numpy()
     is_row = idx >= nb
     rows, rng = idx[is_row] - nb, np.cumsum(~is_row)[is_row]
+    if hot is not None:
+        rows, rng = _spread(both.drop_columns(["m"]), nb, rows, rng, *hot, task)
     cuts = np.searchsorted(rng, np.arange(nb + 2))
     return tuple(t.take(pa.array(rows[a:b])) for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+def _spread(both, nb: int, rows, rng, lo, spreads, task: int) -> tuple:
+    """``_split``'s rows in key order and their ranges → the same with a
+    hot key's rows (those in its last range ``r`` equal to the boundary
+    before them) spread round-robin over ``lo[r]``..``r`` from ``task``
+    or copied into each of them, sorted on range."""
+    import numpy as np
+
+    at = np.flatnonzero(lo[rng] >= 0)
+    at = at[_equal_rows(both.take(rng[at] - 1), both.take(rows[at] + nb))]
+    hi = rng[at]
+    span, spread = hi - lo[hi] + 1, spreads[hi]
+    s = at[spread]  # one run per key, in key order
+    rng = rng.copy()
+    rng[s] = lo[hi[spread]] + (np.arange(len(s)) - np.searchsorted(rng[s], rng[s]) + task) % span[spread]
+    c, reps = at[~spread], span[~spread]
+    keep = np.ones(len(rows), bool)
+    keep[c] = False
+    # copy j of a row goes to range lo + j of its key
+    copies = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps - lo[hi[~spread]], reps)
+    rows, rng = np.concatenate([rows[keep], np.repeat(rows[c], reps)]), np.concatenate([rng[keep], copies])
+    order = np.argsort(rng, kind="stable")
+    return rows[order], rng[order]
+
+
+def _equal_rows(a, b):
+    """Row-wise equality of two tables of the same columns, nulls equal."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    eq = np.ones(a.num_rows, bool)
+    for x, y in zip(a.columns, b.columns):
+        same = pc.or_(pc.fill_null(pc.equal(x, y), False), pc.and_(pc.is_null(x), pc.is_null(y)))
+        eq &= same.to_numpy(zero_copy_only=False)
+    return eq
 
 
 @ray.remote
@@ -464,6 +547,9 @@ def run_positions(keys):
 
 
 JOIN_HOWS = ("inner", "left_outer", "left_anti", "full_outer")
+# the sides whose hot keys may spread (``_regroup``): a copied left row
+# would be emitted once per range by an outer or anti join
+_SPREAD = {"inner": (0, 1), "left_outer": (0,), "left_anti": (0,), "full_outer": ()}
 
 
 def equi_join(left, right, on, right_on=None, how: str = "inner",
@@ -481,6 +567,14 @@ def equi_join(left, right, on, right_on=None, how: str = "inner",
     sides are split on shared key ranges and keep their own schemas; a
     side without any schema (no blocks) joins as one without rows that
     has only its keys.
+
+    Hot keys are spread by the partitioner's skew rule (``_regroup``): a
+    key tuple that takes two or more of the boundary sample's quantile
+    picks owns as many consecutive key ranges; the side holding more of
+    its sampled rows spreads its rows of the key over them and the other
+    side's rows of the key are copied into each. ``inner`` spreads
+    either side, ``left_outer`` and ``left_anti`` only the left (a copied
+    left row would be emitted once per range), ``full_outer`` neither.
     """
     import pyarrow as pa
 
@@ -507,7 +601,7 @@ def equi_join(left, right, on, right_on=None, how: str = "inner",
     casts = [partial(_cast_keys, keys=k, types=ktypes) for k in (on, right_on)]
     probe = partial(_join_probe, lkeys=on, rkeys=right_on, how=how, out=out,
                     lcols=ls.names, rcols=[f.name for f in rpay])
-    return dataset_of(_regroup(sides, [on, right_on], probe, preps=casts,
+    return dataset_of(_regroup(sides, [on, right_on], probe, preps=casts, spread=_SPREAD[how],
                                empties=[cast(s.empty_table()) for cast, s in zip(casts, (ls, rs))]))
 
 

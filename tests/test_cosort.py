@@ -352,6 +352,59 @@ class TestGroupAggSmallBlocks:
         assert out.split("\n")[:2] == ["hash_join_revenue OK", "webtext_e2e OK"], out
 
 
+_SKEW_GATE = r"""
+import sys
+
+import duckdb
+import ray
+from ray.data import DataContext
+
+sys.path.insert(0, sys.argv[2])
+from check_oracles import compare, to_pandas
+
+sf_dir = sys.argv[1]
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+ctx = DataContext.get_current()
+ctx.enable_progress_bars = False
+ctx.target_min_block_size = 1024
+import __ray_entry__ as entry
+from osmptparser_ray import util
+
+regroups, boundaries = [], util._boundaries
+
+
+def counted(*args, **kwargs):
+    regroups.append(1)
+    return boundaries(*args, **kwargs)
+
+
+util._boundaries = counted
+con = duckdb.connect()
+for t in ("customer", "orders", "events", "documents"):
+    con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
+for name in ("salted_join", "minhash_near_dup", "interval_join_shuffle"):
+    regroups.clear()
+    mine = to_pandas(entry.queries()[name](sf_dir))
+    problems = compare(name, mine, con.sql(entry.oracle_sql()[name]).df())
+    problems += [] if regroups else ["no regroup at P > 1"]
+    print(name, "; ".join(problems) or "OK", flush=True)
+ray.shutdown()
+"""
+
+
+class TestSkewGateSmallBlocks:
+    def test_spreading_joins_match_duckdb_at_small_block_size(self, sf_dir):
+        """The gate queries whose joins carried their own salting before
+        the partitioner's skew rule, at 2 CPUs with
+        ``target_min_block_size`` 1 KiB, so that each join regroups at
+        P > 1 (at default sizes every gate regroup is one range): each
+        matches its DuckDB oracle hash-exactly, dtypes included."""
+        out = _run_script(_SKEW_GATE, sf_dir, 300)
+        assert out.split("\n")[:3] == [
+            "salted_join OK", "minhash_near_dup OK", "interval_join_shuffle OK"
+        ], out
+
+
 def test_sort_schema_warnings_dropped_errors_kept(ray_session, caplog):
     """A cosort whose sort leaves empty key ranges after a non-empty one
     (two keys, one of them over many blocks) logs no schema-change line;
@@ -600,6 +653,53 @@ def _hot_rows(n: int = 1280) -> pa.Table:
     return _side(np.where(rng.random(n) < 0.6, 7, rng.integers(0, 100, n)), 0)
 
 
+def _hot_join_sides(case: str, n: int = 400):
+    """``_join_sides``' columns at ``n`` rows a side, 10% null keys, and
+    key 4 on 55% of the rows of the side ``case`` names (``left``,
+    ``right`` or ``both``); ``null`` makes the null key that of 55% of
+    the left rows."""
+    rng = np.random.default_rng(17)
+
+    def keys(hot: bool, key=4):
+        k = rng.integers(0, 60, n).astype(object)
+        k[rng.random(n) < 0.1] = None
+        if hot:
+            k[rng.permutation(n)[: n * 11 // 20]] = key
+        return k
+
+    lk = keys(case in ("left", "both", "null"), None if case == "null" else 4)
+    rk = keys(case in ("right", "both"))
+    left = pa.table(
+        {
+            "k": pa.array(lk, pa.int32()),
+            "a": pa.array(np.arange(n), pa.int64()),
+            "x": pa.array([f"x{i}" for i in range(n)]),
+            "lst": pa.array([[i, i + 1] for i in range(n)], pa.list_(pa.int64())),
+        }
+    )
+    right = pa.table(
+        {
+            "kk": pa.array(rk, pa.int64()),
+            "a": pa.array(np.arange(1000, 1000 + n), pa.int64()),
+            "m": pa.array([[("t", f"v{i}")] for i in range(n)], TAGS),
+        }
+    )
+    return left, right
+
+
+@pytest.fixture
+def tiny_ranges():
+    """``target_min_block_size`` at 256 bytes: about ten ranges for
+    ``_hot_join_sides`` (√(bytes / 256) ranges), so a key on half of a
+    side's rows takes several of the boundary sample's quantile picks."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    old, ctx.target_min_block_size = ctx.target_min_block_size, 256
+    yield
+    ctx.target_min_block_size = old
+
+
 @pytest.fixture
 def small_ranges():
     """``target_min_block_size`` at 2 KiB: three ranges for ``_hot_rows``
@@ -677,6 +777,43 @@ class TestManyBlocks:
         joined = equi_join(ds, rd.from_arrow(right), "k").to_pandas()
         want = df.merge(right.to_pandas(), on="k")
         assert sorted(map(tuple, joined.values.tolist())) == sorted(map(tuple, want[joined.columns].values.tolist()))
+
+
+    @pytest.mark.parametrize("how", HOWS)
+    @pytest.mark.parametrize("case", ["left", "right", "both", "null"])
+    def test_hot_key_joins_match_oracle(self, ray_session, tiny_ranges, spread_keys, case, how):
+        """One key (or the null key) on at least half of the left rows, of
+        the right rows or of both, in 64 blocks a side at P > 1: every
+        join is the oracle's, and the partitioner spreads the key where
+        ``how`` lets the side holding more of it spread (``inner`` either
+        side, ``left_outer`` and ``left_anti`` the left, ``full_outer``
+        none; with both sides hot either may hold more)."""
+        from osmptparser_ray.util import equi_join
+
+        left, right = _hot_join_sides(case)
+        out = equi_join(self._blocks(left, 64), self._blocks(right, 64), "k", right_on="kk",
+                        how=how, left_suffix="_l", right_suffix="_r")
+        _check(out, left, right, how)
+        spreads = how == "inner" or (how != "full_outer" and case in ("left", "null"))
+        if how == "inner" or case != "both":
+            assert (spread_keys[0] > 0) == spreads, spread_keys
+
+    def test_left_hot_inner_join_is_balanced(self, ray_session, tiny_ranges, monkeypatch):
+        """A key on 55% of the left rows: the inner join's range tasks
+        (their probe swapped for one that returns its sides' row counts)
+        receive at most twice the mean rows each; without the skew rule
+        one task receives all the key's rows, more than twice the mean."""
+        from osmptparser_ray import util
+
+        def counts(left, right, **_):
+            return pa.table({"n": [left.num_rows + right.num_rows]})
+
+        monkeypatch.setattr(util, "_join_probe", counts)
+        left, right = _hot_join_sides("left")
+        out = util.equi_join(self._blocks(left, 64), self._blocks(right, 64), "k", right_on="kk",
+                             left_suffix="_l", right_suffix="_r")
+        n = np.array(out.to_pandas()["n"])
+        assert len(n) > 4 and n.max() <= 2 * n.mean(), n.tolist()
 
 
 @pytest.fixture

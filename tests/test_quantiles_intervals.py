@@ -6,7 +6,7 @@
 - ``quantiles_by_sketch``: sketch → bracket → refine must equal
   ``exact_quantiles`` EXACTLY (same quantile_disc semantics, no sort).
 - ``interval_join_shuffle``: pair-set parity with the broadcast
-  ``interval_join`` plan, including overlapping bands, salt > 1, negative
+  ``interval_join`` plan, including overlapping bands, hot cells, negative
   values, and a degenerate all-in-one-cell corpus.
 """
 
@@ -98,7 +98,7 @@ class TestIntervalJoinShuffle:
         )
         return set(zip(t["event_id"], t["interval_id"]))
 
-    def _parity(self, values, bands, salt=1, cell_width=None):
+    def _parity(self, values, bands, cell_width=None):
         from osmptparser_ray.stages.relational import (
             interval_join,
             interval_join_shuffle,
@@ -117,9 +117,7 @@ class TestIntervalJoinShuffle:
             )
         ).repartition(3)
         got = self._pairs(
-            interval_join_shuffle(
-                pts, ivs, salt=salt, cell_width=cell_width
-            )
+            interval_join_shuffle(pts, ivs, cell_width=cell_width)
         )
         want = self._pairs(interval_join(pts, bands))
         assert got == want
@@ -132,12 +130,16 @@ class TestIntervalJoinShuffle:
         pairs = self._parity(values, bands)
         assert len(pairs) > 0
 
-    def test_salted_parity(self, ray_session):
+    def test_hot_cell_parity(self, ray_session, block_size, spread_keys):
+        """Three cells hold every point; at a block size small enough for
+        several key ranges the join's partitioner spreads them."""
         rng = np.random.default_rng(4)
         values = rng.uniform(0, 10, 2_000)
         bands = [(0, 0.0, 10.0), (1, 2.0, 3.0), (2, 9.5, 12.0)]
-        pairs = self._parity(values, bands, salt=4)
+        block_size(1024)
+        pairs = self._parity(values, bands)
         assert len(pairs) > 2_000  # band 0 catches everything
+        assert max(spread_keys) > 0
 
     def test_degenerate_one_cell(self, ray_session):
         # huge cell width: every interval and point lands in one cell
@@ -245,7 +247,7 @@ class TestIntervalJoinMultiscale:
 
     def test_auto_picks_multiscale_and_matches(self, ray_session):
         values, bands = self._mixed_corpus()
-        got, want = self._sets(values, bands, banding="auto", salt=2)
+        got, want = self._sets(values, bands, banding="auto")
         assert got == want
 
     def test_single_explicit_still_works(self, ray_session):
@@ -256,7 +258,7 @@ class TestIntervalJoinMultiscale:
         assert got == want
 
     def test_multiscale_replication_bounded(self, ray_session):
-        # direct check on the banded interval rows: ≤ 2·salt rows per
+        # direct check on the banded interval rows: ≤ 2 rows per
         # interval even for a domain-spanning one
         import pyarrow as pa
 
@@ -273,7 +275,7 @@ class TestIntervalJoinMultiscale:
         # a tiny dataset and count rows per interval id
         ivs = rd.from_arrow(batch)
         pts = rd.from_pandas(pd.DataFrame({"event_id": [1], "value": [0.5]}))
-        out = R.interval_join_shuffle(pts, ivs, banding="multiscale", salt=3)
+        out = R.interval_join_shuffle(pts, ivs, banding="multiscale")
         out.count()  # force execution; correctness covered above
         # count banded rows by reproducing the banding math
         w = batch["hi"].to_numpy() - batch["lo"].to_numpy()

@@ -535,6 +535,9 @@ class TestSetOps:
 
 
 class TestSaltedJoin:
+    """The ``salted_join`` gate query's join on a skewed table: one
+    ``util.equi_join``, whose partitioner spreads hot keys."""
+
     def _skewed(self):
         import ray.data as rd
 
@@ -559,34 +562,44 @@ class TestSaltedJoin:
         ).repartition(2)
         return left, right
 
-    def test_parity_with_plain_join(self, ray_session):
-        from osmptparser_ray.stages.relational import salted_join
+    @staticmethod
+    def _oracle(left, right) -> list:
+        want = left.to_pandas().merge(right.to_pandas(), on="k")
+        return sorted(map(tuple, want[["k", "lv", "rv"]].values.tolist()))
 
+    @staticmethod
+    def _rows(out) -> list:
+        return sorted((r["k"], r["lv"], r["rv"]) for r in out.take_all())
+
+    def test_parity_with_plain_join(self, ray_session, block_size):
+        """The ``salted_join`` gate query's join, ``equi_join``, at several
+        key ranges: the plain join's rows."""
+        from osmptparser_ray.util import equi_join
+
+        block_size(256)
         left, right = self._skewed()
-        plain = left.join(right, "inner", 2, on=("k",))
-        sj = salted_join(left, right, "k", salt=4, hot_threshold=100)
-        a = sorted((r["k"], r["lv"], r["rv"]) for r in plain.take_all())
-        b = sorted((r["k"], r["lv"], r["rv"]) for r in sj.take_all())
-        assert a == b
-        assert len(a) > 1000  # hot key actually joined
+        got = self._rows(equi_join(left, right, "k"))
+        assert got == self._oracle(left, right)
+        assert len(got) > 1000  # hot key actually joined
 
-    def test_no_hot_keys_path(self, ray_session):
-        from osmptparser_ray.stages.relational import salted_join
+    def test_no_hot_keys_path(self, ray_session, block_size, spread_keys):
+        from osmptparser_ray.util import equi_join
 
+        block_size(256)
         left, right = self._skewed()
-        sj = salted_join(left, right, "k", salt=4, hot_threshold=10**9)
-        plain = left.join(right, "inner", 2, on=("k",))
-        assert sorted(
-            (r["k"], r["lv"], r["rv"]) for r in sj.take_all()
-        ) == sorted((r["k"], r["lv"], r["rv"]) for r in plain.take_all())
+        left = left.filter(lambda r: r["k"] != 7).materialize()
+        assert self._rows(equi_join(left, right, "k")) == self._oracle(left, right)
+        assert spread_keys and not any(spread_keys)
 
-    def test_auto_threshold_detects_degenerate_key(self, ray_session):
-        from osmptparser_ray.stages.relational import salted_join
+    def test_degenerate_key_spreads(self, ray_session, block_size, spread_keys):
+        """No threshold to set: the partitioner finds the key on half the
+        left rows in its boundary sample and spreads it."""
+        from osmptparser_ray.util import equi_join
 
+        block_size(256)
         left, right = self._skewed()
-        sj = salted_join(left, right, "k", salt=4)  # auto threshold
-        plain = left.join(right, "inner", 2, on=("k",))
-        assert sj.count() == plain.count()
+        assert equi_join(left, right, "k").count() == len(self._oracle(left, right))
+        assert spread_keys[0] > 0
 
 
 class TestZscoreFilter:
@@ -823,7 +836,9 @@ class TestCubeAgg:
 
 class TestEmptyInputGuards:
     def test_salted_join_empty_sides(self, ray_session):
-        from osmptparser_ray.stages.relational import salted_join
+        """The ``salted_join`` gate query's join (``equi_join``) with a
+        side without rows, lazy or not."""
+        from osmptparser_ray.util import equi_join
 
         empty = rd.from_arrow(
             pa.table({"k": pa.array([], pa.int64()), "lv": pa.array([], pa.int64())})
@@ -831,10 +846,10 @@ class TestEmptyInputGuards:
         right = rd.from_arrow(
             pa.table({"k": pa.array([1], pa.int64()), "rv": pa.array([9], pa.int64())})
         )
-        assert salted_join(empty, right, "k").count() == 0
-        assert salted_join(right, empty.map_batches(
+        assert equi_join(empty, right, "k").count() == 0
+        assert equi_join(right, empty.map_batches(
             lambda t: pa.table({"k": t["k"], "rv": t["lv"]}), batch_format="pyarrow"
-        ), "k").count() == 0
+        ), "k", right_suffix="_r").count() == 0
 
     def test_tfidf_empty_corpus(self, ray_session):
         from osmptparser_ray.text.analysis import tfidf_top_terms

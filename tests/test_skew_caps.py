@@ -1,8 +1,7 @@
-"""Hot-bucket skew protection (round-3, VERDICT r2 #5): the salted /
-block-decomposed plans must produce IDENTICAL results to the unsalted
-plans — salting redistributes work, never changes the pair set — and must
-engage on degenerate corpora that would otherwise concentrate O(n²) work
-in one join partition / map_groups task.
+"""Hot-bucket skew: on a degenerate corpus that puts O(n²) pairs in one
+bucket, the LSH and SimHash bucket self-joins (whose partitioner spreads
+a hot key over several ranges) give exactly the brute-force pair sets,
+and the block-decomposed cosine plan gives the undecomposed one's pairs.
 """
 
 import numpy as np
@@ -17,6 +16,9 @@ from osmptparser_ray.text.dedup import (
     simhash_near_pairs,
     simhash_signatures,
 )
+
+
+BLOCK = 64  # target_min_block_size (bytes) at which the hot buckets spread
 
 
 def _pairs(ds, cols=("doc_a", "doc_b")):
@@ -41,84 +43,65 @@ def _skewed_docs(n_hot=60, n_cold=40):
     )
 
 
-class TestLshSalting:
-    def test_salted_equals_unsalted_on_skewed_corpus(self):
-        docs = _skewed_docs()
-        sigs = minhash_signatures(docs, num_perm=32, shingle_k=5).materialize()
-        base = _pairs(lsh_candidate_pairs(sigs, bands=8, hot_bucket_cap=None))
-        # cap=10 forces the 60-doc degenerate bucket through the salt path
-        salted = _pairs(
-            lsh_candidate_pairs(sigs, bands=8, hot_bucket_cap=10, hot_salt=4)
-        )
-        assert salted == base
-        assert len(base) > 0  # the degenerate cluster produced pairs
+def _lsh_brute_force(t: pa.Table, bands: int) -> list:
+    """(doc_a < doc_b) once for each band of ``num_perm // bands`` rows
+    on which the two signatures agree: the candidate pairs by definition,
+    a pair found by several bands once per band."""
+    ids = t["doc_id"].to_pylist()
+    sig = np.stack([np.asarray(s, np.uint64) for s in t["sig"].to_pylist()])
+    r = max(1, sig.shape[1] // bands)
+    nb = min(bands, sig.shape[1] // r)
+    return sorted(
+        (min(a, b), max(a, b))
+        for i, a in enumerate(ids) for j, b in enumerate(ids) if i < j
+        for k in range(nb) if (sig[i, k * r:(k + 1) * r] == sig[j, k * r:(k + 1) * r]).all()
+    )
 
-    def test_cold_corpus_unaffected(self):
+
+def _sigs_table(sigs) -> pa.Table:
+    import ray
+
+    return pa.concat_tables(ray.get(sigs.to_arrow_refs()))
+
+
+class TestLshSalting:
+    def test_skewed_corpus_matches_brute_force(self, ray_session, block_size, spread_keys):
+        """The 60-doc degenerate bucket in every band, at a block size
+        small enough for the self-join's partitioner to spread it: the
+        pairs are the brute-force candidate pairs."""
+        docs = _skewed_docs()
+        block_size(BLOCK)
+        sigs = minhash_signatures(docs, num_perm=32, shingle_k=5).materialize()
+        got = _pairs(lsh_candidate_pairs(sigs, bands=8))
+        want = _lsh_brute_force(_sigs_table(sigs), bands=8)
+        assert got == want
+        assert len(set(want)) >= 60 * 59 // 2  # the degenerate cluster pairs up
+        assert max(spread_keys) > 0
+
+    def test_cold_corpus_unaffected(self, ray_session):
         docs = _skewed_docs(n_hot=0, n_cold=30)
         sigs = minhash_signatures(docs, num_perm=32, shingle_k=5).materialize()
-        base = _pairs(lsh_candidate_pairs(sigs, bands=8, hot_bucket_cap=None))
-        capped = _pairs(lsh_candidate_pairs(sigs, bands=8, hot_bucket_cap=5))
-        assert capped == base
-
-
-class TestHotDetectionPlans:
-    def test_detectors_flag_degenerate_bucket(self, ray_session):
-        """Both detection plans — key-exact groupby and slot sketch — must
-        flag the degenerate 60-doc bucket (the sketch may over-flag via
-        slot collisions, never under-flag)."""
-        import ray
-
-        from osmptparser_ray.text.dedup import _hot_keys_exact, _hot_slots_sketch
-
-        docs = _skewed_docs()
-        sigs = minhash_signatures(docs, num_perm=32, shingle_k=5).materialize()
-        import pyarrow as pa
-        import numpy as np
-
-        def explode(batch):
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-            sig = np.stack([np.asarray(s, np.uint64) for s in batch["sig"].to_pylist()])
-            r = sig.shape[1] // 8
-            out_band, out_hash, out_id = [], [], []
-            for bi in range(8):
-                chunk = sig[:, bi * r : (bi + 1) * r]
-                h = np.zeros(len(ids), np.uint64)
-                for j in range(chunk.shape[1]):
-                    h = h * np.uint64(1099511628211) + chunk[:, j]
-                out_band.extend([bi] * len(ids))
-                out_hash.extend(h.tolist())
-                out_id.extend(ids.tolist())
-            return pa.table(
-                {
-                    "band": pa.array(out_band, pa.int32()),
-                    "band_hash": pa.array(np.asarray(out_hash, np.uint64), pa.uint64()),
-                    "doc_id": pa.array(out_id, pa.int64()),
-                }
-            )
-
-        rows = sigs.map_batches(explode, batch_format="pyarrow").materialize()
-        exact = _hot_keys_exact(rows, "band", "band_hash", cap=10)
-        sketch = _hot_slots_sketch(rows, "band", "band_hash", cap=10)
-        kind_e, hot_e = ray.get(exact)
-        kind_s, hot_s = ray.get(sketch)
-        assert kind_e == "keys" and len(hot_e) >= 8  # one hot key per band
-        assert kind_s == "slots" and len(hot_s) >= 1
+        assert _pairs(lsh_candidate_pairs(sigs, bands=8)) == _lsh_brute_force(_sigs_table(sigs), bands=8)
 
 
 class TestSimhashSalting:
-    def test_salted_equals_unsalted(self):
+    def test_skewed_corpus_matches_brute_force(self, ray_session, block_size, spread_keys):
+        """Every pair within hamming 3, with its distance (four 16-bit
+        chunks cover all 64 bits, so the chunk banding finds them all),
+        with the degenerate bucket spread."""
         docs = _skewed_docs()
-        sigs = simhash_signatures(docs).materialize()
-        base = _pairs(
-            simhash_near_pairs(sigs, max_hamming=3, hot_bucket_cap=None),
-            cols=("doc_a", "doc_b", "hamming"),
+        block_size(BLOCK)
+        t = _sigs_table(simhash_signatures(docs).materialize())
+        ids, sh = t["doc_id"].to_pylist(), t["simhash"].to_pylist()
+        want = sorted(
+            (min(a, b), max(a, b), bin(x ^ y).count("1"))
+            for i, (a, x) in enumerate(zip(ids, sh)) for b, y in zip(ids[i + 1:], sh[i + 1:])
+            if bin(x ^ y).count("1") <= 3
         )
-        salted = _pairs(
-            simhash_near_pairs(sigs, max_hamming=3, hot_bucket_cap=10, hot_salt=4),
-            cols=("doc_a", "doc_b", "hamming"),
-        )
-        assert salted == base
-        assert len(base) > 0
+        got = _pairs(simhash_near_pairs(rd.from_arrow(t), max_hamming=3), cols=("doc_a", "doc_b", "hamming"))
+        assert got == want
+        assert len(want) >= 60 * 59 // 2
+        assert max(spread_keys) > 0
 
 
 class TestCosineBlockDecomposition:
