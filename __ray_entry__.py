@@ -136,9 +136,17 @@ def _fixture_pages(replicas: int = 1) -> str:
 
 
 def _read(sf_dir: str, table: str, columns=None):
+    """One table of ``sf_dir``, read without its schema metadata: the
+    tables carry pandas metadata, a dict, on which Ray's schema
+    unification logs "Failed to hash the schemas" per block concatenation,
+    in the read tasks and in driver-side batching."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
-    return rd.read_parquet(os.path.join(sf_dir, f"{table}.parquet"), columns=columns)
+    path = os.path.join(sf_dir, f"{table}.parquet")
+    schema = pq.read_schema(path)
+    schema = pa.schema([schema.field(c) for c in columns or schema.names])
+    return rd.read_parquet(path, columns=columns, schema=schema)
 
 
 def _customer_points(sf_dir: str):

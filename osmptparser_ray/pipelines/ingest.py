@@ -15,7 +15,6 @@ resume a partially produced result set.
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 import ray.data as rd
 
@@ -64,14 +63,11 @@ def flagship_to_parquet(
     out_dir: str,
     *,
     validate: bool = False,
-    concurrency: Optional[int] = None,
 ) -> list[PartitionRecord]:
     """Flagship spatial-join outputs as checkpointed parquet partitions."""
     from .spatial_join import stop_route_spatial_join
 
-    out = stop_route_spatial_join(
-        pages_dir, validate=validate, concurrency=concurrency
-    )
+    out = stop_route_spatial_join(pages_dir, validate=validate)
 
     def make(component: str) -> rd.Dataset:
         return out[component]

@@ -11,113 +11,110 @@ re-expressed over ParserTables.
   channel-drain semantics.
 * ``parser_summary``      — reference ``Debug`` impl (mod.rs:745-770):
   per-relation way/stop/node counts + total.
+
+Each resolves relations as the assembly does (``assemble.relation_tasks``):
+one task per relation block, which takes the way index and the node index
+shards as top-level arguments.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator
 
-import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..kernel.filters import get_tag_values
 from ..stages.assemble import (
-    build_node_index,
-    build_way_index,
-    collect_stop_ids,
+    STOP_T,
+    TAGS_T,
+    ShardedNodeIndex,
+    WayIndex,
+    node_index_shards,
+    relation_tasks,
+    stops_column,
 )
 from ..stages.elements import ParserTables
-from ..util import cached_get
+from ..util import block_tasks, dataset_of
+
+WAY_T = pa.struct(
+    [
+        pa.field("way_id", pa.int64()),
+        pa.field("node_ids", pa.list_(pa.int64())),
+        pa.field("lats", pa.list_(pa.float64())),
+        pa.field("lons", pa.list_(pa.float64())),
+    ]
+)
+RELATION_SCHEMA = pa.schema(
+    [
+        pa.field("id", pa.int64()),
+        pa.field("tags", TAGS_T),
+        pa.field("info", TAGS_T),
+        pa.field("ways", pa.list_(WAY_T)),
+        pa.field("stops", pa.list_(STOP_T)),
+    ]
+)
+SUMMARY_SCHEMA = pa.schema(
+    [
+        pa.field("id", pa.int64()),
+        pa.field("name", pa.string()),
+        pa.field("n_ways", pa.int64()),
+        pa.field("n_stops", pa.int64()),
+        pa.field("n_nodes", pa.int64()),
+    ]
+)
+
+
+def _resolve_task(batch: pa.Table, ways: WayIndex, *node_shards) -> pa.Table:
+    """One relation block → its fully resolved rows (id, tags, info, ways
+    as node lists with coords, stops) — the ``Relation`` struct as Arrow
+    rows. A missing way is dropped (mod.rs:672), a way's missing nodes
+    too (mod.rs:680)."""
+    nodes = ShardedNodeIndex(node_shards)
+    ways_out = []
+    for way_ids in batch["way_ids"].to_pylist():
+        resolved = []
+        for wid in way_ids:
+            refs = ways.lookup(wid)
+            if refs is None:
+                continue
+            ids, lats, lons = nodes.gather(refs)
+            resolved.append(
+                {"way_id": wid, "node_ids": ids.tolist(), "lats": lats.tolist(), "lons": lons.tolist()}
+            )
+        ways_out.append(resolved)
+    return pa.table(
+        {
+            "id": batch["id"],
+            "tags": batch["tags"],
+            "info": batch["info"],
+            "ways": pa.array(ways_out, pa.list_(WAY_T)),
+            "stops": stops_column(nodes, batch["stop_ids"]),
+        }
+    )
 
 
 def _resolved_batches(tables: ParserTables) -> rd.Dataset:
-    """relations → fully resolved rows (id, tags, info, ways:list of node
-    lists with coords, stops) — the ``Relation`` struct as Arrow rows."""
-    ways_ref = ray.put(build_way_index(tables.ways))
-    nodes_ref = ray.put(build_node_index(tables.nodes, collect_stop_ids(tables.relations)))
+    """relations → fully resolved rows (``_resolve_task``), a materialized
+    dataset."""
+    shards = node_index_shards(tables.blocks("nodes"), tables.stop_ids())
+    return dataset_of(relation_tasks(tables, _resolve_task, *shards), RELATION_SCHEMA.empty_table())
 
-    def resolve(batch: pa.Table) -> pa.Table:
-        wi = cached_get(ways_ref)
-        ni = cached_get(nodes_ref)
-        way_ids_col = batch["way_ids"].to_pylist()
-        stop_ids_col = batch["stop_ids"].to_pylist()
-        ways_out, stops_out = [], []
-        for way_ids, stop_ids in zip(way_ids_col, stop_ids_col):
-            ways = []
-            for wid in way_ids:
-                refs = wi.lookup(wid)
-                if refs is None:
-                    continue  # silent filter (mod.rs:672)
-                ids, lats, lons = ni.gather(refs)
-                ways.append(
-                    {
-                        "way_id": wid,
-                        "node_ids": ids.tolist(),
-                        "lats": lats.tolist(),
-                        "lons": lons.tolist(),
-                    }
-                )
-            ways_out.append(ways)
-            ok, lats, lons, tags = ni.stops_bulk(np.asarray(stop_ids, dtype=np.int64))
-            found = np.asarray(stop_ids, dtype=np.int64)[ok]
-            stops_out.append(
-                [
-                    {"id": int(nid), "lat": float(la), "lon": float(lo), "tags": tg}
-                    for nid, la, lo, tg in zip(found, lats, lons, tags.to_pylist())
-                ]
-            )
-        way_t = pa.array(
-            ways_out,
-            pa.list_(
-                pa.struct(
-                    [
-                        pa.field("way_id", pa.int64()),
-                        pa.field("node_ids", pa.list_(pa.int64())),
-                        pa.field("lats", pa.list_(pa.float64())),
-                        pa.field("lons", pa.list_(pa.float64())),
-                    ]
-                )
-            ),
-        )
-        stop_t = pa.array(
-            stops_out,
-            pa.list_(
-                pa.struct(
-                    [
-                        pa.field("id", pa.int64()),
-                        pa.field("lat", pa.float64()),
-                        pa.field("lon", pa.float64()),
-                        pa.field("tags", pa.map_(pa.string(), pa.string())),
-                    ]
-                )
-            ),
-        )
-        return pa.table(
-            {
-                "id": batch["id"],
-                "tags": batch["tags"],
-                "info": batch["info"],
-                "ways": way_t,
-                "stops": stop_t,
-            }
-        )
 
-    return tables.relations.map_batches(resolve, batch_format="pyarrow")
+def _with_id(batch: pa.Table, relation_id: int) -> pa.Table:
+    return batch.filter(pc.equal(batch["id"], relation_id))
 
 
 def get_relation_by_id(tables: ParserTables, relation_id: int) -> dict | None:
     """Resolve ONE relation by osm id (reference mod.rs:657-661)."""
-
-    def only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pa.compute.equal(batch["id"], relation_id))
-
-    filtered = ParserTables(
-        relations=tables.relations.map_batches(only, batch_format="pyarrow"),
-        ways=tables.ways,
-        nodes=tables.nodes,
+    only = ParserTables(
+        block_tasks(tables.blocks("relations"), _with_id, relation_id),
+        tables.blocks("ways"),
+        tables.blocks("nodes"),
     )
-    rows = _resolved_batches(filtered).take_all()
+    rows = _resolved_batches(only).take_all()
     return rows[0] if rows else None
 
 
@@ -143,44 +140,32 @@ def par_map_relations(
     return _resolved_batches(tables).map_batches(apply, batch_format="pyarrow")
 
 
+def _summary_task(batch: pa.Table, ways: WayIndex) -> pa.Table:
+    """One relation block → its ``parser_summary`` rows. ``n_nodes`` counts
+    the member ways' node refs; a missing way counts 0 (mod.rs:758)."""
+
+    def n_refs(wid: int) -> int:
+        refs = ways.lookup(wid)
+        return 0 if refs is None else len(refs)
+
+    return pa.table(
+        {
+            "id": batch["id"],
+            "name": pa.array(get_tag_values(batch, "name", "tags").tolist(), pa.string()),
+            "n_ways": pc.cast(pc.list_value_length(batch["way_ids"]), pa.int64()),
+            "n_stops": pc.cast(pc.list_value_length(batch["stop_ids"]), pa.int64()),
+            "n_nodes": pa.array(
+                [sum(map(n_refs, wids)) for wids in batch["way_ids"].to_pylist()], pa.int64()
+            ),
+        }
+    )
+
+
 def parser_summary(tables: ParserTables) -> pa.Table:
     """Per-relation way/stop/node counts + total (reference mod.rs:745-770)."""
-    ways_ref = ray.put(build_way_index(tables.ways))
-
-    def count(batch: pa.Table) -> pa.Table:
-        wi = cached_get(ways_ref)
-        way_ids_col = batch["way_ids"].to_pylist()
-        n_nodes = []
-        for way_ids in way_ids_col:
-            total = 0
-            for wid in way_ids:
-                refs = wi.lookup(wid)
-                total += len(refs) if refs is not None else 0  # None → 0 (mod.rs:758)
-            n_nodes.append(total)
-        from ..kernel.filters import get_tag_values
-
-        names = get_tag_values(batch, "name", "tags")
-        return pa.table(
-            {
-                "id": batch["id"],
-                "name": pa.array(names.tolist(), pa.string()),
-                "n_ways": pa.compute.cast(
-                    pa.compute.list_value_length(batch["way_ids"]), pa.int64()
-                ),
-                "n_stops": pa.compute.cast(
-                    pa.compute.list_value_length(batch["stop_ids"]), pa.int64()
-                ),
-                "n_nodes": pa.array(n_nodes, pa.int64()),
-            }
-        )
-
-    out = tables.relations.map_batches(count, batch_format="pyarrow")
-    import pyarrow as _pa
-
-    tbl = _pa.concat_tables(
-        list(out.iter_batches(batch_size=1 << 16, batch_format="pyarrow"))
+    return pa.concat_tables(
+        [SUMMARY_SCHEMA.empty_table(), *ray.get(relation_tasks(tables, _summary_task))]
     )
-    return tbl
 
 
 __all__ = [

@@ -11,7 +11,6 @@ integration-test gap 1500.0 m (tests/integration_test.rs:6).
 from __future__ import annotations
 
 from functools import partial
-from typing import Literal, Optional
 
 import ray.data as rd
 
@@ -35,28 +34,26 @@ def parser_tables_from_pages(
     *,
     validate: bool = True,
     dedup: bool = False,
-    concurrency: Optional[int | tuple[int, int]] = None,
     id_set_mode: str = "exact",
 ) -> ParserTables:
     """pages parquet → ParserTables (the reference Parser::new equivalent).
 
-    By default each page block is extracted inside the first task of the
-    ``build_parser_tables`` plan, so the read is the only streaming
-    execution, no element row goes through the object store before
-    its kind split, and the driver waits for none of the plan's tasks
-    (the tables hold their refs until read). ``concurrency`` (an
-    extractor actor pool) and ``id_set_mode="bloom"`` feed the streaming
-    ``extract_elements`` output to ``build_parser_tables`` instead.
+    With ``id_set_mode="exact"`` (default) each page block is extracted
+    inside the first task of the ``build_parser_tables`` plan, so the
+    read is the only streaming execution, no element row goes through
+    the object store before its kind split, and the driver waits for
+    none of the plan's tasks (the tables hold their refs until read).
 
     ``id_set_mode="bloom"`` switches the J1/J2 semi-join sides from exact
     sorted-array broadcasts to Bloom prefilter + exact post-join (same
-    tables; for id sets too big to ``ray.put``)."""
+    tables); it feeds the streaming ``extract_elements`` output to
+    ``build_parser_tables``."""
     pages = read_pages(pages_path, validate=validate)
-    if concurrency is None and id_set_mode == "exact":
+    if id_set_mode == "exact":
         return _parser_tables_from_blocks(
             pages, filters, dedup=dedup, prepare=partial(extract_batch, validate=validate)
         )
-    elements = extract_elements(pages, validate=validate, concurrency=concurrency)
+    elements = extract_elements(pages, validate=validate)
     return build_parser_tables(elements, filters, dedup=dedup, id_set_mode=id_set_mode)
 
 
@@ -65,17 +62,12 @@ def public_transports_from_pages(
     gap: float = DEFAULT_GAP,
     filters: str = PTV2,
     *,
-    mode: Literal["broadcast", "shuffle"] = "broadcast",
     validate: bool = True,
-    concurrency: Optional[int | tuple[int, int]] = None,
     id_set_mode: str = "exact",
 ) -> rd.Dataset:
     """new_ptv2 + get_public_transports, end-to-end."""
-    tables = parser_tables_from_pages(
-        pages_path, filters, validate=validate, concurrency=concurrency,
-        id_set_mode=id_set_mode,
-    )
-    return get_public_transports(tables, gap, mode=mode)
+    tables = parser_tables_from_pages(pages_path, filters, validate=validate, id_set_mode=id_set_mode)
+    return get_public_transports(tables, gap)
 
 
 def areas_from_pages(
@@ -83,17 +75,12 @@ def areas_from_pages(
     gap: float = DEFAULT_GAP,
     filters: str = AA,
     *,
-    mode: Literal["broadcast", "shuffle"] = "broadcast",
     cli_parity: bool = False,
     validate: bool = True,
-    concurrency: Optional[int | tuple[int, int]] = None,
 ) -> rd.Dataset:
     """new(filters) + get_areas; ``cli_parity`` applies the CLI-only
     status!=0 / empty-geometry drop (reference bin.rs:68-73)."""
-    tables = parser_tables_from_pages(
-        pages_path, filters, validate=validate, concurrency=concurrency
-    )
-    areas = get_areas(tables, gap, mode=mode)
+    areas = get_areas(parser_tables_from_pages(pages_path, filters, validate=validate), gap)
     return cli_area_filter(areas) if cli_parity else areas
 
 
@@ -116,12 +103,10 @@ def public_transports_from_pbf(
     pbf_path: str,
     gap: float = DEFAULT_GAP,
     filters: str = PTV2,
-    *,
-    mode: Literal["broadcast", "shuffle"] = "broadcast",
 ) -> rd.Dataset:
     """``Parser::new_ptv2(path)`` + ``get_public_transports`` over a real
     PBF file (the reference README's workload)."""
-    return get_public_transports(parser_tables_from_pbf(pbf_path, filters), gap, mode=mode)
+    return get_public_transports(parser_tables_from_pbf(pbf_path, filters), gap)
 
 
 def areas_from_pbf(
@@ -129,9 +114,8 @@ def areas_from_pbf(
     gap: float = DEFAULT_GAP,
     filters: str = AA,
     *,
-    mode: Literal["broadcast", "shuffle"] = "broadcast",
     cli_parity: bool = False,
 ) -> rd.Dataset:
     """``Parser::new(path, filters)`` + ``get_areas`` over a real PBF."""
-    areas = get_areas(parser_tables_from_pbf(pbf_path, filters), gap, mode=mode)
+    areas = get_areas(parser_tables_from_pbf(pbf_path, filters), gap)
     return cli_area_filter(areas) if cli_parity else areas

@@ -16,8 +16,6 @@ join rows per second.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import pyarrow as pa
 import ray
@@ -226,7 +224,6 @@ def stop_route_spatial_join(
     tile_level: int = 14,
     small_side: str = "broadcast",
     validate: bool = True,
-    concurrency: Optional[int | tuple[int, int]] = None,
 ) -> dict[str, rd.Dataset]:
     """The flagship: returns the component datasets.
 
@@ -246,9 +243,7 @@ def stop_route_spatial_join(
     stops and hulls, which wait for their inputs: 3 executions in all,
     the read and one per spatial join.
     """
-    tables = parser_tables_from_pages(
-        pages_path, filters, validate=validate, concurrency=concurrency
-    )
+    tables = parser_tables_from_pages(pages_path, filters, validate=validate)
     pt = public_transport_blocks(tables, gap)
     tail = _tail(pt, pip_level=pip_level, pip_salt=pip_salt, knn_k=knn_k,
                  knn_radius_m=knn_radius_m, tile_level=tile_level, small_side=small_side)

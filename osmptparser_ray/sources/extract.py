@@ -1,10 +1,10 @@
-"""OSM-payload extraction from web pages — the graft's stateful ingest stage.
+"""OSM-payload extraction from web pages — the graft's ingest stage.
 
-``OsmPayloadExtractor`` is a callable class meant for
-``pages.map_batches(OsmPayloadExtractor, batch_format="pyarrow",
-concurrency=N)`` — an actor pool whose per-actor state (compiled byte
-regex, XML parser tables) is built once in ``__init__`` and reused per
-batch (SURVEY.md §2.3: the graft's analogue of a model/tokenizer load).
+``OsmPayloadExtractor`` is a callable class whose state (compiled byte
+regex, XML parser tables, options) is built once in ``__init__`` and
+reused per batch (SURVEY.md §2.3: the graft's analogue of a
+model/tokenizer load). The pipelines call it through ``extract_batch``,
+a plain task function that keeps one extractor per worker process.
 
 Contract (BASELINE.json input_hint): ``extract_text(html)`` must equal the
 page's ``text`` column byte-for-byte, for every url.
@@ -46,8 +46,7 @@ def extract_batch(batch: pa.Table, include_url: bool = False, validate: bool = T
     Stateless Ray tasks dispatch with far lower per-task latency than actor
     pools in this Ray version; the compiled state is amortized via a
     process-global cache, so tasks get actor-like state reuse with task
-    elasticity. Use the ``OsmPayloadExtractor`` class directly when heavier
-    per-actor state (a real model) is involved.
+    elasticity.
     """
     key = (include_url, validate)
     ex = _PROCESS_EXTRACTORS.get(key)
@@ -63,8 +62,8 @@ class OsmPayloadExtractor:
     ``on_error``: "raise" (default — a malformed payload or violated
     extraction invariant aborts the job loudly) or "skip" (count and drop
     the page; at web scale a corrupt page must not kill a 10^12-row job).
-    Skipped-page counts are exposed per batch via the ``n_skipped``
-    attribute (cumulative per worker).
+    Skipped-page counts are exposed via the ``n_skipped`` attribute
+    (cumulative per extractor).
 
     ``parser``: "vec" (default — the whole-batch vectorized parser, with
     the scalar ET loop as its fallback) or "et" (the scalar loop only).
@@ -77,7 +76,7 @@ class OsmPayloadExtractor:
         on_error: str = "raise",
         parser: str = "vec",
     ):
-        # compiled once per actor
+        # compiled once per extractor
         self.payload_re = _PAYLOAD_RE
         self.include_url = include_url
         self.validate = validate

@@ -2,38 +2,22 @@
 ``get_public_transports`` / ``get_areas`` drivers (mod.rs:511-654,
 664-722), Ray-Data-first.
 
-Two physical strategies, identical results (tested against each other):
+One plan, the reference's shared read-only cache: the member-way and
+node lookup tables are built in tasks (the way index, the node index
+shards) and every relation block task takes them as top-level arguments
+(``relation_tasks``). They are the SMALL side — ids/coords only, pruned
+by the semi-joins — so per-relation resolution is a local array lookup
+inside one block task per relation block (``util.block_tasks``): no
+shuffle, no streaming execution and no driver wait at all. The parser
+API (``pipelines.parser_api``) resolves through the same tasks.
 
-* ``mode="broadcast"`` (default): the member-way and node lookup tables are
-  built in tasks (the way index, the node index shards) and read by
-  every assembly task as top-level arguments (they are the SMALL side —
-  ids/coords only, pruned by the semi-joins). Per-relation resolution is
-  then a local array lookup inside one block task per relation block
-  (``util.block_tasks``) — no shuffle, no streaming execution and no
-  driver wait at all. This mirrors the reference's shared read-only cache and
-  is the right plan while ways+nodes-of-interest fit a worker's heap
-  (country-scale OSM ≈ a few GB).
-
-* ``mode="shuffle"``: fully distributed — three ``util.cosort`` passes
-  over scalar rows made by block tasks, each a range partition plus one
-  probe task per key range:
-  member rows ⋈ way-ref rows on way_id, those ⋈ node coordinates on
-  node_id, then those regrouped with the relation rows (tags, info and
-  stop ids as native Arrow columns) on relation_id, where the block is
-  flattened by the same ``_flatten_rows`` the broadcast tasks use. No
-  hash join, actor or driver-side collect; only the stop lookup (the
-  sharded node index pruned to stop ids) is shared. Inner joins realize the
-  reference's silent missing-way/node filtering (mod.rs:672/680/693).
-
-Missing ways/nodes are silently dropped in both modes; member order and
-per-way node order are preserved (explicit member_pos/node_pos columns in
-the shuffle path).
+Missing ways/nodes are silently dropped (mod.rs:672/680/693); member
+order and per-way node order are preserved.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Literal, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -42,8 +26,8 @@ import ray
 import ray.data as rd
 
 from ..kernel.geometry import NodeSeq, flatten_relation, flatten_single_way
-from ..util import block_tasks, concat_columns, cosort, dataset_of, key_pairs, key_runs, submit
-from .elements import ParserTables, _shard_count, stop_id_set
+from ..util import block_tasks, concat_columns, dataset_of, submit
+from .elements import ParserTables, _shard_count
 
 TAGS_T = pa.map_(pa.string(), pa.string())
 STOP_T = pa.struct(
@@ -126,13 +110,6 @@ class NodeIndex(NamedTuple):
     stop_ids: np.ndarray  # int64, sorted (subset of ids)
     stop_tags: "pa.Array"  # map<string,string>, aligned with stop_ids
 
-    def gather(self, ref_ids: np.ndarray):
-        """refs → (found_ids, lats, lons), silently dropping missing nodes
-        (reference mod.rs:680)."""
-        refs = np.asarray(ref_ids, dtype=np.int64)
-        ok, lats, lons = self.gather_mask(refs)
-        return refs[ok], lats[ok], lons[ok]
-
     def gather_mask(self, refs: np.ndarray):
         """refs → (ok mask, lats, lons) with lats/lons valid where ok —
         the bulk form: ONE call per batch instead of one per way."""
@@ -196,84 +173,30 @@ def _way_index(*parts) -> WayIndex:
     ids, lens, refs = concat_columns(parts, (np.int64, np.int64, np.int64))
     offs = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(lens, out=offs[1:])
-    # sorted-id permutation; duplicate ids keep the LAST occurrence,
-    # matching the reference's HashMap last-wins merge (mod.rs:422).
-    # No ref movement — fully vectorized.
+    # a sorted-id permutation, no ref movement (mod.rs:422)
+    rows, ids = _last_wins(ids)
+    return WayIndex(ids, rows, offs, refs)
+
+
+def _last_wins(ids: np.ndarray) -> tuple:
+    """Ids in input (block) order → (the input position of each kept id,
+    the sorted unique ids): a duplicate id keeps its LAST occurrence, the
+    reference's HashMap last-wins merge (mod.rs:422, 494)."""
     order = np.argsort(ids, kind="stable")
-    ids_sorted = ids[order]
-    keep = np.ones(len(ids_sorted), dtype=bool)
-    keep[:-1] = ids_sorted[:-1] != ids_sorted[1:]
-    return WayIndex(ids_sorted[keep], order[keep], offs, refs)
-
-
-def build_way_index(ways: rd.Dataset) -> WayIndex:
-    """Member ways → WayIndex on the driver (``way_index``, then a wait)."""
-    return ray.get(way_index(ways))
-
-
-def build_node_index(nodes: rd.Dataset, stop_ids: Optional[np.ndarray] = None) -> NodeIndex:
-    """Nodes → NodeIndex; tags kept (columnar) only for ``stop_ids`` (or all
-    nodes when ``stop_ids`` is None).
-
-    Like ``build_way_index``, the per-block conversion (casts, stop-id
-    membership filter, tag sub-array slicing) runs in block tasks; the
-    driver's share is concatenation + the two final argsorts."""
-    stop_ref = ray.put(_sorted_ids(stop_ids))
-    pieces = ray.get(block_tasks(nodes, _split_node_block, 1, stop_ref))
-    return _merge_node_shard(*(p[0] for p in pieces))
-
-
-def _sorted_ids(ids: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    return np.sort(np.asarray(ids, dtype=np.int64)) if ids is not None else None
-
-
-def _merge_node_parts(
-    id_parts, lat_parts, lon_parts, stop_id_parts, stop_tag_arrays
-) -> NodeIndex:
-    """Concatenate per-block pieces (in BLOCK ORDER — last-wins depends on
-    it, mod.rs:494) → sorted/deduped NodeIndex."""
-    empty_tags = pa.array([], TAGS_T)
-    if not id_parts:
-        z = np.empty(0, np.int64)
-        return NodeIndex(z, z.astype(np.float64), z.astype(np.float64), z, empty_tags)
-    ids = np.concatenate(id_parts)
-    lats = np.concatenate(lat_parts)
-    lons = np.concatenate(lon_parts)
-    order = np.argsort(ids, kind="stable")
-    ids, lats, lons = ids[order], lats[order], lons[order]
-    # last-wins dedup (mod.rs:494)
+    ids = ids[order]
     keep = np.ones(len(ids), dtype=bool)
     keep[:-1] = ids[:-1] != ids[1:]
-    if stop_id_parts:
-        sids = np.concatenate(stop_id_parts)
-        stags = pa.concat_arrays(
-            [t if isinstance(t, pa.Array) else t.combine_chunks() for t in stop_tag_arrays]
-        )
-        sorder = np.argsort(sids, kind="stable")
-        sids_sorted = sids[sorder]
-        skeep = np.ones(len(sids_sorted), dtype=bool)
-        skeep[:-1] = sids_sorted[:-1] != sids_sorted[1:]
-        final_idx = sorder[skeep]
-        stags = stags.take(pa.array(final_idx, pa.int64()))
-        sids_final = sids_sorted[skeep]
-    else:
-        sids_final = np.empty(0, np.int64)
-        stags = empty_tags
-    return NodeIndex(ids[keep], lats[keep], lons[keep], sids_final, stags)
+    return order[keep], ids[keep]
 
 
 class ShardedNodeIndex:
     """Hash-sharded node lookup: P ``NodeIndex`` shards by ``id % P``.
 
-    The un-sharded ``NodeIndex`` is built by (and broadcast from) the
-    driver — fine while nodes-of-interest fit one heap, but a serial
-    section at high CPU counts and a hard wall at planet scale. Here
-    split tasks partition each block's rows by ``id % P`` and one merge
-    task per shard sorts/dedups its slice (``node_index_shards``); the
-    driver holds only P ObjectRefs, and the tasks that read the index
-    take the shards as top-level arguments and wrap them in this class.
-    Every lookup routes vectorized per-shard. API-compatible with
-    ``NodeIndex`` (gather / stops_bulk).
+    Split tasks partition each block's rows by ``id % P`` and one merge
+    task per shard sorts/dedups its slice (``node_index_shards``), so no
+    shard is built on the driver, which holds only P ObjectRefs; the
+    tasks that read the index take the shards as top-level arguments and
+    wrap them in this class. Every lookup routes vectorized per-shard.
     """
 
     def __init__(self, shards):
@@ -286,31 +209,16 @@ class ShardedNodeIndex:
         return refs[ok], lats[ok], lons[ok]
 
     def gather_mask(self, refs: np.ndarray):
-        """Bulk per-position form (see NodeIndex.gather_mask)."""
+        """Per-shard ``NodeIndex.gather_mask``, in input order."""
         refs = np.asarray(refs, dtype=np.int64)
         n = len(refs)
         ok = np.zeros(n, dtype=bool)
         lats = np.empty(n, np.float64)
         lons = np.empty(n, np.float64)
-        if n == 0:
-            return ok, lats, lons
-        shards = self.shards
         sh = refs % self.num_shards
         for p in np.unique(sh):
             m = sh == p
-            s = shards[int(p)]
-            if len(s.ids) == 0:
-                continue
-            sub = refs[m]
-            idx = np.minimum(np.searchsorted(s.ids, sub), len(s.ids) - 1)
-            hit = s.ids[idx] == sub
-            tmp_lat = np.empty(len(sub), np.float64)
-            tmp_lon = np.empty(len(sub), np.float64)
-            tmp_lat[hit] = s.lats[idx[hit]]
-            tmp_lon[hit] = s.lons[idx[hit]]
-            ok[m] = hit
-            lats[m] = tmp_lat
-            lons[m] = tmp_lon
+            ok[m], lats[m], lons[m] = self.shards[int(p)].gather_mask(refs[m])
         return ok, lats, lons
 
     def stops_bulk(self, stop_ids_flat: np.ndarray):
@@ -344,71 +252,55 @@ class ShardedNodeIndex:
         return ok, lats[found], lons[found], tags
 
 
-def _split_node_block(b: pa.Table, num_shards: int, stop_sorted):
-    """One non-empty node block → per-shard pieces (a block task, P returns)."""
+def _split_node_block(b: pa.Table, num_shards: int, stop_sorted: np.ndarray):
+    """One node block → per-shard pieces (a block task, P returns); tags
+    are kept for the ids in ``stop_sorted`` only."""
     ids = b["id"].to_numpy(zero_copy_only=False).astype(np.int64)
     lats = b["lat"].to_numpy(zero_copy_only=False).astype(np.float64)
     lons = b["lon"].to_numpy(zero_copy_only=False).astype(np.float64)
-    tags = b["tags"].combine_chunks()
+    is_stop = np.zeros(len(ids), dtype=bool)
+    if len(stop_sorted):
+        pos = np.minimum(np.searchsorted(stop_sorted, ids), len(stop_sorted) - 1)
+        is_stop = stop_sorted[pos] == ids
+    stop_ids, stop_tags = ids[is_stop], b["tags"].combine_chunks().filter(pa.array(is_stop))
+    sh, stop_sh = ids % num_shards, stop_ids % num_shards
     pieces = []
-    sh = ids % num_shards
     for p in range(num_shards):
-        m = sh == p
-        p_ids, p_lats, p_lons = ids[m], lats[m], lons[m]
-        if stop_sorted is not None:
-            if len(stop_sorted):
-                pos = np.minimum(
-                    np.searchsorted(stop_sorted, p_ids), len(stop_sorted) - 1
-                )
-                hit = stop_sorted[pos] == p_ids
-            else:
-                hit = np.zeros(len(p_ids), dtype=bool)
-            p_sids = p_ids[hit]
-            p_stags = tags.filter(pa.array(m)).filter(pa.array(hit))
-        else:
-            p_sids = p_ids
-            p_stags = tags.filter(pa.array(m))
-        pieces.append((p_ids, p_lats, p_lons, p_sids, p_stags))
-    return tuple(pieces)
+        m, sm = sh == p, stop_sh == p
+        pieces.append((ids[m], lats[m], lons[m], stop_ids[sm], stop_tags.filter(pa.array(sm))))
+    return tuple(pieces) if num_shards > 1 else pieces[0]  # one return is its value
 
 
 def _merge_node_shard(*pieces) -> NodeIndex:
-    """Pieces of one shard (block order) → that shard's NodeIndex."""
-    id_parts = [p[0] for p in pieces]
-    lat_parts = [p[1] for p in pieces]
-    lon_parts = [p[2] for p in pieces]
-    stop_id_parts = [p[3] for p in pieces if len(p[3])]
-    stop_tag_arrays = [p[4] for p in pieces if len(p[3])]
-    return _merge_node_parts(
-        id_parts, lat_parts, lon_parts, stop_id_parts, stop_tag_arrays
-    )
+    """Pieces of one shard, in block order (last-wins depends on it) →
+    that shard's sorted/deduped NodeIndex."""
+    dtypes = (np.int64, np.float64, np.float64, np.int64)
+    ids, lats, lons, stop_ids = concat_columns([p[:4] for p in pieces], dtypes)
+    at, ids = _last_wins(ids)
+    stop_at, stop_ids = _last_wins(stop_ids)
+    tags = [p[4] for p in pieces if len(p[3])]
+    tags = pa.concat_arrays(tags) if tags else pa.array([], TAGS_T)
+    return NodeIndex(ids, lats[at], lons[at], stop_ids, tags.take(pa.array(stop_at, pa.int64())))
 
 
-def node_index_shards(nodes, stop_ids, num_shards: int) -> list:
-    """The refs of ``num_shards`` ``NodeIndex`` shards of ``nodes`` (block
-    refs or a Dataset), submitted without waiting: one split task per
-    block, ``num_shards`` returns each, then one merge task per shard.
-    ``stop_ids`` (a sorted id array or its ref, or ``None`` for all
-    nodes) selects the nodes whose tags are kept. Block ORDER is
-    preserved into every merge so last-wins dedup matches the
+def node_index_shards(nodes, stop_ids, num_shards: int = 0) -> list:
+    """The refs of ``num_shards`` (default: one per two Ray CPUs, 2 to
+    16) ``NodeIndex`` shards of ``nodes`` (block refs or a Dataset),
+    submitted without waiting: one split task per block, ``num_shards``
+    returns each, then one merge task per shard. ``stop_ids`` (a sorted
+    id array or its ref) selects the nodes whose tags are kept. Block
+    ORDER is preserved into every merge so last-wins dedup matches the
     reference."""
-    P = num_shards
-    pieces = block_tasks(nodes, _split_node_block, P, stop_ids, num_returns=P)
-    return [submit(_merge_node_shard, *[p[i] for p in pieces]) for i in range(P)]
-
-
-def build_node_index_sharded(
-    nodes: rd.Dataset,
-    stop_ids: Optional[np.ndarray] = None,
-    num_shards: Optional[int] = None,
-) -> ShardedNodeIndex:
-    """``node_index_shards`` of a Dataset, fetched to the driver."""
     P = num_shards or _shard_count(0.5)
-    return ShardedNodeIndex(ray.get(node_index_shards(nodes, ray.put(_sorted_ids(stop_ids)), P)))
+    pieces = block_tasks(nodes, _split_node_block, P, stop_ids, num_returns=P)
+    return [submit(_merge_node_shard, *[p[i] if P > 1 else p for p in pieces]) for i in range(P)]
 
 
-def collect_stop_ids(relations: rd.Dataset) -> np.ndarray:
-    return ray.get(stop_id_set(relations))
+def build_node_index_sharded(nodes: rd.Dataset, stop_ids: np.ndarray,
+                             num_shards: int = 0) -> ShardedNodeIndex:
+    """``node_index_shards`` of a Dataset, fetched to the driver."""
+    stop_sorted = np.sort(np.asarray(stop_ids, dtype=np.int64))
+    return ShardedNodeIndex(ray.get(node_index_shards(nodes, stop_sorted, num_shards)))
 
 
 def _list_parts(col) -> tuple:
@@ -418,7 +310,7 @@ def _list_parts(col) -> tuple:
     return offs - offs[0], arr.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
 
 
-def _stops_column(nodes, stop_ids_arr: "pa.Array") -> "pa.ListArray":
+def stops_column(nodes, stop_ids_arr: "pa.Array") -> "pa.ListArray":
     """Bulk stop resolution for a whole batch, assembled DIRECTLY as the
     arrow list<struct> column (round-3: the per-stop python dict building
     + python→arrow conversion was ~25% of assembly CPU; the tags stay an
@@ -445,37 +337,13 @@ def _stops_column(nodes, stop_ids_arr: "pa.Array") -> "pa.ListArray":
     return pa.ListArray.from_arrays(pa.array(offs, pa.int32()), struct)
 
 
-def _flatten_rows(batch: pa.Table, seqs_col: list, nodes, gap: float, closed: bool,
-                  as_area: bool) -> pa.Table:
-    """Relation rows (id, tags, info, stop_ids) and each one's resolved
-    member ``NodeSeq``s → PublicTransport rows, or relation-Area rows when
-    ``as_area``: the one flatten + stops tail of both assembly modes."""
-    geoms, codes, details = [], [], []
-    for seqs in seqs_col:
-        segments, status = flatten_relation(seqs, gap, closed)
-        geoms.append(_geometry_value(segments))
-        codes.append(status.code)
-        details.append(status.detail)
-    cols = {"id": batch["id"]}
-    if as_area:
-        cols["id_type"] = pa.array(["r"] * batch.num_rows, pa.string())
-    cols["tags"] = batch["tags"]
-    cols["info"] = batch["info"]
-    if not as_area:
-        cols["stops"] = _stops_column(nodes, batch["stop_ids"])
-    cols["geometry"] = pa.array(geoms, GEOM_T)
-    cols["status_code"] = pa.array(codes, pa.int64())
-    cols["status_detail"] = pa.array(details, pa.string())
-    return pa.table(cols)
-
-
 def _resolve_seqs_batch(way_ids_arr: "pa.Array", wi: WayIndex, nodes) -> list[list[NodeSeq]]:
     """Way/node resolution for a WHOLE relations batch in three bulk
     array operations (round-3: the per-way ``gather`` calls — 63 per
     relation on the bench corpus — were half the assembly stage's CPU;
     numpy fixed overhead × 10^5 tiny calls). Missing ways (mod.rs:672)
-    and ways with zero resolvable nodes are silently dropped, as in the
-    shuffle path; order is preserved."""
+    and ways with zero resolvable nodes are silently dropped; order is
+    preserved."""
     woffs, flat_wids = _list_parts(way_ids_arr)
     nrel = len(woffs) - 1
     seqs_col: list[list[NodeSeq]] = [[] for _ in range(nrel)]
@@ -519,12 +387,28 @@ def _resolve_seqs_batch(way_ids_arr: "pa.Array", wi: WayIndex, nodes) -> list[li
 
 
 def _assemble_task(batch: pa.Table, ways: WayIndex, gap, closed, as_area, *node_shards) -> pa.Table:
-    """One relation block → its flattened rows (broadcast mode). The way
-    index and the node index shards arrive as resolved top-level
-    arguments (zero-copy numpy reads)."""
+    """One relation block (id, tags, info, way_ids, stop_ids) → its
+    flattened PublicTransport rows, or relation-Area rows when
+    ``as_area``. The way index and the node index shards arrive as
+    resolved top-level arguments (zero-copy numpy reads)."""
     nodes = ShardedNodeIndex(node_shards)
-    seqs_col = _resolve_seqs_batch(batch["way_ids"], ways, nodes)
-    return _flatten_rows(batch, seqs_col, nodes, gap, closed, as_area)
+    geoms, codes, details = [], [], []
+    for seqs in _resolve_seqs_batch(batch["way_ids"], ways, nodes):
+        segments, status = flatten_relation(seqs, gap, closed)
+        geoms.append(_geometry_value(segments))
+        codes.append(status.code)
+        details.append(status.detail)
+    cols = {"id": batch["id"]}
+    if as_area:
+        cols["id_type"] = pa.array(["r"] * batch.num_rows, pa.string())
+    cols["tags"] = batch["tags"]
+    cols["info"] = batch["info"]
+    if not as_area:
+        cols["stops"] = stops_column(nodes, batch["stop_ids"])
+    cols["geometry"] = pa.array(geoms, GEOM_T)
+    cols["status_code"] = pa.array(codes, pa.int64())
+    cols["status_detail"] = pa.array(details, pa.string())
+    return pa.table(cols)
 
 
 def _way_area_task(batch: pa.Table, gap: float, *node_shards) -> pa.Table:
@@ -556,66 +440,46 @@ def _way_area_task(batch: pa.Table, gap: float, *node_shards) -> pa.Table:
     )
 
 
-def _assemble_relations(tables: ParserTables, node_shards: list, gap: float, closed: bool,
-                        as_area: bool) -> list:
-    """The broadcast assembly: one ``_assemble_task`` per relation block,
-    after the way index task → the output block refs."""
-    return block_tasks(tables.blocks("relations"), _assemble_task, way_index(tables.blocks("ways")),
-                       gap, closed, as_area, *node_shards)
-
-
-def _node_shards(tables: ParserTables, stop_ids) -> list:
-    return node_index_shards(tables.blocks("nodes"), stop_ids, _shard_count(0.5))
+def relation_tasks(tables: ParserTables, fn, *args) -> list:
+    """``fn(block, ways, *args)`` as one task per relation block of
+    ``tables`` → the output refs, submitted without waiting. ``ways`` is
+    the member ways' ``WayIndex`` (``way_index``); it and the refs in
+    ``args`` (the node index shards) are top-level task arguments, so
+    Ray fetches them before the task starts."""
+    return block_tasks(tables.blocks("relations"), fn, way_index(tables.blocks("ways")), *args)
 
 
 def public_transport_blocks(tables: ParserTables, gap: float) -> list:
-    """The broadcast assembly's PT block refs, submitted without waiting:
-    the node index shards (tags kept for stops only; the driver holds
-    refs only) and the way index are tasks, and each relation block's
-    assembly task takes them, with its block, as top-level arguments."""
-    return _assemble_relations(tables, _node_shards(tables, tables.stop_ids()), gap,
-                               closed=False, as_area=False)
+    """The assembly's PT block refs, submitted without waiting: the node
+    index shards (tags kept for stops only) and the way index are tasks,
+    and each relation block's ``_assemble_task`` takes them as arguments."""
+    shards = node_index_shards(tables.blocks("nodes"), tables.stop_ids())
+    return relation_tasks(tables, _assemble_task, gap, False, False, *shards)
 
 
-def get_public_transports(
-    tables: ParserTables,
-    gap: float,
-    *,
-    mode: Literal["broadcast", "shuffle"] = "broadcast",
-) -> rd.Dataset:
+def get_public_transports(tables: ParserTables, gap: float) -> rd.Dataset:
     """All filtered relations flattened (open) → PublicTransport rows, a
     materialized dataset.
 
     Reference: get_public_transports (mod.rs:511-527). Output order is
     nondeterministic, matching the reference's channel-drain order.
-    ``mode="broadcast"`` is ``public_transport_blocks``, whose tasks take
-    the tables' block refs: over tables the plan built, the only wait is
-    the one for the output's metadata, here at the end.
+    Over tables the plan built, the only wait is the one for the
+    output's metadata, here at the end.
     """
-    if mode == "shuffle":
-        return _assemble_shuffle(tables, _node_shards(tables, tables.stop_ids()), gap,
-                                 closed=False, as_area=False)
     return dataset_of(public_transport_blocks(tables, gap), PT_SCHEMA.empty_table())
 
 
-def get_areas(
-    tables: ParserTables,
-    gap: float,
-    *,
-    mode: Literal["broadcast", "shuffle"] = "broadcast",
-) -> rd.Dataset:
+def get_areas(tables: ParserTables, gap: float) -> rd.Dataset:
     """Relation areas ('r', closed) ∪ standalone way areas ('w', closed).
 
     Reference: get_areas (mod.rs:580-654). The library returns ALL rows
     including Broken; CLI-parity filtering (drop status!=0 / empty
-    geometry, bin.rs:68-73) is `cli_area_filter`.
+    geometry, bin.rs:68-73) is `cli_area_filter`. No area reads a node
+    tag, so the node index shards keep none.
     """
-    node_shards = _node_shards(tables, None)
-    way_areas = block_tasks(tables.blocks("ways"), _way_area_task, gap, *node_shards)
-    if mode == "shuffle":
-        rel_areas = _assemble_shuffle(tables, [], gap, closed=True, as_area=True)
-        return rel_areas.union(dataset_of(way_areas, AREA_SCHEMA.empty_table()))
-    rel_areas = _assemble_relations(tables, node_shards, gap, closed=True, as_area=True)
+    shards = node_index_shards(tables.blocks("nodes"), np.empty(0, np.int64))
+    way_areas = block_tasks(tables.blocks("ways"), _way_area_task, gap, *shards)
+    rel_areas = relation_tasks(tables, _assemble_task, gap, True, True, *shards)
     return dataset_of(rel_areas + way_areas, AREA_SCHEMA.empty_table())
 
 
@@ -631,158 +495,3 @@ def cli_area_filter(areas: rd.Dataset) -> rd.Dataset:
         return batch.filter(ok)
 
     return areas.map_batches(keep, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# shuffle-mode assembly: three cosorts over scalar rows
-# ---------------------------------------------------------------------------
-
-_I64, _F64 = pa.int64(), pa.float64()
-# the rows of each cosort; a way-ref or node row has a null relation_id,
-# a relation row a null member_pos
-_WAY_ROWS = pa.schema(
-    [("way_id", _I64), ("relation_id", _I64), ("member_pos", _I64),
-     ("node_pos", _I64), ("node_id", _I64)]
-)
-_NODE_ROWS = pa.schema(
-    [("node_id", _I64), ("relation_id", _I64), ("member_pos", _I64),
-     ("node_pos", _I64), ("lat", _F64), ("lon", _F64)]
-)
-_RELATION_ROWS = pa.schema(
-    [("relation_id", _I64), ("member_pos", _I64), ("node_pos", _I64),
-     ("node_id", _I64), ("lat", _F64), ("lon", _F64), ("tags", TAGS_T),
-     ("info", TAGS_T), ("stop_ids", pa.list_(_I64))]
-)
-
-
-def _rows(schema: pa.Schema, n: int, **cols) -> pa.Table:
-    """``n`` rows of ``schema`` from ``cols`` (numpy or Arrow), nulls in
-    every other column."""
-    arrays = []
-    for f in schema:
-        v = cols.get(f.name)
-        if v is None:
-            v = pa.nulls(n, f.type)
-        elif isinstance(v, np.ndarray):
-            v = pa.array(v, f.type)
-        arrays.append(v)
-    return pa.Table.from_arrays(arrays, schema=schema)
-
-
-def _col(t: pa.Table, name: str) -> np.ndarray:
-    return t[name].to_numpy(zero_copy_only=False)
-
-
-def _explode(col) -> tuple:
-    """list column → (row of each value, position in its list, values)."""
-    offs, flat = _list_parts(col)
-    counts = np.diff(offs)
-    row = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    return row, np.arange(len(flat), dtype=np.int64) - offs[:-1][row], flat
-
-
-def _member_rows(batch: pa.Table) -> pa.Table:
-    """relations → one (way_id, relation_id, member_pos) row per member."""
-    row, pos, wids = _explode(batch["way_ids"])
-    rids = _col(batch, "id").astype(np.int64)[row]
-    return _rows(_WAY_ROWS, len(wids), way_id=wids, relation_id=rids, member_pos=pos)
-
-
-def _way_ref_rows(batch: pa.Table) -> pa.Table:
-    """member ways → one (way_id, node_pos, node_id) row per node ref."""
-    batch = batch.filter(batch["is_member"])
-    row, pos, refs = _explode(batch["node_refs"])
-    wids = _col(batch, "id").astype(np.int64)[row]
-    return _rows(_WAY_ROWS, len(refs), way_id=wids, node_pos=pos, node_id=refs)
-
-
-def _node_rows(batch: pa.Table) -> pa.Table:
-    return _rows(_NODE_ROWS, batch.num_rows, node_id=batch["id"], lat=batch["lat"],
-                 lon=batch["lon"])
-
-
-def _relation_rows(batch: pa.Table) -> pa.Table:
-    return _rows(_RELATION_ROWS, batch.num_rows, relation_id=batch["id"],
-                 tags=batch["tags"], info=batch["info"], stop_ids=batch["stop_ids"])
-
-
-def _split(block: pa.Table, col: str) -> tuple:
-    """Rows with ``col`` valid, rows with it null."""
-    valid = pc.is_valid(block[col])
-    return block.filter(valid), block.filter(pc.invert(valid))
-
-
-def _member_node_probe(block: pa.Table) -> pa.Table:
-    """Members ⋈ way refs on way_id → one row per (member, node ref).
-    A member way absent from ``ways`` has no ref rows and drops out
-    (mod.rs:672)."""
-    members, refs = _split(block, "relation_id")
-    li, ri = key_pairs(_col(members, "way_id"), _col(refs, "way_id"))
-    return _rows(
-        _NODE_ROWS, len(li),
-        node_id=_col(refs, "node_id")[ri], relation_id=_col(members, "relation_id")[li],
-        member_pos=_col(members, "member_pos")[li], node_pos=_col(refs, "node_pos")[ri],
-    )
-
-
-def _coord_probe(block: pa.Table) -> pa.Table:
-    """(member, node ref) rows ⋈ nodes on node_id, an inner join: a
-    missing node drops out (mod.rs:680). One node row per id is used."""
-    pairs, nodes = _split(block, "relation_id")
-    nid = _col(nodes, "node_id")
-    first = key_runs(nid)[:-1]
-    li, ri = key_pairs(_col(pairs, "node_id"), nid[first])
-    ri = first[ri]
-    return _rows(
-        _RELATION_ROWS, len(li),
-        relation_id=_col(pairs, "relation_id")[li], member_pos=_col(pairs, "member_pos")[li],
-        node_pos=_col(pairs, "node_pos")[li], node_id=nid[ri],
-        lat=_col(nodes, "lat")[ri], lon=_col(nodes, "lon")[ri],
-    )
-
-
-def _relation_probe(block: pa.Table, *node_shards, gap: float, closed: bool,
-                    as_area: bool) -> pa.Table:
-    """Relation rows with their resolved node rows → flattened rows: the
-    node rows, ordered by (relation_id, member_pos, node_pos), split into
-    one ``NodeSeq`` per member run. A relation without node rows gets
-    no seqs → 501 Broken, like the reference. The stop lookup is the
-    node index shards (none for areas)."""
-    points, rels = _split(block, "member_pos")
-    rid, mpos = _col(points, "relation_id"), _col(points, "member_pos")
-    order = np.lexsort((_col(points, "node_pos"), mpos, rid))
-    rid, mpos = rid[order], mpos[order]
-    ids, lats, lons = (_col(points, c)[order] for c in ("node_id", "lat", "lon"))
-    bounds = key_runs(rid, mpos)
-    seqs_col: list[list[NodeSeq]] = [[] for _ in range(rels.num_rows)]
-    slots = np.searchsorted(_col(rels, "relation_id"), rid[bounds[:-1]])
-    for k, s, e in zip(slots, bounds[:-1], bounds[1:]):
-        seqs_col[k].append(NodeSeq(ids[s:e], lats[s:e], lons[s:e]))
-    batch = pa.table({"id": rels["relation_id"], "tags": rels["tags"],
-                      "info": rels["info"], "stop_ids": rels["stop_ids"]})
-    nodes = ShardedNodeIndex(node_shards) if node_shards else None
-    return _flatten_rows(batch, seqs_col, nodes, gap, closed, as_area)
-
-
-def _assemble_shuffle(tables: ParserTables, node_shards: list, gap: float, *, closed: bool,
-                      as_area: bool) -> rd.Dataset:
-    """Shuffle-mode assembly (see the module docstring): three cosorts,
-    on way_id, node_id and relation_id. Their row maps are block tasks
-    over the tables' block refs, so the cosorts start no streaming
-    execution."""
-
-    def rows(name: str, fn, schema: pa.Schema) -> rd.Dataset:
-        return dataset_of(block_tasks(tables.blocks(name), fn), schema.empty_table())
-
-    pairs = cosort(
-        [rows("relations", _member_rows, _WAY_ROWS), rows("ways", _way_ref_rows, _WAY_ROWS)],
-        ["way_id"], _member_node_probe, _WAY_ROWS,
-    )
-    points = cosort(
-        [pairs, rows("nodes", _node_rows, _NODE_ROWS)], ["node_id"], _coord_probe, _NODE_ROWS
-    )
-    return cosort(
-        [points, rows("relations", _relation_rows, _RELATION_ROWS)], ["relation_id"],
-        partial(_relation_probe, gap=gap, closed=closed, as_area=as_area),
-        _RELATION_ROWS, *node_shards,
-    )

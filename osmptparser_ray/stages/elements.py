@@ -33,7 +33,6 @@ Fidelity notes vs the reference:
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 import numpy as np
 import pyarrow as pa
@@ -42,7 +41,7 @@ import ray
 import ray.data as rd
 
 from ..kernel.filters import TagFilter
-from ..sources.extract import OsmPayloadExtractor, extract_batch
+from ..sources.extract import extract_batch
 from ..sources.osmxml import ELEMENT_SCHEMA
 from ..util import (
     block_refs,
@@ -110,14 +109,12 @@ def extract_elements(
     include_url: bool = False,
     validate: bool = True,
     batch_size: int = 1024,
-    concurrency: Optional[int | tuple[int, int]] = None,
 ) -> rd.Dataset:
     """pages → unified element rows.
 
     Stateless tasks with per-worker-process extractor caching (see
     sources.extract.extract_batch) — actor-pool dispatch overhead would
-    cap throughput here; pass ``concurrency`` to force an actor pool when
-    the extractor grows real per-actor state.
+    cap throughput here.
 
     ``batch_size`` default from the round-5 contention experiment
     (interleaved A/B, 13.8M elements / 32 cpus, medians of 3): 64 →
@@ -127,14 +124,6 @@ def extract_elements(
     #1) is REFUTED at this scale; dispatch overhead dominates cache
     effects.
     """
-    if concurrency is not None:
-        return pages.map_batches(
-            OsmPayloadExtractor,
-            fn_constructor_kwargs={"include_url": include_url, "validate": validate},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
     return pages.map_batches(
         partial(extract_batch, include_url=include_url, validate=validate),
         batch_format="pyarrow",
@@ -428,17 +417,12 @@ class ParserTables:
         return self._refs[name]
 
     def stop_ids(self):
-        """The ref of the relations' sorted-unique stop ids."""
+        """The ref of the relations' sorted-unique stop ids, submitted
+        without waiting: one task per relation block, one merge task."""
         if self._stop_ids is None:
-            self._stop_ids = stop_id_set(self.blocks("relations"))
+            self._stop_ids = submit(
+                _merge_ids, *block_tasks(self.blocks("relations"), _unique_ids, "stop_ids"))
         return self._stop_ids
-
-
-def stop_id_set(relations):
-    """The ref of the sorted-unique stop ids of ``relations`` (block refs
-    or a Dataset), submitted without waiting: one task per block, one
-    merge task."""
-    return submit(_merge_ids, *block_tasks(relations, _unique_ids, "stop_ids"))
 
 
 _SPLIT_COLS = {
@@ -797,7 +781,6 @@ def ingest_elements(
     out_dir: str,
     *,
     validate: bool = True,
-    concurrency: Optional[int] = None,
 ) -> str:
     """One-pass page scan → element parquet (the at-scale checkpoint).
 
@@ -805,7 +788,7 @@ def ingest_elements(
     resume by skipping finished partitions (see state.checkpoint).
     """
     pages = read_pages(pages_path, validate=validate)
-    elements = extract_elements(pages, include_url=True, validate=validate, concurrency=concurrency)
+    elements = extract_elements(pages, include_url=True, validate=validate)
     elements.write_parquet(out_dir)
     return out_dir
 

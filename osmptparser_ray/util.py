@@ -15,7 +15,7 @@ def default_actor_concurrency() -> tuple[int, int]:
     """Autoscaling actor-pool bounds sized to the cluster: (1, total CPUs).
 
     Leaves scheduling headroom to Ray's autoscaler rather than pinning the
-    pool; pass an explicit ``concurrency`` to any stage to override.
+    pool.
     """
     try:
         cpus = int(ray.cluster_resources().get("CPU", 4))
@@ -510,17 +510,6 @@ def _py_typed(col):
     t = col.type
     to = pa.int64() if pa.types.is_integer(t) and t != pa.uint64() else pa.float64() if pa.types.is_floating(t) else t
     return col if to == t else col.cast(to)
-
-
-def key_pairs(left, right) -> tuple:
-    """(left index, right index) of every pair of equal keys; ``right``
-    must be sorted. Each left key takes its ``searchsorted`` range."""
-    import numpy as np
-
-    lo = np.searchsorted(right, left, "left")
-    n = np.searchsorted(right, left, "right") - lo
-    li = np.repeat(np.arange(len(left), dtype=np.int64), n)
-    return li, np.arange(len(li), dtype=np.int64) - np.repeat(np.cumsum(n) - n - lo, n)
 
 
 def key_runs(*keys):

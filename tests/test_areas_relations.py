@@ -10,16 +10,20 @@ from osmptparser_ray.sources.pages import synthesize_admin_pages_parquet as _adm
 
 class TestRelationAreas:
     @pytest.fixture(scope="class")
-    def areas(self, ray_session, tmp_path_factory):
+    def rows(self, ray_session, tmp_path_factory):
         from osmptparser_ray.kernel.filters import AA
         from osmptparser_ray.pipelines.ptv2 import areas_from_pages
 
         p = str(tmp_path_factory.mktemp("aa") / "pages.parquet")
         _admin_pages_parquet(p)
-        return {
-            r["id"]: r
-            for r in areas_from_pages(p, gap=150.0, filters=AA).take_all()
-        }
+        return areas_from_pages(p, gap=150.0, filters=AA).take_all()
+
+    @pytest.fixture(scope="class")
+    def areas(self, rows):
+        return {r["id"]: r for r in rows}
+
+    def test_two_relation_areas(self, rows):
+        assert sorted((r["id"], r["id_type"]) for r in rows) == [(9000, "r"), (9001, "r")]
 
     def test_closable_ring_closed(self, areas):
         a = areas[9000]
@@ -76,31 +80,6 @@ class TestElementsParquetPath:
         assert [r["id"] for r in rows] == [85965, 2030162]
         assert rows[0]["status_code"] == 501 and len(rows[0]["stops"]) == 31
         assert rows[1]["status_code"] == 0 and len(rows[1]["geometry"][0]) == 90
-
-
-class TestAreasShuffleParity:
-    def test_shuffle_equals_broadcast(self, ray_session, tmp_path):
-        from osmptparser_ray.kernel.filters import AA
-        from osmptparser_ray.pipelines.ptv2 import areas_from_pages
-
-        p = str(tmp_path / "pages.parquet")
-        _admin_pages_parquet(p)
-
-        def canon(rows):
-            return sorted(
-                (
-                    r["id"],
-                    r["id_type"],
-                    r["status_code"],
-                    tuple(tuple((pt["lon"], pt["lat"]) for pt in ring) for ring in r["geometry"]),
-                    tuple(sorted(dict(r["tags"]).items())),
-                )
-                for r in rows
-            )
-
-        a = canon(areas_from_pages(p, gap=150.0, filters=AA, mode="broadcast").take_all())
-        b = canon(areas_from_pages(p, gap=150.0, filters=AA, mode="shuffle").take_all())
-        assert a == b and len(a) == 2
 
 
 class TestEngineIndependentGolden:

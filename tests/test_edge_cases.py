@@ -235,29 +235,22 @@ def _whole_rows(ds):
 class TestAssemblyEmptyWayParity:
     def test_empty_or_unresolvable_member_ways(self, ray_session):
         """A member way with ZERO node refs, or whose refs all fail to
-        resolve, behaves like a missing way — dropped, identically in the
-        broadcast and shuffle assembly modes (they used to diverge: the
-        broadcast path appended an empty NodeSeq). Whole rows are
-        compared: tags, info and stops too."""
+        resolve, behaves like a missing way — dropped (an empty NodeSeq
+        would reach the flatten)."""
         from osmptparser_ray.stages.assemble import get_public_transports
 
-        tables = _edge_tables()
-        a = _whole_rows(get_public_transports(tables, gap=1500.0, mode="broadcast"))
-        b = _whole_rows(get_public_transports(tables, gap=1500.0, mode="shuffle"))
-        assert a == b
-        by_id = {r["id"]: r for r in a}
+        by_id = {r["id"]: r for r in _whole_rows(get_public_transports(_edge_tables(), gap=1500.0))}
         assert by_id[1]["status_code"] == 0      # the resolvable member flattens OK
         assert by_id[2]["status_code"] == 501    # every member unresolvable -> Broken
 
     def test_edge_members_and_stops(self, ray_session):
-        """The other member/stop edge cases of ``_edge_tables``, checked
-        on the (shared) broadcast/shuffle rows: a missing stop node drops
-        out of ``stops``, an untagged stop keeps an empty map, a way
-        listed twice resolves twice, empty ``way_ids`` is Broken."""
+        """The other member/stop edge cases of ``_edge_tables``, whole
+        rows: a missing stop node drops out of ``stops``, an untagged stop
+        keeps an empty map, a way listed twice resolves twice, empty
+        ``way_ids`` is Broken."""
         from osmptparser_ray.stages.assemble import get_public_transports
 
-        rows = {r["id"]: r for r in _whole_rows(
-            get_public_transports(_edge_tables(), gap=1500.0, mode="shuffle"))}
+        rows = {r["id"]: r for r in _whole_rows(get_public_transports(_edge_tables(), gap=1500.0))}
         assert [(s["id"], s["tags"]) for s in rows[1]["stops"]] == [
             (100, [("name", "s100")]), (101, [])]
         assert rows[1]["tags"] == [("name", "r1"), ("type", "route")]
@@ -270,9 +263,9 @@ class TestAssemblyEmptyWayParity:
         # flatten, which joins them into 100, 101, 100
         assert [len(seg) for seg in rows[3]["geometry"]] == [3]
 
-    def test_shuffle_without_relations(self, ray_session):
-        """No relation rows: shuffle PT rows are an empty table that keeps
-        its schema, and the areas are the way areas alone."""
+    def test_without_relations(self, ray_session):
+        """No relation rows: the PT rows are an empty table that keeps its
+        schema, and the areas are the way areas alone."""
         from osmptparser_ray.stages.assemble import (
             AREA_SCHEMA, PT_SCHEMA, get_areas, get_public_transports,
         )
@@ -282,21 +275,18 @@ class TestAssemblyEmptyWayParity:
         none = ParserTables(
             relations=t.relations.filter(expr="id < 0").materialize(), ways=t.ways, nodes=t.nodes
         )
-        pt = get_public_transports(none, gap=1500.0, mode="shuffle")
+        pt = get_public_transports(none, gap=1500.0)
         assert pt.count() == 0 and pt.schema().names == PT_SCHEMA.names
-        areas = get_areas(none, gap=1500.0, mode="shuffle")
+        areas = get_areas(none, gap=1500.0)
         assert [r["id"] for r in areas.take_all()] == [16]
         assert areas.schema().names == AREA_SCHEMA.names
 
-    def test_areas_shuffle_whole_rows(self, ray_session):
-        """``get_areas`` over the same edge cases: shuffle == broadcast,
-        whole rows, relation ('r') and way ('w') areas."""
+    def test_areas_whole_rows(self, ray_session):
+        """``get_areas`` over the same edge cases: relation ('r') and way
+        ('w') areas."""
         from osmptparser_ray.stages.assemble import get_areas
 
-        tables = _edge_tables()
-        a = _whole_rows(get_areas(tables, gap=1500.0, mode="broadcast"))
-        b = _whole_rows(get_areas(tables, gap=1500.0, mode="shuffle"))
-        assert a == b
+        a = _whole_rows(get_areas(_edge_tables(), gap=1500.0))
         assert sorted((r["id_type"], r["id"]) for r in a) == [
             ("r", 1), ("r", 2), ("r", 3), ("r", 4), ("r", 5), ("w", 16)]
         assert {r["id"]: r["status_code"] for r in a if r["id_type"] == "r"}[5] == 0

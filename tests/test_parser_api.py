@@ -7,13 +7,26 @@ from osmptparser_ray.sources import synthesize_pages_parquet
 
 
 @pytest.fixture(scope="module")
-def tables(ray_session, tmp_path_factory):
+def pages(tmp_path_factory):
+    p = tmp_path_factory.mktemp("pages_api") / "pages.parquet"
+    return synthesize_pages_parquet(str(p), replicas=1)
+
+
+@pytest.fixture(scope="module")
+def tables(ray_session, pages):
     from osmptparser_ray.kernel.filters import PTV2
     from osmptparser_ray.pipelines.ptv2 import parser_tables_from_pages
 
-    p = tmp_path_factory.mktemp("pages_api") / "pages.parquet"
-    synthesize_pages_parquet(str(p), replicas=1)
-    return parser_tables_from_pages(str(p), PTV2)
+    return parser_tables_from_pages(pages, PTV2)
+
+
+def _api_digest(tables) -> tuple:
+    """``parser_summary`` and ``iter_relations`` of ``tables``, as
+    comparable (and printable) Python values ordered by relation id."""
+    from osmptparser_ray.pipelines.parser_api import iter_relations, parser_summary
+
+    summary = sorted(parser_summary(tables).to_pylist(), key=lambda r: r["id"])
+    return summary, sorted((dict(r) for r in iter_relations(tables)), key=lambda r: r["id"])
 
 
 class TestParserApi:
@@ -55,6 +68,38 @@ class TestParserApi:
         assert rows[85965]["n_stops"] == 31
         assert rows[85965]["n_nodes"] == 575
         assert rows[2030162]["n_nodes"] == 109
+
+    def test_one_cpu(self, tables, pages):
+        """The parser API finishes in a Ray session of 1 CPU, where a task
+        that waited inside a worker for a ref no task had made yet would
+        hold the only CPU, and gives the default session's results. A
+        subprocess, because the test session's own Ray has 4 CPUs."""
+        import ast
+
+        from test_cosort import _run_script
+
+        out = _run_script(_PARSER_API_AT_ONE_CPU, pages, 240)
+        assert ast.literal_eval(out.strip().split("\n")[-1]) == _api_digest(tables)
+
+
+_PARSER_API_AT_ONE_CPU = r"""
+import os
+import sys
+
+import ray
+from ray.data import DataContext
+
+sys.path.insert(0, os.path.join(os.path.dirname(sys.argv[2]), "tests"))
+from test_parser_api import _api_digest
+
+from osmptparser_ray.kernel.filters import PTV2
+from osmptparser_ray.pipelines.ptv2 import parser_tables_from_pages
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+print(repr(_api_digest(parser_tables_from_pages(sys.argv[1], PTV2))), flush=True)
+ray.shutdown()
+"""
 
 
 class TestStreams:
@@ -104,18 +149,15 @@ class TestStreams:
 
 class TestShardedNodeIndex:
     def test_matches_unsharded(self, ray_session):
-        """gather/stops_bulk parity between the driver-built NodeIndex and
-        the object-store-sharded variant, including last-wins dedup and
-        missing-id drops."""
+        """gather/stops_bulk of a 4-shard index equal those of a 1-shard
+        one (the same split and merge with no routing), and gather equals
+        a Python last-wins dict, including missing-id drops."""
         import numpy as np
         import pyarrow as pa
         import ray.data as rd
 
         from osmptparser_ray.kernel.filters import dicts_to_map_array
-        from osmptparser_ray.stages.assemble import (
-            build_node_index,
-            build_node_index_sharded,
-        )
+        from osmptparser_ray.stages.assemble import build_node_index_sharded
 
         rng = np.random.default_rng(6)
         ids = rng.integers(0, 500, size=400).astype(np.int64)  # duplicates on purpose
@@ -133,14 +175,16 @@ class TestShardedNodeIndex:
         # several blocks so last-wins crosses block boundaries
         nodes = rd.from_arrow([tbl.slice(i, 100) for i in range(0, 400, 100)])
         stop_ids = np.unique(ids[::3])
-        a = build_node_index(nodes, stop_ids)
+        a = build_node_index_sharded(nodes, stop_ids, num_shards=1)
         b = build_node_index_sharded(nodes, stop_ids, num_shards=4)
 
         probe = np.concatenate([np.unique(ids), np.array([100000, -5], np.int64)])
-        ga = a.gather(probe)
-        gb = b.gather(probe)
-        for x, y in zip(ga, gb):
-            assert np.array_equal(np.asarray(x), np.asarray(y))
+        last = {int(i): (la, lo) for i, la, lo in zip(ids, lats, lons)}
+        found = [int(i) for i in probe if int(i) in last]
+        want = (found, [last[i][0] for i in found], [last[i][1] for i in found])
+        for got in (a.gather(probe), b.gather(probe)):
+            for x, y in zip(got, want):
+                assert np.asarray(x).tolist() == y
 
         sa = a.stops_bulk(probe)
         sb = b.stops_bulk(probe)
@@ -153,16 +197,13 @@ class TestShardedNodeIndex:
         """stops_bulk tags, element by element: stops whose node has no
         tags and probed nodes that are not stops give an empty map, missing
         ids are dropped, duplicates and input order are kept — equally in
-        the driver-built and the sharded index."""
+        a 1-shard and a 3-shard index."""
         import numpy as np
         import pyarrow as pa
         import ray.data as rd
 
         from osmptparser_ray.kernel.filters import dicts_to_map_array
-        from osmptparser_ray.stages.assemble import (
-            build_node_index,
-            build_node_index_sharded,
-        )
+        from osmptparser_ray.stages.assemble import build_node_index_sharded
 
         ids = np.arange(1, 41, dtype=np.int64)
         # every 4th node carries no tags at all
@@ -181,7 +222,7 @@ class TestShardedNodeIndex:
         stop_ids = np.array(
             sorted({int(i) for i in ids if i % 2 or i % 4 == 0} | {1000, 1001}), np.int64
         )
-        a = build_node_index(nodes, stop_ids)
+        a = build_node_index_sharded(nodes, stop_ids, num_shards=1)
         b = build_node_index_sharded(nodes, stop_ids, num_shards=3)
 
         rng = np.random.default_rng(11)
