@@ -515,40 +515,21 @@ def _q_groupby_agg(sf_dir: str):
 
 
 def _q_semi_join(sf_dir: str):
-    """Broadcast semi-join: orders ⋉ rich customers → counts by status."""
-    import ray
-    import ray.data as rd
+    """Broadcast semi-join: orders ⋉ rich customers → counts by status.
+    The filter + per-block dedup runs in block tasks and one task merges
+    the (small) qualifying key set, which every orders block's task takes
+    as a top-level argument; the customer table never reaches the driver."""
     from ray.data.aggregate import Count
 
-    rich = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
+    from osmptparser_ray.stages.elements import _filter_ids, _merge_ids, _unique_ids
+    from osmptparser_ray.util import block_tasks, map_blocks, submit
 
-    # the filter + per-block dedup runs DISTRIBUTED; only the (small)
-    # qualifying key set ever reaches the driver, not the customer table
-    def key_blob(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.greater(b["c_acctbal"], 5000.0))
-        u = np.unique(t["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table({"blob": pa.array([u.tobytes()], pa.binary())})
+    def rich_keys(b: pa.Table) -> np.ndarray:
+        return _unique_ids(b.filter(pc.greater(b["c_acctbal"], 5000.0)), "c_custkey")
 
-    keys = []
-    for b in rich.map_batches(key_blob, batch_format="pyarrow").iter_batches(
-        batch_size=64, batch_format="pyarrow"
-    ):
-        for raw in b["blob"].to_pylist():
-            if raw:
-                keys.append(np.frombuffer(raw, np.int64))
-    key_arr = np.unique(np.concatenate(keys)) if keys else np.empty(0, np.int64)
-    ref = ray.put(key_arr)
-
-    def semi(batch: pa.Table) -> pa.Table:
-        hay = ray.get(ref)
-        vals = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(hay, vals)
-        idx[idx >= len(hay)] = max(len(hay) - 1, 0)
-        keep = hay[idx] == vals if len(hay) else np.zeros(len(vals), bool)
-        return batch.filter(pa.array(keep))
-
+    keys = submit(_merge_ids, *block_tasks(_read(sf_dir, "customer", ["c_custkey", "c_acctbal"]), rich_keys))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderstatus"])
-    return group_agg(orders.map_batches(semi, batch_format="pyarrow"), "o_orderstatus", Count(alias_name="n"))
+    return group_agg(map_blocks(orders, _filter_ids, keys, "o_custkey"), "o_orderstatus", Count(alias_name="n"))
 
 
 def _q_hash_join(sf_dir: str):
@@ -2433,7 +2414,9 @@ def _q_admin_areas(sf_dir: str):
             }
         )
 
-    return ds.map_batches(project, batch_format="pyarrow")
+    from osmptparser_ray.util import map_blocks
+
+    return map_blocks(ds, project)
 
 
 def _q_corr_by_group(sf_dir: str):

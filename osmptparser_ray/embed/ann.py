@@ -1,9 +1,10 @@
 """Similarity search over embedding columns (list<float>).
 
-* ``knn_bruteforce`` — exact cosine top-k: the query matrix is broadcast
-  once (``ray.put``), every batch computes a numpy matmul against it and
-  emits per-batch partial top-k rows, which a tiny groupby-per-query
-  reduction merges — the scan streams, nothing materializes.
+* ``knn_bruteforce`` — exact cosine top-k: the query matrix is put in
+  the object store once and passed to one task per vector block as a
+  top-level argument; each computes a numpy matmul against it and emits
+  per-block partial top-k rows, which the sort-scan ``topk_per_group``
+  merges.
 * ``lsh_ann`` — random-hyperplane LSH bucketing (fixed seed): vectors are
   hashed to signature buckets; queries probe their own bucket; exact
   cosine refine within bucket. The scale path (candidate set shrinks by
@@ -21,7 +22,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from ..util import cosort, key_runs
+from ..util import block_tasks, cosort, group_agg, key_runs, map_blocks, submit
 
 
 def _rank_topk(partials: rd.Dataset, k: int) -> rd.Dataset:
@@ -67,42 +68,31 @@ def knn_bruteforce(
     Output: (query_id:int64, rank:int64, vec_id:int64, score:float64).
     """
     q = _normalize(np.asarray(queries, dtype=np.float64))
-    qids = np.asarray(query_ids, dtype=np.int64)
-    q_ref = ray.put((q, qids))
+    side = ray.put((q, np.asarray(query_ids, dtype=np.int64)))
+    return _rank_topk(map_blocks(vectors, _query_topk, side, k, id_col, vec_col), k)
 
-    class PartialTopK:
-        def __init__(self):
-            from ..util import cached_get
 
-            self.q, self.qids = cached_get(q_ref)
+_PARTIAL_EMPTY = pa.schema([("query_id", pa.int64()), ("vec_id", pa.int64()), ("score", pa.float64())]).empty_table()
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = _normalize(_to_matrix(batch[vec_col]))
-            ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            if m.size == 0:
-                return pa.table(
-                    {
-                        "query_id": pa.array([], pa.int64()),
-                        "vec_id": pa.array([], pa.int64()),
-                        "score": pa.array([], pa.float64()),
-                    }
-                )
-            scores = self.q @ m.T  # (Q, B)
-            kk = min(k, scores.shape[1])
-            idx = np.argpartition(-scores, kk - 1, axis=1)[:, :kk]
-            rows = np.arange(scores.shape[0])[:, None]
-            return pa.table(
-                {
-                    "query_id": pa.array(np.repeat(self.qids, kk), pa.int64()),
-                    "vec_id": pa.array(ids[idx].ravel(), pa.int64()),
-                    "score": pa.array(scores[rows, idx].ravel(), pa.float64()),
-                }
-            )
 
-    partials = vectors.map_batches(
-        lambda t, _cls=PartialTopK: _cls()(t), batch_format="pyarrow"
+def _query_topk(batch: pa.Table, side: tuple, k: int, id_col: str, vec_col: str) -> pa.Table:
+    """One vector block → each query's top-k rows among its vectors."""
+    q, qids = side
+    m = _normalize(_to_matrix(batch[vec_col]))
+    if m.size == 0:
+        return _PARTIAL_EMPTY
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    scores = q @ m.T  # (Q, B)
+    kk = min(k, scores.shape[1])
+    idx = np.argpartition(-scores, kk - 1, axis=1)[:, :kk]
+    rows = np.arange(scores.shape[0])[:, None]
+    return pa.table(
+        {
+            "query_id": pa.array(np.repeat(qids, kk), pa.int64()),
+            "vec_id": pa.array(ids[idx].ravel(), pa.int64()),
+            "score": pa.array(scores[rows, idx].ravel(), pa.float64()),
+        }
     )
-    return _rank_topk(partials, k)
 
 
 def _hyperplanes(dim: int, bits: int) -> np.ndarray:
@@ -145,48 +135,36 @@ def lsh_ann(
     same-bucket candidates are scored).
     """
     q = _normalize(np.asarray(queries, dtype=np.float64))
-    qids = np.asarray(query_ids, dtype=np.int64)
-    planes = _hyperplanes(q.shape[1], bits)
-    q_ref = ray.put((q, qids, planes))
+    side = ray.put((q, np.asarray(query_ids, dtype=np.int64), _hyperplanes(q.shape[1], bits)))
+    return _rank_topk(map_blocks(vectors, _bucket_refine, side, k, id_col, vec_col), k)
 
-    class BucketRefine:
-        """Per-batch: bucket vectors, score only same-bucket queries."""
 
-        def __init__(self):
-            from ..util import cached_get
-
-            self.q, self.qids, self.planes = cached_get(q_ref)
-            self.qbuckets = _bucket_of(self.q, self.planes)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = _normalize(_to_matrix(batch[vec_col]))
-            ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            out_q, out_v, out_s = [], [], []
-            if m.size:
-                vbuckets = _bucket_of(m, self.planes)
-                for qi in range(len(self.q)):
-                    mask = vbuckets == self.qbuckets[qi]
-                    if not mask.any():
-                        continue
-                    scores = m[mask] @ self.q[qi]
-                    cand_ids = ids[mask]
-                    kk = min(k, len(scores))
-                    top = np.argpartition(-scores, kk - 1)[:kk]
-                    out_q.extend([self.qids[qi]] * kk)
-                    out_v.extend(cand_ids[top].tolist())
-                    out_s.extend(scores[top].tolist())
-            return pa.table(
-                {
-                    "query_id": pa.array(out_q, pa.int64()),
-                    "vec_id": pa.array(out_v, pa.int64()),
-                    "score": pa.array(out_s, pa.float64()),
-                }
-            )
-
-    partials = vectors.map_batches(
-        lambda t, _cls=BucketRefine: _cls()(t), batch_format="pyarrow"
+def _bucket_refine(batch: pa.Table, side: tuple, k: int, id_col: str, vec_col: str) -> pa.Table:
+    """One vector block: bucket its vectors, score only same-bucket queries."""
+    q, qids, planes = side
+    qbuckets = _bucket_of(q, planes)
+    m = _normalize(_to_matrix(batch[vec_col]))
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    out_q, out_v, out_s = [], [], []
+    if m.size:
+        vbuckets = _bucket_of(m, planes)
+        for qi in range(len(q)):
+            mask = vbuckets == qbuckets[qi]
+            if not mask.any():
+                continue
+            scores = m[mask] @ q[qi]
+            kk = min(k, len(scores))
+            top = np.argpartition(-scores, kk - 1)[:kk]
+            out_q.extend([qids[qi]] * kk)
+            out_v.extend(ids[mask][top].tolist())
+            out_s.extend(scores[top].tolist())
+    return pa.table(
+        {
+            "query_id": pa.array(out_q, pa.int64()),
+            "vec_id": pa.array(out_v, pa.int64()),
+            "score": pa.array(out_s, pa.float64()),
+        }
     )
-    return _rank_topk(partials, k)
 
 
 def cosine_near_dup(
@@ -225,127 +203,101 @@ def cosine_near_dup(
     output, worst-case group size 2·m/blocks. ``bucket_cap=None``
     disables the (one count-aggregation) detection pass.
     """
-    import ray
-
-    from ..util import cached_get
+    from ray.data.aggregate import Count
 
     if bits is None:
         n = vectors.count()
         bits = int(np.clip(np.ceil(np.log2(max(n, 1) / target_bucket)), 4, 24))
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        m = _normalize(_to_matrix(batch[vec_col]))
-        buckets = (
-            _bucket_of(m, _hyperplanes_cached(m.shape[1], bits))
-            if m.size
-            else np.empty(0, np.uint64)
-        )
-        return pa.table(
-            {
-                "bucket": pa.array(buckets, pa.uint64()),
-                id_col: batch[id_col],
-                vec_col: batch[vec_col],
-            }
-        )
-
-    bucketized = vectors.map_batches(bucketize, batch_format="pyarrow")
-
-    hot_ref = None
+    bucketized, buckets = map_blocks(vectors, _bucketize, bits, id_col, vec_col, num_returns=2)
+    hot = np.empty(0, np.uint64)
     if bucket_cap is not None and cap_blocks > 1:
-        from ray.data.aggregate import Count
-
-        from ..util import block_tasks, group_agg
-
-        bucketized = bucketized.materialize()  # count pass + explode pass
-
-        def hot(t: pa.Table) -> np.ndarray:
-            return t.filter(pa.compute.greater(t["n"], bucket_cap))["bucket"].to_numpy().astype(np.uint64)
-
-        counts = group_agg(bucketized.select_columns(["bucket"]), "bucket", Count(alias_name="n"))
-        parts = ray.get(block_tasks(counts, hot))
-        flat = np.concatenate(parts) if parts else np.empty(0, np.uint64)
-        hot_ref = ray.put(np.sort(flat)) if len(flat) else None
-
-    def explode_blocks(batch: pa.Table) -> pa.Table:
-        """Assign block ids; replicate hot-bucket rows into each block-pair
-        group they participate in (cold rows: single group (0, 0))."""
-        n = batch.num_rows
-        if hot_ref is None:
-            return batch.append_column(
-                "blk", pa.array(np.zeros(n, np.int8), pa.int8())
-            ).append_column(
-                "lo", pa.array(np.zeros(n, np.int8), pa.int8())
-            ).append_column("hi", pa.array(np.zeros(n, np.int8), pa.int8()))
-        hot = cached_get(hot_ref)
-        bk = batch["bucket"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        idx = np.searchsorted(hot, bk)
-        idx[idx >= len(hot)] = len(hot) - 1
-        is_hot = hot[idx] == bk
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        blk = np.where(
-            is_hot, (ids * np.uint64(2654435761)) % np.uint64(cap_blocks), 0
-        ).astype(np.int8)
-        tables = []
-        t_blk = batch.append_column("blk", pa.array(blk, pa.int8()))
-        cold = t_blk.filter(pa.array(~is_hot))
-        tables.append(
-            cold.append_column(
-                "lo", pa.array(np.zeros(cold.num_rows, np.int8), pa.int8())
-            ).append_column("hi", pa.array(np.zeros(cold.num_rows, np.int8), pa.int8()))
-        )
-        hot_t = t_blk.filter(pa.array(is_hot))
-        hblk = blk[is_hot]
-        for other in range(cap_blocks):
-            # the (min(blk,other), max(blk,other)) group covers every pair
-            # this row can form with a row of block ``other``
-            lo = np.minimum(hblk, other).astype(np.int8)
-            hi = np.maximum(hblk, other).astype(np.int8)
-            tables.append(
-                hot_t.append_column("lo", pa.array(lo, pa.int8())).append_column(
-                    "hi", pa.array(hi, pa.int8())
-                )
-            )
-        return pa.concat_tables(tables)
-
-    def refine(block: pa.Table) -> pa.Table:
-        """One sorted block → the pairs of each of its (bucket, lo, hi)
-        groups, one run each."""
-        ids_all = block[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        blk_all = block["blk"].to_numpy(zero_copy_only=False)
-        lo_all = block["lo"].to_numpy(zero_copy_only=False)
-        hi_all = block["hi"].to_numpy(zero_copy_only=False)
-        vecs = _to_matrix(block[vec_col])
-        bounds = key_runs(block["bucket"].to_numpy(zero_copy_only=False), lo_all, hi_all)
-        out = []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            lo, hi = lo_all[s], hi_all[s]
-            m = _normalize(vecs[s:e])
-            order = np.argsort(ids_all[s:e])
-            ids, m, blk = ids_all[s:e][order], m[order], blk_all[s:e][order]
-            if lo == hi:
-                # triangle within one block (covers the cold lo==hi==0 case)
-                sel = blk == lo
-                ids_s, m_s = ids[sel], m[sel]
-                sim = m_s @ m_s.T
-                ia, ib = np.triu_indices(len(ids_s), k=1)
-                keep = sim[ia, ib] >= threshold
-                out.append((ids_s[ia][keep], ids_s[ib][keep], sim[ia, ib][keep]))
-                continue
-            # cross pairs between the two blocks only — each unordered pair
-            # appears in exactly one (lo, hi) group
-            a_sel, b_sel = blk == lo, blk == hi
-            sim = m[a_sel] @ m[b_sel].T
-            ia, ib = np.nonzero(sim >= threshold)
-            da, db = ids[a_sel][ia], ids[b_sel][ib]
-            out.append((np.minimum(da, db), np.maximum(da, db), sim[ia, ib]))
-        return _pairs_table(("doc_a", "doc_b", "score"), out)
-
+        counts = group_agg(buckets, "bucket", Count(alias_name="n"))
+        hot = submit(_sorted_buckets, *block_tasks(counts, _hot_buckets, bucket_cap))
     schema = pa.schema(
         [("bucket", pa.uint64()), (id_col, pa.int64()), (vec_col, pa.list_(pa.float64())),
          ("blk", pa.int8()), ("lo", pa.int8()), ("hi", pa.int8())]
     )
-    rows = bucketized.map_batches(explode_blocks, batch_format="pyarrow")
-    return cosort([rows], ["bucket", "lo", "hi"], refine, schema)
+    rows = map_blocks(bucketized, _explode_blocks, hot, cap_blocks, id_col)
+    return cosort([rows], ["bucket", "lo", "hi"], _refine_pairs, schema, threshold, id_col, vec_col)
+
+
+def _bucketize(batch: pa.Table, bits: int, id_col: str, vec_col: str) -> tuple:
+    """One vector block → (its rows with their LSH bucket, the buckets)."""
+    m = _normalize(_to_matrix(batch[vec_col]))
+    buckets = pa.array(
+        _bucket_of(m, _hyperplanes_cached(m.shape[1], bits)) if m.size else np.empty(0, np.uint64), pa.uint64())
+    return pa.table({"bucket": buckets, id_col: batch[id_col], vec_col: batch[vec_col]}), pa.table({"bucket": buckets})
+
+
+def _hot_buckets(t: pa.Table, cap: int) -> np.ndarray:
+    return t.filter(pa.compute.greater(t["n"], cap))["bucket"].to_numpy().astype(np.uint64)
+
+
+def _sorted_buckets(*parts) -> np.ndarray:
+    return np.sort(np.concatenate([np.empty(0, np.uint64), *parts]))
+
+
+def _explode_blocks(batch: pa.Table, hot: np.ndarray, cap_blocks: int, id_col: str) -> pa.Table:
+    """Assign block ids; replicate hot-bucket rows into each block-pair
+    group they participate in (cold rows: single group (0, 0))."""
+    n = batch.num_rows
+    zeros = pa.array(np.zeros(n, np.int8), pa.int8())
+    if not len(hot):
+        return batch.append_column("blk", zeros).append_column("lo", zeros).append_column("hi", zeros)
+    bk = batch["bucket"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    idx = np.searchsorted(hot, bk)
+    idx[idx >= len(hot)] = len(hot) - 1
+    is_hot = hot[idx] == bk
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+    blk = np.where(is_hot, (ids * np.uint64(2654435761)) % np.uint64(cap_blocks), 0).astype(np.int8)
+    t_blk = batch.append_column("blk", pa.array(blk, pa.int8()))
+    cold = t_blk.filter(pa.array(~is_hot))
+    zeros = pa.array(np.zeros(cold.num_rows, np.int8), pa.int8())
+    tables = [cold.append_column("lo", zeros).append_column("hi", zeros)]
+    hot_t = t_blk.filter(pa.array(is_hot))
+    hblk = blk[is_hot]
+    for other in range(cap_blocks):
+        # the (min(blk,other), max(blk,other)) group covers every pair
+        # this row can form with a row of block ``other``
+        tables.append(
+            hot_t.append_column("lo", pa.array(np.minimum(hblk, other).astype(np.int8), pa.int8()))
+            .append_column("hi", pa.array(np.maximum(hblk, other).astype(np.int8), pa.int8()))
+        )
+    return pa.concat_tables(tables)
+
+
+def _refine_pairs(block: pa.Table, threshold: float, id_col: str, vec_col: str) -> pa.Table:
+    """One sorted block → the pairs of each of its (bucket, lo, hi)
+    groups, one run each."""
+    ids_all = block[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    blk_all = block["blk"].to_numpy(zero_copy_only=False)
+    lo_all = block["lo"].to_numpy(zero_copy_only=False)
+    hi_all = block["hi"].to_numpy(zero_copy_only=False)
+    vecs = _to_matrix(block[vec_col])
+    bounds = key_runs(block["bucket"].to_numpy(zero_copy_only=False), lo_all, hi_all)
+    out = []
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        lo, hi = lo_all[s], hi_all[s]
+        m = _normalize(vecs[s:e])
+        order = np.argsort(ids_all[s:e])
+        ids, m, blk = ids_all[s:e][order], m[order], blk_all[s:e][order]
+        if lo == hi:
+            # triangle within one block (covers the cold lo==hi==0 case)
+            sel = blk == lo
+            ids_s, m_s = ids[sel], m[sel]
+            sim = m_s @ m_s.T
+            ia, ib = np.triu_indices(len(ids_s), k=1)
+            keep = sim[ia, ib] >= threshold
+            out.append((ids_s[ia][keep], ids_s[ib][keep], sim[ia, ib][keep]))
+            continue
+        # cross pairs between the two blocks only — each unordered pair
+        # appears in exactly one (lo, hi) group
+        a_sel, b_sel = blk == lo, blk == hi
+        sim = m[a_sel] @ m[b_sel].T
+        ia, ib = np.nonzero(sim >= threshold)
+        da, db = ids[a_sel][ia], ids[b_sel][ib]
+        out.append((np.minimum(da, db), np.maximum(da, db), sim[ia, ib]))
+    return _pairs_table(("doc_a", "doc_b", "score"), out)
 
 
 def _pairs_table(names: tuple, parts: list) -> pa.Table:
@@ -392,28 +344,53 @@ def ivf_build(
 ):
     """Train the coarse quantizer and assign every vector to its list.
 
-    Returns (centroids ray.ObjectRef, assigned Dataset with a ``list_id``
-    column). Training samples the head of the stream (deterministic);
-    assignment is one vectorized pass.
+    Returns (centroids ray.ObjectRef, assigned materialized Dataset with
+    a ``list_id`` column). Training samples the head of the stream
+    (deterministic) on the driver, which puts the centroids once;
+    assignment is one task per vector block, with them as a top-level
+    argument.
     """
     sample_rows = vectors.limit(train_sample).take_all()
     sample = np.stack([np.asarray(r[vec_col], dtype=np.float64) for r in sample_rows])
-    cents = _kmeans_fit(sample, n_lists)
-    cents_ref = ray.put(cents)
+    cents_ref = ray.put(_kmeans_fit(sample, n_lists))
+    return cents_ref, map_blocks(vectors, _assign_lists, cents_ref, vec_col)
 
-    def assign(batch: pa.Table) -> pa.Table:
-        from ..util import cached_get
 
-        c = cached_get(cents_ref)
-        m = _normalize(_to_matrix(batch[vec_col]))
-        lists = (
-            np.argmax(m @ c.T, axis=1).astype(np.int32)
-            if m.size
-            else np.empty(0, np.int32)
-        )
-        return batch.append_column("list_id", pa.array(lists, pa.int32()))
+def _nearest_lists(batch: pa.Table, cents: np.ndarray, vec_col: str) -> np.ndarray:
+    m = _normalize(_to_matrix(batch[vec_col]))
+    return np.argmax(m @ cents.T, axis=1).astype(np.int32) if m.size else np.empty(0, np.int32)
 
-    return cents_ref, vectors.map_batches(assign, batch_format="pyarrow")
+
+def _assign_lists(batch: pa.Table, cents: np.ndarray, vec_col: str) -> pa.Table:
+    return batch.append_column("list_id", pa.array(_nearest_lists(batch, cents, vec_col), pa.int32()))
+
+
+def _ivf_refine(batch: pa.Table, side: tuple, k: int, id_col: str, vec_col: str) -> pa.Table:
+    """One assigned vector block → each query's top-k rows among its
+    vectors of the query's probed lists."""
+    q, qids, probes = side
+    m = _normalize(_to_matrix(batch[vec_col]))
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    lists = batch["list_id"].to_numpy(zero_copy_only=False)
+    out_q, out_v, out_s = [], [], []
+    if m.size:
+        for qi in range(len(q)):
+            mask = np.isin(lists, probes[qi])
+            if not mask.any():
+                continue
+            scores = m[mask] @ q[qi]
+            kk = min(k, len(scores))
+            top = np.argpartition(-scores, kk - 1)[:kk]
+            out_q.extend([qids[qi]] * kk)
+            out_v.extend(ids[mask][top].tolist())
+            out_s.extend(scores[top].tolist())
+    return pa.table(
+        {
+            "query_id": pa.array(out_q, pa.int64()),
+            "vec_id": pa.array(out_v, pa.int64()),
+            "score": pa.array(out_s, pa.float64()),
+        }
+    )
 
 
 def ivf_ann(
@@ -431,43 +408,11 @@ def ivf_ann(
     query, exact-refine within them. Output schema matches knn_bruteforce;
     recall grows with n_probe (n_probe == n_lists ⇒ exact)."""
     q = _normalize(np.asarray(queries, dtype=np.float64))
-    qids = np.asarray(query_ids, dtype=np.int64)
     cents_ref, assigned = ivf_build(vectors, n_lists, id_col=id_col, vec_col=vec_col)
     cents = ray.get(cents_ref)
-    nprobe = min(n_probe, len(cents))
-    probes = np.argsort(-(q @ cents.T), axis=1)[:, :nprobe]  # (Q, n_probe)
-    probe_ref = ray.put((q, qids, probes))
-
-    def refine(batch: pa.Table) -> pa.Table:
-        from ..util import cached_get
-
-        q_, qids_, probes_ = cached_get(probe_ref)
-        m = _normalize(_to_matrix(batch[vec_col]))
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        lists = batch["list_id"].to_numpy(zero_copy_only=False)
-        out_q, out_v, out_s = [], [], []
-        if m.size:
-            for qi in range(len(q_)):
-                mask = np.isin(lists, probes_[qi])
-                if not mask.any():
-                    continue
-                scores = m[mask] @ q_[qi]
-                cand = ids[mask]
-                kk = min(k, len(scores))
-                top = np.argpartition(-scores, kk - 1)[:kk]
-                out_q.extend([qids_[qi]] * kk)
-                out_v.extend(cand[top].tolist())
-                out_s.extend(scores[top].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_v, pa.int64()),
-                "score": pa.array(out_s, pa.float64()),
-            }
-        )
-
-    partials = assigned.map_batches(refine, batch_format="pyarrow")
-    return _rank_topk(partials, k)
+    probes = np.argsort(-(q @ cents.T), axis=1)[:, :min(n_probe, len(cents))]  # (Q, n_probe)
+    side = ray.put((q, np.asarray(query_ids, dtype=np.int64), probes))
+    return _rank_topk(map_blocks(assigned, _ivf_refine, side, k, id_col, vec_col), k)
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +444,12 @@ def ivf_ann_join(
 
     1. train the coarse quantizer on a driver-side vector SAMPLE
        (standard IVF; the only driver materialization, ≤``train_sample``
-       rows),
+       rows), put in the object store once,
     2. assign every vector to its nearest list (one row) plus a chunk
        salt ``h(id) mod vec_chunks`` bounding per-group population,
     3. replicate every query onto its ``n_probe`` nearest lists × all
-       chunks (repeat/take, vectorized),
+       chunks (repeat/take, vectorized) — steps 2 and 3 are one task per
+       block of each side, with the centroids as a top-level argument,
     4. sort both sides (side tag) together on (list, chunk) with
        ``util.cosort`` — FEW, LARGE groups (``n_lists × vec_chunks``),
        one matmul per group, each group one run of a sorted block — and
@@ -523,7 +469,6 @@ def ivf_ann_join(
     candidates).
     """
     from ..stages.relational import topk_per_group
-    from ..util import cached_get
 
     qid_col = query_id_col or id_col
     qvec_col = query_vec_col or vec_col
@@ -544,115 +489,96 @@ def ivf_ann_join(
         )
     sample = np.stack([np.asarray(r[vec_col], dtype=np.float64) for r in sample_rows])
     cents = _kmeans_fit(sample, n_lists)
-    cents_ref = ray.put(cents)
     n_l = len(cents)
-    nprobe = min(n_probe, n_l)
 
     if vec_chunks is None:
         n_vec = vectors.count()
         vec_chunks = max(1, int(np.ceil(n_vec / (n_l * target_group))))
-    n_chunks = int(vec_chunks)
-
-    def assign_vectors(batch: pa.Table) -> pa.Table:
-        c = cached_get(cents_ref)
-        m = _normalize(_to_matrix(batch[vec_col]))
-        lists = (
-            np.argmax(m @ c.T, axis=1).astype(np.int32)
-            if m.size
-            else np.empty(0, np.int32)
-        )
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        chunk = ((ids.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(n_chunks)).astype(np.int32)
-        return pa.table(
-            {
-                "list_id": pa.array(lists, pa.int32()),
-                "chunk": pa.array(chunk, pa.int32()),
-                "side": pa.array(np.zeros(len(ids), np.int8), pa.int8()),
-                "rid": pa.array(ids, pa.int64()),
-                "vec": batch[vec_col],
-            }
-        )
-
-    def assign_queries(batch: pa.Table) -> pa.Table:
-        c = cached_get(cents_ref)
-        m = _normalize(_to_matrix(batch[qvec_col]))
-        n = len(m) if m.size else 0
-        if not n:
-            return pa.table(
-                {
-                    "list_id": pa.array([], pa.int32()),
-                    "chunk": pa.array([], pa.int32()),
-                    "side": pa.array([], pa.int8()),
-                    "rid": pa.array([], pa.int64()),
-                    "vec": pa.array([], batch[qvec_col].type),
-                }
-            )
-        # same probe rule as ivf_ann (argsort of -sims): ties resolve
-        # identically, keeping the parity contract exact
-        probes = np.argsort(-(m @ c.T), axis=1)[:, :nprobe]  # (n, nprobe)
-        # replicate each query row across nprobe lists × n_chunks chunks
-        reps = nprobe * n_chunks
-        row_idx = np.repeat(np.arange(n), reps)
-        lists = np.repeat(probes.astype(np.int32).reshape(-1), n_chunks)
-        chunk = np.tile(np.arange(n_chunks, dtype=np.int32), n * nprobe)
-        taken = batch.select([qid_col, qvec_col]).take(pa.array(row_idx))
-        ids = taken[qid_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "list_id": pa.array(lists, pa.int32()),
-                "chunk": pa.array(chunk, pa.int32()),
-                "side": pa.array(np.ones(len(ids), np.int8), pa.int8()),
-                "rid": pa.array(ids, pa.int64()),
-                "vec": taken[qvec_col],
-            }
-        )
-
-    def refine(block: pa.Table) -> pa.Table:
-        """One sorted block → per-query partial top-k of each of its
-        (list_id, chunk) groups, one run each."""
-        side_all = block["side"].to_numpy(zero_copy_only=False)
-        rid_all = block["rid"].to_numpy(zero_copy_only=False).astype(np.int64)
-        vecs = _to_matrix(block["vec"])
-        bounds = key_runs(
-            block["list_id"].to_numpy(zero_copy_only=False),
-            block["chunk"].to_numpy(zero_copy_only=False),
-        )
-        out = []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            side, rid, m = side_all[s:e], rid_all[s:e], _normalize(vecs[s:e])
-            v_sel = side == 0
-            q_sel = ~v_sel
-            if not v_sel.any() or not q_sel.any():
-                continue
-            vid, vm = rid[v_sel], m[v_sel]
-            qid, qm = rid[q_sel], m[q_sel]
-            sim = qm @ vm.T  # (q_g, v_g)
-            kk = min(k, sim.shape[1])
-            # vectorized per-query partial top-k within the group. Keep ALL
-            # candidates tied with the k-th score (>=, not argpartition
-            # truncation): an arbitrary tie cut here could drop the candidate
-            # the global (score desc, vec_id asc) tiebreak would keep; the
-            # sort-scan merge applies the exact tiebreak to the survivors.
-            if kk < sim.shape[1]:
-                kth = np.partition(sim, sim.shape[1] - kk, axis=1)[
-                    :, sim.shape[1] - kk
-                ]
-                rows, cols = np.nonzero(sim >= kth[:, None])
-            else:
-                rows, cols = np.nonzero(np.ones_like(sim, dtype=bool))
-            out.append((qid[rows], vid[cols], sim[rows, cols]))
-        return _pairs_table(("query_id", "vec_id", "score"), out)
-
     schema = pa.schema(
         [("list_id", pa.int32()), ("chunk", pa.int32()), ("side", pa.int8()),
          ("rid", pa.int64()), ("vec", pa.list_(pa.float64()))]
     )
-    partials = cosort(
-        [vectors.map_batches(assign_vectors, batch_format="pyarrow"),
-         queries.map_batches(assign_queries, batch_format="pyarrow")],
-        ["list_id", "chunk"], refine, schema,
-    )
+    cents_ref = ray.put(cents)
+    rows = [
+        map_blocks(vectors, _ivf_vector_rows, cents_ref, int(vec_chunks), id_col, vec_col),
+        map_blocks(queries, _ivf_query_rows, cents_ref, int(vec_chunks), min(n_probe, n_l), qid_col, qvec_col),
+    ]
+    partials = cosort(rows, ["list_id", "chunk"], _ivf_group_topk, schema, k)
     ranked = topk_per_group(
         partials, "query_id", "score", k, tiebreak_col="vec_id", descending=True
     )
     return ranked.select_columns(["query_id", "rank", "vec_id", "score"])
+
+
+def _ivf_vector_rows(batch: pa.Table, cents: np.ndarray, n_chunks: int, id_col: str, vec_col: str) -> pa.Table:
+    """Vector rows of the ``ivf_ann_join`` sort: one per vector, at its
+    nearest list and its id's chunk."""
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    chunk = ((ids.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(n_chunks)).astype(np.int32)
+    return pa.table(
+        {
+            "list_id": pa.array(_nearest_lists(batch, cents, vec_col), pa.int32()),
+            "chunk": pa.array(chunk, pa.int32()),
+            "side": pa.array(np.zeros(len(ids), np.int8), pa.int8()),
+            "rid": pa.array(ids, pa.int64()),
+            "vec": batch[vec_col],
+        }
+    )
+
+
+def _ivf_query_rows(batch: pa.Table, cents: np.ndarray, n_chunks: int, nprobe: int, id_col: str,
+                    vec_col: str) -> pa.Table:
+    """Query rows of the ``ivf_ann_join`` sort: each query replicated
+    onto its ``nprobe`` nearest lists × every chunk."""
+    m = _normalize(_to_matrix(batch[vec_col]))
+    n = len(m) if m.size else 0
+    # same probe rule as ivf_ann (argsort of -sims): ties resolve
+    # identically, keeping the parity contract exact
+    probes = np.argsort(-(m @ cents.T), axis=1)[:, :nprobe] if n else np.empty((0, nprobe), np.int64)
+    reps = nprobe * n_chunks
+    taken = batch.select([id_col, vec_col]).take(pa.array(np.repeat(np.arange(n), reps), pa.int64()))
+    ids = taken[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    return pa.table(
+        {
+            "list_id": pa.array(np.repeat(probes.astype(np.int32).reshape(-1), n_chunks), pa.int32()),
+            "chunk": pa.array(np.tile(np.arange(n_chunks, dtype=np.int32), n * nprobe), pa.int32()),
+            "side": pa.array(np.ones(len(ids), np.int8), pa.int8()),
+            "rid": pa.array(ids, pa.int64()),
+            "vec": taken[vec_col],
+        }
+    )
+
+
+def _ivf_group_topk(block: pa.Table, k: int) -> pa.Table:
+    """One sorted block → per-query partial top-k of each of its
+    (list_id, chunk) groups, one run each."""
+    side_all = block["side"].to_numpy(zero_copy_only=False)
+    rid_all = block["rid"].to_numpy(zero_copy_only=False).astype(np.int64)
+    vecs = _to_matrix(block["vec"])
+    bounds = key_runs(
+        block["list_id"].to_numpy(zero_copy_only=False),
+        block["chunk"].to_numpy(zero_copy_only=False),
+    )
+    out = []
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        side, rid, m = side_all[s:e], rid_all[s:e], _normalize(vecs[s:e])
+        v_sel = side == 0
+        q_sel = ~v_sel
+        if not v_sel.any() or not q_sel.any():
+            continue
+        vid, vm = rid[v_sel], m[v_sel]
+        qid, qm = rid[q_sel], m[q_sel]
+        sim = qm @ vm.T  # (q_g, v_g)
+        kk = min(k, sim.shape[1])
+        # vectorized per-query partial top-k within the group. Keep ALL
+        # candidates tied with the k-th score (>=, not argpartition
+        # truncation): an arbitrary tie cut here could drop the candidate
+        # the global (score desc, vec_id asc) tiebreak would keep; the
+        # sort-scan merge applies the exact tiebreak to the survivors.
+        if kk < sim.shape[1]:
+            kth = np.partition(sim, sim.shape[1] - kk, axis=1)[:, sim.shape[1] - kk]
+            rows, cols = np.nonzero(sim >= kth[:, None])
+        else:
+            rows, cols = np.nonzero(np.ones_like(sim, dtype=bool))
+        out.append((qid[rows], vid[cols], sim[rows, cols]))
+    return _pairs_table(("query_id", "vec_id", "score"), out)

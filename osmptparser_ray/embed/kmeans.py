@@ -1,16 +1,16 @@
 """Distributed k-means over an embedding column (Lloyd iterations).
 
 The iterative-broadcast shape (the ``pagerank`` pattern applied to
-vectors): centers are driver state broadcast per round (k·d floats —
-tiny); each iteration is ONE streaming pass that assigns every vector to
-its nearest center AND emits per-center partial (sum, count) moments
-from the same batch (map-side combine — the shuffle carries k rows per
-block, never the corpus). The driver folds partials into new centers.
+vectors): centers are one task's output per round (k·d floats — tiny),
+passed by ref to one task per vector block, which assigns its vectors
+to their nearest centers AND gives per-center (count, sum) moments
+(map-side combine — k rows per block, never the corpus). The next
+round's task folds them into new centers.
 
-Determinism contract: init is the vectors of the ``k`` smallest ids
-(one extra pass), ties in assignment break to the LOWEST center index
-(numpy argmin), and the driver folds block partials in block order —
-the result is a pure function of the input, never of scheduling.
+Determinism contract: init is the vectors of the ``k`` smallest ids,
+ties in assignment break to the LOWEST center index (numpy argmin), and
+the fold sums block partials in block order — the result is a pure
+function of the input, never of scheduling.
 
 No counterpart in the reference (clustering is out of its scope) — this
 is the training-data extension for embedding-space corpus curation
@@ -23,43 +23,59 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 import ray.data as rd
 
-from ..util import cached_get
+from ..util import block_refs, block_tasks, map_blocks, submit
 from .ann import _to_matrix
 
 
-def _init_centers(
-    vectors: rd.Dataset, k: int, id_col: str, vec_col: str
-) -> np.ndarray:
-    """Deterministic init: the vectors of the k SMALLEST ids.
+def _smallest(batch: pa.Table, k: int, id_col: str, vec_col: str) -> pa.Table:
+    """A block's ``k`` rows of smallest id (its ``id_col`` and ``vec_col``)."""
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    keep = np.sort(np.argsort(ids, kind="stable")[:k])
+    return batch.select([id_col, vec_col]).take(pa.array(keep, pa.int64()))
 
-    One streaming pass of per-block partial top-k (smallest) — only
-    k rows per block reach the driver."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(ids) == 0:
-            return batch
-        keep = np.argsort(ids, kind="stable")[:k]
-        return batch.take(pa.array(np.sort(keep)))
+def _init_centers(k: int, id_col: str, vec_col: str, *parts) -> np.ndarray:
+    """Deterministic init: the vectors of the k SMALLEST ids, from the
+    blocks' own k smallest (``_smallest``)."""
+    rows = pa.concat_tables(parts, promote_options="default")
+    order = np.argsort(rows[id_col].to_numpy(zero_copy_only=False).astype(np.int64), kind="stable")[:k]
+    return _to_matrix(rows[vec_col].combine_chunks())[order].copy()
 
-    rows = pa.concat_tables(
-        [
-            b
-            for b in vectors.select_columns([id_col, vec_col])
-            .map_batches(partial, batch_format="pyarrow")
-            .iter_batches(batch_size=None, batch_format="pyarrow")
-        ],
-        promote_options="default",
-    )
-    ids = rows[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(ids, kind="stable")[:k]
-    m = _to_matrix(rows[vec_col].combine_chunks())
-    if len(order) < k:
-        raise ValueError(f"kmeans: k={k} exceeds the {len(order)} input vectors")
-    return m[order].copy()
+
+def _moments(batch: pa.Table, c: np.ndarray, vec_col: str) -> tuple:
+    """One block → per-center (count, vector sum) of its rows' nearest
+    centers; argmin ||x−c||² == argmax (x·c − ||c||²/2), ties → lowest
+    center index (np.argmax takes the first maximum)."""
+    cnt, sums = np.zeros(len(c), np.int64), np.zeros_like(c)
+    m = _to_matrix(batch[vec_col])
+    if m.size:
+        assign = np.argmax(m @ c.T - 0.5 * (c * c).sum(axis=1)[None, :], axis=1)
+        cnt += np.bincount(assign, minlength=len(c))
+        np.add.at(sums, assign, m)
+    return cnt, sums
+
+
+def _recenter(centers: np.ndarray, *parts) -> np.ndarray:
+    """The blocks' moments, summed in block order → the next centers;
+    an empty cluster keeps its center."""
+    cnts, sums = np.zeros(len(centers), np.int64), np.zeros_like(centers)
+    for cnt, s in parts:
+        cnts += cnt
+        sums += s
+    live = cnts > 0
+    centers = centers.copy()
+    centers[live] = sums[live] / cnts[live, None]
+    return centers
+
+
+def _assign(batch: pa.Table, c: np.ndarray, id_col: str, vec_col: str) -> pa.Table:
+    m = _to_matrix(batch[vec_col])
+    if not m.size:
+        return pa.table({id_col: pa.array([], pa.int64()), "cluster": pa.array([], pa.int64())})
+    cluster = np.argmax(m @ c.T - 0.5 * (c * c).sum(axis=1)[None, :], axis=1)
+    return pa.table({id_col: batch[id_col], "cluster": pa.array(cluster, pa.int64())})
 
 
 def kmeans(
@@ -73,80 +89,23 @@ def kmeans(
     """Lloyd's k-means, fixed ``n_iter`` rounds, squared-L2 metric.
 
     Output: (``id_col``, cluster:int64) — the FINAL assignment of every
-    vector. Empty clusters keep their previous center (the standard
-    fixed-point convention; deterministic).
+    vector, materialized. Empty clusters keep their previous center (the
+    standard fixed-point convention; deterministic).
+
+    The vectors' block refs are taken once (a lazy input runs its one
+    execution there); every later step is a task whose inputs are its
+    top-level arguments: per block the init's k smallest ids and each
+    round's moments against the centers' ref, and one task each for the
+    init and every round's new centers. No round starts an execution or
+    waits.
     """
     if k <= 0 or n_iter < 1:
         raise ValueError("kmeans: k and n_iter must be positive")
-    centers = _init_centers(vectors, k, id_col, vec_col)
-
+    vectors = vectors.materialize()
+    if vectors.count() < k:
+        raise ValueError(f"kmeans: k={k} exceeds the {vectors.count()} input vectors")
+    blocks = block_refs(vectors)
+    centers = submit(_init_centers, k, id_col, vec_col, *block_tasks(blocks, _smallest, k, id_col, vec_col))
     for _ in range(n_iter):
-        c_ref = ray.put(centers)
-
-        def partial_moments(batch: pa.Table) -> pa.Table:
-            c = cached_get(c_ref)
-            dim = c.shape[1]
-            m = _to_matrix(batch[vec_col])
-            if m.size == 0:
-                return pa.table(
-                    {
-                        "cluster": pa.array([], pa.int64()),
-                        "cnt": pa.array([], pa.int64()),
-                        "vsum": pa.FixedSizeListArray.from_arrays(
-                            pa.array([], pa.float64()), dim
-                        ),
-                    }
-                )
-            # argmin ||x−c||² == argmax (x·c − ||c||²/2); ties → lowest
-            # center index (np.argmax takes the first maximum)
-            d = m @ c.T - 0.5 * (c * c).sum(axis=1)[None, :]
-            assign = np.argmax(d, axis=1)
-            cnt = np.bincount(assign, minlength=len(c)).astype(np.int64)
-            sums = np.zeros_like(c)
-            np.add.at(sums, assign, m)
-            live = np.flatnonzero(cnt)
-            return pa.table(
-                {
-                    "cluster": pa.array(live, pa.int64()),
-                    "cnt": pa.array(cnt[live], pa.int64()),
-                    "vsum": pa.FixedSizeListArray.from_arrays(
-                        pa.array(sums[live].ravel(), pa.float64()), dim
-                    ),
-                }
-            )
-
-        sums = np.zeros_like(centers)
-        cnts = np.zeros(k, np.int64)
-        for b in vectors.map_batches(
-            partial_moments, batch_format="pyarrow"
-        ).iter_batches(batch_size=None, batch_format="pyarrow"):
-            cl = b["cluster"].to_numpy(zero_copy_only=False)
-            cn = b["cnt"].to_numpy(zero_copy_only=False)
-            vs = _to_matrix(b["vsum"].combine_chunks())
-            np.add.at(cnts, cl, cn)
-            np.add.at(sums, cl, vs)
-        live = cnts > 0
-        centers = centers.copy()
-        centers[live] = sums[live] / cnts[live, None]
-
-    final_ref = ray.put(centers)
-
-    def assign_final(batch: pa.Table) -> pa.Table:
-        c = cached_get(final_ref)
-        m = _to_matrix(batch[vec_col])
-        if m.size == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    "cluster": pa.array([], pa.int64()),
-                }
-            )
-        d = m @ c.T - 0.5 * (c * c).sum(axis=1)[None, :]
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                "cluster": pa.array(np.argmax(d, axis=1).astype(np.int64), pa.int64()),
-            }
-        )
-
-    return vectors.map_batches(assign_final, batch_format="pyarrow")
+        centers = submit(_recenter, centers, *block_tasks(blocks, _moments, centers, vec_col))
+    return map_blocks(vectors, _assign, centers, id_col, vec_col)

@@ -1,10 +1,11 @@
 """Distributed graph operators over edge-list Datasets.
 
-``pagerank`` is the engine's ITERATIVE-computation shape: each iteration
-is one sort join (ranks ⋈ out-weighted edges on src, ``util.equi_join``)
-plus one groupby-Sum (contributions per dst), materialized per round so
-lineage stays flat. Nothing is ever collected to the driver except two
-scalars per iteration (total node count once; dangling mass per round).
+``pagerank`` is the engine's ITERATIVE-computation shape. Its broadcast
+plan runs each round as block tasks over the edges' refs, chained to a
+rank-state task by object ref; its shuffle plan makes each iteration one
+sort join (ranks ⋈ out-weighted edges on src, ``util.equi_join``) plus
+one groupby-Sum (contributions per dst), materialized per round so
+lineage stays flat.
 
 Companion to ``text/dedup.py:duplicate_groups`` (min-label propagation)
 — together they cover the propagate-until-stable and fixed-iteration
@@ -19,18 +20,18 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from .util import equi_join, group_agg, key_runs, sort_scan
+from .util import block_refs, block_tasks, dataset_of, equi_join, group_agg, key_runs, map_blocks, sort_scan, submit
+
+
+def _node_part(batch: pa.Table, src_col: str, dst_col: str) -> pa.Table:
+    s = batch[src_col].to_numpy(zero_copy_only=False)
+    d = batch[dst_col].to_numpy(zero_copy_only=False)
+    return pa.table({"node": pa.array(np.unique(np.concatenate([s, d])))})
 
 
 def _distinct_nodes(edges: rd.Dataset, src_col: str, dst_col: str) -> rd.Dataset:
     """Distinct node ids appearing on either side (``group_agg``), materialized."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False)
-        d = batch[dst_col].to_numpy(zero_copy_only=False)
-        return pa.table({"node": pa.array(np.unique(np.concatenate([s, d])))})
-
-    return group_agg(edges.map_batches(partial, batch_format="pyarrow"), "node")
+    return group_agg(map_blocks(edges, _node_part, src_col, dst_col), "node")
 
 
 
@@ -68,12 +69,14 @@ def pagerank(
 
     ``plan="broadcast"`` (default under ``auto`` when the NODE count ≤
     ``broadcast_cap``) eliminates both per-iteration joins: the rank
-    vector lives in the object store (``ray.put`` of node-aligned numpy
-    arrays, ~16 MB at 2M nodes), contributions are a per-batch
-    searchsorted lookup over the STATIC edge dataset + one groupby-Sum,
-    and the update is node-table-sized driver numpy — the classic
-    "broadcast the model, shuffle the gradients" iteration; the join plan
-    pays two sorts and a groupby per round. ``plan="shuffle"`` keeps the
+    state is node-aligned numpy arrays (~32 MB at 2M nodes) made by one
+    task per round and passed by ref, as a top-level argument, to one
+    task per block of the STATIC edges, which gives its per-dst inflow
+    partials (a searchsorted lookup + bincount); the next round's task
+    folds them — the classic "broadcast the model, shuffle the
+    gradients" iteration as one task graph, with no execution and no
+    driver wait per round. The join plan pays two sorts and a groupby
+    per round. ``plan="shuffle"`` keeps the
     join realization for node sets beyond worker memory; the two are
     parity-tested.
     """
@@ -81,6 +84,7 @@ def pagerank(
 
     d = float(damping)
 
+    edges = edges.materialize()  # read by the node pass and by every round
     nodes = _distinct_nodes(edges, src_col, dst_col)
     n = nodes.count()
     if n == 0:
@@ -217,92 +221,59 @@ def _pagerank_broadcast(
     nodes: rd.Dataset,
     n: int,
 ) -> rd.Dataset:
-    """Broadcast-plan PageRank body (node table ≤ broadcast_cap).
+    """Broadcast-plan PageRank body (node table ≤ broadcast_cap): the
+    edges' block refs are taken once, and every step is a task whose
+    inputs are its top-level arguments (``pagerank``)."""
+    from .stages.elements import _merge_ids, _unique_ids
 
-    State = three node-aligned numpy arrays (sorted ids, outdeg, ranks).
-    Per iteration: ray.put the per-node emission rank/outdeg, ONE
-    map_batches over the static edges (searchsorted lookup + per-batch
-    bincount partials), one vocab-sized groupby-Sum, one driver collect
-    of the inflow table, then a pure-numpy update. No joins anywhere.
-    """
-    import ray
-
-    from ray.data.aggregate import Sum
-
-    from .util import cached_get
-
-    ids_parts = [
-        b["node"].to_numpy(zero_copy_only=False)
-        for b in nodes.iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-    ]
-    node_ids = np.sort(np.concatenate(ids_parts)).astype(np.int64)
-
-    def deg_part(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        u, c = np.unique(s, return_counts=True)
-        return pa.table(
-            {"node": pa.array(u), "deg_part": pa.array(c.astype(np.int64))}
-        )
-
-    outdeg = np.zeros(n, np.int64)
-    deg_tbl = group_agg(edges.map_batches(deg_part, batch_format="pyarrow"), "node", Sum("deg_part", alias_name="deg"))
-    for b in ray.get(deg_tbl.to_arrow_refs()):
-        ix = np.searchsorted(node_ids, b["node"].to_numpy(zero_copy_only=False))
-        outdeg[ix] = b["deg"].to_numpy(zero_copy_only=False)
-
-    ranks = np.full(n, 1.0 / n)
-    base = (1.0 - d) / n
-    ids_ref = ray.put(node_ids)
-
-    edges_slim = edges.map_batches(
-        lambda t: pa.table(
-            {
-                "src": pc.cast(t[src_col], pa.int64()),
-                "dst": pc.cast(t[dst_col], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-
+    blocks = block_refs(edges)
+    ids = submit(_merge_ids, *block_tasks(nodes, _unique_ids, "node"))
+    outdeg = submit(_out_degrees, ids, *block_tasks(blocks, _degree_part, src_col))
+    state = submit(_rank_state, outdeg, np.full(n, 1.0 / n))
     for _ in range(n_iter):
-        sink = outdeg == 0
-        emit = np.where(sink, 0.0, ranks / np.where(sink, 1, outdeg))
-        emit_ref = ray.put(emit)
+        parts = block_tasks(blocks, _inflow_part, ids, state, src_col, dst_col)
+        state = submit(_pagerank_step, ids, outdeg, state, d, *parts)
+    return dataset_of([submit(_rank_table, ids, state)])
 
-        def contrib(batch: pa.Table) -> pa.Table:
-            nid = cached_get(ids_ref)
-            em = cached_get(emit_ref)
-            s = batch["src"].to_numpy(zero_copy_only=False)
-            t_ = batch["dst"].to_numpy(zero_copy_only=False)
-            vals = em[np.searchsorted(nid, s)]
-            # per-batch combine: one row per distinct dst in the batch
-            u, inv = np.unique(t_, return_inverse=True)
-            part = np.bincount(inv, weights=vals)
-            return pa.table(
-                {
-                    "node": pa.array(u.astype(np.int64)),
-                    "inflow_part": pa.array(part, pa.float64()),
-                }
-            )
 
-        inflow = np.zeros(n, np.float64)
-        agg = group_agg(
-            edges_slim.map_batches(contrib, batch_format="pyarrow"), "node", Sum("inflow_part", alias_name="inflow")
-        )
-        for b in ray.get(agg.to_arrow_refs()):
-            ix = np.searchsorted(node_ids, b["node"].to_numpy(zero_copy_only=False))
-            inflow[ix] = b["inflow"].to_numpy(zero_copy_only=False)
-        dangling = float(ranks[sink].sum())
-        ranks = base + d * (inflow + dangling / n)
+def _degree_part(batch: pa.Table, src_col: str) -> tuple:
+    return np.unique(batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64), return_counts=True)
 
-    return rd.from_arrow(
-        pa.table(
-            {
-                "node": pa.array(node_ids, pa.int64()),
-                "rank": pa.array(ranks, pa.float64()),
-            }
-        )
-    )
+
+def _out_degrees(ids: np.ndarray, *parts) -> np.ndarray:
+    outdeg = np.zeros(len(ids), np.int64)
+    for u, c in parts:
+        np.add.at(outdeg, np.searchsorted(ids, u), c)
+    return outdeg
+
+
+def _rank_state(outdeg: np.ndarray, ranks: np.ndarray) -> tuple:
+    """(ranks, each node's emission rank / outdeg, 0 at sinks)."""
+    sink = outdeg == 0
+    return ranks, np.where(sink, 0.0, ranks / np.where(sink, 1, outdeg))
+
+
+def _inflow_part(batch: pa.Table, ids: np.ndarray, state: tuple, src_col: str, dst_col: str) -> tuple:
+    """One edge block → (its distinct dsts, their inflow from the block)."""
+    s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    t = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    u, inv = np.unique(t, return_inverse=True)
+    return u, np.bincount(inv, weights=state[1][np.searchsorted(ids, s)], minlength=len(u))
+
+
+def _pagerank_step(ids: np.ndarray, outdeg: np.ndarray, state: tuple, d: float, *parts) -> tuple:
+    """One power iteration: the edge blocks' inflow partials folded into
+    the next rank state, dangling mass spread evenly."""
+    n, ranks = len(ids), state[0]
+    inflow = np.zeros(n, np.float64)
+    for u, part in parts:
+        np.add.at(inflow, np.searchsorted(ids, u), part)
+    dangling = float(ranks[outdeg == 0].sum())
+    return _rank_state(outdeg, (1.0 - d) / n + d * (inflow + dangling / n))
+
+
+def _rank_table(ids: np.ndarray, state: tuple) -> pa.Table:
+    return pa.table({"node": pa.array(ids, pa.int64()), "rank": pa.array(state[0], pa.float64())})
 
 
 # --------------------------------------------------------------------------
@@ -394,19 +365,21 @@ def triangle_count(
     triangle once — and orientation caps out-degree at ~√(2m), taming
     hub skew before wedge generation.
 
-    ``plan="broadcast"`` (auto ≤ ``node_cap`` nodes): degrees collect to
-    the driver, nodes are rank-relabelled by (deg, id), the sorted edge
-    keys broadcast once (``ray.put``); wedge pairs are generated and
-    membership-counted per BLOCK of one ``util.sort_scan`` over the
-    (src, dst)-sorted oriented edges — its fold flags the src runs split
-    across block boundaries, and those are re-counted driver-side from
-    the shipped boundary rows (≤ 2·√(2m) rows per block).
+    ``plan="broadcast"`` (auto ≤ ``node_cap`` nodes): one task gathers
+    the degrees into a (deg, id) rank lookup that relabels the nodes, one
+    the sorted packed edge keys; both reach the block tasks as top-level
+    arguments. Wedge pairs are generated and membership-counted per
+    BLOCK of one ``util.sort_scan`` over the (src, dst)-sorted oriented
+    edges — its fold flags the src runs split across block boundaries,
+    and one task re-counts those from the shipped boundary rows
+    (≤ 2·√(2m) rows per block).
 
     ``plan="shuffle"``: no driver-sized state — degrees stay a Dataset,
     orientation is by raw (deg, id) pairs via two sort joins, wedges are
     emitted by the same ``sort_scan`` as a Dataset and closed by a
-    distributed inner join against the oriented edges. The beyond-memory twin (node/edge sets too big
-    to ray.put); same output, parity-tested.
+    distributed inner join against the oriented edges. The beyond-memory
+    twin (node/edge sets too big for one task); same output,
+    parity-tested.
     """
     if plan not in ("auto", "broadcast", "shuffle"):
         raise ValueError(f"unknown plan: {plan!r}")
@@ -438,17 +411,11 @@ def triangle_count(
 
 
 def _triangles_broadcast(canon: rd.Dataset, deg: rd.Dataset, node_cap: int) -> rd.Dataset:
-    import ray
-
-    from .util import cached_get
-
-    nodes_parts, deg_parts = [], []
-    for b in deg.iter_batches(batch_format="pyarrow", batch_size=None):
-        nodes_parts.append(b["node"].to_numpy(zero_copy_only=False))
-        deg_parts.append(b["deg"].to_numpy(zero_copy_only=False))
-    node_ids = np.concatenate(nodes_parts) if nodes_parts else np.empty(0, np.int64)
-    degs = np.concatenate(deg_parts) if deg_parts else np.empty(0, np.int64)
-    n = len(node_ids)
+    """Orientation by a (deg, id) rank lookup and the packed edge-key set,
+    each built by one task and passed to the block tasks as a top-level
+    argument; the wedges close in the sort-scan's emit tasks, and one
+    task counts the wedges of the runs split between ranges."""
+    n = deg.count()
     if n == 0:
         return rd.from_arrow(pa.table({"triangles": pa.array([0], pa.int64())}))
     if n > node_cap:
@@ -456,47 +423,52 @@ def _triangles_broadcast(canon: rd.Dataset, deg: rd.Dataset, node_cap: int) -> r
             f"triangle_count broadcast plan: {n} nodes exceed node_cap="
             f"{node_cap}; use plan='shuffle'"
         )
+    oriented = map_blocks(canon, _relabel, submit(_rank_lookup, *block_refs(deg)))
+    keys = submit(_edge_keys, n, *block_refs(oriented))
+    results = sort_scan(oriented, ["src", "dst"], _src_ends, _split_runs, _count_block, keys, n)
+    return dataset_of([submit(_triangle_table, keys, n, *results)])
+
+
+def _rank_lookup(*blocks) -> tuple:
+    """Degree blocks → (sorted node ids, each one's rank by (deg, id))."""
+    t = pa.concat_tables(blocks)
+    node_ids = t["node"].to_numpy(zero_copy_only=False)
+    degs = t["deg"].to_numpy(zero_copy_only=False)
+    n = len(node_ids)
     # rank by (deg, id): lexsort's LAST key is primary
-    order = np.lexsort((node_ids, degs))
     rank = np.empty(n, np.int64)
-    rank[order] = np.arange(n, dtype=np.int64)
-    sorted_ids = np.sort(node_ids)
-    rank_by_sorted = rank[np.argsort(node_ids, kind="stable")]
-    lookup_ref = ray.put((sorted_ids, rank_by_sorted))
+    rank[np.lexsort((node_ids, degs))] = np.arange(n, dtype=np.int64)
+    return np.sort(node_ids), rank[np.argsort(node_ids, kind="stable")]
 
-    def relabel(batch: pa.Table) -> pa.Table:
-        ids, rk = cached_get(lookup_ref)
-        a = rk[np.searchsorted(ids, batch["u"].to_numpy(zero_copy_only=False))]
-        b = rk[np.searchsorted(ids, batch["v"].to_numpy(zero_copy_only=False))]
-        src = np.minimum(a, b)
-        dst = np.maximum(a, b)
-        return pa.table(
-            {"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())}
-        )
 
-    oriented = canon.map_batches(relabel, batch_format="pyarrow").materialize()
-    # broadcast the sorted packed edge-key set once
-    key_parts = []
-    for b in oriented.iter_batches(batch_format="pyarrow", batch_size=None):
-        key_parts.append(
-            b["src"].to_numpy(zero_copy_only=False) * np.int64(n)
-            + b["dst"].to_numpy(zero_copy_only=False)
-        )
-    edge_keys = np.sort(np.concatenate(key_parts)) if key_parts else np.empty(0, np.int64)
-    keys_ref = ray.put(edge_keys)
+def _relabel(batch: pa.Table, lookup: tuple) -> pa.Table:
+    """Canonical edges → (src, dst) rank pairs, src < dst."""
+    ids, rk = lookup
+    a = rk[np.searchsorted(ids, batch["u"].to_numpy(zero_copy_only=False))]
+    b = rk[np.searchsorted(ids, batch["v"].to_numpy(zero_copy_only=False))]
+    return pa.table({"src": pa.array(np.minimum(a, b), pa.int64()), "dst": pa.array(np.maximum(a, b), pa.int64())})
 
-    def count_block(block: pa.Table, split) -> tuple:
-        # count the runs wholly in the block; ship the rows of split runs
-        s, d, ship = _split_run_rows(block, split)
-        return _wedge_pair_counts(d[~ship], key_runs(s[~ship])[:-1], cached_get(keys_ref), n), s[ship], d[ship]
 
-    results = ray.get(sort_scan(oriented, ["src", "dst"], _src_ends, _split_runs, count_block))
-    total = sum(c for c, _, _ in results)
-    # the shipped rows, in block order, are in (src, dst) order already
-    bs = np.concatenate([s for _, s, _ in results])
-    bd = np.concatenate([d for _, _, d in results])
-    total += _wedge_pair_counts(bd, key_runs(bs)[:-1], edge_keys, n)
-    return rd.from_arrow(pa.table({"triangles": pa.array([total], pa.int64())}))
+def _edge_keys(n: int, *blocks) -> np.ndarray:
+    """The sorted packed keys src·n + dst of the oriented edges."""
+    return np.sort(np.concatenate(
+        [np.empty(0, np.int64)] + [b["src"].to_numpy(zero_copy_only=False) * np.int64(n)
+                                   + b["dst"].to_numpy(zero_copy_only=False) for b in blocks]))
+
+
+def _count_block(block: pa.Table, split, keys: np.ndarray, n: int) -> tuple:
+    """Count the runs wholly in the block; ship the rows of split runs."""
+    s, d, ship = _split_run_rows(block, split)
+    return _wedge_pair_counts(d[~ship], key_runs(s[~ship])[:-1], keys, n), s[ship], d[ship]
+
+
+def _triangle_table(keys: np.ndarray, n: int, *results) -> pa.Table:
+    """The ranges' counts plus the wedges of their shipped rows, which,
+    in range order, are in (src, dst) order already."""
+    bs = np.concatenate([np.empty(0, np.int64)] + [s for _, s, _ in results])
+    bd = np.concatenate([np.empty(0, np.int64)] + [d for _, _, d in results])
+    total = sum(c for c, _, _ in results) + _wedge_pair_counts(bd, key_runs(bs)[:-1], keys, n)
+    return pa.table({"triangles": pa.array([total], pa.int64())})
 
 
 def _src_ends(block: pa.Table) -> tuple:

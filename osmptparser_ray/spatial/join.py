@@ -45,7 +45,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..kernel.geometry import haversine_m_vec
-from ..util import block_tasks, concat_columns, cosort, group_agg
+from ..util import block_refs, block_tasks, concat_columns, cosort, group_agg, map_blocks, submit
 from .cell import cell_neighbors, choose_level_for_radius, encode_cell, xy_to_cell
 from .pip import points_in_ring
 
@@ -378,10 +378,12 @@ def pip_probe(pids: np.ndarray, lats: np.ndarray, lons: np.ndarray, index: RingI
     return _pip_pairs(out_p, out_g)
 
 
-def _pip_probe_batch(batch: pa.Table, *, index_ref, id_col: str, lat_col: str, lon_col: str) -> pa.Table:
-    from ..util import cached_get
+def _pip_probe_block(batch: pa.Table, index: RingIndex, id_col: str, lat_col: str, lon_col: str) -> pa.Table:
+    return pip_probe(*point_arrays(batch, id_col, lat_col, lon_col), index)
 
-    return pip_probe(*point_arrays(batch, id_col, lat_col, lon_col), cached_get(index_ref))
+
+def _ring_index_of(*parts) -> RingIndex:
+    return build_ring_index(list(parts))
 
 
 def pip_join_broadcast(
@@ -395,24 +397,18 @@ def pip_join_broadcast(
     ring_lat_col: str = "ring_lats",
     ring_lon_col: str = "ring_lons",
 ) -> rd.Dataset:
-    """PIP join with the POLYGON side broadcast (classic small-side plan).
+    """PIP join with the POLYGON side broadcast (classic small-side plan)
+    → a materialized dataset.
 
-    Build: block tasks flatten the polygon blocks (``ring_arrays``), the
-    driver builds one ``RingIndex`` and ``ray.put``s it. Probe: every point
-    batch runs ``pip_probe``. Exact ray-cast refine per candidate; zero
-    shuffle. Use when polygons fit comfortably in memory (≲10^5 rings);
-    ``pip_join`` is the big-big shuffle plan. Results identical to
-    ``pip_join`` (same kernel).
+    Build: block tasks flatten the polygon blocks (``ring_arrays``) and
+    one task builds the ``RingIndex``. Probe: one task per point block
+    runs ``pip_probe``, with the index as a top-level argument. Exact
+    ray-cast refine per candidate; zero shuffle. Use when polygons fit
+    comfortably in memory (≲10^5 rings); ``pip_join`` is the big-big
+    shuffle plan. Results identical to ``pip_join`` (same kernel).
     """
-    import ray
-
-    parts = ray.get(block_tasks(polygons, ring_arrays, poly_id, ring_lat_col, ring_lon_col))
-    index_ref = ray.put(build_ring_index(parts))
-    return points.map_batches(
-        partial(_pip_probe_batch, index_ref=index_ref, id_col=point_id,
-                lat_col=lat_col, lon_col=lon_col),
-        batch_format="pyarrow",
-    )
+    index = submit(_ring_index_of, *block_tasks(polygons, ring_arrays, poly_id, ring_lat_col, ring_lon_col))
+    return map_blocks(points, _pip_probe_block, index, point_id, lat_col, lon_col)
 
 
 class TargetIndex(NamedTuple):
@@ -521,12 +517,13 @@ def knn_probe(
     return _knn_topk(qids, qlats, qlons, flat_q, flat_cells, index, k, radius_m)
 
 
-def _knn_probe_batch(
-    batch: pa.Table, *, index_ref, k: int, radius_m: float, id_col: str, lat_col: str, lon_col: str
-) -> pa.Table:
-    from ..util import cached_get
+def _knn_probe_block(batch: pa.Table, index: TargetIndex, k: int, radius_m: float, id_col: str,
+                     lat_col: str, lon_col: str) -> pa.Table:
+    return knn_probe(*point_arrays(batch, id_col, lat_col, lon_col), index, k, radius_m)
 
-    return knn_probe(*point_arrays(batch, id_col, lat_col, lon_col), cached_get(index_ref), k, radius_m)
+
+def _target_index_of(radius_m: float, *parts) -> TargetIndex:
+    return build_target_index(*concat_columns(parts, (np.int64, np.float64, np.float64)), radius_m)
 
 
 def knn_join_broadcast(
@@ -540,24 +537,17 @@ def knn_join_broadcast(
     lat_col: str = "lat",
     lon_col: str = "lon",
 ) -> rd.Dataset:
-    """Fixed-radius kNN with the TARGET side broadcast (small-side plan).
+    """Fixed-radius kNN with the TARGET side broadcast (small-side plan)
+    → a materialized dataset.
 
-    Build: block tasks collect the target coords, the driver cell-sorts
-    them into one ``TargetIndex`` and ``ray.put``s it. Probe: every query
-    batch runs ``knn_probe``. Exact (no cell approximation). Use when
-    targets fit in memory (≲10^6 points); ``knn_join`` is the shuffle plan.
+    Build: block tasks collect the target coords and one task cell-sorts
+    them into one ``TargetIndex``. Probe: one task per query block runs
+    ``knn_probe``, with the index as a top-level argument. Exact (no
+    cell approximation). Use when targets fit in memory (≲10^6 points);
+    ``knn_join`` is the shuffle plan.
     """
-    import ray
-
-    parts = ray.get(block_tasks(targets, point_arrays, target_id, lat_col, lon_col))
-    ids, lats, lons = concat_columns(parts, (np.int64, np.float64, np.float64))
-    index_ref = ray.put(build_target_index(ids, lats, lons, radius_m))
-    return queries.map_batches(
-        partial(_knn_probe_batch, index_ref=index_ref, k=k, radius_m=radius_m,
-                id_col=query_id, lat_col=lat_col, lon_col=lon_col),
-        batch_format="pyarrow",
-        batch_size=_KNN_CHUNK,
-    )
+    index = submit(_target_index_of, radius_m, *block_tasks(targets, point_arrays, target_id, lat_col, lon_col))
+    return map_blocks(queries, _knn_probe_block, index, k, radius_m, query_id, lat_col, lon_col)
 
 
 # ---------------------------------------------------------------------------
@@ -750,46 +740,48 @@ def raster_vector_join(
     """tiles (cell:uint64, …) ⨝ route cover cells → (cell, route_id) rows.
 
     Default plan: the vector cover (routes × covered cells) is computed
-    distributed, collected ONCE into two cell-sorted numpy arrays and
-    broadcast (``ray.put``); each tile batch resolves its matches with two
-    ``searchsorted`` calls — zero shuffle, the raster side streams. This is
-    the scale-right shape: tiles is the huge raster side, the cover is
+    in one task per route block, and one task sorts it into two
+    cell-sorted numpy arrays; every tile block's task takes them as a
+    top-level argument and resolves its matches with two
+    ``searchsorted`` calls → a materialized dataset; zero shuffle. This
+    is the scale-right shape: tiles is the huge raster side, the cover is
     bounded by routes × cells-per-route.
 
     ``plan="shuffle"`` joins tiles and cover in one sort
     (``util.equi_join``) for covers too large to broadcast.
     """
-    import ray
+    from ..util import equi_join
 
-    from ..util import cached_get, equi_join
-
-    cover = routes.map_batches(
-        partial(_route_cover_rows, level=level, id_col=route_id), batch_format="pyarrow"
-    )
     if plan == "shuffle":
-        return equi_join(tiles.select_columns(["cell"]), cover, "cell")
-
-    c_parts, r_parts = [], []
-    for b in cover.iter_batches(batch_size=1 << 17, batch_format="pyarrow"):
-        c_parts.append(b["cell"].to_numpy(zero_copy_only=False).astype(np.uint64))
-        r_parts.append(b["route_id"].to_numpy(zero_copy_only=False).astype(np.int64))
-    ccells = np.concatenate(c_parts) if c_parts else np.empty(0, np.uint64)
-    crids = np.concatenate(r_parts) if r_parts else np.empty(0, np.int64)
-    order = np.argsort(ccells, kind="stable")
-    cover_ref = ray.put((ccells[order], crids[order]))
-
-    def match(batch: pa.Table) -> pa.Table:
-        ccells_s, crids_s = cached_get(cover_ref)
-        tcells = batch["cell"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ti, ci = _cell_ranges(ccells_s, tcells)
-        return pa.table(
-            {
-                "cell": pa.array(tcells[ti], pa.uint64()),
-                "route_id": pa.array(crids_s[ci], pa.int64()),
-            }
+        cover = routes.map_batches(
+            partial(_route_cover_rows, level=level, id_col=route_id), batch_format="pyarrow"
         )
+        return equi_join(tiles.select_columns(["cell"]), cover, "cell")
+    cover = submit(_sorted_cover, *block_tasks(routes, _route_cover_rows, level, route_id))
+    return map_blocks(tiles, _cover_match, cover)
 
-    return tiles.map_batches(match, batch_format="pyarrow")
+
+def _sorted_cover(*parts) -> tuple:
+    """Cover blocks → (cells, route ids), sorted by cell."""
+    ccells, crids = concat_columns(
+        [(t["cell"].to_numpy(zero_copy_only=False).astype(np.uint64),
+          t["route_id"].to_numpy(zero_copy_only=False).astype(np.int64)) for t in parts],
+        (np.uint64, np.int64),
+    )
+    order = np.argsort(ccells, kind="stable")
+    return ccells[order], crids[order]
+
+
+def _cover_match(batch: pa.Table, cover: tuple) -> pa.Table:
+    ccells_s, crids_s = cover
+    tcells = batch["cell"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    ti, ci = _cell_ranges(ccells_s, tcells)
+    return pa.table(
+        {
+            "cell": pa.array(tcells[ti], pa.uint64()),
+            "route_id": pa.array(crids_s[ci], pa.int64()),
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -807,104 +799,89 @@ def cell_density_smoothed(
     """Per-cell point density plus 3×3-neighborhood smoothed density — the
     windowed-aggregate raster op.
 
-    Plan: vectorized (x, y) grid assignment → per-batch LOCAL counts
-    (combiner) → groupby-aggregate to exact per-cell counts → each cell's
-    count replicated to its 9 neighbors (plain ±1 grid arithmetic, no
-    longitude wrap — raster windows don't wrap) → neighborhood sum →
-    broadcast-join the (small) density table back to keep only non-empty
-    center cells.
+    Plan: vectorized (x, y) grid assignment per block → exact per-cell
+    counts (``group_agg``) → each cell's count replicated to its 9
+    neighbors (plain ±1 grid arithmetic, no longitude wrap — raster
+    windows don't wrap) → neighborhood sum (``group_agg``) → the (small)
+    density table, gathered by one task into two SORTED numpy arrays (key
+    = x·2^level + y) and passed to every smoothed block's task as a
+    top-level argument, keeps only non-empty center cells with one
+    ``searchsorted`` per block. Every step is block tasks, so only a lazy
+    ``points`` starts an execution (its own).
 
     Output: (cell_x, cell_y, n, n_smoothed), one row per non-empty cell.
     """
-    import ray
     from ray.data.aggregate import Count, Sum
 
-    from ..util import cached_get
+    # small: one row per non-empty cell; reused twice
+    density = group_agg(map_blocks(points, _grid_cells, level, lat_col, lon_col), ["cell_x", "cell_y"],
+                        Count(alias_name="n"))
+    smoothed = group_agg(map_blocks(density, _replicate_counts), ["cell_x", "cell_y"],
+                         Sum("contrib", alias_name="n_smoothed"))
+    shift = 1 << level
+    return map_blocks(smoothed, _attach_density, submit(_density_table, shift, *block_refs(density)), shift)
+
+
+def _grid_cells(batch: pa.Table, level: int, lat_col: str, lon_col: str) -> pa.Table:
     from .cell import lonlat_to_xy
 
-    def cells(batch: pa.Table) -> pa.Table:
-        x, y = lonlat_to_xy(
-            batch[lat_col].to_numpy(zero_copy_only=False),
-            batch[lon_col].to_numpy(zero_copy_only=False),
-            level,
-        )
-        return pa.table({"cell_x": pa.array(x, pa.int64()), "cell_y": pa.array(y, pa.int64())})
+    x, y = lonlat_to_xy(
+        batch[lat_col].to_numpy(zero_copy_only=False), batch[lon_col].to_numpy(zero_copy_only=False), level
+    )
+    return pa.table({"cell_x": pa.array(x, pa.int64()), "cell_y": pa.array(y, pa.int64())})
 
-    # small: one row per non-empty cell; reused twice
-    density = group_agg(points.map_batches(cells, batch_format="pyarrow"), ["cell_x", "cell_y"], Count(alias_name="n"))
 
-    def replicate(batch: pa.Table) -> pa.Table:
-        x = batch["cell_x"].to_numpy(zero_copy_only=False)
-        y = batch["cell_y"].to_numpy(zero_copy_only=False)
-        n = batch["n"].to_numpy(zero_copy_only=False)
-        xs, ys, ns = [], [], []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                xs.append(x + dx)
-                ys.append(y + dy)
-                ns.append(n)
-        return pa.table(
-            {
-                "cell_x": pa.array(np.concatenate(xs), pa.int64()),
-                "cell_y": pa.array(np.concatenate(ys), pa.int64()),
-                "contrib": pa.array(np.concatenate(ns), pa.int64()),
-            }
-        )
-
-    smoothed = group_agg(
-        density.map_batches(replicate, batch_format="pyarrow"), ["cell_x", "cell_y"],
-        Sum("contrib", alias_name="n_smoothed"),
+def _replicate_counts(batch: pa.Table) -> pa.Table:
+    """Each cell's count, once at each of its 3×3 neighbours."""
+    x = batch["cell_x"].to_numpy(zero_copy_only=False)
+    y = batch["cell_y"].to_numpy(zero_copy_only=False)
+    n = batch["n"].to_numpy(zero_copy_only=False)
+    steps = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+    return pa.table(
+        {
+            "cell_x": pa.array(np.concatenate([x + dx for dx, _ in steps]), pa.int64()),
+            "cell_y": pa.array(np.concatenate([y + dy for _, dy in steps]), pa.int64()),
+            "contrib": pa.array(np.concatenate([n] * len(steps)), pa.int64()),
+        }
     )
 
-    # keep only non-empty CENTER cells: broadcast the density side as two
-    # SORTED numpy arrays (key = x·2^level + y) and vectorize the attach
-    # with searchsorted — same trick as raster_vector_join's broadcast plan
-    # above. At planet scale (~10^7 non-empty level-12 cells) this is two
-    # int64 arrays in plasma, never a driver pandas frame or python dict,
-    # and the lookup is one binary-search kernel per batch, not a per-row
-    # loop. (Round-3 fix of VERDICT r2 "What's wrong #1".)
-    shift = np.int64(1 << level)
-    k_parts: list[np.ndarray] = []
-    n_parts: list[np.ndarray] = []
-    for b in density.iter_batches(batch_size=1 << 18, batch_format="pyarrow"):
-        k_parts.append(
-            b["cell_x"].to_numpy(zero_copy_only=False).astype(np.int64) * shift
-            + b["cell_y"].to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        n_parts.append(b["n"].to_numpy(zero_copy_only=False).astype(np.int64))
-    keys = np.concatenate(k_parts) if k_parts else np.empty(0, np.int64)
-    ns = np.concatenate(n_parts) if n_parts else np.empty(0, np.int64)
+
+def _density_table(shift: int, *blocks) -> tuple:
+    """Density blocks → (cell keys x·shift + y, counts), sorted by key.
+    At planet scale (~10^7 non-empty level-12 cells) this is two int64
+    arrays, never a pandas frame or a python dict."""
+    keys, ns = concat_columns(
+        [(t["cell_x"].to_numpy(zero_copy_only=False).astype(np.int64) * shift
+          + t["cell_y"].to_numpy(zero_copy_only=False).astype(np.int64),
+          t["n"].to_numpy(zero_copy_only=False).astype(np.int64)) for t in blocks],
+        (np.int64, np.int64),
+    )
     order = np.argsort(keys, kind="stable")
-    dens_ref = ray.put((keys[order], ns[order]))
+    return keys[order], ns[order]
 
-    def attach(batch: pa.Table) -> pa.Table:
-        keys_s, ns_s = cached_get(dens_ref)
-        xs = batch["cell_x"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ys = batch["cell_y"].to_numpy(zero_copy_only=False).astype(np.int64)
-        # Off-grid neighbor cells MUST be masked before the keyed lookup:
-        # with key = x·2^level + y, y=-1 aliases to (x-1, 2^level-1) and
-        # y=2^level aliases to (x+1, 0), so an unmasked lookup attaches the
-        # aliased real cell's n to a spurious off-grid row.
-        in_grid = (xs >= 0) & (xs < shift) & (ys >= 0) & (ys < shift)
-        key = xs * shift + ys
-        idx = np.searchsorted(keys_s, key)
-        idx_c = np.minimum(idx, max(len(keys_s) - 1, 0))
-        hit = (
-            ((keys_s[idx_c] == key) & in_grid)
-            if len(keys_s)
-            else np.zeros(len(key), bool)
-        )
-        mask = pa.array(hit)
-        return pa.table(
-            {
-                "cell_x": batch["cell_x"].combine_chunks().filter(mask),
-                "cell_y": batch["cell_y"].combine_chunks().filter(mask),
-                "n": pa.array(ns_s[idx_c[hit]], pa.int64()),
-                "n_smoothed": batch["n_smoothed"].combine_chunks().filter(mask),
-            }
-        )
 
-    return smoothed.map_batches(attach, batch_format="pyarrow")
+def _attach_density(batch: pa.Table, table: tuple, shift: int) -> pa.Table:
+    """Smoothed cells → those that are non-empty centers, with their n."""
+    keys_s, ns_s = table
+    xs = batch["cell_x"].to_numpy(zero_copy_only=False).astype(np.int64)
+    ys = batch["cell_y"].to_numpy(zero_copy_only=False).astype(np.int64)
+    # Off-grid neighbor cells MUST be masked before the keyed lookup:
+    # with key = x·2^level + y, y=-1 aliases to (x-1, 2^level-1) and
+    # y=2^level aliases to (x+1, 0), so an unmasked lookup attaches the
+    # aliased real cell's n to a spurious off-grid row.
+    in_grid = (xs >= 0) & (xs < shift) & (ys >= 0) & (ys < shift)
+    key = xs * shift + ys
+    idx_c = np.minimum(np.searchsorted(keys_s, key), max(len(keys_s) - 1, 0))
+    hit = ((keys_s[idx_c] == key) & in_grid) if len(keys_s) else np.zeros(len(key), bool)
+    mask = pa.array(hit)
+    return pa.table(
+        {
+            "cell_x": batch["cell_x"].combine_chunks().filter(mask),
+            "cell_y": batch["cell_y"].combine_chunks().filter(mask),
+            "n": pa.array(ns_s[idx_c[hit]], pa.int64()),
+            "n_smoothed": batch["n_smoothed"].combine_chunks().filter(mask),
+        }
+    )
 
 
 def _dist_refine(

@@ -7,9 +7,12 @@
   operators (``running_agg``, ``lead_lag_rank``, ``rolling_sum``), the
   ordered ones (``global_index``, ``group_concat_sorted``) and the exact
   quantiles are ``sort_scan``s too.
-* ``broadcast_join`` — map-side dimension enrichment: the small side is
-  collected once, ``ray.put``, and merged into every batch with a pandas
-  hash merge — zero shuffle (guide §joins: "small side: broadcast it").
+* ``broadcast_join`` — map-side dimension enrichment: one task gathers
+  the small side, and every block task of the big side takes it as a
+  top-level argument and merges it in with a pandas hash merge — zero
+  shuffle (guide §joins: "small side: broadcast it"). The other
+  broadcast operators here (``interval_join``, ``anti_join``,
+  ``zscore_filter``) pass their small sides the same way.
 """
 
 from __future__ import annotations
@@ -23,7 +26,18 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..util import cached_get, equi_join, group_agg, key_runs, run_positions, sort_scan
+from ..util import (
+    block_refs,
+    block_tasks,
+    dataset_of,
+    equi_join,
+    group_agg,
+    key_runs,
+    map_blocks,
+    run_positions,
+    sort_scan,
+    submit,
+)
 
 
 def _finest_sums(ds: rd.Dataset, group_cols: list, value_col: str) -> rd.Dataset:
@@ -51,9 +65,10 @@ def topk_per_group(
 
     Output: input columns + ``rank`` (1-based within group).
 
-    Physical plan (ZERO per-group UDF dispatch): a per-batch partial
-    top-k (vectorized pandas sort/head) caps the sorted volume at k rows
-    per group per input block, then one ``util.sort_scan`` on
+    Physical plan (ZERO per-group UDF dispatch): a per-block partial
+    top-k (vectorized pandas sort/head, one task per block) caps the
+    sorted volume at k rows per group per input block, then one
+    ``util.sort_scan`` on
     ``(group, score[, tiebreak])``: each block summarizes its first and
     last group's row counts, the fold carries into each block the rows
     its first group already has in the blocks before it, and the emit
@@ -74,13 +89,6 @@ def topk_per_group(
     sort_cols = [score_col] + ([tiebreak_col] if tiebreak_col else [])
     asc = [not descending] + ([True] if tiebreak_col else [])
 
-    def partial_topk(batch: pd.DataFrame) -> pd.DataFrame:
-        return (
-            batch.sort_values(sort_cols, ascending=asc, kind="stable")
-            .groupby(group_col, sort=False)
-            .head(k)
-        )
-
     def summarize(block: pa.Table):
         g = block[group_col].to_numpy(zero_copy_only=False)
         return g[0], g[-1], int((g == g[0]).sum()), int((g == g[-1]).sum())
@@ -99,11 +107,17 @@ def topk_per_group(
         keep = pos < k
         return block.filter(pa.array(keep)).append_column("rank", pa.array(pos[keep] + 1, pa.int64()))
 
-    pruned = ds.map_batches(partial_topk, batch_format="pandas")
+    pruned = map_blocks(ds, _partial_topk, sort_cols, asc, group_col, k)
     return rd.from_arrow_refs(sort_scan(
         pruned, [group_col] + sort_cols, summarize, fold, head_k,
         descending=[False] + [not a for a in asc], schema=ds.schema,
     ))
+
+
+def _partial_topk(block: pa.Table, sort_cols: list, asc: list, group_col: str, k: int) -> pa.Table:
+    """A block's top-k rows per group (vectorized pandas sort/head)."""
+    top = block.to_pandas().sort_values(sort_cols, ascending=asc, kind="stable").groupby(group_col, sort=False)
+    return pa.Table.from_pandas(top.head(k), preserve_index=False)
 
 
 def broadcast_join(
@@ -114,24 +128,33 @@ def broadcast_join(
     *,
     how: Literal["inner", "left"] = "inner",
 ) -> rd.Dataset:
-    """Enrich ``ds`` with columns from a SMALL dimension table — no shuffle.
+    """Enrich ``ds`` with columns from a SMALL dimension table — no shuffle
+    → a materialized dataset.
 
-    ``small`` is fully collected (must fit driver/worker memory — dimension
-    tables, vocabularies, blocklists) and merged per batch.
+    One task gathers ``small`` into one pandas frame (it must fit a
+    worker's memory — dimension tables, vocabularies, blocklists); every
+    block task of ``ds`` takes it as a top-level argument and merges it
+    in.
     """
-    rkey = right_on or on
-    small_pd = small.to_pandas()
-    small_ref = ray.put(small_pd)
+    return map_blocks(ds, _enrich, submit(_small_side, *block_refs(small)), on, right_on or on, how)
 
-    def enrich(batch: pd.DataFrame) -> pd.DataFrame:
-        dim = cached_get(small_ref)
-        out = batch.merge(dim, left_on=on, right_on=rkey, how=how)
-        if rkey != on and rkey in out.columns:
-            out = out.drop(columns=[rkey])
-        return out
 
-    return ds.map_batches(enrich, batch_format="pandas")
+def _small_side(*blocks) -> tuple:
+    """The small side's blocks → (one pandas frame, its Arrow schema)."""
+    t = pa.concat_tables(blocks, promote_options="permissive")
+    return t.to_pandas(), t.schema
 
+
+def _enrich(block: pa.Table, small: tuple, on: str, rkey: str, how: str) -> pa.Table:
+    dim, schema = small
+    out = block.to_pandas().merge(dim, left_on=on, right_on=rkey, how=how)
+    if rkey != on and rkey in out.columns:
+        out = out.drop(columns=[rkey])
+    t = pa.Table.from_pandas(out, preserve_index=False)
+    # columns pandas left without values (no rows) keep their Arrow type
+    types = {f.name: f.type for f in (*schema, *block.schema)}
+    return t.cast(pa.schema([f.with_type(types[f.name]) if pa.types.is_null(f.type) and f.name in types else f
+                             for f in t.schema]))
 
 
 _SAMPLE_MULT = 2654435761  # Knuth multiplicative constant
@@ -209,82 +232,69 @@ def interval_join(
     Physical plan: the 1-D analogue of the PIP broadcast cell index —
     intervals are replicated onto the value cells they span (cell width ≈
     median interval width, so a typical interval covers O(1) cells) and
-    stored as a sorted CSR (cell keys / offsets / interval ids) broadcast
-    via ``ray.put``; each point batch resolves candidates with one
-    searchsorted and applies the exact lo/hi filter vectorized per
-    candidate interval. For a big-big variant, band BOTH sides by cell and
-    sort-join on the cell key (``interval_join_shuffle``).
+    stored as a sorted CSR (cell keys / offsets / interval ids), built by
+    one task and passed to every point block's task as a top-level
+    argument; each block resolves candidates with one searchsorted and
+    applies the exact lo/hi filter vectorized per candidate interval → a
+    materialized dataset. For a big-big variant, band BOTH sides by cell
+    and sort-join on the cell key (``interval_join_shuffle``).
 
     ``intervals``: [(interval_id, lo, hi)] — the small side (broadcast
     contract like ``broadcast_join``).
     """
-    import numpy as np
-    import pyarrow as pa
-    import ray
+    return map_blocks(points, _interval_match, submit(_interval_index, intervals), value_col, point_id)
 
+
+def _interval_index(intervals: list) -> tuple:
+    """[(interval_id, lo, hi)] → the cell-banded CSR of ``interval_join``."""
     iid = np.asarray([i[0] for i in intervals], dtype=np.int64)
     lo = np.asarray([i[1] for i in intervals], dtype=np.float64)
     hi = np.asarray([i[2] for i in intervals], dtype=np.float64)
     valid = hi > lo
     iid, lo, hi = iid[valid], lo[valid], hi[valid]
-    if len(iid):
-        width = float(np.median(hi - lo))
-        cell_w = max(width, 1e-12)
-        c0 = np.floor(lo / cell_w).astype(np.int64)
-        c1 = np.floor(np.nextafter(hi, -np.inf) / cell_w).astype(np.int64)
-        cnt = c1 - c0 + 1
-        total = int(cnt.sum())
-        k = np.repeat(np.arange(len(iid), dtype=np.int64), cnt)
-        within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        cells = c0[k] + within
-        order = np.argsort(cells, kind="stable")
-        cells_s, ks = cells[order], k[order]
-        mask = np.ones(total, bool)
-        mask[1:] = cells_s[1:] != cells_s[:-1]
-        keys = cells_s[mask]
-        offs = np.concatenate([np.flatnonzero(mask), [total]]).astype(np.int64)
-    else:
-        cell_w = 1.0
-        keys = np.empty(0, np.int64)
-        offs = np.zeros(1, np.int64)
-        ks = np.empty(0, np.int64)
-    ref = ray.put((iid, lo, hi, keys, offs, ks, cell_w))
+    if not len(iid):
+        return iid, lo, hi, np.empty(0, np.int64), np.zeros(1, np.int64), np.empty(0, np.int64), 1.0
+    cell_w = max(float(np.median(hi - lo)), 1e-12)
+    c0 = np.floor(lo / cell_w).astype(np.int64)
+    c1 = np.floor(np.nextafter(hi, -np.inf) / cell_w).astype(np.int64)
+    cnt = c1 - c0 + 1
+    total = int(cnt.sum())
+    k = np.repeat(np.arange(len(iid), dtype=np.int64), cnt)
+    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    cells = c0[k] + within
+    order = np.argsort(cells, kind="stable")
+    cells_s, ks = cells[order], k[order]
+    mask = np.ones(total, bool)
+    mask[1:] = cells_s[1:] != cells_s[:-1]
+    offs = np.concatenate([np.flatnonzero(mask), [total]]).astype(np.int64)
+    return iid, lo, hi, cells_s[mask], offs, ks, cell_w
 
-    def match(batch: pa.Table) -> pa.Table:
-        r_iid, r_lo, r_hi, r_keys, r_offs, r_ks, w = cached_get(ref)
-        v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        pids = batch[point_id].to_numpy(zero_copy_only=False).astype(np.int64)
-        out_p, out_i = [], []
-        if len(v) and len(r_keys):
-            pc_cells = np.floor(v / w).astype(np.int64)
-            uniq = np.unique(pc_cells)
-            ki = np.minimum(np.searchsorted(r_keys, uniq), len(r_keys) - 1)
-            hit_cells = uniq[r_keys[ki] == uniq]
-            for c in hit_cells.tolist():
-                j = int(np.searchsorted(r_keys, c))
-                cand = r_ks[r_offs[j] : r_offs[j + 1]]
-                pm = pc_cells == c
-                vv, pp = v[pm], pids[pm]
-                for q in cand.tolist():
-                    m = (vv >= r_lo[q]) & (vv < r_hi[q])
-                    if m.any():
-                        out_p.append(pp[m])
-                        out_i.append(np.full(int(m.sum()), r_iid[q], np.int64))
-        if not out_p:
-            return pa.table(
-                {
-                    point_id: pa.array([], pa.int64()),
-                    "interval_id": pa.array([], pa.int64()),
-                }
-            )
-        return pa.table(
-            {
-                point_id: pa.array(np.concatenate(out_p), pa.int64()),
-                "interval_id": pa.array(np.concatenate(out_i), pa.int64()),
-            }
-        )
 
-    return points.map_batches(match, batch_format="pyarrow")
+def _interval_match(batch: pa.Table, index: tuple, value_col: str, point_id: str) -> pa.Table:
+    """One point block → its (point_id, interval_id) matches."""
+    r_iid, r_lo, r_hi, r_keys, r_offs, r_ks, w = index
+    v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
+    pids = batch[point_id].to_numpy(zero_copy_only=False).astype(np.int64)
+    out_p, out_i = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    if len(v) and len(r_keys):
+        pc_cells = np.floor(v / w).astype(np.int64)
+        uniq = np.unique(pc_cells)
+        ki = np.minimum(np.searchsorted(r_keys, uniq), len(r_keys) - 1)
+        for c in uniq[r_keys[ki] == uniq].tolist():
+            j = int(np.searchsorted(r_keys, c))
+            pm = pc_cells == c
+            vv, pp = v[pm], pids[pm]
+            for q in r_ks[r_offs[j] : r_offs[j + 1]].tolist():
+                m = (vv >= r_lo[q]) & (vv < r_hi[q])
+                if m.any():
+                    out_p.append(pp[m])
+                    out_i.append(np.full(int(m.sum()), r_iid[q], np.int64))
+    return pa.table(
+        {
+            point_id: pa.array(np.concatenate(out_p), pa.int64()),
+            "interval_id": pa.array(np.concatenate(out_i), pa.int64()),
+        }
+    )
 
 
 def exact_quantiles(
@@ -1067,92 +1077,45 @@ def anti_join(
     blocklist hit). Complements the existing semi-join surface.
 
     ``plan="broadcast"`` (default — small key side): the distinct key set
-    is reduced DISTRIBUTED (per-block unique → tiny binary blobs; only
-    the deduped set reaches the driver), broadcast once via ``ray.put``,
-    and every batch filters NOT-isin with one ``searchsorted`` — zero
+    is reduced DISTRIBUTED (per-block sorted-unique arrays, merged by one
+    task), and every block task of ``ds`` takes it as a top-level
+    argument and filters NOT-isin with one ``searchsorted`` — zero
     shuffle. Same small-side contract as ``broadcast_join``.
 
     ``plan="shuffle"`` (big-big): the distinct keys come from one
     ``util.group_agg`` (per-block unique, one range partition, one merge
     per key range); a Bloom prefilter over them (per-block partial filters
-    OR-merged on the driver, ~1.2 B/key) splits the probe side —
-    bloom-NEGATIVE rows are DEFINITE anti-matches (Bloom filters have no
-    false negatives) and stream straight to the output; only the
+    OR-merged in one task, ~1.2 B/key) splits each probe block in one
+    task — bloom-NEGATIVE rows are DEFINITE anti-matches (Bloom filters
+    have no false negatives) and go straight to the output; only the
     bloom-positive sliver (true matches + ~fpr of the rest) pays the
     exact ``left_anti`` sort join (``util.equi_join``) against the
-    distinct-key dataset. The
-    probe side is scanned twice (column-pruned) — materialize upstream
-    if the scan is expensive. Both plans return identical rows
-    (parity-tested).
+    distinct-key dataset. Both plans return identical rows
+    (parity-tested), as a materialized dataset.
 
     Keys must be int64-castable (the sorted-array broadcast and the
     Bloom hashes are integer-keyed); hash string keys to int64 upstream
     (e.g. the ``exact_dedup`` md5→int pattern) for string-keyed anti
     joins.
     """
+    from .elements import _distinct_ids, _filter_ids, _id_table, _merge_ids, _unique_ids
+
     kcol = keys_on or on
-
     if plan == "broadcast":
-        def key_blob(b: pa.Table) -> pa.Table:
-            u = np.unique(b[kcol].to_numpy(zero_copy_only=False).astype(np.int64))
-            return pa.table({"blob": pa.array([u.tobytes()], pa.binary())})
-
-        parts = []
-        for b in keys.select_columns([kcol]).map_batches(
-            key_blob, batch_format="pyarrow"
-        ).iter_batches(batch_size=64, batch_format="pyarrow"):
-            for raw in b["blob"].to_pylist():
-                if raw:
-                    parts.append(np.frombuffer(raw, np.int64))
-        key_arr = np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-        ref = ray.put(key_arr)
-
-        def anti(batch: pa.Table) -> pa.Table:
-            hay = cached_get(ref)
-            vals = batch[on].to_numpy(zero_copy_only=False).astype(np.int64)
-            if not len(hay):
-                return batch
-            idx = np.searchsorted(hay, vals)
-            idx[idx >= len(hay)] = len(hay) - 1
-            return batch.filter(pa.array(hay[idx] != vals))
-
-        return ds.map_batches(anti, batch_format="pyarrow")
-
+        return map_blocks(ds, _filter_ids, submit(_merge_ids, *block_tasks(keys, _unique_ids, kcol)), on, False)
     if plan != "shuffle":
         raise ValueError(f"plan must be 'broadcast' or 'shuffle', got {plan!r}")
 
-    from .elements import _bloom_from_id_dataset
+    from .bloom import bloom_of, bloom_split
 
-    distinct = group_agg(
-        keys.map_batches(lambda b: pa.table({"id": b[kcol].cast(pa.int64())}), batch_format="pyarrow"),
-        "id",
-    )
+    distinct = _distinct_ids(block_tasks(keys, _id_table, kcol))
     n_keys = distinct.count()
     if n_keys == 0:
         return ds
-    bf_ref = ray.put(_bloom_from_id_dataset(distinct, n_keys, fpr))
-
-    def bloom_side(batch: pa.Table, positive: bool) -> pa.Table:
-        bf = cached_get(bf_ref)
-        vals = batch[on].to_numpy(zero_copy_only=False).astype(np.int64)
-        hit = bf.contains(vals)
-        return batch.filter(pa.array(hit if positive else ~hit))
-
-    negatives = ds.map_batches(
-        lambda b: bloom_side(b, False), batch_format="pyarrow"
-    )
-    positives = ds.map_batches(
-        lambda b: bloom_side(b, True), batch_format="pyarrow"
-    )
+    positives, negatives = map_blocks(ds, bloom_split, bloom_of(distinct, "id", n_keys, fpr), on, num_returns=2)
     survivors = equi_join(positives, distinct, on, right_on="id", how="left_anti")
-    cols = [f.name for f in _schema_fields(ds)]
-    return negatives.select_columns(cols).union(survivors.select_columns(cols))
-
-
-def _schema_fields(ds: rd.Dataset):
-    schema = ds.schema(fetch_if_missing=True)
-    base = getattr(schema, "base_schema", None)
-    return list(base) if base is not None else []
+    refs = block_refs(negatives) + block_refs(survivors)
+    return dataset_of(refs) if refs else negatives
 
 
 _HLL_ALPHA = {16: 0.673, 32: 0.697, 64: 0.709}
@@ -1434,8 +1397,8 @@ def mg_sketch_dataset(
     """Mergeable Misra-Gries summary of a whole Dataset column →
     (items: object ndarray, lower-bound counts: int64 ndarray, err).
 
-    One streaming pass: per-batch vectorized MG partials (O(capacity)
-    counters each) merged on the driver in O(#batches · capacity). The
+    One task per block: vectorized MG partials (O(capacity) counters
+    each), merged by one task in O(#blocks · capacity). The
     raw summary merges with any other summary via ``mg_merge`` — the
     building block of both ``heavy_hitters`` and the incremental
     ``heavy_hitters_append`` fold.
@@ -1443,51 +1406,24 @@ def mg_sketch_dataset(
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        vals = batch[col].to_numpy(zero_copy_only=False)
-        items, counts, err = mg_partial(vals, capacity)
-        # err rides on the FIRST row only, so the driver's total is just
-        # the sum of the err column regardless of how iter_batches
-        # re-slices the partial tables. MG truncation CAN empty the
-        # summary (capacity+1 all-tied counts decrement every counter to
-        # zero) while err is positive — emit one NULL-item carrier row in
-        # that case so the decrement is never silently dropped (a dropped
-        # err breaks the lb ≤ true ≤ lb+err guarantee the driver gate
-        # asserts).
-        err_col = np.zeros(len(items), np.int64)
-        if len(items):
-            err_col[0] = err
-            item_arr = pa.array(items)
-        elif err:
-            err_col = np.array([err], np.int64)
-            item_arr = pa.nulls(1, batch[col].type)
-            counts = np.zeros(1, np.int64)
-        else:
-            item_arr = pa.array([], batch[col].type)
-        return pa.table(
-            {
-                col: item_arr,
-                "lb": pa.array(counts, pa.int64()),
-                "err": pa.array(err_col, pa.int64()),
-            }
-        )
+    return ray.get(submit(_mg_fold, capacity, *block_tasks(ds, _mg_block, col, capacity)))
 
-    acc = (np.empty(0, object), np.empty(0, np.int64), 0)
-    batch_err_total = 0
-    for b in ds.select_columns([col]).map_batches(
-        partial, batch_format="pyarrow"
-    ).iter_batches(batch_size=256, batch_format="pyarrow"):
-        if b.num_rows == 0:
-            continue
-        batch_err_total += int(b["err"].to_numpy(zero_copy_only=False).sum())
-        valid = b.filter(pc.is_valid(b[col]))  # drop NULL err-carrier rows
-        items = np.asarray(valid[col].to_pylist(), object)
-        if not len(items):
-            continue
-        counts = valid["lb"].to_numpy(zero_copy_only=False).astype(np.int64)
-        acc = mg_merge(acc, (items, counts, 0), capacity)
-    items, counts, err = acc
-    return items, counts, int(err + batch_err_total)
+
+def _mg_block(block: pa.Table, col: str, capacity: int) -> tuple:
+    return mg_partial(block[col].to_numpy(zero_copy_only=False), capacity)
+
+
+def _mg_fold(capacity: int, *parts) -> tuple:
+    """Per-block MG summaries → their merge, in block order, as Python
+    scalar items (a null item is never tracked)."""
+    acc, errs = (np.empty(0, object), np.empty(0, np.int64), 0), 0
+    for items, counts, err in parts:
+        errs += err
+        vals = pa.array(items).to_pylist()
+        keep = np.array([v is not None for v in vals], bool)
+        if keep.any():
+            acc = mg_merge(acc, (np.asarray(vals, object)[keep], counts[keep], 0), capacity)
+    return acc[0], acc[1], int(acc[2] + errs)
 
 
 def heavy_hitters(
@@ -1740,69 +1676,56 @@ def zscore_filter(
             }
         )
 
+    ds = ds.materialize()  # read by the stats pass and the filter
     stats = group_agg(
-        ds.select_columns([group_col, value_col]).map_batches(partial, batch_format="pyarrow"),
+        map_blocks(ds, partial),
         group_col,
         Sum("n", alias_name="n"),
         Sum("s", alias_name="s"),
         Sum("ss", alias_name="ss"),
         AggMax("mx", alias_name="mx"),
     )
-    keys, ns, sums, sqs, mxs = [], [], [], [], []
-    for b in stats.iter_batches(batch_size=1 << 16, batch_format="pyarrow"):
-        keys.append(b[group_col].to_numpy(zero_copy_only=False))
-        ns.append(b["n"].to_numpy(zero_copy_only=False))
-        sums.append(b["s"].to_numpy(zero_copy_only=False))
-        sqs.append(b["ss"].to_numpy(zero_copy_only=False))
-        mxs.append(b["mx"].to_numpy(zero_copy_only=False))
-    if keys:
-        k = np.concatenate(keys)
-        order = np.argsort(k, kind="stable")
-        k = k[order]
-        n_arr = np.concatenate(ns)[order].astype(np.int64)
-        s_arr = np.concatenate(sums)[order].astype(np.int64)
-        ss_arr = np.concatenate(sqs)[order].astype(np.int64)
-        mx_arr = np.concatenate(mxs)[order].astype(np.int64)
-    else:
-        k = np.empty(0)
-        n_arr = s_arr = ss_arr = mx_arr = np.empty(0, np.int64)
+    table = submit(_zscore_table, int(z), group_col, *block_refs(stats))
+    return map_blocks(ds, _zscore_keep, table, int(z) * int(z), mode == "outliers", group_col, value_col)
+
+
+def _zscore_table(z: int, group_col: str, *blocks) -> tuple:
+    """The per-group stats blocks → (keys, n, Σx, Σx²), sorted by key,
+    after the exact-integer headroom check."""
+    t = pa.concat_tables(blocks) if blocks else None
+    if t is None or not t.num_rows:
+        return (np.empty(0),) + (np.empty(0, np.int64),) * 3
+    t = t.sort_by(group_col)
+    k = t[group_col].to_numpy(zero_copy_only=False)
+    n_arr, s_arr, ss_arr, mx_arr = (t[c].to_numpy(zero_copy_only=False).astype(np.int64) for c in ("n", "s", "ss", "mx"))
     # int64 headroom, checked with Python-int exactness on the tiny stats
     # table: |x·n − s| ≤ 2·n·max|x| so lhs² needs (2·n·mx)² < 2^63, and the
     # rhs needs z²·n·ss < 2^63
-    for nn_i, ss_i, mx_i, k_i in zip(
-        n_arr.tolist(), ss_arr.tolist(), mx_arr.tolist(), k.tolist()
-    ):
-        if nn_i and (
-            (2 * nn_i * max(mx_i, 1)) ** 2 >= 2**63
-            or int(z) * int(z) * nn_i * ss_i >= 2**63
-        ):
+    for nn_i, ss_i, mx_i, k_i in zip(n_arr.tolist(), ss_arr.tolist(), mx_arr.tolist(), k.tolist()):
+        if nn_i and ((2 * nn_i * max(mx_i, 1)) ** 2 >= 2**63 or z * z * nn_i * ss_i >= 2**63):
             raise OverflowError(
                 f"zscore_filter: group {k_i!r} exceeds the exact-integer "
                 "predicate bound ((2·n·max|x|)² or z²·n·Σx² over int64) — "
                 "reduce scope or use a float variant"
             )
-    stats_ref = ray.put((k, n_arr, s_arr, ss_arr))
-    z2 = int(z) * int(z)
-    want_out = mode == "outliers"
+    return k, n_arr, s_arr, ss_arr
 
-    def apply(batch: pa.Table) -> pa.Table:
-        kk, nn, ssum, ssq = cached_get(stats_ref)
-        if batch.num_rows == 0 or len(kk) == 0:
-            return batch if not want_out else batch.slice(0, 0)
-        g = batch[group_col].to_numpy(zero_copy_only=False)
-        x = batch[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        idx = np.searchsorted(kk, g)
-        idx[idx >= len(kk)] = len(kk) - 1
-        n, s, ss = nn[idx], ssum[idx], ssq[idx]
-        lhs = x * n - s
-        lhs = lhs * lhs
-        rhs = z2 * (n * ss - s * s)
-        keep = lhs > rhs
-        if not want_out:
-            keep = ~keep
-        return batch.filter(pa.array(keep))
 
-    return ds.map_batches(apply, batch_format="pyarrow")
+def _zscore_keep(batch: pa.Table, table: tuple, z2: int, want_out: bool, group_col: str,
+                 value_col: str) -> pa.Table:
+    """One block → its outliers (or inliers) under the per-group stats."""
+    kk, nn, ssum, ssq = table
+    if batch.num_rows == 0 or len(kk) == 0:
+        return batch if not want_out else batch.slice(0, 0)
+    g = batch[group_col].to_numpy(zero_copy_only=False)
+    x = batch[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    idx = np.searchsorted(kk, g)
+    idx[idx >= len(kk)] = len(kk) - 1
+    n, s, ss = nn[idx], ssum[idx], ssq[idx]
+    lhs = x * n - s
+    lhs = lhs * lhs
+    keep = lhs > z2 * (n * ss - s * s)
+    return batch.filter(pa.array(keep if want_out else ~keep))
 
 
 def histogram(

@@ -35,9 +35,10 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data as rd
 
-from ..util import group_agg
+from ..util import block_refs, block_tasks, dataset_of, group_agg, map_blocks, submit
 from .checkpoint import completed_partitions, write_partition
 
 _TAILS_PTR = "_TAILS.json"
@@ -364,14 +365,15 @@ def _fold_broadcast(
     strict: bool,
 ) -> "tuple[rd.Dataset, rd.Dataset]":
     """Join-free fold body: both vocab-sized tables (active-user tails,
-    per-user chunk summary) live as driver/broadcast numpy — the stitch
-    is pure numpy and the chunk renumber is one searchsorted map over
-    ``new_sess``. Bounded by ``broadcast_cap`` (checked by the caller)."""
-    import ray
-
+    per-user chunk summary) live as driver numpy — the stitch is pure
+    numpy, its lookup table is put in the object store once, and the
+    chunk renumber is one task per ``new_sess`` block with it as a
+    top-level argument, which also splits the block into closed sessions
+    and open tails. Bounded by ``broadcast_cap`` (checked by the
+    caller)."""
     from ray.data.aggregate import Max, Min
 
-    from ..util import cached_get
+    from ..util import block_refs, dataset_of, map_blocks
 
     per_user = group_agg(
         new_sess, "user_id", Max("session_id", alias_name="max_sid"), Min("start_us", alias_name="first_start")
@@ -455,47 +457,37 @@ def _fold_broadcast(
         m_n = np.zeros(nu, np.int64)
         closed_tails_tbl = untouched_tbl = None
 
-    lut_ref = ray.put((u, offset, merge, m_start, m_n, max_sid))
+    lut = ray.put((u, offset, merge, m_start, m_n, max_sid))
+    closed, new_tails = map_blocks(new_sess, _renumber, lut, num_returns=2)
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        uu, off_a, mg_a, mst_a, mn_a, msid_a = cached_get(lut_ref)
-        uid = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ix = np.searchsorted(uu, uid)  # every chunk user IS in the LUT
-        sid = batch["session_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        start = batch["start_us"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n_ev = batch["n_events"].to_numpy(zero_copy_only=False).astype(np.int64)
-        merged_first = mg_a[ix] & (sid == 1)
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "session_id": pa.array(sid + off_a[ix], pa.int64()),
-                "n_events": pa.array(
-                    n_ev + np.where(merged_first, mn_a[ix], 0), pa.int64()
-                ),
-                "start_us": pa.array(
-                    np.where(merged_first, mst_a[ix], start), pa.int64()
-                ),
-                "end_us": batch["end_us"],
-                "_is_tail": pa.array(sid == msid_a[ix]),
-            }
-        )
+    def with_rows(ds: rd.Dataset, extra) -> rd.Dataset:
+        return dataset_of(block_refs(ds) + [ray.put(extra)]) if extra is not None and extra.num_rows else ds
 
-    adj = new_sess.map_batches(finalize, batch_format="pyarrow").materialize()
+    return with_rows(closed, closed_tails_tbl), with_rows(new_tails, untouched_tbl)
 
-    def _split(flag: bool):
-        def f(batch: pa.Table) -> pa.Table:
-            mask = pc.equal(batch["_is_tail"], flag)
-            return batch.filter(mask).select(_SESSION_COLS)
 
-        return f
-
-    closed = adj.map_batches(_split(False), batch_format="pyarrow")
-    new_tails = adj.map_batches(_split(True), batch_format="pyarrow")
-    if closed_tails_tbl is not None and closed_tails_tbl.num_rows:
-        closed = closed.union(rd.from_arrow(closed_tails_tbl))
-    if untouched_tbl is not None and untouched_tbl.num_rows:
-        new_tails = new_tails.union(rd.from_arrow(untouched_tbl))
-    return closed, new_tails
+def _renumber(batch: pa.Table, lut: tuple) -> tuple:
+    """One chunk-session block → (its closed sessions, its open tails),
+    renumbered after the user's saved tail and merged into it where the
+    first session continues it."""
+    uu, off_a, mg_a, mst_a, mn_a, msid_a = lut
+    uid = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    ix = np.searchsorted(uu, uid)  # every chunk user IS in the LUT
+    sid = batch["session_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    start = batch["start_us"].to_numpy(zero_copy_only=False).astype(np.int64)
+    n_ev = batch["n_events"].to_numpy(zero_copy_only=False).astype(np.int64)
+    merged_first = mg_a[ix] & (sid == 1)
+    out = pa.table(
+        {
+            "user_id": batch["user_id"],
+            "session_id": pa.array(sid + off_a[ix], pa.int64()),
+            "n_events": pa.array(n_ev + np.where(merged_first, mn_a[ix], 0), pa.int64()),
+            "start_us": pa.array(np.where(merged_first, mst_a[ix], start), pa.int64()),
+            "end_us": batch["end_us"],
+        }
+    )
+    is_tail = pa.array(sid == msid_a[ix])
+    return out.filter(pc.invert(is_tail)), out.filter(is_tail)
 
 
 def _runs(runs_path: str) -> set:
@@ -669,10 +661,10 @@ def decayed_sum_append(
     forever under the monotone ``now_ep = max epoch seen``). Per key the
     state is ≤ ``max_k + 1`` rows, independent of history length.
 
-    Per fold: ONE distributed pass over the chunk (per-batch (key, ep)
-    integer partials) + one groupby-Sum over saved-state ∪ chunk
-    partials — work proportional to chunk + state, never to history; no
-    driver-side collection. Chunks may arrive in ANY order (late events
+    Per fold: ONE distributed pass over the chunk (per-block (key, ep)
+    integer partials, block tasks) + one ``group_agg`` Sum over
+    saved-state ∪ chunk partials — work proportional to chunk + state,
+    never to history; no driver-side collection. Chunks may arrive in ANY order (late events
     just land in — or below — the clamp bucket); ``run_id`` makes
     re-folding the same chunk a no-op (idempotent resume).
 
@@ -699,73 +691,18 @@ def decayed_sum_append(
             f"(state {ptr['max_k']}, got {max_k})"
         )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    key_col: batch[key_col],
-                    "ep": pa.array([], pa.int64()),
-                    "v_sum": pa.array([], pa.int64()),
-                }
-            )
-        ts = (
-            batch[ts_col]
-            .combine_chunks()
-            .cast(pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        v = (
-            batch[val_col]
-            .combine_chunks()
-            .cast(pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        ep = ts // half_life_us
-        keys = batch[key_col].combine_chunks()
-        enc = keys.dictionary_encode()
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((ep, codes))
-        sc, se = codes[order], ep[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], (sc[1:] != sc[:-1]) | (se[1:] != se[:-1])])
-        )
-        sums = np.add.reduceat(v[order], starts)
-        return pa.table(
-            {
-                key_col: enc.dictionary.take(pa.array(sc[starts])),
-                "ep": pa.array(se[starts], pa.int64()),
-                "v_sum": pa.array(sums, pa.int64()),
-            }
-        )
-
-    parts = chunk.select_columns([key_col, ts_col, val_col]).map_batches(
-        partial, batch_format="pyarrow"
-    )
+    parts = map_blocks(chunk, _decay_partial, key_col, ts_col, val_col, half_life_us)
     saved_now = int(ptr["now_ep"]) if ptr is not None else None
+    # the saved state's latest epoch is its now_ep
+    now_ep = max((e for e in (ray.get(submit(_max_ep, *block_refs(parts))), saved_now) if e is not None),
+                 default=None)
+    if now_ep is None:
+        return 0
+    compacted = block_tasks(parts, _compact_ep, now_ep - max_k)
     if ptr is not None:
-        parts = parts.union(
-            rd.read_parquet(os.path.join(state_dir, ptr["path"]))
-        )
-    # partials are bucket-compact (≤ keys × epochs rows) — materialize so
-    # the max() probe and the fold below share one chunk scan
-    parts = parts.materialize()
-    chunk_max = parts.max("ep")
-    if chunk_max is None:
-        return saved_now if saved_now is not None else 0
-    now_ep = max(int(chunk_max), saved_now) if saved_now is not None else int(
-        chunk_max
-    )
-    floor_ep = now_ep - max_k
-
-    def compact(batch: pa.Table) -> pa.Table:
-        ep = pc.max_element_wise(batch["ep"], pa.scalar(floor_ep, pa.int64()))
-        return batch.set_column(batch.schema.get_field_index("ep"), "ep", ep)
-
-    folded = group_agg(
-        parts.map_batches(compact, batch_format="pyarrow"), [key_col, "ep"], Sum("v_sum", alias_name="v_sum")
-    )
+        compacted += block_tasks(rd.read_parquet(os.path.join(state_dir, ptr["path"])), _compact_ep,
+                                 now_ep - max_k)
+    folded = group_agg(dataset_of(compacted), [key_col, "ep"], Sum("v_sum", alias_name="v_sum"))
 
     rel = f"decay-{run_id}-{uuid.uuid4().hex[:6]}"
     final = os.path.join(state_dir, rel)
@@ -788,6 +725,39 @@ def decayed_sum_append(
     os.replace(ptr_tmp, os.path.join(state_dir, _DS_PTR))
     _record_run(runs_path, run_id)
     return int(now_ep)
+
+
+def _decay_partial(batch: pa.Table, key_col: str, ts_col: str, val_col: str, half_life_us: int) -> pa.Table:
+    """One chunk block → its (key, epoch, raw value sum) rows."""
+    ts = batch[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
+    v = batch[val_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
+    ep = ts // half_life_us
+    enc = batch[key_col].combine_chunks().dictionary_encode()
+    if isinstance(enc, pa.ChunkedArray):
+        enc = enc.combine_chunks()
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    order = np.lexsort((ep, codes))
+    sc, se = codes[order], ep[order]
+    starts = np.flatnonzero(np.concatenate([[True], (sc[1:] != sc[:-1]) | (se[1:] != se[:-1])]))
+    return pa.table(
+        {
+            key_col: enc.dictionary.take(pa.array(sc[starts])),
+            "ep": pa.array(se[starts], pa.int64()),
+            "v_sum": pa.array(np.add.reduceat(v[order], starts) if len(starts) else np.empty(0, np.int64),
+                              pa.int64()),
+        }
+    )
+
+
+def _max_ep(*blocks) -> Optional[int]:
+    """The latest epoch of the partial blocks (``None`` without any)."""
+    return max((pc.max(b["ep"]).as_py() for b in blocks), default=None)
+
+
+def _compact_ep(batch: pa.Table, floor_ep: int) -> pa.Table:
+    """Epochs older than ``floor_ep`` collapse into the clamp bucket."""
+    ep = pc.max_element_wise(batch["ep"], pa.scalar(floor_ep, pa.int64()))
+    return batch.set_column(batch.schema.get_field_index("ep"), "ep", ep)
 
 
 def decayed_sum_state_read(

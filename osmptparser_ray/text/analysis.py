@@ -9,6 +9,7 @@ fingerprinting. Every kernel is a ``pyarrow.compute`` regex/string op
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
@@ -537,9 +538,9 @@ def tfidf_top_terms(
     2. DF = groupby(token) row count (each (doc, token) appears once, so
        a plain Count IS the document frequency) — vocab-sized,
     3. DF attach: ``plan="broadcast"`` (auto default while the distinct
-       vocabulary ≤ ``broadcast_cap``) ships the (token → df) arrays via
-       ``ray.put`` and attaches per batch with a dictionary-encode +
-       searchsorted lookup — no join; ``plan="shuffle"`` is the tf ⋈ df
+       vocabulary ≤ ``broadcast_cap``): one task sorts the (token → df)
+       arrays, and every tf block's task takes them as a top-level
+       argument and attaches with a searchsorted lookup — no join; ``plan="shuffle"`` is the tf ⋈ df
        sort join (``util.equi_join``) for web-scale vocabularies
        (parity-tested),
     4. score per row, then the sort-scan ``topk_per_group`` per doc.
@@ -555,7 +556,7 @@ def tfidf_top_terms(
     import numpy as np
 
     from ..stages.relational import topk_per_group
-    from ..util import equi_join
+    from ..util import block_refs, equi_join, map_blocks, submit
 
     from ray.data.aggregate import Count
 
@@ -581,27 +582,7 @@ def tfidf_top_terms(
     if plan == "auto":
         plan = "broadcast" if df.count() <= broadcast_cap else "shuffle"
     if plan == "broadcast":
-        import ray
-
-        from ..util import cached_get
-
-        toks, dfs = [], []
-        for b in df.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-            toks.append(np.asarray(b["token"].to_pylist(), dtype=object))
-            dfs.append(b["df"].to_numpy(zero_copy_only=False))
-        vocab = np.concatenate(toks)
-        order = np.argsort(vocab, kind="stable")
-        vocab = vocab[order]
-        df_arr = np.concatenate(dfs)[order].astype(np.int64)
-        lut_ref = ray.put((vocab, df_arr))
-
-        def attach(batch: pa.Table) -> pa.Table:
-            v, d_ = cached_get(lut_ref)
-            tk = np.asarray(batch["token"].to_pylist(), dtype=object)
-            ix = np.searchsorted(v, tk)  # every tf token IS in the vocab
-            return batch.append_column("df", pa.array(d_[ix], pa.int64()))
-
-        joined = tf.map_batches(attach, batch_format="pyarrow")
+        joined = map_blocks(tf, _attach_df, submit(_vocab_table, *block_refs(df)))
     else:
         joined = equi_join(tf, df, "token")
 
@@ -621,6 +602,19 @@ def tfidf_top_terms(
         scored, id_col, "score", k, tiebreak_col="token", descending=True
     )
     return top.select_columns([id_col, "rank", "token", "tf", "df", "score"])
+
+
+def _vocab_table(*blocks) -> tuple:
+    """DF blocks → (tokens, their df), sorted by token."""
+    t = pa.concat_tables(blocks).sort_by("token")
+    return (np.asarray(t["token"].to_pylist(), dtype=object),
+            t["df"].to_numpy(zero_copy_only=False).astype(np.int64))
+
+
+def _attach_df(batch: pa.Table, lut: tuple) -> pa.Table:
+    vocab, df = lut
+    ix = np.searchsorted(vocab, np.asarray(batch["token"].to_pylist(), dtype=object))  # every tf token IS in the vocab
+    return batch.append_column("df", pa.array(df[ix], pa.int64()))
 
 
 def ngram_frequencies(

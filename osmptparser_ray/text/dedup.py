@@ -249,59 +249,29 @@ def verify_jaccard(
 
     * ``"pruned"`` (default): the candidate pairs — which are << corpus
       by CONSTRUCTION (they are the thing verification outputs) — are
-      drained once to the driver, deduped there (no shuffle at all), and
-      their id set broadcast; the docs table is then semi-join-PRUNED by
-      a distributed map-side filter and only the O(|pairs|) matching
-      texts are collected for the verify stage. The corpus itself always
-      streams.
+      drained once to the driver and deduped there (no shuffle at all),
+      and their id set is put in the object store once; one task per docs
+      block keeps the texts of those ids (``_filter_ids``), and one task
+      gathers the O(|pairs|) matching texts for the verify tasks. The
+      corpus itself is never collected.
     * ``"join"``: two sort joins (``util.equi_join``) carry each side's
       text onto the pair row (pairs ⨝ docs on doc_a, then doc_b) —
       nothing is ever collected; for pair sets too large to hold
       anywhere. Costs two full sorts of the docs table, so it only wins
       at extreme scale.
-    * ``"broadcast"``: the id→text broadcast of the WHOLE corpus — small
-      fixtures only (every worker holds all texts).
+    * ``"broadcast"``: one task gathers the id→text map of the WHOLE
+      corpus — small fixtures only (every verify task holds all texts).
+
+    The broadcast plans verify one task per block of distinct pairs,
+    with the text map as a top-level argument, and return a materialized
+    dataset.
     """
     import ray
 
-    from ..util import cached_get, equi_join, group_agg
+    from ..stages.elements import _filter_ids
+    from ..util import block_refs, block_tasks, dataset_of, equi_join, group_agg, map_blocks, submit
 
-    def _jaccard_batch(a_texts: list, b_texts: list) -> np.ndarray:
-        jac = np.empty(len(a_texts), dtype=np.float64)
-        cache: dict[str, np.ndarray] = {}
-
-        def sh(t: str) -> np.ndarray:
-            s = cache.get(t)
-            if s is None:
-                s = _shingles(t, shingle_k)
-                cache[t] = s
-            return s
-
-        for i, (ta, tb) in enumerate(zip(a_texts, b_texts)):
-            sa, sb = sh(ta), sh(tb)
-            inter = len(np.intersect1d(sa, sb, assume_unique=True))
-            union = len(sa) + len(sb) - inter
-            jac[i] = inter / union if union else 0.0
-        return jac
-
-    def _texts_of(source: rd.Dataset) -> dict:
-        texts: dict[int, str] = {}
-        for b in source.iter_batches(batch_size=1 << 16, batch_format="pyarrow"):
-            for i, t in zip(b[id_col].to_pylist(), b[text_col].to_pylist()):
-                texts[i] = t
-        return texts
-
-    def _verify_bcast_stage(uniq_ds: rd.Dataset, texts_ref) -> rd.Dataset:
-        def verify_bcast(batch: pa.Table) -> pa.Table:
-            tmap = cached_get(texts_ref)
-            a_texts = [tmap[i] for i in batch["doc_a"].to_pylist()]
-            b_texts = [tmap[i] for i in batch["doc_b"].to_pylist()]
-            jac = _jaccard_batch(a_texts, b_texts)
-            out = batch.append_column("jaccard", pa.array(jac, pa.float64()))
-            return out.filter(pa.array(jac >= threshold))
-
-        return uniq_ds.map_batches(verify_bcast, batch_format="pyarrow")
-
+    verify = (threshold, shingle_k)
     if plan == "pruned":
         # drain + dedup the (pairs-bounded) candidate set on the driver:
         # one streaming pass, no shuffle
@@ -309,53 +279,20 @@ def verify_jaccard(
         for b in pairs.iter_batches(batch_size=1 << 16, batch_format="pyarrow"):
             a_parts.append(b["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64))
             b_parts.append(b["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64))
-        empty = pa.table(
-            {
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
-                "jaccard": pa.array([], pa.float64()),
-            }
-        )
         if not a_parts:
-            return rd.from_arrow(empty)
-        ab = np.unique(
-            np.stack([np.concatenate(a_parts), np.concatenate(b_parts)], axis=1),
-            axis=0,
-        )
-        cand_ids = np.unique(ab)
-        ids_ref = ray.put(cand_ids)
-
-        def prune(t: pa.Table) -> pa.Table:
-            hay = cached_get(ids_ref)
-            vals = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            idx = np.minimum(np.searchsorted(hay, vals), len(hay) - 1)
-            return t.filter(pa.array(hay[idx] == vals))
-
-        pruned = docs.select_columns([id_col, text_col]).map_batches(
-            prune, batch_format="pyarrow"
-        )
-        texts_ref = ray.put(_texts_of(pruned))
-        uniq_tbl = pa.table(
-            {
-                "doc_a": pa.array(ab[:, 0], pa.int64()),
-                "doc_b": pa.array(ab[:, 1], pa.int64()),
-            }
-        )
-        import ray as _ray
-
-        cpus = int(_ray.cluster_resources().get("CPU", 4))
-        n_blocks = max(1, min(2 * cpus, uniq_tbl.num_rows))
-        step = -(-uniq_tbl.num_rows // n_blocks)
-        uniq_ds = rd.from_arrow(
-            [uniq_tbl.slice(i, step) for i in range(0, uniq_tbl.num_rows, step)]
-        )
-        return _verify_bcast_stage(uniq_ds, texts_ref)
+            return rd.from_arrow(_VERIFIED_EMPTY)
+        ab = np.unique(np.stack([np.concatenate(a_parts), np.concatenate(b_parts)], axis=1), axis=0)
+        ids = ray.put(np.unique(ab))
+        texts = submit(_text_map, id_col, text_col, *block_tasks(docs, _filter_ids, ids, id_col))
+        uniq = pa.table({"doc_a": pa.array(ab[:, 0], pa.int64()), "doc_b": pa.array(ab[:, 1], pa.int64())})
+        step = -(-uniq.num_rows // max(1, min(2 * int(ray.cluster_resources().get("CPU", 4)), uniq.num_rows)))
+        slices = [uniq.slice(i, step) for i in range(0, uniq.num_rows, step)]
+        return dataset_of(block_tasks(slices, _verify_texts, texts, *verify), _VERIFIED_EMPTY)
 
     # join / broadcast plans: the distinct pairs
     uniq = group_agg(pairs, ["doc_a", "doc_b"])
     if plan == "broadcast":
-        texts_ref = ray.put(_texts_of(docs.select_columns([id_col, text_col])))
-        return _verify_bcast_stage(uniq, texts_ref)
+        return map_blocks(uniq, _verify_texts, submit(_text_map, id_col, text_col, *block_refs(docs)), *verify)
 
     txt = docs.select_columns([id_col, text_col])
     a_txt = txt.map_batches(
@@ -369,9 +306,7 @@ def verify_jaccard(
     j2 = equi_join(equi_join(uniq, a_txt, "doc_a"), b_txt, "doc_b")
 
     def verify_join(batch: pa.Table) -> pa.Table:
-        jac = _jaccard_batch(
-            batch["text_a"].to_pylist(), batch["text_b"].to_pylist()
-        )
+        jac = _jaccard(batch["text_a"].to_pylist(), batch["text_b"].to_pylist(), shingle_k)
         keep = pa.array(jac >= threshold)
         return pa.table(
             {
@@ -382,6 +317,43 @@ def verify_jaccard(
         )
 
     return j2.map_batches(verify_join, batch_format="pyarrow")
+
+
+_VERIFIED_EMPTY = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()), ("jaccard", pa.float64())]).empty_table()
+
+
+def _jaccard(a_texts: list, b_texts: list, shingle_k: int) -> np.ndarray:
+    """Exact shingle-Jaccard of each (a, b) text pair."""
+    jac = np.empty(len(a_texts), dtype=np.float64)
+    cache: dict[str, np.ndarray] = {}
+
+    def sh(t: str) -> np.ndarray:
+        s = cache.get(t)
+        if s is None:
+            s = _shingles(t, shingle_k)
+            cache[t] = s
+        return s
+
+    for i, (ta, tb) in enumerate(zip(a_texts, b_texts)):
+        sa, sb = sh(ta), sh(tb)
+        inter = len(np.intersect1d(sa, sb, assume_unique=True))
+        union = len(sa) + len(sb) - inter
+        jac[i] = inter / union if union else 0.0
+    return jac
+
+
+def _text_map(id_col: str, text_col: str, *blocks) -> dict:
+    """Doc blocks → {doc id: text}."""
+    return {i: t for b in blocks for i, t in zip(b[id_col].to_pylist(), b[text_col].to_pylist())}
+
+
+def _verify_texts(batch: pa.Table, texts: dict, threshold: float, shingle_k: int) -> pa.Table:
+    """Distinct (doc_a, doc_b) pairs → those whose Jaccard reaches the
+    threshold, with it."""
+    jac = _jaccard([texts[i] for i in batch["doc_a"].to_pylist()],
+                   [texts[i] for i in batch["doc_b"].to_pylist()], shingle_k)
+    out = batch.append_column("jaccard", pa.array(jac, pa.float64()))
+    return out.filter(pa.array(jac >= threshold))
 
 
 import re as _re

@@ -1,6 +1,8 @@
-"""Small shared helpers: block tasks, the one range partitioner of plain
-tasks (``_regroup``) under ``cosort``, ``sort_scan``, ``group_agg`` and
-``equi_join``, and per-worker broadcast caching."""
+"""Small shared helpers: block tasks (``submit``, ``block_tasks``,
+``map_blocks``), which also carry every broadcast small side as a
+top-level task argument, and the one range partitioner of plain tasks
+(``_regroup``) under ``cosort``, ``sort_scan``, ``group_agg`` and
+``equi_join``."""
 
 from __future__ import annotations
 
@@ -95,6 +97,26 @@ def dataset_of(refs: list, empty=None):
     return rd.from_arrow_refs(refs).materialize() if refs else rd.from_arrow(empty)
 
 
+def map_blocks(ds, fn, *args, num_returns: int = 1):
+    """``fn(block, *args)`` as one plain task per non-empty block of
+    ``ds`` (``block_tasks``) → a materialized dataset of the outputs (one
+    per return, in a list, when ``num_returns > 1``). Refs among
+    ``args`` are top-level task arguments: a broadcast small side
+    reaches every task that way. An input without rows gives ``fn``'s
+    typed empty output, from one task over the zero-row table of the
+    input's schema; an input without any schema gives a dataset without
+    columns."""
+    import pyarrow as pa
+
+    refs, _, _, schema = _side(ds)
+    if not refs and schema is not None:
+        refs = [getattr(schema, "base_schema", schema).empty_table()]
+    out = block_tasks(refs, fn, *args, num_returns=num_returns)
+    if num_returns == 1:
+        return dataset_of(out, pa.table({}))
+    return [dataset_of([o[i] for o in out], pa.table({})) for i in range(num_returns)]
+
+
 def datasets_of(parts: dict) -> dict:
     """name → ``dataset_of`` of its (block refs[, empty table]), the
     metadata waits of all of them overlapped in one thread each; a name
@@ -132,7 +154,7 @@ def cosort(sides: list, keys: list, probe, schema, *args):
     return dataset_of(_regroup([side], [keys], probe, empties=[empty], args=args))
 
 
-def sort_scan(ds, keys, summarize, fold, emit, *, descending=False, num_returns: int = 1,
+def sort_scan(ds, keys, summarize, fold, emit, *args, descending=False, num_returns: int = 1,
               schema=None) -> list:
     """The one ordered scan: ``ds`` range-partitioned on ``keys``
     (``_regroup``; ``descending`` as in ``Dataset.sort``), then three
@@ -141,7 +163,8 @@ def sort_scan(ds, keys, summarize, fold, emit, *, descending=False, num_returns:
     ``summarize(block)``, one plain task per range; ``fold(summaries)``
     on the driver, over the whole list in key order → one carry per range
     (forward carries, lookaheads and neighbour flags all fit); and
-    ``emit(block, carry)``, one plain task per range.
+    ``emit(block, carry, *args)``, one plain task per range; refs in
+    ``args`` are top-level task arguments of every emit task.
 
     The rows of one key (or one run of an operator's group key, which
     the sort keys may extend with order columns) are a stretch of
@@ -164,7 +187,7 @@ def sort_scan(ds, keys, summarize, fold, emit, *, descending=False, num_returns:
         s = schema or side[3] or ds.schema
         s = s() if callable(s) else s
         s = getattr(s, "base_schema", s)
-        return [task.remote(emit, s.empty_table(), None)] if isinstance(s, pa.Schema) and s.names else []
+        return [task.remote(emit, s.empty_table(), None, *args)] if isinstance(s, pa.Schema) and s.names else []
     keys = [keys] if isinstance(keys, str) else list(keys)
     # each range's task gives the fold its (rows, summary) and emit the range
     ranges = _regroup([side], [keys], lambda b: ((b.num_rows, b.num_rows and summarize(b)), b),
@@ -172,7 +195,7 @@ def sort_scan(ds, keys, summarize, fold, emit, *, descending=False, num_returns:
     heads = ray.get([head for head, _ in ranges])
     kept = [(summary, block) for (n, summary), (_, block) in zip(heads, ranges) if n]
     carries = fold([summary for summary, _ in kept])
-    return [task.remote(emit, block, carry) for (_, block), carry in zip(kept, carries)]
+    return [task.remote(emit, block, carry, *args) for (_, block), carry in zip(kept, carries)]
 
 
 def top_n(ds, keys, n: int, *, descending=False):
@@ -633,19 +656,3 @@ def concat_columns(parts: list, dtypes: tuple) -> list:
         return [np.empty(0, d) for d in dtypes]
     return [np.concatenate(col) for col in zip(*parts)]
 
-
-_BROADCAST_CACHE: dict = {}
-
-
-def cached_get(ref):
-    """ray.get memoized per worker process.
-
-    Numpy payloads are plasma zero-copy on every get, but python dicts /
-    lists unpickle per call — caching by object-ref id gives actor-style
-    state amortization to stateless map tasks."""
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    hit = _BROADCAST_CACHE.get(key)
-    if hit is None:
-        hit = ray.get(ref)
-        _BROADCAST_CACHE[key] = hit
-    return hit

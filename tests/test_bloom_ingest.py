@@ -55,13 +55,14 @@ def test_bloom_from_blocks_equals_one_build(ray_session):
     import numpy as np
     import pyarrow as pa
 
-    from osmptparser_ray.stages.bloom import BloomFilter
-    from osmptparser_ray.stages.elements import _bloom_from_id_dataset
+    import ray
+
+    from osmptparser_ray.stages.bloom import BloomFilter, bloom_of
 
     ids = np.random.default_rng(3).choice(1 << 40, 500, replace=False).astype(np.int64)
     t = pa.table({"id": ids})
     ds = rd.from_arrow([t.slice(0, 7), pa.table({})] + [t.slice(i, 61) for i in range(7, 500, 61)])
-    got = _bloom_from_id_dataset(ds.materialize(), len(ids), 0.01)
+    got = ray.get(bloom_of(ds.materialize(), "id", len(ids), 0.01))
     want = BloomFilter.build(ids, 0.01)
     assert (got.n_bits, got.k) == (want.n_bits, want.k)
     assert np.array_equal(got.bits, want.bits)

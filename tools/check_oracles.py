@@ -7,7 +7,10 @@ its streaming executions (Ray Data executor launches, counted with
 ``perfbench.workloads.ExecutionCounter``) and the executor runs that log
 no launch line (``UnloggedRuns``: iterating a ``rd.from_arrow_refs``
 dataset runs the executor over its input blocks alone, about 20 ms each
-time); the last line gives the totals.
+time) and Ray Data's warnings that an operator produced a block of a
+different schema than the blocks before it (``SchemaWarnings``: most
+often a columnless empty block after typed ones); the last line gives
+the totals.
 Usage:
 
     python tools/check_oracles.py [sf_dir] [query ...]
@@ -16,6 +19,7 @@ Usage:
 from __future__ import annotations
 
 import gc
+import logging
 import sys
 from pathlib import Path
 
@@ -96,9 +100,21 @@ class UnloggedRuns:
         return self.runs - logged
 
 
-def main() -> int:
-    import logging
+class SchemaWarnings(logging.Handler):
+    """Counts Ray Data's "Operator produced a RefBundle with a different
+    schema" warnings, logged by the driver's streaming executor."""
 
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+        logging.getLogger("ray.data").addHandler(self)
+
+    def emit(self, record):
+        if "different schema" in record.getMessage():
+            self.count += 1
+
+
+def main() -> int:
     import ray
 
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
@@ -121,6 +137,7 @@ def main() -> int:
     executions = ExecutionCounter()
     executions.install()
     runs = UnloggedRuns()
+    schemas = SchemaWarnings()
 
     con = duckdb.connect()
     for t in (
@@ -138,7 +155,7 @@ def main() -> int:
         if only and name not in only:
             continue
         gc.collect()  # a collection pause from the queries before is not this query's wall
-        t0, e0, r0 = _time.perf_counter(), executions.count, runs.runs
+        t0, e0, r0, w0 = _time.perf_counter(), executions.count, runs.runs, schemas.count
         try:
             mine = to_pandas(fn(sf_dir))
         except Exception as e:  # noqa: BLE001
@@ -146,7 +163,8 @@ def main() -> int:
             failures += 1
             continue
         wall, logged = _time.perf_counter() - t0, executions.count - e0
-        cost = f"[{wall:.2f}s, {logged} exec, {runs.runs - r0 - logged} unlogged]"
+        cost = (f"[{wall:.2f}s, {logged} exec, {runs.runs - r0 - logged} unlogged, "
+                f"{schemas.count - w0} schema warnings]")
         if name not in oracles:
             print(f"ok(rows-only) {name}: {len(mine)} rows {cost}")
             continue
@@ -163,7 +181,7 @@ def main() -> int:
         else:
             print(f"OK   {name}: {len(mine)} rows match {cost}")
     print(f"TOTAL {_time.perf_counter() - t_all:.1f}s, {executions.count} exec, "
-          f"{runs.unlogged(executions.count)} unlogged")
+          f"{runs.unlogged(executions.count)} unlogged, {schemas.count} schema warnings")
     ray.shutdown()
     return 1 if failures else 0
 
