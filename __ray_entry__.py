@@ -682,6 +682,7 @@ def _q_decontaminate(sf_dir: str):
     the NOT-IN staple at corpus scale."""
     from osmptparser_ray.stages.relational import anti_join
     from osmptparser_ray.text.analysis import add_fingerprint
+    from osmptparser_ray.util import map_blocks
 
     docs = add_fingerprint(_read(sf_dir, "documents", ["doc_id", "text"]))
 
@@ -693,12 +694,14 @@ def _q_decontaminate(sf_dir: str):
         )
         return t.append_column("fkey", pa.array(keys, pa.int64()))
 
-    keyed = docs.map_batches(_hash_key, batch_format="pyarrow")
+    # both anti_join sides read the keyed documents: read and hash them once
+    keyed = docs.map_batches(_hash_key, batch_format="pyarrow").materialize()
+
     def _bench_rows(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         return t.filter(pa.array(ids % 50 == 0))
 
-    bench = keyed.map_batches(_bench_rows, batch_format="pyarrow")
+    bench = map_blocks(keyed, _bench_rows)
     # benchmark sets are ~10⁵ docs in practice — genuinely broadcastable,
     # so the broadcast anti-join is the REALISTIC plan here (the shuffle
     # twin is separately gated by anti_join_shuffle)
@@ -2143,20 +2146,14 @@ def _q_pip_rect(sf_dir: str):
             for pid, la0, la1, lo0, lo1 in _PIP_RECTS
         ]
     )
-    return pip_join(pts, polys, level=10, salt=2)
+    return pip_join(pts, polys, level=10)
 
 
 def _q_spatial_knn(sf_dir: str):
     from osmptparser_ray.spatial.join import knn_join
 
     pts = _customer_points(sf_dir)
-    targets = pts.map_batches(
-        lambda t: pa.table(
-            {"target_id": t["point_id"], "lat": t["lat"], "lon": t["lon"]}
-        ),
-        batch_format="pyarrow",
-    )
-    out = knn_join(pts, targets, k=_KNN_K, radius_m=_KNN_RADIUS_M)
+    out = knn_join(pts, pts, k=_KNN_K, radius_m=_KNN_RADIUS_M, target_id="point_id")
     return out.select_columns(["point_id", "rank", "neighbor_id"])
 
 

@@ -22,7 +22,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from ..util import block_tasks, cosort, group_agg, key_runs, map_blocks, submit
+from ..util import block_tasks, cosort, group_agg, key_runs, map_blocks, select, submit
 
 
 def _rank_topk(partials: rd.Dataset, k: int) -> rd.Dataset:
@@ -37,7 +37,7 @@ def _rank_topk(partials: rd.Dataset, k: int) -> rd.Dataset:
     ranked = topk_per_group(
         partials, "query_id", "score", k, tiebreak_col="vec_id", descending=True
     )
-    return ranked.select_columns(["query_id", "rank", "vec_id", "score"])
+    return select(ranked, ["query_id", "rank", "vec_id", "score"])
 
 
 def _to_matrix(col) -> np.ndarray:
@@ -218,7 +218,7 @@ def cosine_near_dup(
          ("blk", pa.int8()), ("lo", pa.int8()), ("hi", pa.int8())]
     )
     rows = map_blocks(bucketized, _explode_blocks, hot, cap_blocks, id_col)
-    return cosort([rows], ["bucket", "lo", "hi"], _refine_pairs, schema, threshold, id_col, vec_col)
+    return cosort([rows], ["bucket", "lo", "hi"], _refine_pairs, [schema], threshold, id_col, vec_col)
 
 
 def _bucketize(batch: pa.Table, bits: int, id_col: str, vec_col: str) -> tuple:
@@ -446,14 +446,17 @@ def ivf_ann_join(
        (standard IVF; the only driver materialization, ≤``train_sample``
        rows), put in the object store once,
     2. assign every vector to its nearest list (one row) plus a chunk
-       salt ``h(id) mod vec_chunks`` bounding per-group population,
+       ``h(id) mod vec_chunks`` bounding per-group population,
     3. replicate every query onto its ``n_probe`` nearest lists × all
        chunks (repeat/take, vectorized) — steps 2 and 3 are one task per
        block of each side, with the centroids as a top-level argument,
-    4. sort both sides (side tag) together on (list, chunk) with
+    4. range-partition both sides together on (list, chunk) with
        ``util.cosort`` — FEW, LARGE groups (``n_lists × vec_chunks``),
-       one matmul per group, each group one run of a sorted block — and
-       emit vectorized per-query partial top-k rows per group,
+       one matmul per group, each group one run of a key range's vector
+       rows and one of its query rows — and emit vectorized per-query
+       partial top-k rows per group. A hot group spreads whichever side
+       holds more of its rows (the partitioner's skew rule): a query then
+       has partial rows from several ranges, which step 5 merges,
     5. global per-query merge via the sort-scan ``topk_per_group`` (zero
        per-query Python).
 
@@ -468,8 +471,6 @@ def ivf_ann_join(
     schema — parity-tested against it (same seed ⇒ same quantizer ⇒ same
     candidates).
     """
-    from ..stages.relational import topk_per_group
-
     qid_col = query_id_col or id_col
     qvec_col = query_vec_col or vec_col
 
@@ -495,19 +496,14 @@ def ivf_ann_join(
         n_vec = vectors.count()
         vec_chunks = max(1, int(np.ceil(n_vec / (n_l * target_group))))
     schema = pa.schema(
-        [("list_id", pa.int32()), ("chunk", pa.int32()), ("side", pa.int8()),
-         ("rid", pa.int64()), ("vec", pa.list_(pa.float64()))]
+        [("list_id", pa.int32()), ("chunk", pa.int32()), ("rid", pa.int64()), ("vec", pa.list_(pa.float64()))]
     )
     cents_ref = ray.put(cents)
     rows = [
         map_blocks(vectors, _ivf_vector_rows, cents_ref, int(vec_chunks), id_col, vec_col),
         map_blocks(queries, _ivf_query_rows, cents_ref, int(vec_chunks), min(n_probe, n_l), qid_col, qvec_col),
     ]
-    partials = cosort(rows, ["list_id", "chunk"], _ivf_group_topk, schema, k)
-    ranked = topk_per_group(
-        partials, "query_id", "score", k, tiebreak_col="vec_id", descending=True
-    )
-    return ranked.select_columns(["query_id", "rank", "vec_id", "score"])
+    return _rank_topk(cosort(rows, ["list_id", "chunk"], _ivf_group_topk, [schema] * 2, k, spread=(0, 1)), k)
 
 
 def _ivf_vector_rows(batch: pa.Table, cents: np.ndarray, n_chunks: int, id_col: str, vec_col: str) -> pa.Table:
@@ -519,7 +515,6 @@ def _ivf_vector_rows(batch: pa.Table, cents: np.ndarray, n_chunks: int, id_col: 
         {
             "list_id": pa.array(_nearest_lists(batch, cents, vec_col), pa.int32()),
             "chunk": pa.array(chunk, pa.int32()),
-            "side": pa.array(np.zeros(len(ids), np.int8), pa.int8()),
             "rid": pa.array(ids, pa.int64()),
             "vec": batch[vec_col],
         }
@@ -542,32 +537,34 @@ def _ivf_query_rows(batch: pa.Table, cents: np.ndarray, n_chunks: int, nprobe: i
         {
             "list_id": pa.array(np.repeat(probes.astype(np.int32).reshape(-1), n_chunks), pa.int32()),
             "chunk": pa.array(np.tile(np.arange(n_chunks, dtype=np.int32), n * nprobe), pa.int32()),
-            "side": pa.array(np.ones(len(ids), np.int8), pa.int8()),
             "rid": pa.array(ids, pa.int64()),
             "vec": taken[vec_col],
         }
     )
 
 
-def _ivf_group_topk(block: pa.Table, k: int) -> pa.Table:
-    """One sorted block → per-query partial top-k of each of its
-    (list_id, chunk) groups, one run each."""
-    side_all = block["side"].to_numpy(zero_copy_only=False)
-    rid_all = block["rid"].to_numpy(zero_copy_only=False).astype(np.int64)
-    vecs = _to_matrix(block["vec"])
-    bounds = key_runs(
-        block["list_id"].to_numpy(zero_copy_only=False),
-        block["chunk"].to_numpy(zero_copy_only=False),
-    )
+def _group_keys(t: pa.Table) -> np.ndarray:
+    """(list_id, chunk) rows → one int64 key each, in the same order."""
+    lists = t["list_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    return (lists << 32) | t["chunk"].to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def _ivf_group_topk(vectors: pa.Table, queries: pa.Table, k: int) -> pa.Table:
+    """One key range's vector rows and query rows, each sorted on
+    (list_id, chunk) → per-query partial top-k of each group that both
+    hold, one run of each side."""
+    vkey, qkey = _group_keys(vectors), _group_keys(queries)
+    vids = vectors["rid"].to_numpy(zero_copy_only=False).astype(np.int64)
+    qids = queries["rid"].to_numpy(zero_copy_only=False).astype(np.int64)
+    vecs, qvecs = _normalize(_to_matrix(vectors["vec"])), _normalize(_to_matrix(queries["vec"]))
+    bounds = key_runs(qkey)
     out = []
     for s, e in zip(bounds[:-1], bounds[1:]):
-        side, rid, m = side_all[s:e], rid_all[s:e], _normalize(vecs[s:e])
-        v_sel = side == 0
-        q_sel = ~v_sel
-        if not v_sel.any() or not q_sel.any():
+        a, b = np.searchsorted(vkey, qkey[s], "left"), np.searchsorted(vkey, qkey[s], "right")
+        if a == b:
             continue
-        vid, vm = rid[v_sel], m[v_sel]
-        qid, qm = rid[q_sel], m[q_sel]
+        vid, vm = vids[a:b], vecs[a:b]
+        qid, qm = qids[s:e], qvecs[s:e]
         sim = qm @ vm.T  # (q_g, v_g)
         kk = min(k, sim.shape[1])
         # vectorized per-query partial top-k within the group. Keep ALL

@@ -218,7 +218,6 @@ def stop_route_spatial_join(
     gap: float = 1500.0,
     filters: str = PTV2,
     pip_level: int = 12,
-    pip_salt: int = 1,
     knn_k: int = 5,
     knn_radius_m: float = 2000.0,
     tile_level: int = 14,
@@ -240,12 +239,12 @@ def stop_route_spatial_join(
     task arguments, so the driver submits the graph without waiting and
     then waits only for the metadata of the five outputs.
     ``small_side="shuffle"`` runs the pip and knn cosorts over the
-    stops and hulls, which wait for their inputs: 3 executions in all,
-    the read and one per spatial join.
+    stops and hulls, which wait for their inputs; their row maps are
+    block tasks too, so it also starts one execution, the read.
     """
     tables = parser_tables_from_pages(pages_path, filters, validate=validate)
     pt = public_transport_blocks(tables, gap)
-    tail = _tail(pt, pip_level=pip_level, pip_salt=pip_salt, knn_k=knn_k,
+    tail = _tail(pt, pip_level=pip_level, knn_k=knn_k,
                  knn_radius_m=knn_radius_m, tile_level=tile_level, small_side=small_side)
     return datasets_of({"public_transports": (pt, PT_SCHEMA.empty_table()), **tail})
 
@@ -254,7 +253,6 @@ def stop_route_joins(
     pt: rd.Dataset | list,
     *,
     pip_level: int = 12,
-    pip_salt: int = 1,
     knn_k: int = 5,
     knn_radius_m: float = 2000.0,
     tile_level: int = 14,
@@ -276,16 +274,18 @@ def stop_route_joins(
     starts. ``small_side="shuffle"``: the cosort plans of ``pip_join``
     and ``knn_join`` that scale to big-big joins (both sides
     range-partitioned together on the cell, then one probe task per key
-    range); tiles come from one block task per stop slice. Outputs are
-    materialized and keep their schemas when empty in both plans.
+    range, a hot cell spread over several); tiles come from one block
+    task per stop slice. Over a materialized ``pt`` neither plan starts
+    a streaming execution. Outputs are materialized and keep their
+    schemas when empty in both plans.
     Results identical (tested).
     """
-    return datasets_of(_tail(pt, pip_level=pip_level, pip_salt=pip_salt, knn_k=knn_k,
+    return datasets_of(_tail(pt, pip_level=pip_level, knn_k=knn_k,
                              knn_radius_m=knn_radius_m, tile_level=tile_level,
                              small_side=small_side))
 
 
-def _tail(pt, *, pip_level: int, pip_salt: int, knn_k: int, knn_radius_m: float,
+def _tail(pt, *, pip_level: int, knn_k: int, knn_radius_m: float,
           tile_level: int, small_side: str) -> dict:
     """``stop_route_joins`` up to its outputs' wrap: each output as its
     (block refs, empty table), or as the shuffle plan's dataset."""
@@ -304,7 +304,7 @@ def _tail(pt, *, pip_level: int, pip_salt: int, knn_k: int, knn_radius_m: float,
     stops = dataset_of(slices)
     pip_pairs = pip_join(
         stops, dataset_of(hulls, _route_hulls_block(PT_SCHEMA.empty_table())), level=pip_level,
-        salt=pip_salt, point_id="stop_id",
+        point_id="stop_id",
     )
     knn_pairs = knn_join(
         stops, stops, k=knn_k, radius_m=knn_radius_m, query_id="stop_id", target_id="stop_id",

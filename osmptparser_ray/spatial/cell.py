@@ -19,8 +19,8 @@ Properties:
 
 The grid is equal-angle, not equal-area: cells shrink in ground size near
 the poles. For candidate generation + exact refine (our only use) this only
-affects efficiency, never correctness; mega-cell skew is handled by salting
-at the shuffle (spatial.join).
+affects efficiency, never correctness; a mega-cell is spread over several
+key ranges by the range partitioner's skew rule (spatial.join, util.cosort).
 """
 
 from __future__ import annotations

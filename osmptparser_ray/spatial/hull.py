@@ -144,4 +144,4 @@ def convex_hull_agg(
         [(key, pa.int8() if group_col is None else pa.null()),
          ("lon", pa.float64()), ("lat", pa.float64())]
     )
-    return cosort([points.map_batches(partial, batch_format="pyarrow")], [key], merge, schema)
+    return cosort([points.map_batches(partial, batch_format="pyarrow")], [key], merge, [schema])

@@ -1,26 +1,25 @@
 """Spatial joins over the cell grid — cell-keyed candidates + exact
-vectorized refine, with explicit salting for skewed mega-cells.
+vectorized refine.
 
 Every join has two plans over the same probe kernels (spatial.pip /
 kernel.geometry.haversine_m_vec):
 
-* broadcast (``*_broadcast``) — the small side becomes a driver-built
-  index (``RingIndex`` / ``TargetIndex``) that every batch of the other
+* broadcast (``*_broadcast``) — the small side becomes a task-built
+  index (``RingIndex`` / ``TargetIndex``) that every block of the other
   side probes; no shuffle.
-* shuffle (``pip_join``, ``knn_join``, ``distance_join``) — both sides
-  map to one row schema keyed by cell (a side flag or null columns mark
-  the build rows), are range-partitioned together on it, and one task
-  probes each key range (``util.cosort``) with its build rows as the
-  index. These run on call and return materialized datasets.
+* shuffle (``pip_join``, ``knn_join``, ``distance_join``) — block tasks
+  map each side to its own rows keyed by cell, both are range-partitioned
+  together on the cell, and one task per key range probes the range's
+  rows of one side against those of the other (``util.cosort``). A hot
+  cell spreads over several ranges by the partitioner's skew rule. These
+  run on call and return materialized datasets.
 
 Partitioning assumptions (documented per operator):
 
 * ``pip_join``      — polygons are replicated to every cell their bbox
   covers at ``level``; a point meets every candidate polygon in its own
   cell. Exactness does not depend on ``level`` (only candidate-set size
-  does). ``salt > 1`` splits each cell's POINTS into ``salt`` sub-keys
-  and replicates the cell's polygons to each — handles dense urban
-  mega-cells without changing results.
+  does).
 * ``knn_join``      — targets are replicated to their 3×3 cell
   neighborhood; with ``level = choose_level_for_radius(radius_m)`` a
   point's neighborhood is guaranteed to contain every target within
@@ -48,9 +47,6 @@ from ..kernel.geometry import haversine_m_vec
 from ..util import block_refs, block_tasks, concat_columns, cosort, group_agg, map_blocks, submit
 from .cell import cell_neighbors, choose_level_for_radius, encode_cell, xy_to_cell
 from .pip import points_in_ring
-
-_SALT_MULT = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing constant
-
 
 def _unit_vectors(lats, lons) -> np.ndarray:
     """(n,) lat/lon degrees → (n, 3) unit vectors on the sphere."""
@@ -94,33 +90,35 @@ def point_arrays(batch: pa.Table, id_col: str, lat_col: str, lon_col: str) -> tu
     )
 
 
-def _salt_of(ids: np.ndarray, salt: int) -> np.ndarray:
-    return ((ids.astype(np.uint64) * _SALT_MULT) >> np.uint64(32)) % np.uint64(salt)
-
-
-_PIP_ROW_SCHEMA = pa.schema(
-    [("cell", pa.uint64()), ("salt", pa.uint64()), ("id", pa.int64()),
-     ("lat", pa.float64()), ("lon", pa.float64()), ("blob", pa.binary())]
+_POINT_ROW_SCHEMA = pa.schema(
+    [("cell", pa.uint64()), ("id", pa.int64()), ("lat", pa.float64()), ("lon", pa.float64())]
 )
-_POLY_ROWS_EMPTY = _PIP_ROW_SCHEMA.empty_table()
+_POLY_ROW_SCHEMA = pa.schema([("cell", pa.uint64()), ("id", pa.int64()), ("blob", pa.binary())])
+_POLY_ROWS_EMPTY = _POLY_ROW_SCHEMA.empty_table()
 
 
-def _points_rows(
-    batch: pa.Table, level: int, salt: int, id_col: str, lat_col: str, lon_col: str
-) -> pa.Table:
-    """Point rows of the PIP sort: one per point at its (cell, salt), no blob."""
-    ids, lats, lons = point_arrays(batch, id_col, lat_col, lon_col)
+def _cell_rows(cells, ids, lats, lons) -> pa.Table:
     return pa.Table.from_arrays(
         [
-            pa.array(encode_cell(lats, lons, level), pa.uint64()),
-            pa.array(_salt_of(ids, salt), pa.uint64()),
+            pa.array(cells, pa.uint64()),
             pa.array(ids, pa.int64()),
             pa.array(lats, pa.float64()),
             pa.array(lons, pa.float64()),
-            pa.nulls(len(ids), pa.binary()),
         ],
-        schema=_PIP_ROW_SCHEMA,
+        schema=_POINT_ROW_SCHEMA,
     )
+
+
+def _point_rows(batch: pa.Table, level: int, id_col: str, lat_col: str, lon_col: str) -> pa.Table:
+    """Point rows of the cell sorts (PIP points, kNN and distance
+    queries): one per point, at its own cell."""
+    ids, lats, lons = point_arrays(batch, id_col, lat_col, lon_col)
+    return _cell_rows(encode_cell(lats, lons, level), ids, lats, lons)
+
+
+def _cell_points(t: pa.Table) -> tuple:
+    """Rows of ``_POINT_ROW_SCHEMA`` → (cells, ids, lats, lons) arrays."""
+    return (t["cell"].to_numpy(zero_copy_only=False), *point_arrays(t, "id", "lat", "lon"))
 
 
 def ring_arrays(
@@ -173,11 +171,9 @@ def _bbox_cover(min_lon, min_lat, max_lon, max_lat, level: int) -> tuple:
     return box, xy_to_cell(cx.astype(np.uint64), cy.astype(np.uint64), level)
 
 
-def _poly_rows(
-    batch: pa.Table, level: int, salt: int, id_col: str, ring_lat_col: str, ring_lon_col: str
-) -> pa.Table:
-    """Polygon rows of the PIP sort: one per (cover cell × salt) with the
-    packed ring, no coordinates.
+def _poly_rows(batch: pa.Table, level: int, id_col: str, ring_lat_col: str, ring_lon_col: str) -> pa.Table:
+    """Polygon rows of the PIP sort: one per cover cell with the packed
+    ring.
 
     Fully vectorized: the ``ring_arrays`` flatten, ``reduceat`` per-ring
     bboxes, the ``_bbox_cover`` expansion shared with the broadcast build,
@@ -192,11 +188,6 @@ def _poly_rows(
         return _POLY_ROWS_EMPTY
     ring_i, cells = _bbox_cover(*_ring_bboxes(counts, la_flat, lo_flat), level)
 
-    # salt replication: each cover row × salt
-    total = len(cells)
-    rep = np.repeat(np.arange(total, dtype=np.int64), salt)
-    salts = np.tile(np.arange(salt, dtype=np.uint64), total)
-
     # packed-ring blobs without a per-ring loop: interleave (lat, lon)
     # once, expose each ring's byte range as a binary array, replicate
     # with take (byte layout == pack_ring: float64 [lat, lon] pairs)
@@ -208,10 +199,10 @@ def _poly_rows(
         # validate — past 2^27 coordinate pairs per batch the cast would
         # wrap negative and emit silently-corrupt blobs (the replaced
         # pa.array path at least raised ArrowCapacityError). Batches this
-        # large should be split upstream via batch_size.
+        # large should be split upstream into smaller blocks.
         raise ValueError(
             "_poly_rows: ring payload exceeds the 2 GiB binary-offset "
-            "limit for one batch; reduce map_batches batch_size"
+            "limit for one block; split the polygon blocks"
         )
     byte_offs = (np.concatenate([[0], np.cumsum(counts)]) * 16).astype(np.int32)
     blob_all = pa.Array.from_buffers(
@@ -219,22 +210,18 @@ def _poly_rows(
         len(counts),
         [None, pa.py_buffer(byte_offs.tobytes()), pa.py_buffer(pairs.tobytes())],
     )
-    take_idx = ring_i[rep]
     return pa.Table.from_arrays(
         [
-            pa.array(cells[rep], pa.uint64()),
-            pa.array(salts, pa.uint64()),
-            pa.array(ids[take_idx], pa.int64()),
-            pa.nulls(len(take_idx), pa.float64()),
-            pa.nulls(len(take_idx), pa.float64()),
-            blob_all.take(pa.array(take_idx, pa.int64())),
+            pa.array(cells, pa.uint64()),
+            pa.array(ids[ring_i], pa.int64()),
+            blob_all.take(pa.array(ring_i, pa.int64())),
         ],
-        schema=_PIP_ROW_SCHEMA,
+        schema=_POLY_ROW_SCHEMA,
     )
 
 
 def _blob_rings(rings: pa.Table) -> tuple:
-    """Polygon rows of one sorted block → the ``ring_arrays`` tuple of its
+    """Polygon rows of one key range → the ``ring_arrays`` tuple of its
     distinct rings (by id), read straight from the blob buffers."""
     gids, first = np.unique(rings["id"].to_numpy(zero_copy_only=False), return_index=True)
     blobs = pc.cast(rings["blob"].combine_chunks().take(pa.array(first)), pa.large_binary())
@@ -255,15 +242,22 @@ def _pip_pairs(out_p: list, out_g: list) -> pa.Table:
     )
 
 
-def _pip_cosort_probe(block: pa.Table) -> pa.Table:
-    """One sorted block of PIP rows → its exact (point_id, poly_id) pairs:
-    the block's distinct rings become a ``RingIndex`` that its points probe."""
-    is_ring = pc.is_valid(block["blob"])
-    rings, points = block.filter(is_ring), block.filter(pc.invert(is_ring))
-    if not (rings.num_rows and points.num_rows):
+def _pip_cosort_probe(points: pa.Table, rings: pa.Table) -> pa.Table:
+    """One key range's point rows and polygon rows → the exact (point_id,
+    poly_id) pairs of its points with the polygons that have a row in the
+    point's own cell: the range's distinct rings become a ``RingIndex``
+    that its points probe. A point copied into each range of its hot
+    cell thus meets a polygon of that cell only where the polygon's row
+    of the cell went."""
+    if not (points.num_rows and rings.num_rows):
         return _pip_pairs([], [])
-    index = build_ring_index([_blob_rings(rings)])
-    return pip_probe(*point_arrays(points, "id", "lat", "lon"), index)
+    ids, lats, lons = point_arrays(points, "id", "lat", "lon")
+    hits = pip_probe(np.arange(len(ids)), lats, lons, build_ring_index([_blob_rings(rings)]))
+    at = hits["point_id"]
+    pairs = pa.table({"cell": points["cell"].take(at), "id": hits["poly_id"], "at": at}).join(
+        rings.select(["cell", "id"]), ["cell", "id"], join_type="left semi", use_threads=False
+    )
+    return _pip_pairs([ids[pairs["at"].to_numpy()]], [pairs["id"].to_numpy()])
 
 
 def pip_join(
@@ -271,7 +265,6 @@ def pip_join(
     polygons: rd.Dataset,
     level: int = 12,
     *,
-    salt: int = 1,
     point_id: str = "point_id",
     lat_col: str = "lat",
     lon_col: str = "lon",
@@ -279,32 +272,28 @@ def pip_join(
     ring_lat_col: str = "ring_lats",
     ring_lon_col: str = "ring_lons",
 ) -> rd.Dataset:
-    """point-in-polygon join → (point_id, poly_id) pairs.
+    """point-in-polygon join → (point_id, poly_id) pairs, materialized.
 
     points:   (point_id:int64, lat:f64, lon:f64, …)
     polygons: (poly_id:int64, ring_lats:list<f64>, ring_lons:list<f64>, …)
 
-    Physical plan (``util.cosort``): one row per point at its
-    (cell, salt) and one per polygon cover cell × salt (ring as a packed
-    blob) are SORTED together on (cell, salt); each sorted block decodes
-    its distinct rings into a ``RingIndex`` and runs ``pip_probe`` over
-    its points. A true pair shares the point's key and each point has one
-    row, so the result is exact and each pair appears once. ``salt > 1``
-    splits a hot cell's points across ``salt`` sort keys (polygons
-    replicated per key): same results, bounded block skew. Polygon ids
-    are unique keys.
+    Physical plan: one block task per input block maps each point to one
+    row at its cell and each polygon to one row per cell its bbox covers
+    (ring as a packed blob); ``util.cosort`` range-partitions both sides
+    on the cell, and one task per key range runs ``pip_probe`` of the
+    range's points against its distinct rings, keeping the pairs whose
+    polygon has a row in the point's cell. A true pair shares the
+    point's cell, and the point's row meets the polygon's row of that
+    cell in exactly one range, so the result is exact and each pair
+    appears once. A hot cell is spread by the partitioner's skew rule,
+    whichever side holds more of its rows: that side's rows go
+    round-robin over the cell's ranges, the other side's are copied into
+    each. Polygon ids are unique keys.
     """
-    prows = points.map_batches(
-        partial(_points_rows, level=level, salt=salt, id_col=point_id,
-                lat_col=lat_col, lon_col=lon_col),
-        batch_format="pyarrow",
-    )
-    grows = polygons.map_batches(
-        partial(_poly_rows, level=level, salt=salt, id_col=poly_id,
-                ring_lat_col=ring_lat_col, ring_lon_col=ring_lon_col),
-        batch_format="pyarrow",
-    )
-    return cosort([prows, grows], ["cell", "salt"], _pip_cosort_probe, _PIP_ROW_SCHEMA)
+    prows = map_blocks(points, _point_rows, level, point_id, lat_col, lon_col)
+    grows = map_blocks(polygons, _poly_rows, level, poly_id, ring_lat_col, ring_lon_col)
+    return cosort([prows, grows], ["cell"], _pip_cosort_probe, [_POINT_ROW_SCHEMA, _POLY_ROW_SCHEMA],
+                  spread=(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -555,31 +544,6 @@ def knn_join_broadcast(
 # ---------------------------------------------------------------------------
 
 
-_KNN_ROW_SCHEMA = pa.schema(
-    [("cell", pa.uint64()), ("is_query", pa.bool_()), ("id", pa.int64()),
-     ("lat", pa.float64()), ("lon", pa.float64())]
-)
-
-
-def _knn_rows(cells, is_query: bool, ids, lats, lons) -> pa.Table:
-    return pa.Table.from_arrays(
-        [
-            pa.array(cells, pa.uint64()),
-            pa.array(np.full(len(ids), is_query)),
-            pa.array(ids, pa.int64()),
-            pa.array(lats, pa.float64()),
-            pa.array(lons, pa.float64()),
-        ],
-        schema=_KNN_ROW_SCHEMA,
-    )
-
-
-def _query_rows(batch: pa.Table, level: int, id_col: str, lat_col: str, lon_col: str) -> pa.Table:
-    """Query rows of the kNN / distance sort: one per query, at its own cell."""
-    ids, lats, lons = point_arrays(batch, id_col, lat_col, lon_col)
-    return _knn_rows(encode_cell(lats, lons, level), True, ids, lats, lons)
-
-
 def _target_rows(
     batch: pa.Table, level: int, id_col: str, lat_col: str, lon_col: str
 ) -> pa.Table:
@@ -588,42 +552,38 @@ def _target_rows(
     the expansion the broadcast probe uses)."""
     ids, lats, lons = point_arrays(batch, id_col, lat_col, lon_col)
     owner, cells = _neighborhoods(encode_cell(lats, lons, level))
-    return _knn_rows(cells, False, ids[owner], lats[owner], lons[owner])
+    return _cell_rows(cells, ids[owner], lats[owner], lons[owner])
+
+
+def _self_rows(batch: pa.Table, level: int, query_id: str, target_id: str, lat_col: str,
+               lon_col: str) -> tuple:
+    """A self-join's block → (its query rows, its target copies)."""
+    return (_point_rows(batch, level, query_id, lat_col, lon_col),
+            _target_rows(batch, level, target_id, lat_col, lon_col))
 
 
 def _query_target_cosort(
     queries: rd.Dataset, targets: rd.Dataset, level: int, query_id: str, target_id: str,
-    lat_col: str, lon_col: str, probe,
+    lat_col: str, lon_col: str, probe, *, spread: tuple,
 ) -> rd.Dataset:
-    """Query rows and target copies sorted together on cell; ``probe``
-    runs per sorted block. A query's own cell holds one copy of every
-    target in its neighbourhood, so it needs no other block."""
-    q = queries.map_batches(
-        partial(_query_rows, level=level, id_col=query_id, lat_col=lat_col, lon_col=lon_col),
-        batch_format="pyarrow",
-    )
-    t = targets.map_batches(
-        partial(_target_rows, level=level, id_col=target_id, lat_col=lat_col, lon_col=lon_col),
-        batch_format="pyarrow",
-    )
-    return cosort([q, t], ["cell"], probe, _KNN_ROW_SCHEMA)
+    """Query rows and target copies, each from one block task per input
+    block, range-partitioned together on cell; ``probe(queries,
+    targets)`` runs per key range. A query's own cell holds one copy of
+    every target in its neighbourhood, so it needs no other range. A
+    self-join (``queries is targets``) reads its input once."""
+    if queries is targets:
+        sides = map_blocks(queries, _self_rows, level, query_id, target_id, lat_col, lon_col, num_returns=2)
+    else:
+        sides = [map_blocks(queries, _point_rows, level, query_id, lat_col, lon_col),
+                 map_blocks(targets, _target_rows, level, target_id, lat_col, lon_col)]
+    return cosort(sides, ["cell"], probe, [_POINT_ROW_SCHEMA] * 2, spread=spread)
 
 
-def _cosort_sides(block: pa.Table, level: int) -> tuple:
-    """One sorted block of ``_knn_rows`` → ((query ids, lats, lons, cells),
-    TargetIndex of its target copies, cell-sorted because the block is)."""
-    is_q = block["is_query"].to_numpy(zero_copy_only=False)
-    cells = block["cell"].to_numpy(zero_copy_only=False)
-    ids, lats, lons = point_arrays(block, "id", "lat", "lon")
-    t = ~is_q
-    return (
-        (ids[is_q], lats[is_q], lons[is_q], cells[is_q]),
-        TargetIndex(cells[t], ids[t], lats[t], lons[t], level),
-    )
-
-
-def _knn_cosort_probe(block: pa.Table, level: int, k: int, radius_m: float) -> pa.Table:
-    (qids, qlats, qlons, qcells), index = _cosort_sides(block, level)
+def _knn_cosort_probe(queries: pa.Table, targets: pa.Table, level: int, k: int, radius_m: float) -> pa.Table:
+    """One key range: each query searches the target copies of its own
+    cell (``targets`` is cell-sorted, a ``TargetIndex``)."""
+    qcells, qids, qlats, qlons = _cell_points(queries)
+    index = TargetIndex(*_cell_points(targets), level)
     return _knn_topk(qids, qlats, qlons, np.arange(len(qids)), qcells, index, k, radius_m)
 
 
@@ -644,19 +604,23 @@ def knn_join(
 
     Physical plan (``util.cosort``): one row per query at its own cell
     and one copy of each target per cell of its 3×3 neighbourhood are
-    SORTED together on cell; in each sorted block the target copies form
-    a ``TargetIndex`` and every query searches only its own cell with the
-    refine ``knn_probe`` uses (haversine, radius filter, lexsort top-k).
-    Each query row sees each nearby target once, in one block, so no
-    second shuffle is needed. Exact within radius_m when cell height at
-    ``level`` ≥ radius_m (default: the finest such level).
+    range-partitioned together on cell; in each key range the target
+    copies form a ``TargetIndex`` and every query searches only its own
+    cell with the refine ``knn_probe`` uses (haversine, radius filter,
+    lexsort top-k). Each query row sees each nearby target once, in one
+    range, so no second shuffle is needed. A hot cell whose queries
+    outnumber its target copies spreads them over several ranges (the
+    partitioner's skew rule) and copies the target copies into each; the
+    target side never spreads, since that would split a query's top-k.
+    Exact within radius_m when cell height at ``level`` ≥ radius_m
+    (default: the finest such level).
 
     Output: (point_id, neighbor_id, dist_m, rank).
     """
     lvl = level if level is not None else choose_level_for_radius(radius_m)
     return _query_target_cosort(
         queries, targets, lvl, query_id, target_id, lat_col, lon_col,
-        partial(_knn_cosort_probe, level=lvl, k=k, radius_m=radius_m),
+        partial(_knn_cosort_probe, level=lvl, k=k, radius_m=radius_m), spread=(0,),
     )
 
 
@@ -908,13 +872,14 @@ def _dist_refine(
 
 
 def _dist_cosort_probe(
-    block: pa.Table, level: int, radius: float, metric: str, exclude_same_id: bool
+    queries: pa.Table, targets: pa.Table, radius: float, metric: str, exclude_same_id: bool
 ) -> pa.Table:
-    (qids, qlats, qlons, qcells), t = _cosort_sides(block, level)
-    qi, ti = _cell_ranges(t.cells, qcells)
+    """One key range: each query against the target copies of its own cell."""
+    qcells, qids, qlats, qlons = _cell_points(queries)
+    tcells, tids, tlats, tlons = _cell_points(targets)
+    qi, ti = _cell_ranges(tcells, qcells)
     return _dist_refine(
-        qids[qi], qlats[qi], qlons[qi], t.ids[ti], t.lats[ti], t.lons[ti],
-        radius, metric, exclude_same_id,
+        qids[qi], qlats[qi], qlons[qi], tids[ti], tlats[ti], tlons[ti], radius, metric, exclude_same_id,
     )
 
 
@@ -936,9 +901,11 @@ def distance_join(
     pair closer than 100 m", "points near any sensor").
 
     Same physical plan as ``knn_join`` minus the top-k: query rows and the
-    targets' 3×3 neighbourhood copies sorted together on cell, and each
-    sorted block matches its queries against the target copies in their
-    own cell (each true pair exactly once) and refines them.
+    targets' 3×3 neighbourhood copies range-partitioned together on cell,
+    and each key range matches its queries against the target copies in
+    their own cell (each true pair exactly once) and refines them. A hot
+    cell spreads whichever side holds more of its rows: every pair
+    still meets in one range.
 
     ``metric``: "haversine" (radius in meters; dist = meters) or
     "planar_deg" (radius in degrees; dist = SQUARED degree distance —
@@ -957,8 +924,8 @@ def distance_join(
         lvl = level
     return _query_target_cosort(
         queries, targets, lvl, query_id, target_id, lat_col, lon_col,
-        partial(_dist_cosort_probe, level=lvl, radius=radius, metric=metric,
-                exclude_same_id=exclude_same_id),
+        partial(_dist_cosort_probe, radius=radius, metric=metric, exclude_same_id=exclude_same_id),
+        spread=(0, 1),
     )
 
 

@@ -108,10 +108,10 @@ def topk_per_group(
         return block.filter(pa.array(keep)).append_column("rank", pa.array(pos[keep] + 1, pa.int64()))
 
     pruned = map_blocks(ds, _partial_topk, sort_cols, asc, group_col, k)
-    return rd.from_arrow_refs(sort_scan(
+    return dataset_of(sort_scan(
         pruned, [group_col] + sort_cols, summarize, fold, head_k,
         descending=[False] + [not a for a in asc], schema=ds.schema,
-    ))
+    ), pa.table({}))
 
 
 def _partial_topk(block: pa.Table, sort_cols: list, asc: list, group_col: str, k: int) -> pa.Table:

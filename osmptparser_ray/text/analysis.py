@@ -556,7 +556,7 @@ def tfidf_top_terms(
     import numpy as np
 
     from ..stages.relational import topk_per_group
-    from ..util import block_refs, equi_join, map_blocks, submit
+    from ..util import block_refs, equi_join, map_blocks, select, submit
 
     from ray.data.aggregate import Count
 
@@ -601,7 +601,7 @@ def tfidf_top_terms(
     top = topk_per_group(
         scored, id_col, "score", k, tiebreak_col="token", descending=True
     )
-    return top.select_columns([id_col, "rank", "token", "tf", "df", "score"])
+    return select(top, [id_col, "rank", "token", "tf", "df", "score"])
 
 
 def _vocab_table(*blocks) -> tuple:

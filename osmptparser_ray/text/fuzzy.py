@@ -231,4 +231,4 @@ def edit_distance_pairs(
         )
 
     schema = pa.schema([("bucket", pa.int64()), (id_col, pa.int64()), ("blob", pa.binary())])
-    return cosort([exploded], ["bucket"], verify, schema)
+    return cosort([exploded], ["bucket"], verify, [schema])

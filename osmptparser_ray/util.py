@@ -117,6 +117,19 @@ def map_blocks(ds, fn, *args, num_returns: int = 1):
     return [dataset_of([o[i] for o in out], pa.table({})) for i in range(num_returns)]
 
 
+def select(ds, cols: list):
+    """``ds.select_columns(cols)`` as block tasks (``map_blocks``) → a
+    materialized dataset of exactly ``cols`` in that order, also on an
+    input without rows: its one task projects the zero-row table of the
+    input's schema, where Ray's ``select_columns`` passes a block without
+    rows through with all its columns."""
+    return map_blocks(ds, _select, list(cols))
+
+
+def _select(t, cols: list):
+    return t.select(cols)
+
+
 def datasets_of(parts: dict) -> dict:
     """name → ``dataset_of`` of its (block refs[, empty table]), the
     metadata waits of all of them overlapped in one thread each; a name
@@ -128,30 +141,31 @@ def datasets_of(parts: dict) -> dict:
     return {k: v.result() if hasattr(v, "result") else v for k, v in out.items()}
 
 
-def cosort(sides: list, keys: list, probe, schema, *args):
-    """The one keyed regroup: the datasets in ``sides`` (rows of one
-    ``schema``) range-partitioned together on ``keys`` (``_regroup``),
-    then ``probe(block, *args)`` once per key range, on the range's rows
-    from every side sorted on ``keys`` → a materialized dataset of the
-    probe outputs, in key order. Refs in ``args`` are top-level task
-    arguments of every probe task. A row's range depends on its key
-    tuple alone, so every row of one key reaches a single ``probe``
+def cosort(sides: list, keys: list, probe, schemas: list, *args, spread=()):
+    """The one keyed regroup: the datasets in ``sides`` range-partitioned
+    together on ``keys`` (``_regroup``), then ``probe(*tables, *args)``
+    once per key range, where ``tables[i]`` is side ``i``'s rows of the
+    range sorted on ``keys`` → a materialized dataset of the probe
+    outputs, in key order. Refs in ``args`` are top-level task arguments
+    of every probe task. Without ``spread`` a row's range depends on its
+    key tuple alone, so every row of one key reaches a single ``probe``
     call.
 
-    The lazy sides run as one streaming execution (their union), the
-    materialized ones run none. An input without rows gives one
-    ``probe(schema.empty_table())``; ``schema`` may be a function giving
+    ``spread`` names the sides whose hot keys may spread (the skew rule
+    of ``_regroup``): a hot key's rows of the side holding most of them go
+    round-robin over the key's ranges and every other side's rows of the
+    key are copied into each. A probe that pairs rows only within one key
+    then meets every pair once; the caller names the sides for which its
+    probe's output stays exact.
+
+    Each side runs through ``_side``: a lazy side runs its own streaming
+    execution, a materialized one none. A side without rows gives the
+    probe ``schemas[i].empty_table()``; a schema may be a function giving
     it, called only then.
     """
-    from ray.data.dataset import MaterializedDataset
-
-    done = [ds for ds in sides if isinstance(ds, MaterializedDataset)]
-    lazy = [ds for ds in sides if not isinstance(ds, MaterializedDataset)]
-    if len(lazy) > 1:
-        lazy = [lazy[0].union(*lazy[1:])]
-    side = _side(*done, *lazy)
-    empty = None if side[0] else (schema() if callable(schema) else schema).empty_table()
-    return dataset_of(_regroup([side], [keys], probe, empties=[empty], args=args))
+    parts = [_side(ds) for ds in sides]
+    empties = [None if part[0] else (s() if callable(s) else s).empty_table() for part, s in zip(parts, schemas)]
+    return dataset_of(_regroup(parts, [keys] * len(parts), probe, empties=empties, args=args, spread=spread))
 
 
 def sort_scan(ds, keys, summarize, fold, emit, *args, descending=False, num_returns: int = 1,

@@ -15,14 +15,20 @@ OUT = ["k", "n", "n_left", "v_sum", "sorted"]
 
 
 def _make_probe():
-    """A probe giving one row per key run of its block, tagged with an id
-    of the call (built in a closure so that Ray workers, which cannot
-    import this test module, receive it by value)."""
+    """A probe giving one row per key run of its sides' rows, tagged with
+    an id of the call; a row's side is the position of its table (built
+    in a closure so that Ray workers, which cannot import this test
+    module, receive it by value)."""
 
-    def probe(block: pa.Table) -> pa.Table:
-        k = block["k"].to_numpy(zero_copy_only=False)
-        side = block["side"].to_numpy(zero_copy_only=False)
-        v = block["v"].to_numpy(zero_copy_only=False)
+    def probe(*sides: pa.Table) -> pa.Table:
+        def col(name):
+            return np.concatenate([t[name].to_numpy(zero_copy_only=False) for t in sides])
+
+        k, v = col("k"), col("v")
+        order = np.argsort(k, kind="stable")
+        k, v = k[order], v[order]
+        side = np.repeat(np.arange(len(sides)), [t.num_rows for t in sides])[order]
+        each_sorted = all(np.all(np.diff(t["k"].to_numpy(zero_copy_only=False)) >= 0) for t in sides)
         b = key_runs(k)
         starts = b[:-1]
         return pa.table(
@@ -31,7 +37,7 @@ def _make_probe():
                 "n": pa.array(np.diff(b), pa.int64()),
                 "n_left": pa.array(np.add.reduceat(side == 0, starts) if len(k) else [], pa.int64()),
                 "v_sum": pa.array(np.add.reduceat(v, starts) if len(k) else [], pa.int64()),
-                "sorted": pa.array([bool(np.all(k[1:] >= k[:-1]))] * len(starts), pa.bool_()),
+                "sorted": pa.array([each_sorted] * len(starts), pa.bool_()),
                 "call": pa.array([uuid.uuid4().hex] * len(starts), pa.string()),
             }
         )
@@ -87,7 +93,7 @@ class TestCosortLayout:
         want = _expected(left, right)
         for layout in ("one_block", "one_row_blocks", "empty_block"):
             out = cosort(
-                [_layout(left, layout), _layout(right, layout)], ["k"], _make_probe(), SCHEMA
+                [_layout(left, layout), _layout(right, layout)], ["k"], _make_probe(), [SCHEMA] * 2
             ).to_pandas()
             # one output row per key: every key reached exactly one call
             assert out.k.is_unique, layout
@@ -98,14 +104,14 @@ class TestCosortLayout:
 
     def test_one_side(self, ray_session):
         left, _ = _data(False)
-        out = cosort([_layout(left, "one_row_blocks")], ["k"], _make_probe(), SCHEMA).to_pandas()
+        out = cosort([_layout(left, "one_row_blocks")], ["k"], _make_probe(), [SCHEMA]).to_pandas()
         assert out.k.is_unique
         assert int(out.n.sum()) == left.num_rows
 
     @pytest.mark.parametrize("empty", ["schema_only", "columnless"])
     def test_no_rows_probes_empty_schema_table(self, ray_session, empty):
         t = SCHEMA.empty_table() if empty == "schema_only" else pa.table({})
-        out = cosort([rd.from_arrow(t), rd.from_arrow(SCHEMA.empty_table())], ["k"], _make_probe(), SCHEMA)
+        out = cosort([rd.from_arrow(t), rd.from_arrow(SCHEMA.empty_table())], ["k"], _make_probe(), [SCHEMA] * 2)
         assert out.count() == 0
         assert out.schema().names == OUT + ["call"]
 
@@ -416,11 +422,11 @@ def test_sort_schema_warnings_dropped_errors_kept(ray_session, caplog):
     try:
         with caplog.at_level(logging.WARNING, logger=log.name):
             t = _side(np.r_[np.full(2, 1), np.full(40, 3)], 0)
-            out = cosort([_layout(t, "one_row_blocks")], ["k"], _make_probe(), SCHEMA)
+            out = cosort([_layout(t, "one_row_blocks")], ["k"], _make_probe(), [SCHEMA])
             assert sorted(out.to_pandas().n.tolist()) == [2, 40]
         assert not [r for r in caplog.records if "different schema" in r.getMessage()]
         with pytest.raises(Exception, match="nope"):
-            cosort([_layout(t, "one_row_blocks")], ["nope"], _make_probe(), SCHEMA)
+            cosort([_layout(t, "one_row_blocks")], ["nope"], _make_probe(), [SCHEMA])
     finally:
         log.removeHandler(caplog.handler)
 
@@ -761,7 +767,7 @@ class TestManyBlocks:
 
         t = _hot_rows()
         ds = self._blocks(t, n)
-        out = cosort([ds], ["k"], _make_probe(), SCHEMA)
+        out = cosort([ds], ["k"], _make_probe(), [SCHEMA])
         assert 1 < out.num_blocks()
         got = sorted(tuple(r) for r in out.to_pandas()[OUT].itertuples(index=False))
         assert [(int(a), int(b), int(c), int(d), bool(e)) for a, b, c, d, e in got] == _expected(
@@ -859,6 +865,23 @@ class TestExecutions:
         out = equi_join(lazy, _layout(right, "one_row_blocks"), "k", left_suffix="_l")
         assert executions.count - before == 1
         assert out.count() == sum(1 for a in left["k"].to_pylist() for b in right["k"].to_pylist() if a == b)
+
+    def test_shuffle_spatial_tail_runs_no_execution(self, ray_session, executions, tmp_path):
+        """The flagship's shuffle tail over materialized PT blocks: the row
+        maps of its pip and knn cosorts are block tasks, so it starts no
+        streaming execution, and it gives the broadcast tail's outputs."""
+        from test_flagship import _digest
+
+        from osmptparser_ray.pipelines.spatial_join import stop_route_joins, stop_route_spatial_join
+        from osmptparser_ray.sources import synthesize_pages_parquet
+
+        pages = str(tmp_path / "pages")
+        synthesize_pages_parquet(pages, replicas=2, files=1)
+        out = stop_route_spatial_join(pages, validate=False)
+        before = executions.count
+        got = stop_route_joins(out["public_transports"], small_side="shuffle")
+        assert executions.count == before
+        assert _digest(got) == _digest(out)
 
 
 class TestTopN:

@@ -274,3 +274,38 @@ class TestIvfAnnJoin:
                            vec_chunks=3).take_all()
         got = sorted((r["rank"], r["vec_id"]) for r in out)
         assert got == [(1, 0), (2, 1), (3, 2), (4, 3), (5, 4)]
+
+
+def _columns(ds) -> list:
+    """The dataset's column names and those of each of its blocks."""
+    import ray
+
+    return [ds.schema().names] + [t.column_names for t in ray.get(ds.to_arrow_refs())]
+
+
+@pytest.mark.parametrize("op", ["knn_bruteforce", "ivf_ann_join", "tfidf_top_terms"])
+def test_columns_without_rows(ray_session, op):
+    """An operator ending in a projection gives its documented columns in
+    order on an input without rows too (Ray's ``select_columns`` passes a
+    block without rows through with all its columns)."""
+    import ray.data as rd
+
+    from osmptparser_ray.embed.ann import ivf_ann_join, knn_bruteforce
+    from osmptparser_ray.text.analysis import tfidf_top_terms
+
+    vecs = pa.table({"vec_id": pa.array([1, 2, 3], pa.int64()),
+                     "embedding": pa.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], pa.list_(pa.float64()))})
+    docs = pa.table({"doc_id": pa.array([1, 2], pa.int64()), "text": ["a b a", "b c"]})
+
+    def run(n):
+        if op == "knn_bruteforce":
+            return knn_bruteforce(rd.from_arrow(vecs.slice(0, n)), np.eye(2), np.arange(2), k=2)
+        if op == "ivf_ann_join":
+            return ivf_ann_join(rd.from_arrow(vecs), rd.from_arrow(vecs.slice(0, n)), k=2, n_lists=2, n_probe=1)
+        return tfidf_top_terms(rd.from_arrow(docs.slice(0, n)), k=2)
+
+    full, empty = run(3), run(0)
+    assert full.count() > 0 and empty.count() == 0
+    want = full.schema().names
+    assert want[:2] in (["query_id", "rank"], ["doc_id", "rank"])
+    assert all(names == want for names in _columns(full) + _columns(empty)), (_columns(full), _columns(empty))

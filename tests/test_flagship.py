@@ -10,7 +10,7 @@ import pyarrow as pa
 import pytest
 
 LAUNCH_BUDGET = 1  # the page read; ingest, assembly and the tail are block tasks
-SHUFFLE_LAUNCH_BUDGET = 3  # the read, then one sort per spatial join (pip, knn)
+SHUFFLE_LAUNCH_BUDGET = 1  # the page read; the cosorts' row maps are block tasks too
 LAYOUTS = ("one_block", "one_row_blocks", "empty_block")
 
 

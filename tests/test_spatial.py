@@ -1,5 +1,5 @@
 """Spatial layer tests: cell index properties + PIP/kNN vs brute-force
-oracles (FIXTURES.md §5) + skew/salting equivalence."""
+oracles (FIXTURES.md §5) + hot-cell spreading equivalence."""
 
 import numpy as np
 import pytest
@@ -154,8 +154,7 @@ class TestPipJoin:
                 pairs.add((int(pid), p["poly_id"]))
         return pairs
 
-    @pytest.mark.parametrize("salt", [1, 4])
-    def test_matches_oracle(self, ray_session, stops_polys, salt):
+    def test_matches_oracle(self, ray_session, stops_polys):
         import ray.data as rd
         from osmptparser_ray.spatial import pip_join
 
@@ -166,7 +165,7 @@ class TestPipJoin:
             )
         )
         polys_ds = rd.from_items(polys)
-        out = pip_join(points, polys_ds, level=10, salt=salt)
+        out = pip_join(points, polys_ds, level=10)
         got = {(r["point_id"], r["poly_id"]) for r in out.take_all()}
         assert got == self._oracle(ids, lats, lons, polys)
 
@@ -291,7 +290,7 @@ class TestBroadcastParity:
 
     @pytest.mark.parametrize("layout", ["one_block", "one_row_blocks", "empty_block", "hot_cell"])
     def test_sort_plans_layout_invariant(self, ray_session, stops_polys, layout):
-        """pip_join(salt=4) and knn_join equal the broadcast plans whatever
+        """pip_join and knn_join equal the broadcast plans whatever
         the block layout of the points: one block, 1-row blocks, an
         injected columnless empty block, or every point in one hot cell."""
         import pyarrow as pa
@@ -332,9 +331,112 @@ class TestBroadcastParity:
 
         pip_b = pip_set(pip_join_broadcast(rd.from_arrow(pts), polys_ds))
         knn_b = knn_set(knn_join_broadcast(rd.from_arrow(pts), targets, k=4))
-        assert pip_set(pip_join(rd.from_arrow(blocks), polys_ds, level=10, salt=4)) == pip_b
+        assert pip_set(pip_join(rd.from_arrow(blocks), polys_ds, level=10)) == pip_b
         assert knn_set(knn_join(rd.from_arrow(blocks), targets, k=4)) == knn_b
         assert pip_b and knn_b
+
+
+class TestHotCell:
+    """One cell holds 55% of the points, and ``target_min_block_size`` is
+    256 bytes, so that every cell join regroups at P > 1 and the hot cell
+    takes several of the boundary sample's quantile picks: the
+    partitioner's skew rule spreads it, and every join still equals its
+    broadcast or brute-force result."""
+
+    @pytest.fixture
+    def hot_points(self, ray_session, block_size):
+        import pyarrow as pa
+        import ray.data as rd
+
+        r = np.random.default_rng(31)
+        lats = np.r_[r.uniform(-3.0, -1.0, 400), -2.15 + r.uniform(0.0, 0.002, 500)]
+        lons = np.r_[r.uniform(-80.5, -78.5, 400), -79.93 + r.uniform(0.0, 0.002, 500)]
+        for level in (10, choose_level_for_radius(2000.0)):
+            assert np.unique(encode_cell(lats[400:], lons[400:], level)).size == 1
+        t = pa.table({"point_id": np.arange(900, dtype=np.int64), "lat": lats, "lon": lons})
+        block_size(256)
+        return rd.from_arrow([t.slice(i, 100) for i in range(0, 900, 100)]), t
+
+    def test_pip_spreads_and_matches_broadcast(self, hot_points, stops_polys, spread_keys):
+        import ray.data as rd
+
+        from osmptparser_ray.spatial import pip_join, pip_join_broadcast
+
+        pts, _ = hot_points
+        polys = rd.from_items(stops_polys[3])
+        got = sorted((r["point_id"], r["poly_id"]) for r in pip_join(pts, polys, level=10).take_all())
+        want = sorted((r["point_id"], r["poly_id"]) for r in pip_join_broadcast(pts, polys).take_all())
+        assert got == want and len(got) > 500
+        assert len(spread_keys) == 1 and spread_keys[0] > 0, spread_keys
+
+    def test_pip_polygon_side_spreads(self, ray_session, block_size, spread_keys):
+        """A cell C holding 285 polygon rows and 60 points, all points
+        inside all polygons: the polygon side spreads C, so C's points are
+        copied into each of C's ranges. 5 of the polygons also cover C's
+        neighbour cells, which hold no other rows, so their rows share the
+        last of C's ranges with C's points. Each pair still appears once."""
+        import pyarrow as pa
+        import ray.data as rd
+
+        from osmptparser_ray.spatial import cell_bounds, pip_join, pip_join_broadcast
+
+        r = np.random.default_rng(37)
+        x0, y0, x1, y1 = (float(v[0]) for v in cell_bounds(encode_cell([-2.15], [-79.93], 10)))
+        w, h = x1 - x0, y1 - y0
+        lats = np.r_[r.uniform(-3.0, -2.4, 400), y0 + h * r.uniform(0.45, 0.55, 60)]
+        lons = np.r_[r.uniform(-80.5, -78.5, 400), x0 + w * r.uniform(0.45, 0.55, 60)]
+
+        def square(i, cx, cy, rx, ry):
+            return {"poly_id": i, "ring_lats": [cy - ry, cy - ry, cy + ry, cy + ry],
+                    "ring_lons": [cx - rx, cx + rx, cx + rx, cx - rx]}
+
+        cx, cy = x0 + w / 2, y0 + h / 2
+        polys = rd.from_items(
+            [square(i, cx, cy, w * r.uniform(0.1, 0.45), h * r.uniform(0.1, 0.45)) for i in range(280)]
+            + [square(280 + i, cx, cy, w * 1.2, h * 1.2) for i in range(5)]
+        )
+        t = pa.table({"point_id": np.arange(460, dtype=np.int64), "lat": lats, "lon": lons})
+        pts = rd.from_arrow([t.slice(i, 46) for i in range(0, 460, 46)])
+        block_size(256)
+        got = sorted((r["point_id"], r["poly_id"]) for r in pip_join(pts, polys, level=10).take_all())
+        want = sorted((r["point_id"], r["poly_id"]) for r in pip_join_broadcast(pts, polys).take_all())
+        assert got == want and len(got) >= 60 * 285
+        assert len(spread_keys) == 1 and spread_keys[0] > 0, spread_keys
+
+    def test_pip_ranges_are_balanced(self, hot_points, stops_polys, monkeypatch):
+        """pip's probe swapped for one that returns its rows in: the
+        largest range input is at most twice the mean; without the skew
+        rule the hot cell's range alone holds over half the points."""
+        import pyarrow as pa
+        import ray.data as rd
+
+        from osmptparser_ray.spatial import join
+
+        def counts(points, rings):
+            return pa.table({"n": [points.num_rows + rings.num_rows]})
+
+        monkeypatch.setattr(join, "_pip_cosort_probe", counts)
+        pts, _ = hot_points
+        n = np.array(join.pip_join(pts, rd.from_items(stops_polys[3]), level=10).to_pandas()["n"])
+        assert len(n) > 4 and n.max() <= 2 * n.mean(), n.tolist()
+
+    def test_knn_and_distance_match(self, hot_points, spread_keys):
+        from osmptparser_ray.spatial import distance_join, knn_join, knn_join_broadcast
+
+        pts, t = hot_points
+        got = {(r["point_id"], r["rank"], r["neighbor_id"], r["dist_m"])
+               for r in knn_join(pts, pts, k=4, target_id="point_id").take_all()}
+        want = {(r["point_id"], r["rank"], r["neighbor_id"], r["dist_m"])
+                for r in knn_join_broadcast(pts, pts, k=4, target_id="point_id").take_all()}
+        assert got == want and len(got) > 4 * 500
+
+        out = distance_join(pts, pts, 500.0, target_id="point_id", exclude_same_id=True).take_all()
+        got = {(r["point_id"], r["neighbor_id"]) for r in out}
+        lats, lons = t["lat"].to_numpy(), t["lon"].to_numpy()
+        want = {(i, int(j)) for i in range(900)
+                for j in np.flatnonzero(haversine_m_vec(lats[i], lons[i], lats, lons) <= 500.0) if j != i}
+        assert len(out) == len(got) and got == want
+        assert spread_keys[-1] > 0, spread_keys  # distance spreads target copies too
 
 
 class TestCellDensitySmoothed:
@@ -367,7 +469,7 @@ class TestPolyRowsVectorized:
     including empty rings and a sliced (non-zero-offset) batch."""
 
     @staticmethod
-    def _scalar_reference(batch, level, salt):
+    def _scalar_reference(batch, level):
         from osmptparser_ray.spatial.cell import cover_bbox
         from osmptparser_ray.spatial.pip import pack_ring, ring_bbox
 
@@ -382,23 +484,16 @@ class TestPolyRowsVectorized:
             blob = pack_ring(la, lo)
             cover = cover_bbox(*ring_bbox(la, lo), level)
             for c in cover:
-                for s in range(salt):
-                    rows.add((int(c), s, pid, blob))
+                rows.add((int(c), pid, blob))
         return rows
 
-    def _got(self, batch, level, salt):
+    def _got(self, batch, level):
         from osmptparser_ray.spatial.join import _poly_rows
 
-        out = _poly_rows(
-            batch, level=level, salt=salt, id_col="gid",
-            ring_lat_col="ring_lat", ring_lon_col="ring_lon",
-        )
+        out = _poly_rows(batch, level=level, id_col="gid", ring_lat_col="ring_lat", ring_lon_col="ring_lon")
         return {
-            (int(c), int(s), g, b)
-            for c, s, g, b in zip(
-                out["cell"].to_pylist(), out["salt"].to_pylist(),
-                out["id"].to_pylist(), out["blob"].to_pylist(),
-            )
+            (int(c), g, b)
+            for c, g, b in zip(out["cell"].to_pylist(), out["id"].to_pylist(), out["blob"].to_pylist())
         }
 
     def _mk_batch(self):
@@ -426,15 +521,15 @@ class TestPolyRowsVectorized:
 
     def test_parity_with_scalar_cover(self):
         batch = self._mk_batch()
-        for level, salt in [(6, 1), (9, 3)]:
-            got = self._got(batch, level, salt)
-            want = self._scalar_reference(batch, level, salt)
+        for level in (6, 9):
+            got = self._got(batch, level)
+            want = self._scalar_reference(batch, level)
             assert got == want and len(got) > 0
 
     def test_sliced_batch(self):
         batch = self._mk_batch().slice(13, 19)
-        got = self._got(batch, 8, 2)
-        want = self._scalar_reference(batch, 8, 2)
+        got = self._got(batch, 8)
+        want = self._scalar_reference(batch, 8)
         assert got == want and len(got) > 0
 
     def test_all_empty_rings(self):
@@ -445,7 +540,7 @@ class TestPolyRowsVectorized:
             "ring_lat": pa.array([[], []], pa.list_(pa.float64())),
             "ring_lon": pa.array([[], []], pa.list_(pa.float64())),
         })
-        assert len(self._got(batch, 8, 2)) == 0
+        assert len(self._got(batch, 8)) == 0
 
 
 class TestDistanceJoin:
